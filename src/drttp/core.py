@@ -16,12 +16,15 @@ hbar**2/2m = 1, V(x->+inf) = 0 and E equal to the z-gauge energy epsilon.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
+
+_log = logging.getLogger("drttp.core")
 
 # Origin convention for the map x(z): fixed so that the z_T = 2 branch is
 # exactly z(x) = 2 / (1 + sqrt(1 + exp(-2x))).
@@ -117,17 +120,34 @@ def dz_dx(z, tp: TangentPoly):
     return out if out.ndim else float(out)
 
 
-def _map_fast_zt2(x):
-    # z_T = 2 branch in elementary functions; 1-z is formed separately to
-    # keep precision near the right asymptote.
-    s = np.sqrt(1.0 + np.exp(-2.0 * x))
-    return 2.0 / (1.0 + s)
+def _pair_from_small(u, right):
+    """(z, 1 - z) from the small coordinate u <= 1/2, which is z left of
+    x_of_z(1/2) and 1 - z right of it.  u keeps its relative precision and
+    1 - u is exact to rounding, so z + (1 - z) == 1."""
+    v = 1.0 - u
+    if np.ndim(u) == 0:
+        return (float(v), float(u)) if right else (float(u), float(v))
+    return np.where(right, v, u), np.where(right, u, v)
 
 
-def _map_fast_zt2_pair(x):
-    e = np.exp(-2.0 * x)
-    s = np.sqrt(1.0 + e)
-    return 2.0 / (1.0 + s), e / (1.0 + s) ** 2
+# x_of_z(1/2) on the z_T = 2 branch
+_X_MID_ZT2 = -1.5 * math.log(2.0)
+# Below this x the z_T = 2 closed form is z = 2 e**x and 1 - z = 1 to double
+# precision (e**x < 1e-152); above it e**(-2x) cannot overflow.
+_X_FAR_ZT2 = -350.0
+
+
+def _map_zt2_pair(x):
+    # z_T = 2 branch in elementary functions, z = 2 / (1 + sqrt(1 + e**(-2x)))
+    # and 1 - z = e**(-2x) / (1 + sqrt(1 + e**(-2x)))**2.
+    e = np.exp(-2.0 * np.maximum(x, _X_FAR_ZT2))
+    s = 1.0 + np.sqrt(1.0 + e)
+    right = x > _X_MID_ZT2
+    u = np.where(right, e, 2.0 * s) / s**2
+    far = x < _X_FAR_ZT2
+    if np.any(far):
+        u = np.where(far, 2.0 * np.exp(np.minimum(x, _X_FAR_ZT2)), u)
+    return _pair_from_small(u, right)
 
 
 def _x_of_w(w, tp: TangentPoly):
@@ -136,112 +156,121 @@ def _x_of_w(w, tp: TangentPoly):
     return (-zT * np.log1p(-w) - (1.0 - zT) * np.log(w)) / (2.0 * (1.0 - zT)) + X_ORIGIN
 
 
-def _newton_small(x_arr, tp: TangentPoly, tol: float, from_right: bool):
-    """Solve for the small coordinate u in (0, 1/2]: u = z (left side) or
-    u = 1 - z (right side), each accurate relative to its own size."""
-    lo = np.full_like(x_arr, 1e-300)
-    hi = np.full_like(x_arr, 0.5)
-    # asymptotic tail as the starting point; the safeguard corrects the rest
-    if from_right:
-        u = np.exp(2.0 * (X_ORIGIN - x_arr))
+# Newton in t = log u for the small coordinate u, so t <= log(1/2); exp(t)
+# is 0 below _T_MIN.
+_LOG_HALF = -math.log(2.0)
+_T_MIN = -746.0
+# A step below this many units of eps * (1 - t) is rounding noise: the
+# residual's rounding error divided by its slope is at most about
+# 2 * eps * (1 + |t|), and t itself moves in steps of eps * |t| / 2.
+_STEP_TOL = 4.0 * np.finfo(float).eps
+# Each Newton step from the tail gains about one unit of t while exp(t)
+# dominates the slope, so this covers [_T_MIN, log(1/2)]; reaching it means
+# the iteration failed.
+_MAX_ITER = 800
+
+
+def _newton_step(t, xs, alpha, beta, xp):
+    """Newton step for f(t) = alpha t + beta log1p(-e**t) - xs; ``xp`` is
+    ``math`` for a float and ``numpy`` for an array."""
+    q = xp.exp(t)
+    return (alpha * t + beta * xp.log1p(-q) - xs) / (alpha - beta * q / (1.0 - q))
+
+
+def _newton_log(xs, alpha, beta):
+    """Solve alpha t + beta log1p(-e**t) = xs for t <= log(1/2), elementwise.
+
+    With a = -z_T / (2 (1 - z_T)) > 0 the left side is (alpha, beta) =
+    (a, -1/2) and the right side (-1/2, a).  f is monotone with one-signed
+    curvature and the asymptotic tail t = xs / alpha lies on the side of the
+    root from which Newton approaches it monotonically, so no bracket is
+    needed; the clamp at log(1/2) keeps an iterate on that side.  Returns
+    (t, iterations).
+
+    A float is iterated with ``math``: quadrature asks for one x at a time,
+    where NumPy's per-call cost would dominate.  An array iterates only its
+    points not yet converged.
+    """
+    if np.ndim(xs) == 0:
+        t = min(max(xs / alpha, _T_MIN), _LOG_HALF)
+        for it in range(1, _MAX_ITER + 1):
+            t_new = min(max(t - _newton_step(t, xs, alpha, beta, math), _T_MIN), _LOG_HALF)
+            if abs(t_new - t) <= _STEP_TOL * (1.0 - t):
+                return t_new, it
+            t = t_new
     else:
-        rate = 2.0 * (1.0 - tp.z_T) / (-tp.z_T)
-        u = np.exp(rate * (x_arr - X_ORIGIN))
-    u = np.clip(u, 1e-299, 0.5)
-    for _ in range(160):
-        if from_right:
-            f = _x_of_w(u, tp) - x_arr
-            # x decreases in w
-            hi = np.where(f < 0, u, hi)
-            lo = np.where(f > 0, u, lo)
-            step = f * dz_dx(1.0 - u, tp)
-        else:
-            f = x_of_z(u, tp) - x_arr
-            hi = np.where(f > 0, u, hi)
-            lo = np.where(f < 0, u, lo)
-            step = -f * dz_dx(u, tp)
-        u_new = u + step
-        # reject only genuine bracket escapes; an iterate pinned on a
-        # bound (underflowing step at the root) counts as converged
-        bad = (f != 0.0) & ~((u_new >= lo) & (u_new <= hi))
-        u_new = np.where(bad, 0.5 * (lo + hi), u_new)
-        conv = np.minimum(tol, np.maximum(1e-15 * u_new, 1e-250))
-        if np.all(np.abs(u_new - u) <= conv):
-            u = u_new
-            break
-        u = u_new
-    return u
+        t = np.clip(xs / alpha, _T_MIN, _LOG_HALF)
+        if not t.size:
+            return t, 0
+        todo = np.arange(t.size)
+        for it in range(1, _MAX_ITER + 1):
+            tt = t[todo]
+            t_new = np.clip(tt - _newton_step(tt, xs[todo], alpha, beta, np),
+                            _T_MIN, _LOG_HALF)
+            t[todo] = t_new
+            todo = todo[np.abs(t_new - tt) > _STEP_TOL * (1.0 - tt)]
+            if not todo.size:
+                return t, it
+    raise ConvergenceError(f"inverse map: Newton did not converge in {_MAX_ITER} steps")
 
 
-def map_x_to_z_pair(x, tp: TangentPoly, tol: float = 1e-14):
+def _map_newton(x, tp: TangentPoly):
+    """(z(x), 1 - z(x)) on any branch by Newton in t = log z left of
+    x_of_z(1/2) and t = log(1 - z) right of it."""
+    a = -tp.z_T / (2.0 * (1.0 - tp.z_T))
+    xs_mid = math.log(2.0) / (2.0 * (1.0 - tp.z_T))  # x_of_z(1/2) - X_ORIGIN
+    if np.ndim(x) == 0:
+        xs = float(x) - X_ORIGIN
+        right = xs > xs_mid
+        t, its = _newton_log(xs, -0.5, a) if right else _newton_log(xs, a, -0.5)
+        u = math.exp(t)
+    else:
+        xs = np.asarray(x, dtype=float) - X_ORIGIN
+        right = xs > xs_mid
+        left = ~right
+        t = np.empty_like(xs)
+        t[left], its_left = _newton_log(xs[left], a, -0.5)
+        t[right], its_right = _newton_log(xs[right], -0.5, a)
+        its = max(its_left, its_right)
+        u = np.exp(t)
+    _log.debug("inverse map z_T=%r: %d point(s), %d Newton iterations",
+               tp.z_T, np.size(x), its)
+    return _pair_from_small(u, right)
+
+
+def _map_pair(x, tp: TangentPoly):
+    if not (math.isfinite(x) if np.ndim(x) == 0 else np.all(np.isfinite(x))):
+        raise DomainError("x must be finite")
+    if tp.z_T == 2.0:
+        return _map_zt2_pair(np.asarray(x, dtype=float))
+    return _map_newton(x, tp)
+
+
+def map_x_to_z_pair(x, tp: TangentPoly):
     """(z(x), 1 - z(x)) with each component accurate in its own relative
     scale; use this instead of forming 1 - z by subtraction near the
     right asymptote."""
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
-        raise DomainError("x must be finite")
-    if tp.z_T == 2.0:
-        z, omz = _map_fast_zt2_pair(x_arr)
-        return (z, omz) if np.ndim(z) else (float(z), float(omz))
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    x_mid = x_of_z(0.5, tp)
-    right = x_arr > x_mid
-    z = np.empty_like(x_arr)
-    omz = np.empty_like(x_arr)
-    if np.any(~right):
-        u = _newton_small(x_arr[~right], tp, tol, from_right=False)
-        z[~right] = u
-        omz[~right] = 1.0 - u
-    if np.any(right):
-        u = _newton_small(x_arr[right], tp, tol, from_right=True)
-        z[right] = 1.0 - u
-        omz[right] = u
-    if scalar:
-        return float(z[0]), float(omz[0])
-    return z, omz
+    return _map_pair(x, tp)
 
 
-def map_x_to_z(x, tp: TangentPoly, tol: float = 1e-14, method: str = "auto"):
+def map_x_to_z(x, tp: TangentPoly):
     """Invert the change of variable: unique z in (0, 1) with x(z) = x.
 
-    Uses the elementary closed form on the z_T = 2 branch and safeguarded
-    bisection + Newton on the monotone closed-form inverse otherwise;
-    ``method`` can force either route ("fast" requires z_T = 2).
+    Uses the elementary closed form on the z_T = 2 branch and Newton in
+    t = log z (left of x_of_z(1/2)) or t = log(1 - z) (right) otherwise,
+    converged to rounding.
 
     Parameters
     ----------
     x : float or ndarray
         Position(s); must be finite.
     tp : TangentPoly
-    tol : float
-        Absolute tolerance on z.
 
     Returns
     -------
     float or ndarray
     """
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
-        raise DomainError("x must be finite")
-    if method not in ("auto", "fast", "general"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "fast" and tp.z_T != 2.0:
-        raise DomainError("fast path requires z_T = 2")
-    if tp.z_T == 2.0 and method != "general":
-        out = _map_fast_zt2(x_arr)
-        return out if out.ndim else float(out)
-
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    x_mid = x_of_z(0.5, tp)
-    right = x_arr > x_mid
-    z = np.empty_like(x_arr)
-    if np.any(~right):
-        z[~right] = _newton_small(x_arr[~right], tp, tol, from_right=False)
-    if np.any(right):
-        z[right] = 1.0 - _newton_small(x_arr[right], tp, tol, from_right=True)
-    return float(z[0]) if scalar else z
+    return _map_pair(x, tp)[0]
 
 
 def schwarzian_eval(z, tp: TangentPoly, gauge: str = "xtilde"):
@@ -272,18 +301,6 @@ def schwarzian_eta(eta_hat):
     """Schwarzian {eta^, x} on the z_T = 2 branch; even in eta^."""
     eta_hat = np.asarray(eta_hat, dtype=float)
     out = -0.5 - 3.0 / eta_hat**2 + 1.5 / eta_hat**4
-    return out if out.ndim else float(out)
-
-
-def ref_pf_eval(z, ri: RayIdentifiers):
-    """Energy-independent part of the Bose invariant (reference fraction)."""
-    z = np.asarray(z, dtype=float)
-    o00 = ri.mu_o**2 - ri.lambda_o**2 + 1.0
-    out = (
-        (1.0 - ri.lambda_o**2) / (4.0 * z**2)
-        + 1.0 / (4.0 * (1.0 - z) ** 2)
-        + o00 / (4.0 * z * (1.0 - z))
-    )
     return out if out.ndim else float(out)
 
 

@@ -551,11 +551,6 @@ def spectrum(ri: RayIdentifiers, tp: TangentPoly) -> list[AehSolution]:
     return out
 
 
-def energy_of(sol: AehSolution) -> float:
-    """Canonical x-gauge eigenvalue; equals the z-gauge epsilon."""
-    return sol.epsilon
-
-
 def basic_solutions(ri: RayIdentifiers, tp: TangentPoly) -> dict[Kind, AehSolution]:
     """The three m = 0 basic solutions, keyed by kind.
 

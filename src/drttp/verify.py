@@ -94,7 +94,7 @@ def check_map() -> list[CheckResult]:
     tp2 = TangentPoly(2.0)
     xs = np.linspace(-12.0, 12.0, 301)
     fast = core.map_x_to_z(xs, tp2)
-    gen = core.map_x_to_z(xs, tp2, method="general")
+    gen, _ = core._map_newton(xs, tp2)  # the general-branch solver, bypassing the closed form
     out.append(_result("map.fastpath-vs-general", 1e-12,
                        float(np.max(np.abs(fast - gen)))))
     out.append(_result(
@@ -106,7 +106,7 @@ def check_map() -> list[CheckResult]:
 
 def _fd_schwarzian(x0: float, tp: TangentPoly, h: float) -> float:
     xs = x0 + h * np.arange(-2, 3)
-    z = core.map_x_to_z(xs, tp, tol=1e-15)
+    z = core.map_x_to_z(xs, tp)
     d1 = (z[0] - 8 * z[1] + 8 * z[3] - z[4]) / (12 * h)
     d2 = (-z[0] + 16 * z[1] - 30 * z[2] + 16 * z[3] - z[4]) / (12 * h**2)
     d3 = (-z[0] + 2 * z[1] - 2 * z[3] + z[4]) / (2 * h**3)

@@ -1,5 +1,6 @@
 """Change of variable, tangent polynomial, Schwarzian and potentials."""
 
+import logging
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from scipy.integrate import solve_ivp
 
 from drttp import core
 from drttp.core import RayIdentifiers, TangentPoly
-from drttp.errors import DomainError, PoleError
+from drttp.errors import ConvergenceError, DomainError, PoleError
+from drttp.spectral import spectrum
+from drttp.wavefunction import solution_eval_x
 
 TP2 = TangentPoly(2.0)
 
@@ -95,6 +98,43 @@ class TestMap:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             core.map_x_to_z(math.inf, TP2)
+
+    def test_zt2_far_left_does_not_overflow(self):
+        # e**(-2x) overflows for x < -355; z = 2 e**x there to double precision
+        for x in (-400.0, np.array([-400.0, -356.0])):
+            z, omz = core.map_x_to_z_pair(x, TP2)
+            np.testing.assert_allclose(z, 2.0 * np.exp(x), rtol=1e-15)
+            assert np.all(omz == 1.0)
+        ri = RayIdentifiers(0.5, 5.0)
+        psi = solution_eval_x(-400.0, spectrum(ri, TP2)[0], ri, TP2)
+        assert math.isfinite(psi)
+
+    def test_left_underflow_is_exact_zero(self):
+        # the true z at (z_T, x) = (-0.05, -40) is about 1e-730
+        tp = TangentPoly(-0.05)
+        assert core.map_x_to_z_pair(-40.0, tp) == (0.0, 1.0)
+        assert core.map_x_to_z(-40.0, tp) == 0.0
+        ri = RayIdentifiers(0.5, 5.0)
+        assert core.potential_eval_x(-40.0, ri, tp) == pytest.approx(
+            core.potential_asymptotes(ri, tp)[0], rel=1e-15)
+        assert math.isfinite(solution_eval_x(-40.0, spectrum(ri, tp)[0], ri, tp))
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(core, "_MAX_ITER", 1)
+        tp = TangentPoly(-0.7)
+        with pytest.raises(ConvergenceError):
+            core.map_x_to_z(0.3, tp)
+        with pytest.raises(ConvergenceError):
+            core.map_x_to_z_pair(np.linspace(-3.0, 3.0, 7), tp)
+
+    def test_iteration_count_logged_at_debug(self, caplog):
+        tp = TangentPoly(-0.7)
+        core.map_x_to_z(np.linspace(-3.0, 3.0, 7), tp)
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="drttp.core")
+        core.map_x_to_z(np.linspace(-3.0, 3.0, 7), tp)
+        assert [r.name for r in caplog.records] == ["drttp.core"]
+        assert "7 point(s)" in caplog.text and "Newton iterations" in caplog.text
 
 
 class TestSchwarzian:
