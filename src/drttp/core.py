@@ -218,6 +218,8 @@ def _map_newton(x, tp: TangentPoly):
     """(z(x), 1 - z(x)) on any branch by Newton in t = log z left of
     x_of_z(1/2) and t = log(1 - z) right of it."""
     a = -tp.z_T / (2.0 * (1.0 - tp.z_T))
+    if a == 0.0:
+        raise DomainError(f"z_T = {tp.z_T!r} too close to 0: the log z slope underflows")
     xs_mid = math.log(2.0) / (2.0 * (1.0 - tp.z_T))  # x_of_z(1/2) - X_ORIGIN
     if np.ndim(x) == 0:
         xs = float(x) - X_ORIGIN

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .core import (
     RayIdentifiers,
@@ -415,17 +416,11 @@ class HeunPolynomial:
     roots_in_01: int
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            out = out * z + c
+        out = polyval(np.asarray(z, dtype=float), self.coeffs)
         return out if out.ndim else float(out)
 
     def deriv_coeffs(self, order: int = 1) -> np.ndarray:
-        c = np.asarray(self.coeffs)
-        for _ in range(order):
-            c = c[1:] * np.arange(1, len(c))
-        return c
+        return polyder(self.coeffs, order)
 
 
 def heun_poly_construct(t0: AehSolution, t_prime: AehSolution,
@@ -469,17 +464,7 @@ def heun_poly_construct(t0: AehSolution, t_prime: AehSolution,
 
 
 def heun_poly_residual(op: HeunOperator, poly: HeunPolynomial, z: float) -> float:
-    c = np.asarray(poly.coeffs)
-    d1 = poly.deriv_coeffs(1)
-    d2 = poly.deriv_coeffs(2)
-
-    def ev(cs, zz):
-        out = 0.0
-        for v in reversed(cs):
-            out = out * zz + v
-        return out
-
-    return op.residual(ev(c, z), ev(d1, z), ev(d2, z), z)
+    return op.residual(*(polyval(z, poly.deriv_coeffs(k)) for k in range(3)), z)
 
 
 def lambe_ward_eval(z, t0: AehSolution, t_prime: AehSolution,

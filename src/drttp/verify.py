@@ -13,8 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
-from . import core, oracle, spectral, susy, wavefunction
+from . import core, errors, oracle, spectral, susy, wavefunction
 from .core import RayIdentifiers, TangentPoly
 from .errors import AvailabilityError, PairRejectedError, TransferAmbiguityError
 from .spectral import CubicVariable, Kind, TransferDirection
@@ -354,6 +355,29 @@ def check_oracle_grid(h: float = ORACLE_H, method: str = ORACLE_METHOD,
 # eigenfunction suite
 # ---------------------------------------------------------------------------
 
+def _gram_and_node_misses(ri, tp, sols, xq, wq) -> tuple[float, int]:
+    """Worst |normalized Gram matrix - I| on the quadrature nodes, and the
+    number of levels whose node count is not their index (an unconverged
+    count is a miss)."""
+    psis = np.stack(
+        [wavefunction.solution_eval_x(xq, s, ri, tp) for s in sols]
+    )
+    gram = (psis * wq) @ psis.T
+    norm = np.sqrt(np.diag(gram))
+    gram = gram / norm[:, None] / norm[None, :]
+    misses = 0
+    for n, s in enumerate(sols):
+        try:
+            nodes = wavefunction.count_nodes(
+                lambda x, s=s: wavefunction.solution_eval_x(x, s, ri, tp),
+                (-30.0, 30.0),
+            )
+        except errors.ConvergenceError:
+            nodes = -1
+        misses += nodes != n
+    return float(np.max(np.abs(gram - np.eye(len(sols))))), misses
+
+
 def check_eigenfunctions(full_grid: bool = True) -> list[CheckResult]:
     points = [
         (lo, mo, zt)
@@ -365,29 +389,17 @@ def check_eigenfunctions(full_grid: bool = True) -> list[CheckResult]:
     gram_worst = 0.0
     resid_worst = 0.0
     xq, wq = _gl_nodes(-35.0, 35.0, 3000)
+    xs = np.linspace(-8.0, 8.0, 6401)
     for lo, mo, zt in points:
         ri = RayIdentifiers(lo, mo)
         tp = TangentPoly(zt)
         sols = spectral.spectrum(ri, tp)
         if not sols:
             continue
-        psis = np.stack(
-            [wavefunction.solution_eval_x(xq, s, ri, tp) for s in sols]
-        )
-        gram = (psis * wq) @ psis.T
-        norm = np.sqrt(np.diag(gram))
-        gram = gram / norm[:, None] / norm[None, :]
-        gram_worst = max(
-            gram_worst, float(np.max(np.abs(gram - np.eye(len(sols)))))
-        )
-        xs = np.linspace(-8.0, 8.0, 6401)
-        for n, s in enumerate(sols):
-            nodes = wavefunction.count_nodes(
-                lambda x, s=s: wavefunction.solution_eval_x(x, s, ri, tp),
-                (-30.0, 30.0),
-            )
-            if nodes != n:
-                node_bad += 1
+        gram, misses = _gram_and_node_misses(ri, tp, sols, xq, wq)
+        gram_worst = max(gram_worst, gram)
+        node_bad += misses
+        for s in sols:
             psi = wavefunction.solution_eval_x(xs, s, ri, tp)
             psi = psi / np.max(np.abs(psi))
             resid_worst = max(
@@ -396,12 +408,21 @@ def check_eigenfunctions(full_grid: bool = True) -> list[CheckResult]:
                     psi, s.epsilon, lambda x: core.potential_eval_x(x, ri, tp), xs
                 ),
             )
+    high_gram, high_misses = 0.0, 0
+    for lo, mo, zt in ((0.3, 59.7, 2.0), (0.0, 52.0, -1.0)):  # 30 and 26 levels
+        ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
+        gram, misses = _gram_and_node_misses(ri, tp, spectral.spectrum(ri, tp), xq, wq)
+        high_gram, high_misses = max(high_gram, gram), high_misses + misses
     out = [
         _result("eigenfunction.node-counts", 0.5, float(node_bad),
                 "violation count"),
         _result("eigenfunction.orthogonality", 1e-7, gram_worst,
                 "Gram residual"),
         _result("eigenfunction.schrodinger-residual", 1e-7, resid_worst),
+        _result("eigenfunction.high-degree-node-counts", 0.5,
+                float(high_misses), "violation count, degrees <= 29"),
+        _result("eigenfunction.high-degree-orthogonality", 1e-7,
+                high_gram, "Gram residual, degrees <= 29"),
     ]
 
     # two-representation identity of the polynomial factor
@@ -412,9 +433,7 @@ def check_eigenfunctions(full_grid: bool = True) -> list[CheckResult]:
         if sol.m == 0:
             continue
         for z in (0.15, 0.3, 0.62, 0.9):
-            a = wavefunction.hypergeom_poly_eval(
-                sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z
-            )
+            a = wavefunction._poly_eval(z, sol)
             b = wavefunction.hypergeom_flip_eval(z, sol)
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     out.append(_result("eigenfunction.flip-identity", 1e-10, worst))
@@ -714,8 +733,8 @@ def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
                          e0: float, e1: float, z: float) -> float:
     # analytic derivatives of z^e0 (1-z)^e1 P(z)
     P = poly(z)
-    dP = float(np.polyval(poly.deriv_coeffs(1)[::-1], z)) if poly.degree > 0 else 0.0
-    d2P = float(np.polyval(poly.deriv_coeffs(2)[::-1], z)) if poly.degree > 1 else 0.0
+    dP = float(polyval(z, poly.deriv_coeffs(1))) if poly.degree > 0 else 0.0
+    d2P = float(polyval(z, poly.deriv_coeffs(2))) if poly.degree > 1 else 0.0
     w = z**e0 * (1.0 - z) ** e1
     dlw = e0 / z - e1 / (1.0 - z)
     d2lw = -e0 / z**2 - e1 / (1.0 - z) ** 2

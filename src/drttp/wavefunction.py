@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import eval_jacobi
+from numpy.polynomial.polynomial import polyval
+from scipy.special import eval_jacobi, roots_jacobi
 
 from .core import RayIdentifiers, TangentPoly, map_x_to_z_pair
 from .errors import ConvergenceError, DomainError
@@ -24,6 +24,8 @@ def pochhammer(a: float, k: int) -> float:
 def hypergeom_poly_eval(n: int, a: float, c: float, z) -> float:
     """Terminating hypergeometric sum F(-n, a; c; z), Kahan-compensated.
 
+    Any parameters, but it cancels catastrophically at high degree: bound
+    states use ``hypergeom_poly_jacobi``, checked against this sum.
     ``c`` may not be a nonpositive integer >= -(n-1): such values put a
     pole inside the truncated series.
     """
@@ -45,11 +47,18 @@ def hypergeom_poly_eval(n: int, a: float, c: float, z) -> float:
 
 
 def hypergeom_poly_jacobi(n: int, a: float, c: float, z) -> float:
-    """Same sum through the Jacobi three-term recurrence (fallback for
-    large degree, better conditioned)."""
-    z = np.asarray(z, dtype=float)
+    """F(-n, a; c; z) = n!/(c)_n P_n^(alpha, beta)(1 - 2z) with alpha = c - 1
+    and beta = a - n - c, by the Jacobi three-term recurrence (DLMF 18.9.1).
+
+    Requires alpha > -1 and beta > -1 for n >= 1, which every bound state
+    meets (alpha = lambda0, beta = lambda1); outside that range the
+    recurrence can return NaN, so DomainError is raised instead.
+    """
     alpha = c - 1.0
     beta = a - n - c
+    if n < 0 or (n > 0 and not (alpha > -1.0 and beta > -1.0)):
+        raise DomainError(f"need n >= 0 and alpha, beta > -1: n={n}, ({alpha}, {beta})")
+    z = np.asarray(z, dtype=float)
     out = eval_jacobi(n, alpha, beta, 1.0 - 2.0 * z) * math.factorial(n) / pochhammer(c, n)
     return out if out.ndim else float(out)
 
@@ -72,10 +81,7 @@ class PolyFactor:
     roots_in_01: int
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            out = out * z + c
+        out = polyval(np.asarray(z, dtype=float), self.coeffs)
         return out if out.ndim else float(out)
 
 
@@ -100,6 +106,11 @@ def poly_factor(sol: AehSolution) -> PolyFactor:
     return PolyFactor(sol.m, tuple(coeffs), count_roots_in_01(coeffs))
 
 
+def _poly_eval(z, sol: AehSolution):
+    """Polynomial factor F(-m, mu - m; lambda0 + 1; z) of a solution."""
+    return hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z)
+
+
 def _endpoint_limit(exponent: float) -> float:
     if exponent > 0.0:
         return 0.0
@@ -112,7 +123,8 @@ def aeh_eval(z, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     """Solution value z^((lambda0+1)/2) (1-z)^((lambda1+1)/2) * Pi_m(z).
 
     Endpoints return the limit value (0, finite, or inf by the exponent
-    sign); irregular solutions are finite only on the open interval.
+    sign); irregular solutions are finite only on the open interval.  For
+    m >= 1 both lambdas must exceed -1 (``hypergeom_poly_jacobi``).
     """
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
@@ -124,22 +136,10 @@ def aeh_eval(z, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     out = np.empty_like(z_arr)
     interior = (z_arr > 0.0) & (z_arr < 1.0)
     zi = z_arr[interior]
-    if sol.m <= 25:
-        pol = hypergeom_poly_eval(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, zi)
-    else:
-        pol = hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, zi)
-    out[interior] = zi**e0 * (1.0 - zi) ** e1 * pol
-    for idx in np.nonzero(~interior)[0]:
-        zv = z_arr[idx]
-        if zv == 0.0:
-            out[idx] = _endpoint_limit(e0)
-        else:
-            lim = _endpoint_limit(e1)
-            if lim == 1.0:
-                lim = float(
-                    hypergeom_poly_eval(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, 1.0)
-                )
-            out[idx] = lim
+    out[interior] = zi**e0 * (1.0 - zi) ** e1 * _poly_eval(zi, sol)
+    out[z_arr == 0.0] = _endpoint_limit(e0)
+    lim = _endpoint_limit(e1)
+    out[z_arr == 1.0] = _poly_eval(1.0, sol) if lim == 1.0 else lim
     return float(out[0]) if scalar else out
 
 
@@ -170,18 +170,10 @@ def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     sqrt((z - z_T)/(2(1 - z_T))) z^(l0/2) (1-z)^(l1/2) Pi_m(z),
     with 1-z carried at its own relative precision.
     """
-    z, omz = map_x_to_z_pair(x, tp)
-    z = np.asarray(z, dtype=float)
-    omz = np.asarray(omz, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    omz = np.atleast_1d(omz)
-    if sol.m <= 25:
-        pol = hypergeom_poly_eval(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z)
-    else:
-        pol = hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z)
+    scalar = np.ndim(x) == 0
+    z, omz = np.atleast_1d(*map_x_to_z_pair(x, tp))
     w = np.sqrt((z - tp.z_T) / (2.0 * (1.0 - tp.z_T)))
-    out = w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1) * pol
+    out = w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1) * _poly_eval(z, sol)
     return float(out[0]) if scalar else out
 
 
@@ -201,29 +193,39 @@ def eigenfunction_eval_x(x, n: int, ri: RayIdentifiers, tp: TangentPoly,
 
 def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
                           _sols: list[AehSolution] | None = None) -> float:
-    """L2 norm squared by adaptive quadrature."""
+    """L2 norm squared over the whole line, exact up to rounding.
+
+    With dx = dz / core.dz_dx(z) the integral of solution_eval_x squared is
+    int_0^1 g**2 z**(lambda0 - 1) (1 - z)**(lambda1 - 1) Pi_m**2 dz,
+    g = (z - z_T)/(2(1 - z_T)): a polynomial of degree 2m + 2 against a
+    Jacobi weight, integrated exactly by m + 2 Gauss-Jacobi nodes in
+    t = 2z - 1 (Golub & Welsch 1969).
+    """
     sols = spectrum(ri, tp) if _sols is None else _sols
     sol = sols[n]
-    val, _ = quad(
-        lambda x: solution_eval_x(x, sol, ri, tp) ** 2,
-        -60.0, 60.0, epsabs=1e-13, epsrel=1e-10, limit=400,
-    )
-    return val
+    t, w = roots_jacobi(sol.m + 2, sol.lambda1 - 1.0, sol.lambda0 - 1.0)
+    z = 0.5 * (1.0 + t)
+    f = (z - tp.z_T) / (2.0 * (1.0 - tp.z_T)) * _poly_eval(z, sol)
+    return float(w @ f**2) / 2.0 ** (sol.lambda0 + sol.lambda1 - 1.0)
 
 
 def count_nodes(f, interval: tuple[float, float], initial: int = 4096,
                 cap: int = 2**20) -> int:
     """Strict sign changes of f on the open interval.
 
-    The sampling grid is doubled until two consecutive counts agree;
-    exceeding the cap raises ConvergenceError.
+    ``f`` must map an array of points to an array of the same shape; any
+    other result raises DomainError.  The sampling grid is doubled until
+    two consecutive counts agree; exceeding the cap raises
+    ConvergenceError.
     """
     a, b = interval
     prev = None
     n = initial
     while n <= cap:
         xs = np.linspace(a, b, n + 2)[1:-1]
-        vals = _eval_grid(f, xs)
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise DomainError("f must map an array of points to one of the same shape")
         sgn = np.sign(vals)
         sgn = sgn[sgn != 0]
         count = int(np.sum(sgn[:-1] * sgn[1:] < 0))
@@ -232,13 +234,3 @@ def count_nodes(f, interval: tuple[float, float], initial: int = 4096,
         prev = count
         n *= 2
     raise ConvergenceError("node count did not stabilize before the grid cap")
-
-
-def _eval_grid(f, xs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except Exception:
-        pass
-    return np.asarray([f(float(x)) for x in xs], dtype=float)

@@ -119,6 +119,14 @@ class TestMap:
             core.potential_asymptotes(ri, tp)[0], rel=1e-15)
         assert math.isfinite(solution_eval_x(-40.0, spectrum(ri, tp)[0], ri, tp))
 
+    def test_underflowing_slope_raises_domain_error(self):
+        # a = -z_T / (2 (1 - z_T)) underflows to 0 at the smallest subnormal
+        tp = TangentPoly(-5e-324)
+        with pytest.raises(DomainError):
+            core.map_x_to_z_pair(core.X_ORIGIN, tp)
+        with pytest.raises(DomainError):
+            core.map_x_to_z(np.array([-1.0, core.X_ORIGIN, 1.0]), tp)
+
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(core, "_MAX_ITER", 1)
         tp = TangentPoly(-0.7)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -26,6 +27,40 @@ TP2 = TangentPoly(2.0)
 WL5 = RayIdentifiers(0.0, 5.0)
 
 
+def _mp_coeffs(n, a, c):
+    """Ascending coefficients of F(-n, a; c; z) in 100-digit arithmetic."""
+    with mpmath.workdps(100):
+        a, c = mpmath.mpf(a), mpmath.mpf(c)
+        coef = [mpmath.mpf(1)]
+        for k in range(n):
+            coef.append(coef[-1] * (k - n) * (a + k) / ((c + k) * (k + 1)))
+    return coef
+
+
+def _mp_hypergeom(n, a, c, zs):
+    coef = _mp_coeffs(n, a, c)[::-1]
+    with mpmath.workdps(100):
+        return np.array([float(mpmath.polyval(coef, mpmath.mpf(z))) for z in zs])
+
+
+def _mp_norm_sq(sol, tp):
+    """Exact norm: int_0^1 (g Pi_m)**2 z**(lambda0-1) (1-z)**(lambda1-1) dz
+    with g = (z - z_T)/(2(1 - z_T)), summed term by term as Beta functions."""
+    p = _mp_coeffs(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0)
+    with mpmath.workdps(100):
+        zt = mpmath.mpf(tp.z_T)
+        g0, g1 = -zt / (2 * (1 - zt)), 1 / (2 * (1 - zt))
+        gp = [g0 * pk for pk in p] + [0]
+        for k, pk in enumerate(p):
+            gp[k + 1] += g1 * pk
+        sq = [0] * (2 * len(gp) - 1)
+        for i, u in enumerate(gp):
+            for j, v in enumerate(gp):
+                sq[i + j] += u * v
+        l0, l1 = mpmath.mpf(sol.lambda0), mpmath.mpf(sol.lambda1)
+        return float(sum(c * mpmath.beta(l0 + k, l1) for k, c in enumerate(sq)))
+
+
 class TestHypergeom:
     def test_degree_zero(self):
         assert hypergeom_poly_eval(0, 3.7, 1.1, 0.9) == 1.0
@@ -35,10 +70,22 @@ class TestHypergeom:
         assert hypergeom_poly_eval(1, a, c, z) == pytest.approx(1 - a / c * z)
 
     def test_matches_jacobi_recurrence(self):
+        # both evaluators against an exact sum, Jacobi parameters in (-1, inf)
+        for n, a, c, z in ((3, 4.7, 1.2, 0.4), (7, 7.5, 0.8, 0.63)):
+            want = _mp_hypergeom(n, a, c, [z])[0]
+            assert hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
+            assert hypergeom_poly_jacobi(n, a, c, z) == pytest.approx(want, rel=1e-12)
+        # general parameters: the power sum only
         for n, a, c, z in ((3, 2.5, 1.2, 0.4), (7, -1.7, 0.8, 0.63)):
-            assert hypergeom_poly_eval(n, a, c, z) == pytest.approx(
-                hypergeom_poly_jacobi(n, a, c, z), rel=1e-12
-            )
+            want = _mp_hypergeom(n, a, c, [z])[0]
+            assert hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
+
+    def test_jacobi_rejects_parameters_below_minus_one(self):
+        # alpha = 12, beta = -24: the recurrence would return NaN here
+        with pytest.raises(DomainError):
+            hypergeom_poly_jacobi(12, 1.0, 13.0, 0.5)
+        assert hypergeom_poly_eval(12, 1.0, 13.0, 0.5) == pytest.approx(
+            0.673008509954359, rel=1e-12)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
@@ -50,7 +97,7 @@ class TestHypergeom:
             if sol.m == 0:
                 continue
             for z in (0.2, 0.3, 0.77):
-                direct = hypergeom_poly_eval(
+                direct = hypergeom_poly_jacobi(
                     sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z
                 )
                 assert hypergeom_flip_eval(z, sol) == pytest.approx(
@@ -80,6 +127,18 @@ class TestAehEval:
         assert aeh_eval(1.0, sol, WL5, TP2) == 0.0
         irregular = {s.kind: s for s in wl_solve(0, 5.0, TP2)}[Kind.D]
         assert aeh_eval(0.0, irregular, WL5, TP2) == math.inf
+
+    @pytest.mark.parametrize("params", [(0.0, 60.0, -1.0), (0.5, 80.0, 2.0)])
+    def test_high_degree_polynomial_factor(self, params):
+        lo, mo, zt = params
+        ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
+        zs = np.linspace(0.005, 0.995, 199)
+        for sol in spectrum(ri, tp):
+            prefactor = zs ** (0.5 * (sol.lambda0 + 1.0)) * (1.0 - zs) ** (
+                0.5 * (sol.lambda1 + 1.0))
+            got = aeh_eval(zs, sol, ri, tp) / prefactor
+            want = _mp_hypergeom(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, zs)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), sol.m
 
 
 class TestPolyFactor:
@@ -130,6 +189,19 @@ class TestEigenfunctions:
         norm = np.trapezoid(psi**2, xs)
         assert norm == pytest.approx(1.0, rel=1e-7)
 
+    @pytest.mark.parametrize("params", [
+        (1.0, 9.0, 1.05, 3),       # decays beyond |x| = 60
+        (0.0, 3.001, 2.0, -1),     # lambda1 ~ 3e-4 just below threshold
+        (0.3, 59.7, 2.0, 29),
+    ])
+    def test_norm_matches_beta_expansion(self, params):
+        lo, mo, zt, n = params
+        ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
+        sols = spectrum(ri, tp)
+        n %= len(sols)
+        got = wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols)
+        assert got == pytest.approx(_mp_norm_sq(sols[n], tp), rel=1e-11)
+
     def test_index_error(self):
         with pytest.raises(IndexError):
             eigenfunction_eval_x(0.0, 5, WL5, TP2)
@@ -158,3 +230,7 @@ class TestCountNodes:
     def test_constant(self):
         assert count_nodes(lambda z: np.ones_like(np.asarray(z, dtype=float)),
                            (0.0, 1.0)) == 0
+
+    def test_scalar_result_rejected(self):
+        with pytest.raises(DomainError):
+            count_nodes(lambda x: 1.0, (0.0, 1.0))
