@@ -262,10 +262,7 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     fault = "cubic" if args.inject_fault else None
-    results = verify.run_verification(
-        only=args.only, fault=fault, h=args.h, method=args.oracle_method,
-        oracle_tol=args.tol,
-    )
+    results = verify.run_verification(only=args.only, fault=fault)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "checks": [
@@ -338,11 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--only", default=None, help="check-group name prefix filter")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the oracle-agreement tolerance")
-    p.add_argument("--h", type=float, default=verify.ORACLE_H)
-    p.add_argument("--oracle-method", choices=("fd2", "numerov"),
-                   default=verify.ORACLE_METHOD)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return ap

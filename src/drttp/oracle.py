@@ -7,18 +7,16 @@ x -> V(x); it never touches the closed-form level formulas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import diags
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import ConvergenceError, DomainError
 
 _FLATNESS_TOL = 1e-10
 _BOUND_MARGIN = 1e-8
+_DECAY_TOL = 1e-8
 _WIDEN_CAP = 400.0
 
 
@@ -32,7 +30,6 @@ class NumericSpectrum:
     node_counts: list[int]
     convergence: np.ndarray        # per-level error estimate
     threshold: float
-    method: str
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -41,31 +38,14 @@ class NumericSpectrum:
 def _eval_potential(V, xs: np.ndarray) -> np.ndarray:
     vals = np.asarray(V(xs), dtype=float)
     if vals.shape != xs.shape:
-        vals = np.asarray([V(float(x)) for x in xs], dtype=float)
+        raise DomainError("V must map an array of x to an array of the same shape")
     if not np.all(np.isfinite(vals)):
         raise DomainError("potential must be finite on the domain")
     return vals
 
 
-def _auto_domain(V, x_min: float, x_max: float) -> tuple[float, float]:
-    """Widen until each edge is either flat (asymptote reached) or rising
-    outward (hard confinement)."""
-    for _ in range(40):
-        vl, vl_in = float(V(x_min)), float(V(x_min + 1.0))
-        vr, vr_in = float(V(x_max)), float(V(x_max - 1.0))
-        ok_left = abs(vl - vl_in) < _FLATNESS_TOL or vl > vl_in
-        ok_right = abs(vr - vr_in) < _FLATNESS_TOL or vr > vr_in
-        if ok_left and ok_right:
-            return x_min, x_max
-        if not ok_left:
-            x_min *= 1.25
-        if not ok_right:
-            x_max *= 1.25
-        if max(-x_min, x_max) > _WIDEN_CAP:
-            raise ConvergenceError(
-                "potential not confining at requested tolerance"
-            )
-    return x_min, x_max
+def _threshold(vals: np.ndarray) -> float:
+    return float(min(vals[0], vals[-1])) - _BOUND_MARGIN
 
 
 def _solve_fd2(vals: np.ndarray, h: float, threshold: float):
@@ -80,40 +60,6 @@ def _solve_fd2(vals: np.ndarray, h: float, threshold: float):
     return w, v
 
 
-def _solve_numerov(vals: np.ndarray, h: float, threshold: float, max_k: int):
-    # Generalized pencil (-K/h^2 + B V) psi = E B psi with B = I + K_2/12.
-    # B commutes with the discrete Laplacian, so B^{-1} A is symmetric and
-    # shift-inverted Lanczos on (A - sigma B)^{-1} B is legitimate.
-    n = len(vals) - 2
-    B = diags(
-        [np.full(n - 1, 1.0 / 12.0), np.full(n, 10.0 / 12.0), np.full(n - 1, 1.0 / 12.0)],
-        [-1, 0, 1],
-        format="csc",
-    )
-    K = diags(
-        [np.full(n - 1, -1.0 / h**2), np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)],
-        [-1, 0, 1],
-        format="csc",
-    )
-    sigma = float(vals.min()) - 1.0
-    Vd = diags([vals[1:-1] - sigma], [0], format="csc")
-    lu = splu((K + B @ Vd).tocsc())
-    op = LinearOperator((n, n), matvec=lambda x: lu.solve(B @ x), dtype=float)
-    v0 = np.ones(n) / math.sqrt(n)  # fixed start vector keeps runs bit-stable
-    k = 4
-    while True:
-        k = min(k, n - 2)
-        theta, v = eigsh(op, k=k, which="LA", v0=v0, ncv=min(n - 1, max(40, 4 * k)))
-        w = sigma + 1.0 / theta
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
-        if w[-1] > threshold or k >= min(max_k, n - 2):
-            break
-        k *= 2
-    keep = w < threshold
-    return w[keep], v[:, keep]
-
-
 def _count_sign_changes(psi: np.ndarray) -> int:
     mask = np.abs(psi) > 1e-8 * np.max(np.abs(psi))
     sgn = np.sign(psi[mask])
@@ -122,63 +68,72 @@ def _count_sign_changes(psi: np.ndarray) -> int:
 
 def solve_schrodinger(V, domain: tuple[float, float] = (-40.0, 40.0),
                       max_levels: int = 64, h: float = 5e-4,
-                      method: str = "numerov") -> NumericSpectrum:
+                      method: str = "fd2") -> NumericSpectrum:
     """Bound states of -psi'' + V psi = E psi with Dirichlet ends.
 
-    Discretizes on uniform grids of spacing h and h/2 and Richardson
-    extrapolates; the per-level convergence estimate is the extrapolation
-    increment.  ``method`` selects the fourth-order Numerov generalized
-    eigenproblem (default) or the plain second-order central difference.
+    Second-order central differences on uniform grids of spacing h and
+    h/2, Richardson extrapolated; the per-level convergence estimate is
+    the extrapolation increment.  ``method`` names that discretization
+    and accepts only "fd2".  ``V`` must map an array of x to an array of
+    the same shape.
 
-    Bound means below min(V(x_min), V(x_max)) minus a small safety margin.
+    ``domain`` must contain 0.  An edge of the box moves out by half
+    while V still falls outward over its last unit of x, or while a
+    bound eigenvector has not decayed there, up to |x| = 400; an edge
+    that still falls there raises ConvergenceError.  Bound means below
+    min(V(x_min), V(x_max)) minus a small safety margin.
     """
-    if method not in ("numerov", "fd2"):
+    if method != "fd2":
         raise DomainError(f"unknown method {method!r}")
-    x_min, x_max = _auto_domain(V, *domain)
+    x_min, x_max = domain
+    if not (x_min < 0.0 < x_max and h > 0.0):
+        raise DomainError("domain must contain 0 and h must be positive")
 
-    def solve_once(hh, lo, hi):
-        n = int(round((hi - lo) / hh))
-        xs = np.linspace(lo, hi, n + 1)
-        vals = _eval_potential(V, xs)
-        threshold = min(vals[0], vals[-1]) - _BOUND_MARGIN
-        if method == "fd2":
-            w, v = _solve_fd2(vals, xs[1] - xs[0], threshold)
+    def grid(hh):
+        xs = np.linspace(x_min, x_max, int(round((x_max - x_min) / hh)) + 1)
+        return xs, _eval_potential(V, xs)
+
+    def solve_once(xs, vals):
+        w, v = _solve_fd2(vals, xs[1] - xs[0], _threshold(vals))
+        return w[:max_levels], v[:, :max_levels]
+
+    # widen until each edge is flat or confining and every bound
+    # eigenvector has decayed at the walls, so weakly bound levels are
+    # not shifted by the Dirichlet box
+    while True:
+        xs, vals = grid(h)
+        # an edge that falls outward over its last unit of x is neither
+        # flat (asymptote reached) nor confining
+        k = min(len(xs) - 1, max(1, int(round(1.0 / (xs[1] - xs[0])))))
+        grow_l = bool(vals[k] - vals[0] > _FLATNESS_TOL)
+        grow_r = bool(vals[-1 - k] - vals[-1] > _FLATNESS_TOL)
+        if grow_l or grow_r:
+            if ((grow_l and -x_min >= _WIDEN_CAP)
+                    or (grow_r and x_max >= _WIDEN_CAP)):
+                raise ConvergenceError(
+                    "potential not confining at requested tolerance"
+                )
         else:
-            w, v = _solve_numerov(vals, xs[1] - xs[0], threshold, max_levels)
-        return xs, w[:max_levels], v[:, :max_levels]
-
-    # widen until every bound eigenvector has decayed at the walls, so
-    # weakly bound levels are not shifted by the Dirichlet box
-    solved_at = None
-    for _ in range(8):
-        xs_c, w_c, v_c = solve_once(h, x_min, x_max)
-        solved_at = (x_min, x_max)
-        if v_c.shape[1] == 0:
-            break
-        amp = np.max(np.abs(v_c), axis=0)
-        left = float(np.max(np.abs(v_c[1, :]) / amp))
-        rite = float(np.max(np.abs(v_c[-2, :]) / amp))
-        grow_l = left > 1e-8 and -x_min < _WIDEN_CAP
-        grow_r = rite > 1e-8 and x_max < _WIDEN_CAP
-        if not (grow_l or grow_r):
-            break
+            w_c, v_c = solve_once(xs, vals)
+            if v_c.shape[1] == 0:
+                break
+            amp = np.max(np.abs(v_c), axis=0)
+            left = np.max(np.abs(v_c[1, :]) / amp)
+            right = np.max(np.abs(v_c[-2, :]) / amp)
+            grow_l = left > _DECAY_TOL and -x_min < _WIDEN_CAP
+            grow_r = right > _DECAY_TOL and x_max < _WIDEN_CAP
+            if not (grow_l or grow_r):
+                break
         if grow_l:
             x_min *= 1.5
         if grow_r:
             x_max *= 1.5
-    if solved_at != (x_min, x_max):
-        xs_c, w_c, v_c = solve_once(h, x_min, x_max)
 
-    order = 4 if method == "numerov" else 2
-    results = [
-        (xs_c, w_c, v_c),
-        solve_once(0.5 * h, x_min, x_max),
-    ]
-    (xs_c, w_c, _), (xs_f, w_f, v_f) = results
+    xs_f, vals_f = grid(0.5 * h)
+    w_f, v_f = solve_once(xs_f, vals_f)
     n_lev = min(len(w_c), len(w_f))
-    fac = 2.0**order
-    extrap = (fac * w_f[:n_lev] - w_c[:n_lev]) / (fac - 1.0)
-    conv = np.abs(w_f[:n_lev] - w_c[:n_lev]) / (fac - 1.0)
+    extrap = (4.0 * w_f[:n_lev] - w_c[:n_lev]) / 3.0
+    conv = np.abs(w_f[:n_lev] - w_c[:n_lev]) / 3.0
     if len(w_f) > n_lev:
         # level resolved only on the fine grid: keep it, flag coarse error
         extrap = np.concatenate([extrap, w_f[n_lev:]])
@@ -197,9 +152,7 @@ def solve_schrodinger(V, domain: tuple[float, float] = (-40.0, 40.0),
         grid={"x_min": x_min, "x_max": x_max, "n_points": len(xs_f), "h": hfine},
         node_counts=nodes,
         convergence=conv,
-        threshold=min(float(_eval_potential(V, np.array([x_min]))[0]),
-                      float(_eval_potential(V, np.array([x_max]))[0])) - _BOUND_MARGIN,
-        method=method,
+        threshold=_threshold(vals_f),
     )
 
 
@@ -244,30 +197,6 @@ def compare_spectra(analytic, numeric: NumericSpectrum, tol: float,
     err = rel_err if relative else abs_err
     passed = bool(count_match and node_match and (n == 0 or np.max(err) <= tol))
     return SpectrumComparison(count_match, abs_err, rel_err, node_match, passed)
-
-
-def count_levels_shooting(V, E: float, domain: tuple[float, float] = (-40.0, 40.0),
-                          h: float = 2e-3) -> int:
-    """Debug mode: nodes of the left-shot Numerov solution at energy E.
-
-    By Sturm oscillation this equals the number of eigenvalues below E.
-    """
-    x_min, x_max = domain
-    n = int(round((x_max - x_min) / h))
-    xs = np.linspace(x_min, x_max, n + 1)
-    f = 1.0 + (h * h / 12.0) * (E - _eval_potential(V, xs))
-    psi_prev, psi = 0.0, 1e-150
-    nodes = 0
-    for i in range(1, n):
-        psi_next = ((12.0 - 10.0 * f[i]) * psi - f[i - 1] * psi_prev) / f[i + 1]
-        if psi_next * psi < 0.0:
-            nodes += 1
-        # renormalize to dodge overflow in classically forbidden regions
-        if abs(psi_next) > 1e100:
-            psi_next *= 1e-100
-            psi *= 1e-100
-        psi_prev, psi = psi, psi_next
-    return nodes
 
 
 def spectral_symmetric_difference(e1, e2, tol: float) -> tuple[list[float], list[float]]:

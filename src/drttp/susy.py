@@ -389,10 +389,10 @@ def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int]
     kappa = 0.25 * o00 + 0.5 * tp.sqrt_c0 * epsilon
     p = spec.outer_pole
     ab_sum = 2.0 * (rho0 + rho1) - 3.0
-    ab_prod = 2.0 * (rho0 - 1.0) * (rho1 - 1.0) - kappa
     q = 2.0 * p * rho0 * rho1 - 2.0 * rho0 - spec.delta0 - p * kappa
-    disc = ab_sum * ab_sum - 4.0 * ab_prod
-    root = math.sqrt(disc) if disc >= 0.0 else 0.0
+    # beta - alpha = sqrt(ab_sum**2 - 4 alpha beta), expanded so that it
+    # does not cancel; the radicand is >= mu_o**2 > 0 because epsilon <= 0
+    root = math.sqrt(ri.mu_o**2 - epsilon * (tp.sqrt_c0 - 1.0) ** 2)
     alpha = 0.5 * (ab_sum - root)
     beta = 0.5 * (ab_sum + root)
     return HeunOperator(

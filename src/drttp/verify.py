@@ -25,9 +25,6 @@ ORACLE_GRID = {
     "mu_o": (3.0, 5.0, 7.3),
     "z_T": (2.0, -1.0),
 }
-ORACLE_DOMAIN = (-40.0, 40.0)
-ORACLE_H = 5e-4
-ORACLE_METHOD = "fd2"
 
 
 @dataclass
@@ -286,16 +283,15 @@ def check_separatrix() -> list[CheckResult]:
 # spectra vs the numerical oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_for(ri: RayIdentifiers, tp: TangentPoly, h: float, method: str):
+def _oracle_for(ri: RayIdentifiers, tp: TangentPoly):
     def V(x):
         return core.potential_eval_x(x, ri, tp)
 
-    return oracle.solve_schrodinger(V, domain=ORACLE_DOMAIN, h=h, method=method)
+    return oracle.solve_schrodinger(V)
 
 
-def check_wl_point(h: float = ORACLE_H, method: str = ORACLE_METHOD,
-                   oracle_tol: float | None = None) -> list[CheckResult]:
-    tol = oracle_tol or 1e-6
+def check_wl_point() -> list[CheckResult]:
+    tol = 1e-6
     ri = RayIdentifiers(0.0, 5.0)
     tp = TangentPoly(2.0)
     sols = spectral.spectrum(ri, tp)
@@ -307,7 +303,7 @@ def check_wl_point(h: float = ORACLE_H, method: str = ORACLE_METHOD,
                 "two levels vs quadratic-branch arithmetic"),
         _result("wl.level-count", 0.5, abs(len(sols) - 2)),
     ]
-    ns = _oracle_for(ri, tp, h, method)
+    ns = _oracle_for(ri, tp)
     rep = oracle.compare_spectra([s.epsilon for s in sols], ns, tol)
     measured = float(np.max(rep.abs_errors)) if len(rep.abs_errors) else math.inf
     if not rep.count_match:
@@ -317,9 +313,8 @@ def check_wl_point(h: float = ORACLE_H, method: str = ORACLE_METHOD,
     return out
 
 
-def check_oracle_grid(h: float = ORACLE_H, method: str = ORACLE_METHOD,
-                      oracle_tol: float | None = None) -> list[CheckResult]:
-    tol = oracle_tol or 1e-6
+def check_oracle_grid() -> list[CheckResult]:
+    tol = 1e-6
     points = [
         (lo, mo, zt)
         for lo in ORACLE_GRID["lambda_o"]
@@ -333,7 +328,7 @@ def check_oracle_grid(h: float = ORACLE_H, method: str = ORACLE_METHOD,
         tp = TangentPoly(zt)
         sols = spectral.spectrum(ri, tp)
         want = spectral.bound_state_count(mo, lo)
-        ns = _oracle_for(ri, tp, h, method)
+        ns = _oracle_for(ri, tp)
         rep = oracle.compare_spectra([s.epsilon for s in sols], ns, tol,
                                      relative=True)
         count_ok = len(sols) == want == len(ns)
@@ -518,11 +513,11 @@ def check_darboux(h_fd: float = 4e-3) -> list[CheckResult]:
     return out
 
 
-def check_susy_surgery(h: float = ORACLE_H, method: str = ORACLE_METHOD) -> list[CheckResult]:
+def check_susy_surgery() -> list[CheckResult]:
     ri = RayIdentifiers(0.0, 5.0)
     tp = TangentPoly(2.0)
     basics = spectral.basic_solutions(ri, tp)
-    base = _oracle_for(ri, tp, h, method)
+    base = _oracle_for(ri, tp)
     base_levels = list(base.eigenvalues)
 
     jobs = []
@@ -536,7 +531,7 @@ def check_susy_surgery(h: float = ORACLE_H, method: str = ORACLE_METHOD) -> list
     def run(job):
         label, spec = job
         V = susy.partner_potential_x(spec, ri, tp)
-        ns = oracle.solve_schrodinger(V, domain=ORACLE_DOMAIN, h=h, method=method)
+        ns = oracle.solve_schrodinger(V)
         only_base, only_partner = oracle.spectral_symmetric_difference(
             base_levels, list(ns.eigenvalues), 1e-5
         )
@@ -929,18 +924,13 @@ CHECK_GROUPS = {
     "map": check_map,
     "schwarzian": check_schwarzian,
     "gauge": check_gauge,
-    "cubic": lambda **kw: check_cubic(fault=kw.get("fault")),
+    "cubic": check_cubic,
     "separatrix": check_separatrix,
-    "wl": lambda **kw: check_wl_point(h=kw.get("h", ORACLE_H),
-                                      method=kw.get("method", ORACLE_METHOD),
-                                      oracle_tol=kw.get("oracle_tol")),
-    "oracle": lambda **kw: check_oracle_grid(h=kw.get("h", ORACLE_H),
-                                             method=kw.get("method", ORACLE_METHOD),
-                                             oracle_tol=kw.get("oracle_tol")),
+    "wl": check_wl_point,
+    "oracle": check_oracle_grid,
     "eigenfunction": check_eigenfunctions,
     "darboux": check_darboux,
-    "susy": lambda **kw: check_susy_surgery(h=kw.get("h", ORACLE_H),
-                                            method=kw.get("method", ORACLE_METHOD)),
+    "susy": check_susy_surgery,
     "susy-algebra": check_susy_algebra,
     "heun": check_heun,
     "appendix-a": check_appendix_a,
@@ -950,20 +940,14 @@ CHECK_GROUPS = {
     "census": check_census,
 }
 
-_KW_GROUPS = {"cubic", "wl", "oracle", "susy"}
 
-
-def run_verification(only: str | None = None, fault: str | None = None,
-                     h: float = ORACLE_H, method: str = ORACLE_METHOD,
-                     oracle_tol: float | None = None) -> list[CheckResult]:
-    """Run the (optionally filtered) verification battery."""
+def run_verification(only: str | None = None,
+                     fault: str | None = None) -> list[CheckResult]:
+    """Run the (optionally filtered) verification battery; ``fault`` is
+    handed to the cubic group."""
     results = []
     for name, fn in CHECK_GROUPS.items():
         if only and not name.startswith(only):
             continue
-        if name in _KW_GROUPS:
-            results.extend(fn(fault=fault, h=h, method=method,
-                              oracle_tol=oracle_tol))
-        else:
-            results.extend(fn())
+        results.extend(fn(fault=fault) if name == "cubic" else fn())
     return results

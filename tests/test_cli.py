@@ -139,3 +139,9 @@ class TestVerify:
                            "--inject-fault")
         assert code == 1
         assert not json.loads(out)["all_passed"]
+
+    def test_oracle_flags_removed(self, capsys):
+        # the oracle has one discretization and fixed gates
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--oracle-method", "fd2"])
+        assert exc.value.code == 2

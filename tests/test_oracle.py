@@ -1,16 +1,19 @@
 """Numerical eigensolver sanity and convergence checks."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import drttp
 from drttp import core
 from drttp.core import RayIdentifiers, TangentPoly
-from drttp.errors import ConvergenceError
+from drttp.errors import ConvergenceError, DomainError
 from drttp.oracle import (
     compare_spectra,
-    count_levels_shooting,
     residual_check,
     solve_schrodinger,
     spectral_symmetric_difference,
@@ -25,8 +28,7 @@ def harmonic(x):
 class TestBenchmarks:
     def test_harmonic_levels(self):
         # -psi'' + x^2 psi = E psi: E_n = 2n + 1
-        ns = solve_schrodinger(harmonic, domain=(-12.0, 12.0), h=1e-3,
-                               method="numerov")
+        ns = solve_schrodinger(harmonic, domain=(-12.0, 12.0), h=1e-3)
         assert np.allclose(ns.eigenvalues[:5], [1, 3, 5, 7, 9], atol=1e-7)
         assert ns.node_counts[:5] == [0, 1, 2, 3, 4]
 
@@ -50,22 +52,18 @@ class TestBenchmarks:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
     def test_grid_halving_orders(self):
-        # raw (pre-extrapolation) eigenvalue change shrinks by ~4 (fd2)
-        # and ~16 (numerov) under h -> h/2
-        from drttp.oracle import _solve_fd2, _solve_numerov
+        # raw (pre-extrapolation) eigenvalue change shrinks by ~4 under
+        # h -> h/2
+        from drttp.oracle import _solve_fd2
 
-        for solver, want in ((_solve_fd2, 4.0), (_solve_numerov, 16.0)):
-            vals = []
-            for h in (8e-3, 4e-3, 2e-3):
-                n = int(round(20.0 / h))
-                xs = np.linspace(-10.0, 10.0, n + 1)
-                if solver is _solve_fd2:
-                    w, _ = solver(harmonic(xs), h, 30.0)
-                else:
-                    w, _ = solver(harmonic(xs), h, 30.0, 16)
-                vals.append(w[2])
-            ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
-            assert ratio == pytest.approx(want, rel=0.25)
+        vals = []
+        for h in (8e-3, 4e-3, 2e-3):
+            n = int(round(20.0 / h))
+            xs = np.linspace(-10.0, 10.0, n + 1)
+            w, _ = _solve_fd2(harmonic(xs), h, 30.0)
+            vals.append(w[2])
+        ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
+        assert ratio == pytest.approx(4.0, rel=0.25)
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +110,6 @@ class TestDkvOracle:
                              xs[1:-1])
         assert bad > 100 * good
 
-    def test_shooting_level_count(self, wl5):
-        ri, tp, _ = wl5
-        V = lambda x: core.potential_eval_x(x, ri, tp)
-        assert count_levels_shooting(V, -1e-6, domain=(-30.0, 30.0)) == 2
-        assert count_levels_shooting(V, -1.0, domain=(-30.0, 30.0)) == 1
-
 
 class TestComparisons:
     def test_identical(self):
@@ -141,3 +133,32 @@ class TestComparisons:
             solve_schrodinger(lambda x: -1.0 / (1.0 + np.asarray(x) ** 2) * 0
                               - np.abs(np.asarray(x)) * 1e-3,
                               domain=(-10.0, 10.0), h=5e-3)
+
+
+class TestInputs:
+    def test_only_fd2(self):
+        with pytest.raises(DomainError):
+            solve_schrodinger(harmonic, domain=(-10.0, 10.0), h=2e-3,
+                              method="numerov")
+
+    def test_scalar_potential_rejected(self):
+        with pytest.raises(DomainError):
+            solve_schrodinger(lambda x: 1.0, domain=(-10.0, 10.0), h=2e-3)
+
+    @pytest.mark.parametrize("domain, h", [((2.0, 14.0), 5e-3),
+                                           ((-14.0, -2.0), 5e-3),
+                                           ((-10.0, 10.0), 0.0)])
+    def test_bad_domain_or_step_rejected(self, domain, h):
+        # widening scales the edges, which moves an edge on the wrong side
+        # of 0 inward: (2, 14) lost every level of (x - 7.5)**2
+        with pytest.raises(DomainError):
+            solve_schrodinger(lambda x: (np.asarray(x) - 7.5) ** 2,
+                              domain=domain, h=h)
+
+    def test_import_leaves_scipy_sparse_out(self):
+        src = os.path.dirname(os.path.dirname(drttp.__file__))
+        code = "import sys, drttp; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "False"

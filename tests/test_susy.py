@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -136,6 +137,27 @@ class TestHeun:
         spec = susy.single_partner_spec(basics[Kind.C], TP2)
         with pytest.raises(DomainError):
             susy.heun_operator(0.5, spec, (1, 1, -1), WL5, TP2)
+
+    def test_exponents_against_mpmath(self):
+        # deep below threshold alpha and beta are two large numbers that
+        # differ by little; the expanded discriminant keeps every digit
+        ri = RayIdentifiers(0.03235359799466311, 1.0505114359486323)
+        tp = TangentPoly(50.0)
+        eps = -8767.566124916833
+        spec = susy.single_partner_spec(basic_solutions(ri, tp)[Kind.C], tp)
+        op = susy.heun_operator(eps, spec, (-1, -1, -1), ri, tp)
+        with mpmath.workdps(50):
+            lo, mo, zt, e = (mpmath.mpf(v) for v in
+                             (ri.lambda_o, ri.mu_o, tp.z_T, eps))
+            sqrt_c0 = zt / (zt - 1)
+            rho0 = (1 - mpmath.sqrt(lo**2 - sqrt_c0**2 * e)) / 2
+            rho1 = (1 - mpmath.sqrt(-e)) / 2
+            kappa = (mo**2 - lo**2 + 1) / 4 + sqrt_c0 * e / 2
+            ab_sum = 2 * (rho0 + rho1) - 3
+            ab_prod = 2 * (rho0 - 1) * (rho1 - 1) - kappa
+            root = mpmath.sqrt(ab_sum**2 - 4 * ab_prod)
+            assert abs(op.alpha - (ab_sum - root) / 2) <= 1e-14
+            assert abs(op.beta - (ab_sum + root) / 2) <= 1e-14
 
     def test_exponents_and_fuchs(self, basics):
         spec = susy.single_partner_spec(basics[Kind.C], TP2)
