@@ -125,8 +125,6 @@ def _pair_from_small(u, right):
     x_of_z(1/2) and 1 - z right of it.  u keeps its relative precision and
     1 - u is exact to rounding, so z + (1 - z) == 1."""
     v = 1.0 - u
-    if np.ndim(u) == 0:
-        return (float(v), float(u)) if right else (float(u), float(v))
     return np.where(right, v, u), np.where(right, u, v)
 
 
@@ -170,11 +168,10 @@ _STEP_TOL = 4.0 * np.finfo(float).eps
 _MAX_ITER = 800
 
 
-def _newton_step(t, xs, alpha, beta, xp):
-    """Newton step for f(t) = alpha t + beta log1p(-e**t) - xs; ``xp`` is
-    ``math`` for a float and ``numpy`` for an array."""
-    q = xp.exp(t)
-    return (alpha * t + beta * xp.log1p(-q) - xs) / (alpha - beta * q / (1.0 - q))
+def _newton_step(t, xs, alpha, beta):
+    """Newton step for f(t) = alpha t + beta log1p(-e**t) - xs."""
+    q = np.exp(t)
+    return (alpha * t + beta * np.log1p(-q) - xs) / (alpha - beta * q / (1.0 - q))
 
 
 def _newton_log(xs, alpha, beta):
@@ -184,33 +181,22 @@ def _newton_log(xs, alpha, beta):
     (a, -1/2) and the right side (-1/2, a).  f is monotone with one-signed
     curvature and the asymptotic tail t = xs / alpha lies on the side of the
     root from which Newton approaches it monotonically, so no bracket is
-    needed; the clamp at log(1/2) keeps an iterate on that side.  Returns
+    needed; the clamp at log(1/2) keeps an iterate on that side.  ``xs`` is
+    a 1-d array; only its points not yet converged are iterated.  Returns
     (t, iterations).
-
-    A float is iterated with ``math``: quadrature asks for one x at a time,
-    where NumPy's per-call cost would dominate.  An array iterates only its
-    points not yet converged.
     """
-    if np.ndim(xs) == 0:
-        t = min(max(xs / alpha, _T_MIN), _LOG_HALF)
-        for it in range(1, _MAX_ITER + 1):
-            t_new = min(max(t - _newton_step(t, xs, alpha, beta, math), _T_MIN), _LOG_HALF)
-            if abs(t_new - t) <= _STEP_TOL * (1.0 - t):
-                return t_new, it
-            t = t_new
-    else:
-        t = np.clip(xs / alpha, _T_MIN, _LOG_HALF)
-        if not t.size:
-            return t, 0
-        todo = np.arange(t.size)
-        for it in range(1, _MAX_ITER + 1):
-            tt = t[todo]
-            t_new = np.clip(tt - _newton_step(tt, xs[todo], alpha, beta, np),
-                            _T_MIN, _LOG_HALF)
-            t[todo] = t_new
-            todo = todo[np.abs(t_new - tt) > _STEP_TOL * (1.0 - tt)]
-            if not todo.size:
-                return t, it
+    t = np.clip(xs / alpha, _T_MIN, _LOG_HALF)
+    if not t.size:
+        return t, 0
+    todo = np.arange(t.size)
+    for it in range(1, _MAX_ITER + 1):
+        tt = t[todo]
+        t_new = np.clip(tt - _newton_step(tt, xs[todo], alpha, beta),
+                        _T_MIN, _LOG_HALF)
+        t[todo] = t_new
+        todo = todo[np.abs(t_new - tt) > _STEP_TOL * (1.0 - tt)]
+        if not todo.size:
+            return t, it
     raise ConvergenceError(f"inverse map: Newton did not converge in {_MAX_ITER} steps")
 
 
@@ -221,31 +207,23 @@ def _map_newton(x, tp: TangentPoly):
     if a == 0.0:
         raise DomainError(f"z_T = {tp.z_T!r} too close to 0: the log z slope underflows")
     xs_mid = math.log(2.0) / (2.0 * (1.0 - tp.z_T))  # x_of_z(1/2) - X_ORIGIN
-    if np.ndim(x) == 0:
-        xs = float(x) - X_ORIGIN
-        right = xs > xs_mid
-        t, its = _newton_log(xs, -0.5, a) if right else _newton_log(xs, a, -0.5)
-        u = math.exp(t)
-    else:
-        xs = np.asarray(x, dtype=float) - X_ORIGIN
-        right = xs > xs_mid
-        left = ~right
-        t = np.empty_like(xs)
-        t[left], its_left = _newton_log(xs[left], a, -0.5)
-        t[right], its_right = _newton_log(xs[right], -0.5, a)
-        its = max(its_left, its_right)
-        u = np.exp(t)
+    xs = x - X_ORIGIN
+    right = xs > xs_mid
+    left = ~right
+    t = np.empty_like(xs)
+    t[left], its_left = _newton_log(xs[left], a, -0.5)
+    t[right], its_right = _newton_log(xs[right], -0.5, a)
     _log.debug("inverse map z_T=%r: %d point(s), %d Newton iterations",
-               tp.z_T, np.size(x), its)
-    return _pair_from_small(u, right)
+               tp.z_T, xs.size, max(its_left, its_right))
+    return _pair_from_small(np.exp(t), right)
 
 
 def _map_pair(x, tp: TangentPoly):
-    if not (math.isfinite(x) if np.ndim(x) == 0 else np.all(np.isfinite(x))):
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
-    if tp.z_T == 2.0:
-        return _map_zt2_pair(np.asarray(x, dtype=float))
-    return _map_newton(x, tp)
+    z, w = _map_zt2_pair(x) if tp.z_T == 2.0 else _map_newton(x, tp)
+    return (z, w) if x.ndim else (float(z), float(w))
 
 
 def map_x_to_z_pair(x, tp: TangentPoly):
@@ -355,12 +333,6 @@ def potential_eval_x(x, ri: RayIdentifiers, tp: TangentPoly):
     """
     z = map_x_to_z(x, tp)
     return potential_x_of_z(z, ri, tp)
-
-
-def potential_asymptotes(ri: RayIdentifiers, tp: TangentPoly) -> tuple[float, float]:
-    """(V(-inf), V(+inf)) of the canonical potential."""
-    left = ri.lambda_o**2 * (1.0 - tp.z_T) ** 2 / tp.z_T**2
-    return left, 0.0
 
 
 def dkv_map(ri: RayIdentifiers) -> tuple[float, float, float]:

@@ -91,6 +91,8 @@ def solve_schrodinger(V, domain: tuple[float, float] = (-40.0, 40.0),
 
     def grid(hh):
         xs = np.linspace(x_min, x_max, int(round((x_max - x_min) / hh)) + 1)
+        if len(xs) < 3:
+            raise DomainError("h must leave at least 3 grid points in the domain")
         return xs, _eval_potential(V, xs)
 
     def solve_once(xs, vals):

@@ -101,7 +101,6 @@ class CubicSpec:
     variable: CubicVariable
     coeffs: tuple[float, float, float, float]
     discriminant: float
-    double_root_vicinity: bool
 
     def __call__(self, lam):
         c0, c1, c2, c3 = self.coeffs
@@ -122,8 +121,7 @@ def cubic_coeffs(m: int, ri: RayIdentifiers, tp: TangentPoly,
     """Coefficients of the characteristic cubic for one exponent difference.
 
     The lambda1 cubic determines the energy directly; the lambda0 cubic is
-    its companion with the same root information, preferred for root
-    selection when c0 > 1 because its pole-free transfer covers Area A_m.
+    its companion with the same root information.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -147,9 +145,7 @@ def cubic_coeffs(m: int, ri: RayIdentifiers, tp: TangentPoly,
     delta1 = 2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0
     big = 4.0 * delta0**3 - delta1**2  # = 27 a^2 * (standard discriminant)
     disc = big / (27.0 * c3 * c3)
-    scale = max(abs(v) for v in coeffs)
-    vicinity = abs(big) < 1e-12 * scale**6
-    return CubicSpec(variable, coeffs, disc, vicinity)
+    return CubicSpec(variable, coeffs, disc)
 
 
 _CUBE_ROOTS_UNITY = (
@@ -484,27 +480,17 @@ def asymptotic_tau(tp: TangentPoly) -> AsymptoticSlopes:
     )
 
 
-def _select_c_root(n: int, ri: RayIdentifiers, tp: TangentPoly,
-                   variable: CubicVariable) -> tuple[float, float]:
-    """One admissible (lambda0, lambda1) pair of kind C at degree n."""
-    spec = cubic_coeffs(n, ri, tp, variable)
-    roots = real_cubic_roots(spec)
+def _select_c_root(n: int, ri: RayIdentifiers,
+                   tp: TangentPoly) -> tuple[float, float]:
+    """The one admissible (lambda0, lambda1) pair of kind C at degree n."""
     cands = []
-    for r in roots:
-        if variable is CubicVariable.LAMBDA0:
-            if r <= 0.0:
-                continue
-            lam1 = expdiff_transfer(r, n, ri, tp,
-                                    TransferDirection.LAMBDA0_TO_LAMBDA1)
-            pair = (r, lam1)
-        else:
-            if r <= 0.0:
-                continue
-            lam0 = expdiff_transfer(r, n, ri, tp,
-                                    TransferDirection.LAMBDA1_TO_LAMBDA0)
-            pair = (lam0, r)
-        if pair[0] > 0.0 and pair[1] > 0.0:
-            cands.append(pair)
+    for r in real_cubic_roots(cubic_coeffs(n, ri, tp)):
+        if r <= 0.0:
+            continue
+        lam0 = expdiff_transfer(r, n, ri, tp,
+                                TransferDirection.LAMBDA1_TO_LAMBDA0)
+        if lam0 > 0.0:
+            cands.append((lam0, r))
     if len(cands) != 1:
         raise ClassificationError(
             f"expected exactly one admissible eigen-root at n={n}, "
@@ -516,32 +502,14 @@ def _select_c_root(n: int, ri: RayIdentifiers, tp: TangentPoly,
 def spectrum(ri: RayIdentifiers, tp: TangentPoly) -> list[AehSolution]:
     """Discrete spectrum as kind-C solutions with strictly increasing energy.
 
-    Root selection uses the lambda0 cubic (transfer regular throughout the
-    discrete-spectrum area) when c0 > 1 and the lambda1 cubic when c0 < 1;
-    if a transfer lands on the a/d-hyperbola pole the companion cubic is
-    used for that level.  Near a double root the level is re-derived at
-    lambda_o +/- 1e-9 and checked for continuity.
+    Each level is the one root lambda1 > 0 of the lambda1 cubic whose
+    transferred lambda0 is also positive; the transfer's only pole,
+    lambda1 = -(2n + 1), lies off that half-line.
     """
     _check_not_degenerate(tp)
-    n0 = bound_state_count(ri.mu_o, ri.lambda_o)
-    primary = (CubicVariable.LAMBDA0 if tp.c0 > 1.0 else CubicVariable.LAMBDA1)
-    companion = (CubicVariable.LAMBDA1 if tp.c0 > 1.0 else CubicVariable.LAMBDA0)
     out = []
-    for n in range(n0):
-        try:
-            lam0, lam1 = _select_c_root(n, ri, tp, primary)
-        except TransferAmbiguityError:
-            lam0, lam1 = _select_c_root(n, ri, tp, companion)
-        spec = cubic_coeffs(n, ri, tp, primary)
-        if spec.double_root_vicinity and ri.lambda_o > 2e-9:
-            eps_ref = -lam1**2
-            for sgn in (+1.0, -1.0):
-                ri_p = RayIdentifiers(ri.lambda_o + sgn * 1e-9, ri.mu_o)
-                _, lam1_p = _select_c_root(n, ri_p, tp, primary)
-                if abs(-lam1_p**2 - eps_ref) > 1e-6 * max(1.0, abs(eps_ref)):
-                    raise ClassificationError(
-                        f"root selection discontinuous near double root at n={n}"
-                    )
+    for n in range(bound_state_count(ri.mu_o, ri.lambda_o)):
+        lam0, lam1 = _select_c_root(n, ri, tp)
         out.append(make_solution(Kind.C, n, lam0, lam1, ri, tp))
     energies = [s.epsilon for s in out]
     if any(e >= 0.0 for e in energies) or any(

@@ -589,16 +589,6 @@ def nodeless_predicate(kind: Kind, m: int, mu_o: float, tp: TangentPoly,
     return lam1_seed > _partner_ground_lambda1(kind, mu_o, tp)
 
 
-def d_pair_mu_threshold(tp: TangentPoly) -> float:
-    """Smallest mu_o for which the (d0, regular-basic) pair is admissible
-    at m = 0, i.e. where the regular basic solution crosses below the
-    irregular d0 energy.  Closed form mu^2 = 2 max(s, 1/s) - 1 from
-    equating the linear-branch and lower-quadratic-branch energies; for
-    c0 > 1 this is the m = 0 a/d crossing point."""
-    s = tp.sqrt_c0
-    return max(1.0, math.sqrt(2.0 * max(s, 1.0 / s) - 1.0))
-
-
 def wl_seed_solution(m: int, mu_o: float, tp: TangentPoly) -> AehSolution:
     """Regular levelled-limit seed of the linear branch at degree m."""
     sols = wl_solve(m, mu_o, tp)

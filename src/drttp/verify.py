@@ -49,9 +49,6 @@ def _result(name, tol, measured, detail="", strict=False):
 
 
 def _max_workers() -> int:
-    env = os.environ.get("DRTTP_THREADS")
-    if env:
-        return max(1, int(env))
     return min(4, os.cpu_count() or 1)
 
 

@@ -147,10 +147,12 @@ class TestInputs:
 
     @pytest.mark.parametrize("domain, h", [((2.0, 14.0), 5e-3),
                                            ((-14.0, -2.0), 5e-3),
-                                           ((-10.0, 10.0), 0.0)])
+                                           ((-10.0, 10.0), 0.0),
+                                           ((-1.0, 1.0), 5.0)])
     def test_bad_domain_or_step_rejected(self, domain, h):
         # widening scales the edges, which moves an edge on the wrong side
-        # of 0 inward: (2, 14) lost every level of (x - 7.5)**2
+        # of 0 inward: (2, 14) lost every level of (x - 7.5)**2; h = 5 on
+        # (-1, 1) leaves a one-point grid
         with pytest.raises(DomainError):
             solve_schrodinger(lambda x: (np.asarray(x) - 7.5) ** 2,
                               domain=domain, h=h)

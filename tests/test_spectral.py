@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,7 +85,7 @@ class TestCubicCoeffs:
 class TestRoots:
     def test_factored_cubic(self):
         spec = spectral.CubicSpec(
-            CubicVariable.LAMBDA1, (0.0, -1.0, 0.0, 1.0), 4.0, False
+            CubicVariable.LAMBDA1, (0.0, -1.0, 0.0, 1.0), 4.0
         )
         assert real_cubic_roots(spec) == pytest.approx([-1.0, 0.0, 1.0])
 
@@ -99,15 +100,15 @@ class TestRoots:
     def test_single_real_root(self):
         # negative discriminant: lambda^3 + lambda + 1
         spec = spectral.CubicSpec(CubicVariable.LAMBDA1, (1.0, 1.0, 0.0, 1.0),
-                                  -31.0 / 27.0, False)
+                                  -31.0 / 27.0)
         roots = real_cubic_roots(spec)
         assert len(roots) == 1
         assert spec(roots[0]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_double_root_vicinity_flag(self):
+    def test_double_root(self):
         # (lambda - 1)^2 (lambda + 2) has a double root
         spec = spectral.CubicSpec(CubicVariable.LAMBDA1, (2.0, -3.0, 0.0, 1.0),
-                                  0.0, True)
+                                  0.0)
         roots = real_cubic_roots(spec)
         assert len(roots) == 3
         assert sorted(roots) == pytest.approx([-2.0, 1.0, 1.0], abs=1e-7)
@@ -286,3 +287,26 @@ class TestSpectrum:
             assert s.epsilon - WL5.lambda_o**2 / 4 == pytest.approx(
                 -s.lambda0**2 / 4, rel=1e-12
             )
+
+    def test_levels_against_mpmath_root(self):
+        # reference: the 50-digit root l = lambda1 > 0 of the defining system
+        # sqrt(lambda_o**2 + c0 l**2) + l + 2n + 1 = sqrt(mu_o**2 + a2 l**2);
+        # (0.5, 77, 1.0002) once raised ClassificationError just above z_T = 1
+        rng = np.random.default_rng(5)
+        points = [(0.5, 77.0, 1.0002), (1.0, 9.0, 1.05)]
+        for _ in range(150):
+            d = 10 ** rng.uniform(-3, math.log10(60))
+            z_t = (2.0, -d, 1.0 + d)[rng.integers(3)]
+            points.append((30 * rng.random(), 80 * (1 - rng.random()), z_t))
+        with mpmath.workdps(50):
+            for lo, mo, z_t in points:
+                sols = spectrum(RayIdentifiers(lo, mo), TangentPoly(z_t))
+                L, M, zt = mpmath.mpf(lo) ** 2, mpmath.mpf(mo) ** 2, mpmath.mpf(z_t)
+                c0, a2 = (zt / (zt - 1)) ** 2, 1 / (1 - zt) ** 2
+                for s in sols:
+                    def defining(l, u=2 * s.m + 1):
+                        return (mpmath.sqrt(L + c0 * l**2) + l + u
+                                - mpmath.sqrt(M + a2 * l**2))
+
+                    ref = -mpmath.findroot(defining, s.lambda1) ** 2
+                    assert abs((s.epsilon - ref) / ref) < 1e-11, (lo, mo, z_t, s.m)

@@ -233,7 +233,11 @@ class TestNodelessPredicate:
         assert susy.nodeless_predicate(Kind.C, 0, 5.0, TP2, "primary")
 
     def test_d_pair_threshold(self):
-        thr = susy.d_pair_mu_threshold(TP2)
+        # the m = 0 (d0, regular-basic) pair turns admissible where the
+        # linear-branch and lower quadratic-branch energies cross,
+        # mu**2 = 2 max(s, 1/s) - 1
+        s = TP2.sqrt_c0
+        thr = math.sqrt(2.0 * max(s, 1.0 / s) - 1.0)
         assert 1.0 < thr < 2.0
         assert susy.nodeless_predicate(Kind.D, 0, thr + 0.05, TP2, "primary")
         assert not susy.nodeless_predicate(Kind.D, 0, max(1.01, thr - 0.05),
