@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, spectral, susy, verify, wavefunction
-from .errors import DrttpError, PairRejectedError
+from .errors import DomainError, DrttpError, PairRejectedError
 from .spectral import Kind
 
 SCHEMA_VERSION = 1
@@ -173,6 +173,8 @@ def cmd_tabulate(args) -> int:
         sols = spectral.spectrum(ri, tp)
         for tok in args.psi.split(","):
             n = int(tok)
+            if not 0 <= n < len(sols):
+                raise DomainError(f"--psi level {n} out of range [0, {len(sols)})")
             columns.append(
                 (f"psi{n}", wavefunction.eigenfunction_eval_x(
                     xs, n, ri, tp, _sols=sols))
@@ -262,7 +264,8 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     fault = "cubic" if args.inject_fault else None
-    results = verify.run_verification(only=args.only, fault=fault)
+    timings = {} if args.timings else None
+    results = verify.run_verification(only=args.only, fault=fault, timings=timings)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "checks": [
@@ -280,6 +283,8 @@ def cmd_verify(args) -> int:
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     for r in results:
         print(r.line(), file=sys.stderr)
+    for name, seconds in (timings or {}).items():
+        print(f"[TIME] {name}: {seconds:.3f} s", file=sys.stderr)
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFICATION
 
 
@@ -335,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--only", default=None, help="check-group name prefix filter")
     p.add_argument("--out", default=None)
+    p.add_argument("--timings", action="store_true",
+                   help="print each group's wall seconds to stderr")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return ap

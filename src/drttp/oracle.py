@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError
 
@@ -49,6 +48,9 @@ def _threshold(vals: np.ndarray) -> float:
 
 
 def _solve_fd2(vals: np.ndarray, h: float, threshold: float):
+    # deferred import: keeps scipy.linalg out of the cold start of `import drttp`
+    from scipy.linalg import eigh_tridiagonal
+
     d = 2.0 / h**2 + vals[1:-1]
     e = -np.ones(len(d) - 1) / h**2
     lo = float(vals.min()) - 1.0

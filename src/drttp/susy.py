@@ -242,8 +242,9 @@ def double_partner_spec(t: AehSolution, t_prime: AehSolution,
     """Admissibility-gated descriptor of the two-step construction.
 
     The gate rejects pairs whose outer root falls in [0, 1] (the combined
-    FF would vanish inside the quantization interval) and, belt and
-    suspenders, scans the first-order FF for interior sign changes.
+    FF would vanish inside the quantization interval).  That is the whole
+    sign condition: on (0, 1) the first-order FF has the sign of
+    (mu' - mu)(z - z_tt')(z - z_T), and neither root lies in [0, 1].
     """
     ztt = outer_root_ztt(t, t_prime)
     if 0.0 <= ztt <= 1.0:
@@ -260,14 +261,6 @@ def double_partner_spec(t: AehSolution, t_prime: AehSolution,
                 "d-pair rejected: the regular basic solution does not lie "
                 "below the irregular one at these parameters"
             )
-    zs = np.linspace(1e-4, 1.0 - 1e-4, 2001)
-    vals = double_step_ff_eval(zs, t, t_prime, tp)
-    sgn = np.sign(vals)
-    sgn = sgn[sgn != 0]
-    if np.any(sgn[:-1] * sgn[1:] < 0):
-        raise PairRejectedError(
-            "pair rejected: combined factorization function changes sign"
-        )
     return PartnerSpec(
         2, (t, t_prime), ztt, frozenset([t.epsilon, t_prime.epsilon])
     )

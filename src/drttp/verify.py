@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -938,13 +939,17 @@ CHECK_GROUPS = {
 }
 
 
-def run_verification(only: str | None = None,
-                     fault: str | None = None) -> list[CheckResult]:
+def run_verification(only: str | None = None, fault: str | None = None,
+                     timings: dict | None = None) -> list[CheckResult]:
     """Run the (optionally filtered) verification battery; ``fault`` is
-    handed to the cubic group."""
+    handed to the cubic group, and ``timings``, if given, receives each
+    group's wall seconds by name."""
     results = []
     for name, fn in CHECK_GROUPS.items():
         if only and not name.startswith(only):
             continue
+        t0 = time.perf_counter()
         results.extend(fn(fault=fault) if name == "cubic" else fn())
+        if timings is not None:
+            timings[name] = time.perf_counter() - t0
     return results

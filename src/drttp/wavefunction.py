@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import eval_jacobi, roots_jacobi
 
 from .core import RayIdentifiers, TangentPoly, map_x_to_z_pair
 from .errors import ConvergenceError, DomainError
@@ -58,6 +57,9 @@ def hypergeom_poly_jacobi(n: int, a: float, c: float, z) -> float:
     beta = a - n - c
     if n < 0 or (n > 0 and not (alpha > -1.0 and beta > -1.0)):
         raise DomainError(f"need n >= 0 and alpha, beta > -1: n={n}, ({alpha}, {beta})")
+    # deferred import: keeps scipy.special out of the cold start of `import drttp`
+    from scipy.special import eval_jacobi
+
     z = np.asarray(z, dtype=float)
     out = eval_jacobi(n, alpha, beta, 1.0 - 2.0 * z) * math.factorial(n) / pochhammer(c, n)
     return out if out.ndim else float(out)
@@ -199,14 +201,30 @@ def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
     int_0^1 g**2 z**(lambda0 - 1) (1 - z)**(lambda1 - 1) Pi_m**2 dz,
     g = (z - z_T)/(2(1 - z_T)): a polynomial of degree 2m + 2 against a
     Jacobi weight, integrated exactly by m + 2 Gauss-Jacobi nodes in
-    t = 2z - 1 (Golub & Welsch 1969).
+    t = 2z - 1 (Golub & Welsch 1969).  A norm that overflows, as when an
+    exponent reaches the thousands, raises DomainError.
     """
     sols = spectrum(ri, tp) if _sols is None else _sols
     sol = sols[n]
-    t, w = roots_jacobi(sol.m + 2, sol.lambda1 - 1.0, sol.lambda0 - 1.0)
-    z = 0.5 * (1.0 + t)
-    f = (z - tp.z_T) / (2.0 * (1.0 - tp.z_T)) * _poly_eval(z, sol)
-    return float(w @ f**2) / 2.0 ** (sol.lambda0 + sol.lambda1 - 1.0)
+    # deferred import: keeps scipy.special out of the cold start of `import drttp`
+    from scipy.special import roots_jacobi
+
+    # the weights come back inf or nan, not raised, when their scale overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, w = roots_jacobi(sol.m + 2, sol.lambda1 - 1.0, sol.lambda0 - 1.0)
+        z = 0.5 * (1.0 + t)
+        f = (z - tp.z_T) / (2.0 * (1.0 - tp.z_T)) * _poly_eval(z, sol)
+        total = float(w @ f**2)
+    try:
+        out = total / 2.0 ** (sol.lambda0 + sol.lambda1 - 1.0)
+    except OverflowError:
+        out = math.nan
+    if not math.isfinite(out):
+        raise DomainError(
+            f"norm of level {n} overflows: lambda0 = {sol.lambda0:.6g}, "
+            f"lambda1 = {sol.lambda1:.6g}"
+        )
+    return out
 
 
 def count_nodes(f, interval: tuple[float, float], initial: int = 4096,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -87,6 +88,15 @@ class TestTabulate:
         header = [r for r in out.split("\n") if not r.startswith("#")][0]
         assert "psi0" in header and "psi1" in header
 
+    @pytest.mark.parametrize("level", ["1", "-1"])
+    def test_psi_level_out_of_range(self, capsys, level):
+        # (0, 3, 2) has one bound state
+        code, out, err = run(capsys, "tabulate", "--lambda-o", "0", "--mu-o", "3",
+                             "--zt", "2", "--psi", level)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestPartnerReport:
     def test_single(self, capsys):
@@ -97,6 +107,17 @@ class TestPartnerReport:
         assert doc["steps"] == 1
         assert doc["expected_spectral_delta"][0] == pytest.approx(-1.95211435,
                                                                   abs=1e-6)
+
+    def test_double_prints_no_warning(self, capsys):
+        # z**(lambda0/2) overflows on (0, 1) at this point
+        argv = ("partner", "--lambda-o", "15.3546487410077",
+                "--mu-o", "76.0371452423785", "--zt", "2", "--ff", "c0+t0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["steps"] == 2
+        assert err == ""
 
     def test_double(self, capsys):
         code, out, _ = run(capsys, "partner", "--lambda-o", "0", "--mu-o", "5",
@@ -139,6 +160,18 @@ class TestVerify:
                            "--inject-fault")
         assert code == 1
         assert not json.loads(out)["all_passed"]
+
+    def test_timings_only_add_stderr_lines(self, capsys):
+        argv = ("verify", "--only", "constants")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and "[TIME]" not in err
+        assert run(capsys, *argv) == (code, out, err)
+        code_t, out_t, err_t = run(capsys, *argv, "--timings")
+        assert code_t == 0 and out_t == out
+        assert err_t.startswith(err)
+        extra = err_t[len(err):].splitlines()
+        assert len(extra) == 1 and extra[0].startswith("[TIME] constants: ")
+        assert float(extra[0].split()[-2]) >= 0.0
 
     def test_oracle_flags_removed(self, capsys):
         # the oracle has one discretization and fixed gates

@@ -1,5 +1,6 @@
 """Numerical eigensolver sanity and convergence checks."""
 
+import json
 import math
 import os
 import subprocess
@@ -157,10 +158,36 @@ class TestInputs:
             solve_schrodinger(lambda x: (np.asarray(x) - 7.5) ** 2,
                               domain=domain, h=h)
 
-    def test_import_leaves_scipy_sparse_out(self):
+    def test_cold_start_leaves_scipy_out(self):
+        # the closed-form paths need only numpy: a fresh process that imports
+        # drttp and runs spectrum() and the spectrum and partner commands
+        # loads no scipy module; the deferred imports then still work
         src = os.path.dirname(os.path.dirname(drttp.__file__))
-        code = "import sys, drttp; print('scipy.sparse' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src)).stdout
-        assert out.strip() == "False"
+        code = """
+import contextlib, io, json, sys
+import numpy as np
+import drttp
+from drttp import cli, oracle, wavefunction
+ri, tp = drttp.RayIdentifiers(0.5, 7.0), drttp.TangentPoly(2.0)
+sols = drttp.spectrum(ri, tp)
+params = ["--lambda-o", "0.5", "--mu-o", "7", "--zt", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["spectrum", *params]),
+             cli.main(["partner", *params, "--ff", "c0"])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+ns = oracle.solve_schrodinger(lambda x: -6.0 / np.cosh(x) ** 2,
+                              domain=(-20.0, 20.0), h=2e-2)
+psi = wavefunction.solution_eval_x(np.array([-3.0, 0.0, 2.5]), sols[2], ri, tp)
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "oracle": ns.eigenvalues.tolist(), "psi": psi.tolist()}))
+"""
+        out = json.loads(subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src)).stdout)
+        assert out["codes"] == [0, 0]
+        assert out["loaded"] == []
+        assert out["oracle"] == pytest.approx(
+            [-3.9999999982808343, -0.9999999933120836], rel=1e-12)
+        assert out["psi"] == pytest.approx(
+            [0.11728316776232378, 0.03204742893127039, 0.048007635944772434],
+            rel=1e-12)

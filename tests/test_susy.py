@@ -105,6 +105,50 @@ class TestPairs:
         with pytest.raises(PairRejectedError):
             susy.double_partner_spec(basics[Kind.C], basics[Kind.D], TP2)
 
+    def test_admitted_pair_ff_keeps_its_sign(self):
+        # on (0, 1) the first-order FF is (mu' - mu) sqrt(z(1-z))
+        # z^(l0'/2) (1-z)^(l1'/2) (z - z_tt')/(z - z_T); evaluated in log
+        # space, where the powers cannot overflow, no admitted pair changes
+        # sign, which is why the gate needs no scan
+        rng = np.random.default_rng(2015)
+        zs = np.concatenate([np.geomspace(1e-12, 0.5, 2000),
+                             1.0 - np.geomspace(0.5, 1e-12, 2000)[1:]])
+        admitted = 0
+        for _ in range(300):
+            lo, mo = rng.uniform(0.0, 30.0), rng.uniform(1e-3, 80.0)
+            side = rng.integers(3)
+            dist = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+            zt = (2.0, -dist, 1.0 + dist)[side]
+            if mo <= lo + 1.0:
+                continue
+            tp = TangentPoly(zt)
+            basics = basic_solutions(RayIdentifiers(lo, mo), tp)
+            t0 = basics[Kind.A if tp.c0 > 1.0 else Kind.B]
+            for t, tq in ((basics[Kind.C], t0), (basics[Kind.D], t0),
+                          (t0, basics[Kind.C]), (t0, basics[Kind.D])):
+                try:
+                    ztt = susy.double_partner_spec(t, tq, tp).outer_pole
+                except PairRejectedError:
+                    continue
+                admitted += 1
+                dmu = tq.mu - t.mu
+                sign = np.sign(dmu) * np.sign(zs - ztt) * np.sign(zs - tp.z_T)
+                log_z = 0.5 * (1.0 + tq.lambda0) * np.log(zs)
+                log_1mz = 0.5 * (1.0 + tq.lambda1) * np.log1p(-zs)
+                log_abs = (math.log(abs(dmu)) + log_z + log_1mz
+                           + np.log(np.abs(zs - ztt)) - np.log(np.abs(zs - tp.z_T)))
+                assert np.all(np.isfinite(log_abs))
+                assert np.all(sign == sign[0]) and sign[0] != 0
+                # the log form is the FF wherever the direct value and its
+                # power factors are far from overflow and from subnormals
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    direct = susy.double_step_ff_eval(zs, t, tq, tp)
+                ok = np.max(np.abs([log_z, log_1mz, log_abs]), axis=0) < 600.0
+                assert np.all(np.sign(direct[ok]) == sign[ok])
+                np.testing.assert_allclose(np.log(np.abs(direct[ok])), log_abs[ok],
+                                           rtol=1e-12, atol=1e-9)
+        assert admitted >= 100
+
     def test_double_partner_finite_on_interval(self, basics):
         t, tq = basics[Kind.C], basics[Kind.A]
         zs = np.linspace(1e-3, 1 - 1e-3, 2001)

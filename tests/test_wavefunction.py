@@ -202,6 +202,16 @@ class TestEigenfunctions:
         got = wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols)
         assert got == pytest.approx(_mp_norm_sq(sols[n], tp), rel=1e-11)
 
+    def test_norm_overflow_is_domain_error(self):
+        # level 0 here has lambda0 = 1745: 2**(lambda0 + lambda1 - 1) and
+        # scipy's Gauss-Jacobi weights both overflow
+        ri, tp = RayIdentifiers(0.5, 77.0), TangentPoly(1.0002)
+        sols = spectrum(ri, tp)
+        with pytest.raises(DomainError):
+            wavefunction.eigenfunction_norm_sq(0, ri, tp, _sols=sols)
+        with pytest.raises(DomainError):
+            eigenfunction_eval_x(0.0, 0, ri, tp, normalize=True, _sols=sols)
+
     def test_index_error(self):
         with pytest.raises(IndexError):
             eigenfunction_eval_x(0.0, 5, WL5, TP2)
