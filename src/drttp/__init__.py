@@ -66,8 +66,6 @@ from .susy import (
     StructureConstants,
     b2_factor_check,
     basic_ff_eval,
-    double_partner_eval,
-    double_partner_eval_x,
     double_partner_spec,
     double_step_ff_eval,
     heun_operator,
@@ -75,8 +73,8 @@ from .susy import (
     lambe_ward_eval,
     nodeless_predicate,
     outer_root_ztt,
-    single_partner_eval,
-    single_partner_eval_x,
+    partner_correction_z,
+    partner_potential_x,
     single_partner_spec,
     structure_constants,
 )

@@ -254,6 +254,15 @@ def wl_quadratic_discriminant(m: int, mu_o: float, tp: TangentPoly) -> float:
     return 4.0 * (u * u * (s - 1.0) ** 2 + 4.0 * s * mu_o**2)
 
 
+def wl_quadratic_roots(m: int, mu_o: float, tp: TangentPoly) -> tuple[float, float]:
+    """lambda1 roots (up, dn) of the levelled-limit quadratic branch."""
+    s = tp.sqrt_c0
+    u = 2.0 * m + 1.0
+    rt = math.sqrt(wl_quadratic_discriminant(m, mu_o, tp))
+    b = -2.0 * (s + 1.0) * u
+    return (b + rt) / (8.0 * s), (b - rt) / (8.0 * s)
+
+
 def wl_solve(m: int, mu_o: float, tp: TangentPoly) -> list[AehSolution]:
     """All three solutions of the asymptotically-levelled limit at degree m.
 
@@ -275,9 +284,7 @@ def wl_solve(m: int, mu_o: float, tp: TangentPoly) -> list[AehSolution]:
         kind_lin = Kind.A_PRIME if s < 1.0 else Kind.B_PRIME
     out.append(make_solution(kind_lin, m, -s * lam1_lin, lam1_lin, ri, tp))
 
-    rt = math.sqrt(wl_quadratic_discriminant(m, mu_o, tp))
-    lam1_up = (-2.0 * (s + 1.0) * u + rt) / (8.0 * s)
-    lam1_dn = (-2.0 * (s + 1.0) * u - rt) / (8.0 * s)
+    lam1_up, lam1_dn = wl_quadratic_roots(m, mu_o, tp)
     kind_up = Kind.C if mu_o > u else Kind.D_PRIME
     out.append(make_solution(kind_up, m, s * lam1_up, lam1_up, ri, tp))
     out.append(make_solution(Kind.D, m, s * lam1_dn, lam1_dn, ri, tp,
@@ -416,8 +423,7 @@ def nodeless_census(ri: RayIdentifiers, tp: TangentPoly,
     if mo <= 1.0:
         return NodelessCensus(None, None, None, None, slope, hyper)
 
-    rt = math.sqrt(wl_quadratic_discriminant(0, mo, tp))
-    lam1_c0 = (-2.0 * (s + 1.0) + rt) / (8.0 * s)
+    lam1_c0 = wl_quadratic_roots(0, mo, tp)[0]
     delta = abs(s - 1.0) * lam1_c0
     v_plus = -delta + math.sqrt(delta * delta + mo * mo)
     v_minus = delta + math.sqrt(delta * delta + mo * mo)

@@ -20,7 +20,6 @@ from .core import (
     RayIdentifiers,
     TangentPoly,
     map_x_to_z,
-    potential_eval_z,
     potential_x_of_z,
 )
 from .errors import (
@@ -34,7 +33,7 @@ from .spectral import (
     Kind,
     basic_solutions,
     wl_gm,
-    wl_quadratic_discriminant,
+    wl_quadratic_roots,
     wl_solve,
 )
 from .wavefunction import count_roots_in_01, hypergeom_poly_coeffs
@@ -93,49 +92,21 @@ def structure_constants(ri: RayIdentifiers, tp: TangentPoly,
 # factorization functions and partner potentials
 # ---------------------------------------------------------------------------
 
+def _log_abs_ff(z, sol: AehSolution):
+    """log |sqrt(z(1-z)) z^(l0/2) (1-z)^(l1/2)|; no power is formed, so
+    neither factor can overflow or underflow on its own."""
+    return 0.5 * ((1.0 + sol.lambda0) * np.log(z) + (1.0 + sol.lambda1) * np.log1p(-z))
+
+
 def basic_ff_eval(z, sol: AehSolution):
     """Basic factorization function sqrt(z(1-z)) z^(l0/2) (1-z)^(l1/2)."""
     if sol.m != 0:
         raise DomainError("factorization function must be a basic (m=0) solution")
     z = np.asarray(z, dtype=float)
-    out = (
-        np.sqrt(z * (1.0 - z))
-        * z ** (0.5 * sol.lambda0)
-        * (1.0 - z) ** (0.5 * sol.lambda1)
-    )
+    # 0 and inf only where the value itself is out of double range
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.exp(_log_abs_ff(z, sol))
     return out if out.ndim else float(out)
-
-
-def _delta_o1_single(z, ff: AehSolution, tp: TangentPoly):
-    return 4.0 * (2.0 * z - (ff.mu - 1.0) * tp.z_T + ff.lambda0 - 1.0)
-
-
-def single_partner_correction_z(z, ff: AehSolution, tp: TangentPoly):
-    """z-gauge correction added to the base potential by one Darboux step."""
-    z = np.asarray(z, dtype=float)
-    P = z - tp.z_T
-    out = (
-        8.0 * z**2 * (z - 1.0) ** 2 / P**4
-        - z * (z - 1.0) * _delta_o1_single(z, ff, tp) / P**3
-    )
-    return out if out.ndim else float(out)
-
-
-def single_partner_eval(z, ff: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
-    """Single-step partner potential in the z gauge."""
-    if ff.m != 0:
-        raise DomainError("factorization function must be basic (m = 0)")
-    return potential_eval_z(z, ri, tp) + single_partner_correction_z(z, ff, tp)
-
-
-def single_partner_eval_x(x, ff: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
-    """Single-step partner potential in the canonical x gauge."""
-    if ff.m != 0:
-        raise DomainError("factorization function must be basic (m = 0)")
-    z = map_x_to_z(x, tp)
-    return potential_x_of_z(z, ri, tp) + (
-        (1.0 - tp.z_T) ** 2 * single_partner_correction_z(z, ff, tp)
-    )
 
 
 def outer_root_ztt(t: AehSolution, t_prime: AehSolution) -> float:
@@ -155,57 +126,21 @@ def outer_root_ztt(t: AehSolution, t_prime: AehSolution) -> float:
 
 
 def double_step_ff_eval(z, t: AehSolution, t_prime: AehSolution, tp: TangentPoly):
-    """First-order factorization function of the second Darboux step."""
+    """First-order factorization function of the second Darboux step,
+    (mu' - mu) sqrt(z(1-z)) z^(l0'/2) (1-z)^(l1'/2) (z - z_tt') / (z - z_T),
+    summed in log space and exponentiated once."""
     ztt = outer_root_ztt(t, t_prime)
     z = np.asarray(z, dtype=float)
-    out = (
-        (t_prime.mu - t.mu)
-        * np.sqrt(z * (1.0 - z))
-        * z ** (0.5 * t_prime.lambda0)
-        * (1.0 - z) ** (0.5 * t_prime.lambda1)
-        * (z - ztt)
-        / (z - tp.z_T)
-    )
+    dmu = t_prime.mu - t.mu
+    sign = np.sign(dmu) * np.sign(z - ztt) * np.sign(z - tp.z_T)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_abs = (
+            _log_abs_ff(z, t_prime)
+            + math.log(abs(dmu))
+            + np.log(np.abs((z - ztt) / (z - tp.z_T)))
+        )
+        out = sign * np.exp(log_abs)
     return out if out.ndim else float(out)
-
-
-def _delta_o1_double(z, t: AehSolution, t_prime: AehSolution, ztt: float):
-    # symmetric form; the two one-sided forms agree with it identically
-    return 2.0 * (
-        4.0 * z
-        - (t.mu + t_prime.mu - 2.0) * ztt
-        + t.lambda0
-        + t_prime.lambda0
-        - 2.0
-    )
-
-
-def double_partner_correction_z(z, t: AehSolution, t_prime: AehSolution,
-                                tp: TangentPoly):
-    ztt = outer_root_ztt(t, t_prime)
-    z = np.asarray(z, dtype=float)
-    P = z - tp.z_T
-    Q = z - ztt
-    out = (
-        8.0 * z**2 * (z - 1.0) ** 2 / (P**2 * Q**2)
-        - z * (z - 1.0) * _delta_o1_double(z, t, t_prime, ztt) / (P**2 * Q)
-    )
-    return out if out.ndim else float(out)
-
-
-def double_partner_eval(z, t: AehSolution, t_prime: AehSolution,
-                        ri: RayIdentifiers, tp: TangentPoly):
-    """Double-step partner potential in the z gauge."""
-    return potential_eval_z(z, ri, tp) + double_partner_correction_z(z, t, t_prime, tp)
-
-
-def double_partner_eval_x(x, t: AehSolution, t_prime: AehSolution,
-                          ri: RayIdentifiers, tp: TangentPoly):
-    """Double-step partner potential in the canonical x gauge."""
-    z = map_x_to_z(x, tp)
-    return potential_x_of_z(z, ri, tp) + (
-        (1.0 - tp.z_T) ** 2 * double_partner_correction_z(z, t, t_prime, tp)
-    )
 
 
 @dataclass(frozen=True)
@@ -266,18 +201,29 @@ def double_partner_spec(t: AehSolution, t_prime: AehSolution,
     )
 
 
+def partner_correction_z(z, spec: PartnerSpec, tp: TangentPoly):
+    """z-gauge correction a partner construction adds to the base potential,
+
+        8 z^2 (z-1)^2 / (P^2 Q^2) - z (z-1) Delta O1 / (P^2 Q),
+
+    with P = z - z_T, Q = z - spec.outer_pole and Delta O1 = 4 (2z + delta0).
+    One step is the case outer_pole = z_T, where Q = P.
+    """
+    z = np.asarray(z, dtype=float)
+    zz = z * (z - 1.0)
+    P2 = (z - tp.z_T) ** 2
+    Q = z - spec.outer_pole
+    out = 8.0 * zz**2 / (P2 * Q**2) - 4.0 * zz * (2.0 * z + spec.delta0) / (P2 * Q)
+    return out if out.ndim else float(out)
+
+
 def partner_potential_x(spec: PartnerSpec, ri: RayIdentifiers, tp: TangentPoly):
     """Vectorized x-gauge partner potential callable for a spec."""
-    if spec.steps == 1:
-        ff = spec.ff_kinds[0]
+    scale = (1.0 - tp.z_T) ** 2
 
-        def V(x):
-            return single_partner_eval_x(x, ff, ri, tp)
-    else:
-        t, t_prime = spec.ff_kinds
-
-        def V(x):
-            return double_partner_eval_x(x, t, t_prime, ri, tp)
+    def V(x):
+        z = map_x_to_z(x, tp)
+        return potential_x_of_z(z, ri, tp) + scale * partner_correction_z(z, spec, tp)
 
     return V
 
@@ -466,9 +412,7 @@ def lambe_ward_eval(z, t0: AehSolution, t_prime: AehSolution,
     alternate gauge: flipped exponent prefactors times the polynomial."""
     poly = heun_poly_construct(t0, t_prime, tp)
     z = np.asarray(z, dtype=float)
-    s0, s1, _ = sigma
-    e0 = 0.5 * (t_prime.lambda0 - s0 * abs(t_prime.lambda0))
-    e1 = 0.5 * (t_prime.lambda1 - s1 * abs(t_prime.lambda1))
+    e0, e1 = lambe_ward_exponents(t_prime, sigma)
     out = z**e0 * (1.0 - z) ** e1 * poly(z)
     return out if out.ndim else float(out)
 
@@ -538,17 +482,13 @@ def b2_factor_check(t_kind: Kind, tprime_kind: Kind, tdprime_kind: Kind,
 
 def _partner_ground_lambda1(kind: Kind, mu_o: float, tp: TangentPoly) -> float:
     """|lambda1| of the ground level of the kind-FF partner potential."""
-    s = tp.sqrt_c0
     if kind is Kind.C:
         # FF c0 removes the ground level; the partner ground is the n=1 level
-        rt = math.sqrt(wl_quadratic_discriminant(1, mu_o, tp))
-        return (-6.0 * (s + 1.0) + rt) / (8.0 * s)
-    rt = math.sqrt(wl_quadratic_discriminant(0, mu_o, tp))
-    if kind is Kind.D:
-        # FF d0 inserts its own energy below the base ground level
-        return (2.0 * (s + 1.0) + rt) / (8.0 * s)
-    # regular basic FF: isospectral, ground stays at the base ground level
-    return (-2.0 * (s + 1.0) + rt) / (8.0 * s)
+        return wl_quadratic_roots(1, mu_o, tp)[0]
+    up, dn = wl_quadratic_roots(0, mu_o, tp)
+    # FF d0 inserts its own energy below the base ground level; a regular
+    # basic FF is isospectral, so the ground stays at the base ground level
+    return -dn if kind is Kind.D else up
 
 
 def nodeless_predicate(kind: Kind, m: int, mu_o: float, tp: TangentPoly,

@@ -474,10 +474,11 @@ def check_darboux(h_fd: float = 4e-3) -> list[CheckResult]:
     xs = np.linspace(-2.0, 2.5, 9)
     single_worst = 0.0
     for ff in basics.values():
+        spec = susy.single_partner_spec(ff, tp)
         for x0 in xs:
             target = -2.0 * _fd_second(lambda x: _log_ff_x(x, ff, ri, tp), x0, h_fd)
             z0 = core.map_x_to_z(float(x0), tp)
-            corr = (1.0 - tp.z_T) ** 2 * susy.single_partner_correction_z(z0, ff, tp)
+            corr = (1.0 - tp.z_T) ** 2 * susy.partner_correction_z(z0, spec, tp)
             single_worst = max(single_worst, abs(corr - target))
     out = [_result("susy.darboux-identity", 1e-8, single_worst,
                    "single step, all three basic FFs")]
@@ -485,14 +486,13 @@ def check_darboux(h_fd: float = 4e-3) -> list[CheckResult]:
     double_worst = 0.0
     for pair in ((Kind.C, Kind.A), (Kind.D, Kind.A)):
         t, t_prime = basics[pair[0]], basics[pair[1]]
+        spec = susy.double_partner_spec(t, t_prime, tp)
         for x0 in xs:
             target = -2.0 * _fd_second(
                 lambda x: _log_wronskian_x(x, t, t_prime, tp), x0, h_fd
             )
             z0 = core.map_x_to_z(float(x0), tp)
-            corr = (1.0 - tp.z_T) ** 2 * susy.double_partner_correction_z(
-                z0, t, t_prime, tp
-            )
+            corr = (1.0 - tp.z_T) ** 2 * susy.partner_correction_z(z0, spec, tp)
             double_worst = max(double_worst, abs(corr - target))
     out.append(_result("susy.crum-identity", 1e-7, double_worst,
                        "double step, both admissible pairs"))
@@ -502,10 +502,11 @@ def check_darboux(h_fd: float = 4e-3) -> list[CheckResult]:
     tp2 = TangentPoly(-1.0)
     worst2 = 0.0
     for ff in spectral.basic_solutions(ri2, tp2).values():
+        spec = susy.single_partner_spec(ff, tp2)
         for x0 in (-0.8, 0.4, 1.6):
             target = -2.0 * _fd_second(lambda x: _log_ff_x(x, ff, ri2, tp2), x0, h_fd)
             z0 = core.map_x_to_z(float(x0), tp2)
-            corr = (1.0 - tp2.z_T) ** 2 * susy.single_partner_correction_z(z0, ff, tp2)
+            corr = (1.0 - tp2.z_T) ** 2 * susy.partner_correction_z(z0, spec, tp2)
             worst2 = max(worst2, abs(corr - target))
     out.append(_result("susy.darboux-identity-generic", 1e-8, worst2))
     return out
@@ -572,7 +573,10 @@ def check_susy_algebra() -> list[CheckResult]:
                 alt = 1.0 - (tq.lambda1 - t.lambda1) / (tq.mu - t.mu)
                 worst_pole = max(worst_pole, abs(ztt - alt))
                 zs = np.linspace(0.08, 0.92, 7)
-                f1 = susy._delta_o1_double(zs, t, tq, ztt)
+                # an algebraic identity, so the spec is built directly: the
+                # admissibility gate of double_partner_spec does not apply
+                spec = susy.PartnerSpec(2, (t, tq), ztt, frozenset())
+                f1 = 4.0 * (2.0 * zs + spec.delta0)
                 f2 = 4.0 * (2.0 * zs - (tq.mu - 1.0) * ztt + tq.lambda0 - 1.0)
                 f3 = 4.0 * (2.0 * zs - (t.mu - 1.0) * ztt + t.lambda0 - 1.0)
                 worst_forms = max(

@@ -179,15 +179,19 @@ def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     return float(out[0]) if scalar else out
 
 
+def _level(sols: list[AehSolution], n: int) -> AehSolution:
+    if not 0 <= n < len(sols):
+        raise IndexError(f"level n={n} out of range (found {len(sols)})")
+    return sols[n]
+
+
 def eigenfunction_eval_x(x, n: int, ri: RayIdentifiers, tp: TangentPoly,
                          normalize: bool = False,
                          _sols: list[AehSolution] | None = None):
     """n-th bound eigenfunction in the x gauge, (z')**(-1/2) times the
     z-gauge solution; unnormalized unless requested."""
     sols = spectrum(ri, tp) if _sols is None else _sols
-    if not 0 <= n < len(sols):
-        raise IndexError(f"level n={n} out of range (found {len(sols)})")
-    val = solution_eval_x(x, sols[n], ri, tp)
+    val = solution_eval_x(x, _level(sols, n), ri, tp)
     if normalize:
         val = val / math.sqrt(eigenfunction_norm_sq(n, ri, tp, _sols=sols))
     return val
@@ -204,8 +208,7 @@ def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
     t = 2z - 1 (Golub & Welsch 1969).  A norm that overflows, as when an
     exponent reaches the thousands, raises DomainError.
     """
-    sols = spectrum(ri, tp) if _sols is None else _sols
-    sol = sols[n]
+    sol = _level(spectrum(ri, tp) if _sols is None else _sols, n)
     # deferred import: keeps scipy.special out of the cold start of `import drttp`
     from scipy.special import roots_jacobi
 

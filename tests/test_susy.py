@@ -1,5 +1,6 @@
 """Darboux partners, Heun operators and polynomial solutions."""
 
+import itertools
 import math
 
 import mpmath
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from drttp import susy, verify
-from drttp.core import RayIdentifiers, TangentPoly
+from drttp.core import RayIdentifiers, TangentPoly, potential_eval_z
 from drttp.errors import (
     AvailabilityError,
     DomainError,
@@ -48,11 +49,31 @@ class TestBasicFf:
         with pytest.raises(DomainError):
             susy.basic_ff_eval(0.5, sol)
 
+    def test_log_space_against_mpmath(self):
+        # lambda0' = 1627 and lambda1' = -737: z**(l0'/2) underflows at
+        # z = 0.38188 and (1-z)**(l1'/2) overflows at z = 0.86, while both
+        # FFs are representable; a RuntimeWarning would fail the test
+        tp = TangentPoly(1.8276)
+        basics = basic_solutions(RayIdentifiers(12.906, 43.271), tp)
+        t, tq = basics[Kind.C], basics[Kind.A]
+        with mpmath.workdps(50):
+            zt, mu, mq, l0, lq, l1q = (mpmath.mpf(v) for v in (
+                tp.z_T, t.mu, tq.mu, t.lambda0, tq.lambda0, tq.lambda1))
+            ztt = (lq - l0) / (mq - mu)
+            for z in (0.38188, 0.86):
+                zm = mpmath.mpf(z)
+                ff = mpmath.sqrt(zm * (1 - zm)) * zm ** (lq / 2) * (1 - zm) ** (l1q / 2)
+                double = (mq - mu) * ff * (zm - ztt) / (zm - zt)
+                assert susy.basic_ff_eval(z, tq) == pytest.approx(float(ff), rel=1e-12)
+                assert susy.double_step_ff_eval(z, t, tq, tp) == pytest.approx(
+                    float(double), rel=1e-12)
+
 
 class TestSinglePartner:
     def test_correction_vanishes_at_one(self, basics):
         for ff in basics.values():
-            assert susy.single_partner_correction_z(1.0, ff, TP2) == 0.0
+            spec = susy.single_partner_spec(ff, TP2)
+            assert susy.partner_correction_z(1.0, spec, TP2) == 0.0
 
     def test_darboux_identity(self):
         for r in verify.check_darboux():
@@ -61,13 +82,76 @@ class TestSinglePartner:
     def test_x_gauge_matches_z_gauge_scaling(self, basics):
         from drttp.core import map_x_to_z, potential_eval_x
 
-        ff = basics[Kind.C]
+        spec = susy.single_partner_spec(basics[Kind.C], TP2)
         x0 = 0.7
         z0 = map_x_to_z(x0, TP2)
         want = potential_eval_x(x0, WL5, TP2) + (
-            (1 - TP2.z_T) ** 2 * susy.single_partner_correction_z(z0, ff, TP2)
+            (1 - TP2.z_T) ** 2 * susy.partner_correction_z(z0, spec, TP2)
         )
-        assert susy.single_partner_eval_x(x0, ff, WL5, TP2) == pytest.approx(want)
+        assert susy.partner_potential_x(spec, WL5, TP2)(x0) == pytest.approx(want)
+
+
+class TestPartnerCorrection:
+    @staticmethod
+    def _paper_forms(zs, spec, tp):
+        """The paper's separate one-step and two-step corrections at the
+        spec's double inputs, evaluated in the current mpmath precision."""
+        zt, zo = mpmath.mpf(tp.z_T), mpmath.mpf(spec.outer_pole)
+        if spec.steps == 1:
+            mu, l0 = (mpmath.mpf(v) for v in (spec.ff_kinds[0].mu,
+                                               spec.ff_kinds[0].lambda0))
+            c = 4 * (-(mu - 1) * zt + l0 - 1)          # Delta O1 = 8 z + c
+        else:
+            t, tq = spec.ff_kinds
+            mu, mq, l0, lq = (mpmath.mpf(v) for v in
+                              (t.mu, tq.mu, t.lambda0, tq.lambda0))
+            c = 2 * (-(mu + mq - 2) * zo + l0 + lq - 2)
+        out = []
+        for z in map(mpmath.mpf, zs):
+            zz, P, Q = z * (z - 1), z - zt, z - zo
+            if spec.steps == 1:
+                out.append(8 * zz**2 / P**4 - zz * (8 * z + c) / P**3)
+            else:
+                out.append(8 * zz**2 / (P**2 * Q**2) - zz * (8 * z + c) / (P**2 * Q))
+        return np.array([float(v) for v in out])
+
+    def test_against_mpmath_paper_forms(self):
+        # every basic FF and every admitted pair over the whole domain; the
+        # error is taken relative to the largest value on the z column.
+        # Gates: the worst errors of the separate one-step (1.9e-11) and
+        # two-step (8.5e-14) forms on these draws, rounded up to a power
+        # of ten; the one-step error is the rounding of delta0 at large mu
+        # and |z_T|, common to both forms
+        zs = np.concatenate([np.geomspace(1e-6, 0.5, 12),
+                             1.0 - np.geomspace(0.5, 1e-6, 12)[1:]])
+        rng = np.random.default_rng(2015)
+        worst = {1: 0.0, 2: 0.0}
+        counts = {1: 0, 2: 0}
+        with mpmath.workdps(60):
+            for _ in range(400):
+                lo, mo = rng.uniform(0.0, 30.0), rng.uniform(1e-3, 80.0)
+                side = rng.integers(3)
+                dist = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+                zt = (2.0, -dist, 1.0 + dist)[side]
+                if mo <= lo + 1.0:
+                    continue
+                tp = TangentPoly(zt)
+                basics = basic_solutions(RayIdentifiers(lo, mo), tp)
+                specs = [susy.single_partner_spec(ff, tp) for ff in basics.values()]
+                for t, tq in itertools.combinations(basics.values(), 2):
+                    try:
+                        specs.append(susy.double_partner_spec(t, tq, tp))
+                    except PairRejectedError:
+                        pass
+                for spec in specs:
+                    exact = self._paper_forms(zs, spec, tp)
+                    got = susy.partner_correction_z(zs, spec, tp)
+                    err = np.max(np.abs(got - exact)) / np.max(np.abs(exact))
+                    worst[spec.steps] = max(worst[spec.steps], float(err))
+                    counts[spec.steps] += 1
+        assert counts[1] > 900 and counts[2] > 600
+        assert worst[1] <= 1e-10, worst
+        assert worst[2] <= 1e-13, worst
 
 
 class TestPairs:
@@ -150,16 +234,17 @@ class TestPairs:
         assert admitted >= 100
 
     def test_double_partner_finite_on_interval(self, basics):
-        t, tq = basics[Kind.C], basics[Kind.A]
+        spec = susy.double_partner_spec(basics[Kind.C], basics[Kind.A], TP2)
         zs = np.linspace(1e-3, 1 - 1e-3, 2001)
-        vals = susy.double_partner_eval(zs, t, tq, WL5, TP2)
+        vals = potential_eval_z(zs, WL5, TP2) + susy.partner_correction_z(zs, spec, TP2)
         assert np.all(np.isfinite(vals))
 
     def test_delta_o1_forms_agree(self, basics):
         t, tq = basics[Kind.D], basics[Kind.A]
-        ztt = susy.outer_root_ztt(t, tq)
+        spec = susy.double_partner_spec(t, tq, TP2)
+        ztt = spec.outer_pole
         zs = np.linspace(0.1, 0.9, 100)
-        sym = susy._delta_o1_double(zs, t, tq, ztt)
+        sym = 4.0 * (2 * zs + spec.delta0)
         one = 4.0 * (2 * zs - (tq.mu - 1) * ztt + tq.lambda0 - 1)
         other = 4.0 * (2 * zs - (t.mu - 1) * ztt + t.lambda0 - 1)
         assert np.max(np.abs(sym - one)) < 1e-12

@@ -215,6 +215,13 @@ class TestEigenfunctions:
     def test_index_error(self):
         with pytest.raises(IndexError):
             eigenfunction_eval_x(0.0, 5, WL5, TP2)
+        # a negative n must not wrap around to the top level
+        ri, tp = RayIdentifiers(0.5, 12.0), TangentPoly(-1.0)
+        for n in (-1, len(spectrum(ri, tp))):
+            with pytest.raises(IndexError):
+                eigenfunction_eval_x(0.0, n, ri, tp)
+            with pytest.raises(IndexError):
+                wavefunction.eigenfunction_norm_sq(n, ri, tp)
 
     def test_schrodinger_residual(self):
         from drttp.oracle import residual_check
