@@ -179,13 +179,19 @@ def _newton_log(xs, alpha, beta):
 
     With a = -z_T / (2 (1 - z_T)) > 0 the left side is (alpha, beta) =
     (a, -1/2) and the right side (-1/2, a).  f is monotone with one-signed
-    curvature and the asymptotic tail t = xs / alpha lies on the side of the
-    root from which Newton approaches it monotonically, so no bracket is
-    needed; the clamp at log(1/2) keeps an iterate on that side.  ``xs`` is
-    a 1-d array; only its points not yet converged are iterated.  Returns
-    (t, iterations).
+    curvature, so Newton approaches the root monotonically from above and
+    needs no bracket; the clamp at log(1/2) keeps an iterate there.  Two
+    asymptotes give starts above the root, and the lower one is taken:
+    the tail t = xs / alpha (the log1p term dropped), and the root of the
+    log1p term alone with alpha t held at its value at _T_MIN.  The second
+    bounds the iterations where exp(t) dominates the slope, as when
+    z_T -> 0-, since from the tail each step there gains only about one
+    unit of t.  ``xs`` is a 1-d array; only its points not yet converged
+    are iterated.  Returns (t, iterations).
     """
-    t = np.clip(xs / alpha, _T_MIN, _LOG_HALF)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.fmin(xs / alpha, np.log(-np.expm1((xs - alpha * _T_MIN) / beta)))
+    t = np.clip(t, _T_MIN, _LOG_HALF)
     if not t.size:
         return t, 0
     todo = np.arange(t.size)

@@ -426,7 +426,7 @@ def check_eigenfunctions(full_grid: bool = True) -> list[CheckResult]:
         if sol.m == 0:
             continue
         for z in (0.15, 0.3, 0.62, 0.9):
-            a = wavefunction._poly_eval(z, sol)
+            a = wavefunction.hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z)
             b = wavefunction.hypergeom_flip_eval(z, sol)
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     out.append(_result("eigenfunction.flip-identity", 1e-10, worst))

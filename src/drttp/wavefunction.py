@@ -49,20 +49,65 @@ def hypergeom_poly_jacobi(n: int, a: float, c: float, z) -> float:
     """F(-n, a; c; z) = n!/(c)_n P_n^(alpha, beta)(1 - 2z) with alpha = c - 1
     and beta = a - n - c, by the Jacobi three-term recurrence (DLMF 18.9.1).
 
+    The recurrence runs on p_k = F(-k, k + alpha + beta + 1; c; z), from
+    p_0 = 1 to p_n = F(-n, a; c; z), in the difference form of scipy's
+    ``eval_jacobi_l`` written in z (x - 1 = -2z): with d_k = p_k - p_(k-1),
+    t = 2k + alpha + beta and D = (k + alpha + 1)(k + alpha + beta + 1),
+
+        d_(k+1) = -(t+1)(t+2)/D z p_k + k(k+beta)(t+2)/(D t) d_k.
+
+    Each degree's coefficients are formed once for all points.  The form is
+    accurate near its origin, so beyond z = 1/2 the same recurrence runs in
+    1 - z with alpha and beta swapped (P_n^(alpha,beta)(-x) =
+    (-1)^n P_n^(beta,alpha)(x)), its p_k and d_k carried in the z
+    normalization: each degree multiplies them by
+    -(k + beta + 1)/(k + alpha + 1), so no separate constant can overflow.
+
     Requires alpha > -1 and beta > -1 for n >= 1, which every bound state
     meets (alpha = lambda0, beta = lambda1); outside that range the
     recurrence can return NaN, so DomainError is raised instead.
     """
+    z = np.asarray(z, dtype=float)
+    out = _hypergeom_poly(n, a, c, z, 1.0 - z)
+    return out if out.ndim else float(out)
+
+
+def _hypergeom_poly(n: int, a: float, c: float, z, omz) -> np.ndarray:
+    """``hypergeom_poly_jacobi`` from arrays z and 1 - z, each at its own
+    relative precision."""
     alpha = c - 1.0
     beta = a - n - c
     if n < 0 or (n > 0 and not (alpha > -1.0 and beta > -1.0)):
         raise DomainError(f"need n >= 0 and alpha, beta > -1: n={n}, ({alpha}, {beta})")
-    # deferred import: keeps scipy.special out of the cold start of `import drttp`
-    from scipy.special import eval_jacobi
+    out = np.ones(z.shape)
+    if n:
+        left = z <= 0.5
+        for mask, s, reflected in ((left, z, False), (~left, omz, True)):
+            if mask.any():
+                out[mask] = _jacobi_difference(n, alpha, beta, s[mask], reflected)
+    return out
 
-    z = np.asarray(z, dtype=float)
-    out = eval_jacobi(n, alpha, beta, 1.0 - 2.0 * z) * math.factorial(n) / pochhammer(c, n)
-    return out if out.ndim else float(out)
+
+def _jacobi_difference(n: int, alpha: float, beta: float, s, reflected: bool):
+    """The recurrence of ``hypergeom_poly_jacobi`` for n >= 1, in s = z or,
+    reflected, in s = 1 - z."""
+    ab = alpha + beta
+    sign, gamma = (1.0, alpha) if reflected else (-1.0, beta)
+    p = np.full(s.shape, -(beta + 1.0) / (alpha + 1.0) if reflected else 1.0)
+    d = sign * (ab + 2.0) / (alpha + 1.0) * s
+    p += d
+    sp = np.empty(s.shape)
+    for k in range(1, n):
+        t = 2.0 * k + ab
+        den = (k + alpha + 1.0) * (k + ab + 1.0)
+        np.multiply(s, p, out=sp)
+        sp *= sign * (t + 1.0) * (t + 2.0) / den
+        d *= -sign * k * (k + gamma) * (t + 2.0) / (den * t)
+        d += sp
+        if reflected:
+            p *= -(k + beta + 1.0) / (k + alpha + 1.0)
+        p += d
+    return p
 
 
 def hypergeom_poly_coeffs(n: int, a: float, c: float) -> np.ndarray:
@@ -108,9 +153,10 @@ def poly_factor(sol: AehSolution) -> PolyFactor:
     return PolyFactor(sol.m, tuple(coeffs), count_roots_in_01(coeffs))
 
 
-def _poly_eval(z, sol: AehSolution):
-    """Polynomial factor F(-m, mu - m; lambda0 + 1; z) of a solution."""
-    return hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z)
+def _poly_eval(z, omz, sol: AehSolution) -> np.ndarray:
+    """Polynomial factor F(-m, mu - m; lambda0 + 1; z) of a solution from
+    arrays z and 1 - z."""
+    return _hypergeom_poly(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz)
 
 
 def _endpoint_limit(exponent: float) -> float:
@@ -138,10 +184,11 @@ def aeh_eval(z, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     out = np.empty_like(z_arr)
     interior = (z_arr > 0.0) & (z_arr < 1.0)
     zi = z_arr[interior]
-    out[interior] = zi**e0 * (1.0 - zi) ** e1 * _poly_eval(zi, sol)
+    omz = 1.0 - zi
+    out[interior] = zi**e0 * omz**e1 * _poly_eval(zi, omz, sol)
     out[z_arr == 0.0] = _endpoint_limit(e0)
     lim = _endpoint_limit(e1)
-    out[z_arr == 1.0] = _poly_eval(1.0, sol) if lim == 1.0 else lim
+    out[z_arr == 1.0] = _poly_eval(np.ones(1), np.zeros(1), sol)[0] if lim == 1.0 else lim
     return float(out[0]) if scalar else out
 
 
@@ -175,7 +222,7 @@ def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     scalar = np.ndim(x) == 0
     z, omz = np.atleast_1d(*map_x_to_z_pair(x, tp))
     w = np.sqrt((z - tp.z_T) / (2.0 * (1.0 - tp.z_T)))
-    out = w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1) * _poly_eval(z, sol)
+    out = w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1) * _poly_eval(z, omz, sol)
     return float(out[0]) if scalar else out
 
 
@@ -216,7 +263,7 @@ def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
     with np.errstate(over="ignore", invalid="ignore"):
         t, w = roots_jacobi(sol.m + 2, sol.lambda1 - 1.0, sol.lambda0 - 1.0)
         z = 0.5 * (1.0 + t)
-        f = (z - tp.z_T) / (2.0 * (1.0 - tp.z_T)) * _poly_eval(z, sol)
+        f = (z - tp.z_T) / (2.0 * (1.0 - tp.z_T)) * _poly_eval(z, 0.5 * (1.0 - t), sol)
         total = float(w @ f**2)
     try:
         out = total / 2.0 ** (sol.lambda0 + sol.lambda1 - 1.0)
@@ -235,23 +282,38 @@ def count_nodes(f, interval: tuple[float, float], initial: int = 4096,
     """Strict sign changes of f on the open interval.
 
     ``f`` must map an array of points to an array of the same shape; any
-    other result raises DomainError.  The sampling grid is doubled until
-    two consecutive counts agree; exceeding the cap raises
-    ConvergenceError.
+    other result raises DomainError.  Zeros and NaN values of f are
+    skipped.  The first grid splits the interval into ``initial`` equal
+    cells and holds their ``initial - 1`` interior points.  Each refinement
+    halves every cell, evaluates f only at the new midpoints and merges
+    them in, so the points evaluated so far are exactly the current grid.
+    Inserting points never removes a sign change, so the count cannot fall
+    as the grid refines.  Grids are refined until two consecutive counts
+    agree; a grid of more than ``cap`` points raises ConvergenceError.
     """
+    if initial < 1:
+        raise DomainError(f"initial must be at least 1 cell, got {initial}")
     a, b = interval
-    prev = None
-    n = initial
-    while n <= cap:
-        xs = np.linspace(a, b, n + 2)[1:-1]
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
+    prev = vals = None
+    cells = initial
+    while cells - 1 <= cap:
+        xs = np.linspace(a, b, cells + 1)[1:-1]
+        if vals is not None:
+            xs = xs[::2]  # the midpoints; the previous grid is xs[1::2]
+        fx = np.asarray(f(xs), dtype=float)
+        if fx.shape != xs.shape:
             raise DomainError("f must map an array of points to one of the same shape")
+        if vals is not None:
+            merged = np.empty(cells - 1)
+            merged[::2] = fx
+            merged[1::2] = vals
+            fx = merged
+        vals = fx
         sgn = np.sign(vals)
-        sgn = sgn[sgn != 0]
+        sgn = sgn[np.abs(sgn) == 1.0]
         count = int(np.sum(sgn[:-1] * sgn[1:] < 0))
         if prev == count:
             return count
         prev = count
-        n *= 2
+        cells *= 2
     raise ConvergenceError("node count did not stabilize before the grid cap")

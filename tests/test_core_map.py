@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ class TestMap:
         core.map_x_to_z(np.linspace(-3.0, 3.0, 7), tp)
         assert [r.name for r in caplog.records] == ["drttp.core"]
         assert "7 point(s)" in caplog.text and "Newton iterations" in caplog.text
+
+    @pytest.mark.parametrize("zt", [-1e-300, -1e-100, -1e-12])
+    def test_iterations_bounded_as_zt_tends_to_zero(self, caplog, zt):
+        # started from the tail alone, X_ORIGIN took 690, 231 and 30 steps
+        # here: exp(t) dominates the slope and each step gained one unit of t
+        caplog.set_level(logging.DEBUG, logger="drttp.core")
+        tp = TangentPoly(zt)
+        z, _ = core.map_x_to_z_pair(np.array([core.X_ORIGIN]), tp)
+        (msg,) = [r.getMessage() for r in caplog.records]
+        assert int(re.search(r"(\d+) Newton iterations", msg).group(1)) <= 40
+        # the root of a log z = log(1 - z) / 2, a = -z_T / (2 (1 - z_T))
+        a = -zt / (2.0 * (1.0 - zt))
+        assert a * math.log(z[0]) == pytest.approx(0.5 * math.log1p(-z[0]), rel=1e-13)
 
 
 class TestSchwarzian:

@@ -160,8 +160,9 @@ class TestInputs:
 
     def test_cold_start_leaves_scipy_out(self):
         # the closed-form paths need only numpy: a fresh process that imports
-        # drttp and runs spectrum() and the spectrum and partner commands
-        # loads no scipy module; the deferred imports then still work
+        # drttp, runs spectrum(), solution_eval_x and the spectrum, partner
+        # and tabulate --psi commands loads no scipy module; the deferred
+        # imports of the oracle then still work
         src = os.path.dirname(os.path.dirname(drttp.__file__))
         code = """
 import contextlib, io, json, sys
@@ -171,20 +172,21 @@ from drttp import cli, oracle, wavefunction
 ri, tp = drttp.RayIdentifiers(0.5, 7.0), drttp.TangentPoly(2.0)
 sols = drttp.spectrum(ri, tp)
 params = ["--lambda-o", "0.5", "--mu-o", "7", "--zt", "2"]
+psi = wavefunction.solution_eval_x(np.array([-3.0, 0.0, 2.5]), sols[2], ri, tp)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["spectrum", *params]),
-             cli.main(["partner", *params, "--ff", "c0"])]
+             cli.main(["partner", *params, "--ff", "c0"]),
+             cli.main(["tabulate", *params, "--points", "101", "--psi", "0,1"])]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 ns = oracle.solve_schrodinger(lambda x: -6.0 / np.cosh(x) ** 2,
                               domain=(-20.0, 20.0), h=2e-2)
-psi = wavefunction.solution_eval_x(np.array([-3.0, 0.0, 2.5]), sols[2], ri, tp)
 print(json.dumps({"codes": codes, "loaded": loaded,
                   "oracle": ns.eigenvalues.tolist(), "psi": psi.tolist()}))
 """
         out = json.loads(subprocess.run(
             [sys.executable, "-c", code], check=True, capture_output=True,
             text=True, env=dict(os.environ, PYTHONPATH=src)).stdout)
-        assert out["codes"] == [0, 0]
+        assert out["codes"] == [0, 0, 0]
         assert out["loaded"] == []
         assert out["oracle"] == pytest.approx(
             [-3.9999999982808343, -0.9999999933120836], rel=1e-12)

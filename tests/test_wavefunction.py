@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from drttp import core, wavefunction
 from drttp.core import RayIdentifiers, TangentPoly
-from drttp.errors import DomainError
+from drttp.errors import ConvergenceError, DomainError
 from drttp.spectral import Kind, spectrum, wl_solve
 from drttp.wavefunction import (
     aeh_eval,
@@ -75,6 +75,14 @@ class TestHypergeom:
             want = _mp_hypergeom(n, a, c, [z])[0]
             assert hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
             assert hypergeom_poly_jacobi(n, a, c, z) == pytest.approx(want, rel=1e-12)
+        # large exponents (alpha = 1745, beta = 25) near both ends of [0, 1],
+        # the recurrence only, relative to the column maximum
+        n, a, c = 29, 1800.0, 1746.0
+        zs = np.logspace(-12.0, -1.0, 23)
+        zs = np.concatenate([zs, 1.0 - zs])
+        want = _mp_hypergeom(n, a, c, zs)
+        got = hypergeom_poly_jacobi(n, a, c, zs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # general parameters: the power sum only
         for n, a, c, z in ((3, 2.5, 1.2, 0.4), (7, -1.7, 0.8, 0.63)):
             want = _mp_hypergeom(n, a, c, [z])[0]
@@ -183,6 +191,33 @@ class TestEigenfunctions:
         n1 = math.sqrt(wavefunction.eigenfunction_norm_sq(1, ri, TP2, _sols=sols))
         assert abs(val / (n0 * n1)) < 1e-8
 
+    def test_values_near_both_ends_against_mpmath(self):
+        # the top levels of (0, 60, -1) peak near z = 1 (lambda1 < 2); each
+        # side of z = 1/2 runs the recurrence in its own small coordinate
+        ri, tp = RayIdentifiers(0.0, 60.0), TangentPoly(-1.0)
+        sols = spectrum(ri, tp)
+        xs = np.linspace(-15.0, 15.0, 61)
+        with mpmath.workdps(40):
+            zt, x0 = mpmath.mpf(tp.z_T), -mpmath.log(2)
+            pairs = []
+            # x(z) solved in t = log of the smaller of z and 1 - z
+            for x, z0, w0 in zip(xs, *core.map_x_to_z_pair(xs, tp)):
+                right = w0 < z0
+                t = mpmath.findroot(lambda t: (
+                    -zt * (mpmath.log1p(-mpmath.exp(t)) if right else t)
+                    - (1 - zt) * (t if right else mpmath.log1p(-mpmath.exp(t)))
+                ) / (2 * (1 - zt)) + x0 - x, mpmath.log(min(z0, w0)))
+                u = mpmath.exp(t)
+                pairs.append((1 - u, u) if right else (u, 1 - u))
+            for s in sols[-4:]:
+                coef = _mp_coeffs(s.m, s.mu - s.m, s.lambda0 + 1.0)[::-1]
+                l0, l1 = mpmath.mpf(s.lambda0), mpmath.mpf(s.lambda1)
+                want = np.array([float(
+                    mpmath.sqrt((z - zt) / (2 * (1 - zt))) * z ** (l0 / 2)
+                    * w ** (l1 / 2) * mpmath.polyval(coef, z)) for z, w in pairs])
+                got = solution_eval_x(xs, s, ri, tp)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_normalized_unit_norm(self):
         xs = np.linspace(-30, 30, 120_001)
         psi = eigenfunction_eval_x(xs, 0, WL5, TP2, normalize=True)
@@ -247,6 +282,49 @@ class TestCountNodes:
     def test_constant(self):
         assert count_nodes(lambda z: np.ones_like(np.asarray(z, dtype=float)),
                            (0.0, 1.0)) == 0
+
+    def test_refinement_evaluates_only_midpoints(self):
+        # converging on the second grid costs 4095 + 4096 points, and the
+        # points passed to f are exactly that grid
+        seen = []
+
+        def f(z):
+            seen.append(z.copy())
+            return (z - 0.3) * (z - 0.7)
+
+        assert count_nodes(f, (0.0, 1.0)) == 2
+        assert [s.size for s in seen] == [4095, 4096]
+        np.testing.assert_allclose(np.sort(np.concatenate(seen)),
+                                   np.linspace(0.0, 1.0, 8193)[1:-1], rtol=0.0, atol=1e-15)
+
+    def test_cap_bounds_the_points_evaluated(self):
+        # sin(1/z) shows more nodes on every finer grid: grids of 15, 31 and
+        # 63 points, and the next, 127, is over the cap
+        seen = []
+
+        def f(z):
+            seen.append(z.size)
+            return np.sin(1.0 / z)
+
+        with pytest.raises(ConvergenceError):
+            count_nodes(f, (0.0, 1.0), initial=16, cap=100)
+        assert seen == [15, 16, 32]
+        # the default cap admits the grid of 2**20 cells
+        seen.clear()
+        with pytest.raises(ConvergenceError):
+            count_nodes(f, (0.0, 1.0))
+        assert sum(seen) == 2**20 - 1
+
+    def test_nan_values_skipped(self):
+        # a band of NaN around the node at 0.3 must not hide its sign change
+        def f(z):
+            return np.where(np.abs(z - 0.3) < 1e-3, np.nan, (z - 0.3) * (z - 0.7))
+
+        assert count_nodes(f, (0.0, 1.0)) == 2
+
+    def test_initial_below_one_cell_rejected(self):
+        with pytest.raises(DomainError):
+            count_nodes(lambda x: x, (0.0, 1.0), initial=0)
 
     def test_scalar_result_rejected(self):
         with pytest.raises(DomainError):
