@@ -7,6 +7,8 @@ x -> V(x); it never touches the closed-form level formulas.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,20 +17,31 @@ from .errors import ConvergenceError, DomainError
 
 _FLATNESS_TOL = 1e-10
 _BOUND_MARGIN = 1e-8
-_DECAY_TOL = 1e-8
-_WIDEN_CAP = 400.0
+# x = _MAP_SCALE sinh(s), s uniform, |x| <= _BOX; each solve is repeated on
+# 2 _N_NODES nodes and a level is kept only where both agree to _AGREE_TOL.
+# A +-500 box shifts the weakly bound top level of (0, 3.04, 2) by 5e-6
+# relative, a map scale of 4 under-resolves the narrow wells of z_T in
+# -0.3..-10 such as (0, 10.44, -0.775), and 200 nodes lose a level of
+# (0, 10.3, -0.5); tests/test_oracle.py holds these values.
+_MAP_SCALE = 1.0
+_BOX = 5000.0
+_N_NODES = 400
+_AGREE_TOL = 1e-6
+
+_log = logging.getLogger("drttp.oracle")
 
 
 @dataclass
 class NumericSpectrum:
     """Oracle output: levels below the continuum threshold."""
 
-    eigenvalues: np.ndarray        # Richardson-extrapolated, ascending
-    eigenvectors: np.ndarray       # columns, on the fine grid, unit L2
-    grid: dict                     # x_min, x_max, n_points, h (fine grid)
+    eigenvalues: np.ndarray        # ascending, from the 2n-node solve
+    eigenvectors: np.ndarray       # columns, psi at grid["x"], unit L2
+    grid: dict                     # x: the collocation nodes of the 2n solve
     node_counts: list[int]
-    convergence: np.ndarray        # per-level error estimate
+    convergence: np.ndarray        # per level |E(2n) - E(n)|
     threshold: float
+    diagnostics: dict              # map scale, nodes, seconds per solve, rejected
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -43,120 +56,95 @@ def _eval_potential(V, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _threshold(vals: np.ndarray) -> float:
-    return float(min(vals[0], vals[-1])) - _BOUND_MARGIN
-
-
-def _solve_fd2(vals: np.ndarray, h: float, threshold: float):
-    # deferred import: keeps scipy.linalg out of the cold start of `import drttp`
-    from scipy.linalg import eigh_tridiagonal
-
-    d = 2.0 / h**2 + vals[1:-1]
-    e = -np.ones(len(d) - 1) / h**2
-    lo = float(vals.min()) - 1.0
-    # explicit absolute tolerance: the default eps*||T|| would dominate the
-    # Richardson-extrapolated error for weakly bound levels
-    w, v = eigh_tridiagonal(
-        d, e, select="v", select_range=(lo, threshold), tol=1e-13
-    )
-    return w, v
-
-
 def _count_sign_changes(psi: np.ndarray) -> int:
     mask = np.abs(psi) > 1e-8 * np.max(np.abs(psi))
     sgn = np.sign(psi[mask])
     return int(np.sum(sgn[:-1] * sgn[1:] < 0))
 
 
-def solve_schrodinger(V, domain: tuple[float, float] = (-40.0, 40.0),
-                      max_levels: int = 64, h: float = 5e-4,
-                      method: str = "fd2") -> NumericSpectrum:
-    """Bound states of -psi'' + V psi = E psi with Dirichlet ends.
+def _solve_sinc(V, n: int, threshold: float):
+    """Sinc collocation on n nodes of s, x = L sinh(s): the weak form
+    (D1^T G^-1 D1 + diag(V g)) c = E G c, G = diag(g), g = dx/ds, in the
+    symmetric variable u = G^1/2 c.  Returns the nodes, the eigenvalues
+    below threshold and the collocation vectors c = psi(x_j), unit L2."""
+    # deferred import: keeps scipy.linalg out of the cold start of `import drttp`
+    from scipy.linalg import eigh, toeplitz
 
-    Second-order central differences on uniform grids of spacing h and
-    h/2, Richardson extrapolated; the per-level convergence estimate is
-    the extrapolation increment.  ``method`` names that discretization
-    and accepts only "fd2".  ``V`` must map an array of x to an array of
-    the same shape.
+    s_max = np.arcsinh(_BOX / _MAP_SCALE)
+    s, ds = np.linspace(-s_max, s_max, n, retstep=True)
+    xs = _MAP_SCALE * np.sinh(s)
+    vals = _eval_potential(V, xs)
+    g = _MAP_SCALE * np.cosh(s)
+    # sinc derivative at the nodes: D1[i, j] = (-1)**(i-j) / ((i-j) ds)
+    m = np.arange(1, n)
+    col = np.concatenate(([0.0], np.where(m % 2, -1.0, 1.0) / (m * ds)))
+    a = toeplitz(col, -col) / np.sqrt(g)[None, :]
+    h = a.T @ (a / g[:, None])
+    h[np.diag_indices(n)] += vals
+    lo = float(vals.min()) - 1.0
+    w, u = eigh(h, subset_by_value=(lo, threshold), driver="evr")
+    c = u / np.sqrt(g * ds)[:, None]
+    return xs, w, c
 
-    ``domain`` must contain 0.  An edge of the box moves out by half
-    while V still falls outward over its last unit of x, or while a
-    bound eigenvector has not decayed there, up to |x| = 400; an edge
-    that still falls there raises ConvergenceError.  Bound means below
-    min(V(x_min), V(x_max)) minus a small safety margin.
+
+def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
+                      method=None) -> NumericSpectrum:
+    """Bound states of -psi'' + V psi = E psi on the whole line.
+
+    Sinc collocation (sinc-DVR, Colbert & Miller 1992) in s, where
+    x = _MAP_SCALE sinh(s) with s uniform, so that |x| <= _BOX is covered
+    by _N_NODES nodes that crowd near the origin (Boyd 2001, ch. 17).
+    The symmetric weak form is solved densely for the eigenvalues below
+    the threshold min(V(-_BOX), V(_BOX)) minus a small safety margin,
+    once on _N_NODES and once on 2 _N_NODES nodes.  Levels are kept from
+    the bottom up to the first that the two solves do not agree on to
+    _AGREE_TOL relative; the difference is each kept level's convergence
+    estimate, and the levels not kept are reported as rejected in
+    ``diagnostics``.  Node counts are the sign changes of the collocation
+    vector.  ``V`` must map an array of x to a finite array of the same
+    shape; an edge where V still falls outward over its last unit of x
+    raises ConvergenceError.  The solve is logged at DEBUG under
+    ``drttp.oracle``.
+
+    ``domain``, ``h`` and ``method`` are accepted and ignored: they
+    configured the finite-difference solver this one replaced.
     """
-    if method != "fd2":
-        raise DomainError(f"unknown method {method!r}")
-    x_min, x_max = domain
-    if not (x_min < 0.0 < x_max and h > 0.0):
-        raise DomainError("domain must contain 0 and h must be positive")
+    edges = np.array([-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX])
+    v_edge = _eval_potential(V, edges)
+    if (v_edge[1] - v_edge[0] > _FLATNESS_TOL
+            or v_edge[2] - v_edge[3] > _FLATNESS_TOL):
+        raise ConvergenceError("potential not confining at requested tolerance")
+    threshold = float(min(v_edge[0], v_edge[3])) - _BOUND_MARGIN
 
-    def grid(hh):
-        xs = np.linspace(x_min, x_max, int(round((x_max - x_min) / hh)) + 1)
-        if len(xs) < 3:
-            raise DomainError("h must leave at least 3 grid points in the domain")
-        return xs, _eval_potential(V, xs)
-
-    def solve_once(xs, vals):
-        w, v = _solve_fd2(vals, xs[1] - xs[0], _threshold(vals))
-        return w[:max_levels], v[:, :max_levels]
-
-    # widen until each edge is flat or confining and every bound
-    # eigenvector has decayed at the walls, so weakly bound levels are
-    # not shifted by the Dirichlet box
-    while True:
-        xs, vals = grid(h)
-        # an edge that falls outward over its last unit of x is neither
-        # flat (asymptote reached) nor confining
-        k = min(len(xs) - 1, max(1, int(round(1.0 / (xs[1] - xs[0])))))
-        grow_l = bool(vals[k] - vals[0] > _FLATNESS_TOL)
-        grow_r = bool(vals[-1 - k] - vals[-1] > _FLATNESS_TOL)
-        if grow_l or grow_r:
-            if ((grow_l and -x_min >= _WIDEN_CAP)
-                    or (grow_r and x_max >= _WIDEN_CAP)):
-                raise ConvergenceError(
-                    "potential not confining at requested tolerance"
-                )
-        else:
-            w_c, v_c = solve_once(xs, vals)
-            if v_c.shape[1] == 0:
-                break
-            amp = np.max(np.abs(v_c), axis=0)
-            left = np.max(np.abs(v_c[1, :]) / amp)
-            right = np.max(np.abs(v_c[-2, :]) / amp)
-            grow_l = left > _DECAY_TOL and -x_min < _WIDEN_CAP
-            grow_r = right > _DECAY_TOL and x_max < _WIDEN_CAP
-            if not (grow_l or grow_r):
-                break
-        if grow_l:
-            x_min *= 1.5
-        if grow_r:
-            x_max *= 1.5
-
-    xs_f, vals_f = grid(0.5 * h)
-    w_f, v_f = solve_once(xs_f, vals_f)
-    n_lev = min(len(w_c), len(w_f))
-    extrap = (4.0 * w_f[:n_lev] - w_c[:n_lev]) / 3.0
-    conv = np.abs(w_f[:n_lev] - w_c[:n_lev]) / 3.0
-    if len(w_f) > n_lev:
-        # level resolved only on the fine grid: keep it, flag coarse error
-        extrap = np.concatenate([extrap, w_f[n_lev:]])
-        conv = np.concatenate([conv, np.full(len(w_f) - n_lev, np.inf)])
-    hfine = xs_f[1] - xs_f[0]
-    vecs = v_f / np.sqrt(hfine * np.sum(v_f**2, axis=0, keepdims=True))
+    solves, seconds = [], []
+    for n in (_N_NODES, 2 * _N_NODES):
+        t0 = time.perf_counter()
+        solves.append(_solve_sinc(V, n, threshold))
+        seconds.append(time.perf_counter() - t0)
+    (_, w_c, _), (xs, w_f, vecs) = solves
+    conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
+    # resolution only degrades upward: a level above one the grids disagree
+    # on is not trusted even if they happen to agree on it
+    keep = np.cumprod(conv <= _AGREE_TOL * np.abs(w_f)).astype(bool)
+    rejected = w_f[~keep].tolist()
+    w, conv = w_f[keep][:max_levels], conv[keep][:max_levels]
+    vecs = vecs[:, keep][:, :max_levels]
     # sign convention: first significant excursion positive
     for j in range(vecs.shape[1]):
         nz = np.nonzero(np.abs(vecs[:, j]) > 1e-6 * np.max(np.abs(vecs[:, j])))[0]
         if len(nz) and vecs[nz[0], j] < 0:
             vecs[:, j] = -vecs[:, j]
-    nodes = [_count_sign_changes(vecs[:, j]) for j in range(vecs.shape[1])]
+    diagnostics = {"map_scale": _MAP_SCALE, "n_points": (_N_NODES, 2 * _N_NODES),
+                   "seconds": tuple(seconds), "rejected": rejected}
+    _log.debug("sinc solve: %d levels kept, %s", len(w), diagnostics)
     return NumericSpectrum(
-        eigenvalues=extrap,
+        eigenvalues=w,
         eigenvectors=vecs,
-        grid={"x_min": x_min, "x_max": x_max, "n_points": len(xs_f), "h": hfine},
-        node_counts=nodes,
+        grid={"x": xs},
+        node_counts=[_count_sign_changes(vecs[:, j]) for j in range(vecs.shape[1])],
         convergence=conv,
-        threshold=_threshold(vals_f),
+        threshold=threshold,
+        diagnostics=diagnostics,
     )
 
 

@@ -1,7 +1,7 @@
 """Numerical eigensolver sanity and convergence checks."""
 
 import json
-import math
+import logging
 import os
 import subprocess
 import sys
@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 import drttp
-from drttp import core
+from drttp import core, oracle
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError
 from drttp.oracle import (
     compare_spectra,
-    residual_check,
     solve_schrodinger,
     spectral_symmetric_difference,
 )
@@ -26,54 +25,75 @@ def harmonic(x):
     return np.asarray(x, dtype=float) ** 2
 
 
+def sech2(x):
+    # -6 sech(x)^2 (levels -4, -1), written so that it cannot overflow at
+    # the box edge
+    e = np.exp(-2.0 * np.abs(np.asarray(x, dtype=float)))
+    return -24.0 * e / (1.0 + e) ** 2
+
+
+def collocation_residual(ns, j, E, V):
+    """max |-psi'' + (V - E) psi| / max |psi| at the oracle's nodes, with
+    psi'' from the exact second derivative of the sinc interpolant in
+    s = asinh(x / L) rather than the D1 weak form the oracle solves."""
+    x = ns.grid["x"]
+    s = np.arcsinh(x / oracle._MAP_SCALE)
+    ds = s[1] - s[0]
+    k = np.subtract.outer(np.arange(len(x)), np.arange(len(x)))
+    sgn = np.where(k % 2, -1.0, 1.0)
+    kk = np.where(k == 0, 1, k)
+    d1 = np.where(k == 0, 0.0, sgn / (kk * ds))
+    d2 = np.where(k == 0, -np.pi**2 / 3.0, -2.0 * sgn / kk**2) / ds**2
+    psi = ns.eigenvectors[:, j]
+    psi_xx = (d2 @ psi - np.tanh(s) * (d1 @ psi)) / (oracle._MAP_SCALE * np.cosh(s)) ** 2
+    res = -psi_xx + (V(x) - E) * psi
+    return float(np.max(np.abs(res)) / np.max(np.abs(psi)))
+
+
+@pytest.fixture(scope="module")
+def harmonic_ns():
+    return solve_schrodinger(harmonic)
+
+
 class TestBenchmarks:
-    def test_harmonic_levels(self):
+    def test_harmonic_levels(self, harmonic_ns):
         # -psi'' + x^2 psi = E psi: E_n = 2n + 1
-        ns = solve_schrodinger(harmonic, domain=(-12.0, 12.0), h=1e-3)
+        ns = harmonic_ns
         assert np.allclose(ns.eigenvalues[:5], [1, 3, 5, 7, 9], atol=1e-7)
         assert ns.node_counts[:5] == [0, 1, 2, 3, 4]
 
-    def test_square_well_order(self):
-        # infinite well of width L: E_n = (n pi / L)^2; the Dirichlet box
-        # IS the well, so errors shrink at the method order
-        L = 2.0
-        exact = (math.pi / L) ** 2
-
-        def flat(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        errs = []
-        for h in (2e-3, 1e-3):
-            n = int(round(L / h))
-            xs = np.linspace(0.0, L, n + 1)
-            from drttp.oracle import _solve_fd2
-
-            w, _ = _solve_fd2(flat(xs), h, 50.0)
-            errs.append(abs(w[0] - exact))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
+    def test_sech2_levels_exact(self):
+        # -6 sech^2 has exactly -4 and -1; its zero-energy half-bound state
+        # gives an eigenvalue just below threshold on each grid, which the
+        # n-versus-2n filter rejects.  The error falls from 1e-6 at n = 50
+        # to rounding at n = 100.
+        ns = solve_schrodinger(sech2)
+        assert ns.eigenvalues == pytest.approx([-4.0, -1.0], rel=1e-11)
+        assert ns.node_counts == [0, 1]
+        assert np.all(ns.convergence < 1e-10)
+        assert len(ns.diagnostics["rejected"]) == 1
+        assert -1e-4 < ns.diagnostics["rejected"][0] < 0.0
+        errs = [np.max(np.abs(oracle._solve_sinc(sech2, n, -1e-8)[1][:2]
+                              - [-4.0, -1.0])) for n in (50, 100)]
+        assert errs[1] < errs[0] / 100.0
 
     def test_grid_halving_orders(self):
-        # raw (pre-extrapolation) eigenvalue change shrinks by ~4 under
-        # h -> h/2
-        from drttp.oracle import _solve_fd2
-
-        vals = []
-        for h in (8e-3, 4e-3, 2e-3):
-            n = int(round(20.0 / h))
-            xs = np.linspace(-10.0, 10.0, n + 1)
-            w, _ = _solve_fd2(harmonic(xs), h, 30.0)
-            vals.append(w[2])
-        ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
-        assert ratio == pytest.approx(4.0, rel=0.25)
+        # harmonic levels: the error falls by orders of magnitude each time
+        # n doubles, until it reaches rounding (about 1e-9 here, where the
+        # matrix has norm V(5000) = 2.5e7)
+        exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
+        errs = []
+        for n in (50, 100, 200):
+            _, w, _ = oracle._solve_sinc(harmonic, n, 30.0)
+            errs.append(np.max(np.abs(w[:5] - exact)))
+        assert errs[1] < errs[0] / 100.0 and errs[2] < errs[1] / 100.0
 
 
 @pytest.fixture(scope="module")
 def wl5():
     ri = RayIdentifiers(0.0, 5.0)
     tp = TangentPoly(2.0)
-    ns = solve_schrodinger(
-        lambda x: core.potential_eval_x(x, ri, tp), h=1e-3, method="fd2"
-    )
+    ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
     return ri, tp, ns
 
 
@@ -85,41 +105,70 @@ class TestDkvOracle:
         rep = compare_spectra([s.epsilon for s in sols], ns, 1e-6)
         assert rep.passed
 
+    @pytest.mark.parametrize("lam, mu, zt, levels", [
+        # top level at E = -2.8e-4: lost by a +-40 box
+        (0.0, 3.05, 2.0, 2),
+        # weaker still: off by 5e-6 relative in a +-500 box
+        (0.0, 3.04, 2.0, 2),
+        # narrow wells of z_T in -0.3..-10: the first loses a level with a
+        # map scale of 4, the second with 200 nodes
+        (0.0, 10.44, -0.775, 5),
+        (0.0, 10.3, -0.5, 5),
+    ])
+    def test_levels_against_closed_form(self, lam, mu, zt, levels):
+        ri, tp = RayIdentifiers(lam, mu), TangentPoly(zt)
+        ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
+        assert ns.node_counts == list(range(levels))
+        rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns, 1e-6,
+                              relative=True)
+        assert rep.passed
+
     def test_fractional_count(self):
         ri = RayIdentifiers(0.0, 5.2)
         tp = TangentPoly(2.0)
-        ns = solve_schrodinger(
-            lambda x: core.potential_eval_x(x, ri, tp), h=1e-3, method="fd2"
-        )
+        ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
         assert len(ns) == 3
 
     def test_oracle_eigenvector_residual(self, wl5):
-        # self-consistency at the discretization/eigensolver noise level
+        # the eigenvectors solve the Schrodinger equation at the collocation
+        # nodes to well below the level tolerance
         ri, tp, ns = wl5
-        xs = np.linspace(ns.grid["x_min"], ns.grid["x_max"], ns.grid["n_points"])
         V = lambda x: core.potential_eval_x(x, ri, tp)
-        res = residual_check(ns.eigenvectors[:, 0], ns.eigenvalues[0], V,
-                             xs[1:-1])
-        assert res < 1e-5
+        for j in range(len(ns)):
+            assert collocation_residual(ns, j, ns.eigenvalues[j], V) < 1e-8
 
     def test_detuned_energy_blows_residual(self, wl5):
         ri, tp, ns = wl5
-        xs = np.linspace(ns.grid["x_min"], ns.grid["x_max"], ns.grid["n_points"])
         V = lambda x: core.potential_eval_x(x, ri, tp)
-        good = residual_check(ns.eigenvectors[:, 0], ns.eigenvalues[0], V, xs[1:-1])
-        bad = residual_check(ns.eigenvectors[:, 0], ns.eigenvalues[0] + 0.1, V,
-                             xs[1:-1])
+        good = collocation_residual(ns, 0, ns.eigenvalues[0], V)
+        bad = collocation_residual(ns, 0, ns.eigenvalues[0] + 0.1, V)
         assert bad > 100 * good
 
 
+class TestDiagnostics:
+    def test_fields_and_debug_log(self, caplog):
+        ns = solve_schrodinger(sech2)
+        assert not caplog.records
+        d = ns.diagnostics
+        assert d["map_scale"] == oracle._MAP_SCALE
+        assert d["n_points"] == (oracle._N_NODES, 2 * oracle._N_NODES)
+        assert len(d["seconds"]) == 2 and all(t > 0.0 for t in d["seconds"])
+        assert len(ns.grid["x"]) == 2 * oracle._N_NODES
+        assert ns.grid["x"][0] == pytest.approx(-oracle._BOX)
+        caplog.set_level(logging.DEBUG, logger="drttp.oracle")
+        solve_schrodinger(sech2)
+        assert [r.name for r in caplog.records] == ["drttp.oracle"]
+        assert "2 levels kept" in caplog.text and "rejected" in caplog.text
+
+
 class TestComparisons:
-    def test_identical(self):
-        ns = solve_schrodinger(harmonic, domain=(-10.0, 10.0), h=2e-3)
+    def test_identical(self, harmonic_ns):
+        ns = harmonic_ns
         rep = compare_spectra(list(ns.eigenvalues), ns, 1e-12)
         assert rep.passed and np.max(rep.abs_errors) == 0.0
 
-    def test_count_mismatch(self):
-        ns = solve_schrodinger(harmonic, domain=(-10.0, 10.0), h=2e-3)
+    def test_count_mismatch(self, harmonic_ns):
+        ns = harmonic_ns
         rep = compare_spectra(list(ns.eigenvalues[:-1]), ns, 1e-12)
         assert not rep.count_match and not rep.passed
 
@@ -131,32 +180,18 @@ class TestComparisons:
 
     def test_not_confining(self):
         with pytest.raises(ConvergenceError):
-            solve_schrodinger(lambda x: -1.0 / (1.0 + np.asarray(x) ** 2) * 0
-                              - np.abs(np.asarray(x)) * 1e-3,
-                              domain=(-10.0, 10.0), h=5e-3)
+            solve_schrodinger(lambda x: -np.abs(np.asarray(x)) * 1e-3)
 
 
 class TestInputs:
-    def test_only_fd2(self):
-        with pytest.raises(DomainError):
-            solve_schrodinger(harmonic, domain=(-10.0, 10.0), h=2e-3,
-                              method="numerov")
-
     def test_scalar_potential_rejected(self):
         with pytest.raises(DomainError):
-            solve_schrodinger(lambda x: 1.0, domain=(-10.0, 10.0), h=2e-3)
+            solve_schrodinger(lambda x: 1.0)
 
-    @pytest.mark.parametrize("domain, h", [((2.0, 14.0), 5e-3),
-                                           ((-14.0, -2.0), 5e-3),
-                                           ((-10.0, 10.0), 0.0),
-                                           ((-1.0, 1.0), 5.0)])
-    def test_bad_domain_or_step_rejected(self, domain, h):
-        # widening scales the edges, which moves an edge on the wrong side
-        # of 0 inward: (2, 14) lost every level of (x - 7.5)**2; h = 5 on
-        # (-1, 1) leaves a one-point grid
+    def test_nonfinite_potential_rejected(self):
+        # finite at the box edges, NaN inside
         with pytest.raises(DomainError):
-            solve_schrodinger(lambda x: (np.asarray(x) - 7.5) ** 2,
-                              domain=domain, h=h)
+            solve_schrodinger(lambda x: np.where(np.abs(x) < 1.0, np.nan, 0.0))
 
     def test_cold_start_leaves_scipy_out(self):
         # the closed-form paths need only numpy: a fresh process that imports
@@ -178,8 +213,8 @@ with contextlib.redirect_stdout(io.StringIO()):
              cli.main(["partner", *params, "--ff", "c0"]),
              cli.main(["tabulate", *params, "--points", "101", "--psi", "0,1"])]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-ns = oracle.solve_schrodinger(lambda x: -6.0 / np.cosh(x) ** 2,
-                              domain=(-20.0, 20.0), h=2e-2)
+e = lambda x: np.exp(-2.0 * np.abs(x))
+ns = oracle.solve_schrodinger(lambda x: -24.0 * e(x) / (1.0 + e(x)) ** 2)
 print(json.dumps({"codes": codes, "loaded": loaded,
                   "oracle": ns.eigenvalues.tolist(), "psi": psi.tolist()}))
 """
@@ -188,8 +223,7 @@ print(json.dumps({"codes": codes, "loaded": loaded,
             text=True, env=dict(os.environ, PYTHONPATH=src)).stdout)
         assert out["codes"] == [0, 0, 0]
         assert out["loaded"] == []
-        assert out["oracle"] == pytest.approx(
-            [-3.9999999982808343, -0.9999999933120836], rel=1e-12)
+        assert out["oracle"] == pytest.approx([-4.0, -1.0], rel=1e-11)
         assert out["psi"] == pytest.approx(
             [0.11728316776232378, 0.03204742893127039, 0.048007635944772434],
             rel=1e-12)
