@@ -7,6 +7,7 @@ x -> V(x); it never touches the closed-form level formulas.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -62,29 +63,49 @@ def _count_sign_changes(psi: np.ndarray) -> int:
     return int(np.sum(sgn[:-1] * sgn[1:] < 0))
 
 
-def _solve_sinc(V, n: int, threshold: float):
-    """Sinc collocation on n nodes of s, x = L sinh(s): the weak form
-    (D1^T G^-1 D1 + diag(V g)) c = E G c, G = diag(g), g = dx/ds, in the
-    symmetric variable u = G^1/2 c.  Returns the nodes, the eigenvalues
-    below threshold and the collocation vectors c = psi(x_j), unit L2."""
+@functools.lru_cache(maxsize=4)
+def _sinc_grid(n: int):
+    """The V-independent part of the n-node solve, built once per n: the
+    nodes x = L sinh(s), g = dx/ds, the step ds and the kinetic block
+    G^-1/2 D1^T G^-1 D1 G^-1/2, G = diag(g).  The arrays are read-only
+    because every solve of that n shares them."""
     # deferred import: keeps scipy.linalg out of the cold start of `import drttp`
-    from scipy.linalg import eigh, toeplitz
+    from scipy.linalg import toeplitz
 
     s_max = np.arcsinh(_BOX / _MAP_SCALE)
     s, ds = np.linspace(-s_max, s_max, n, retstep=True)
     xs = _MAP_SCALE * np.sinh(s)
-    vals = _eval_potential(V, xs)
     g = _MAP_SCALE * np.cosh(s)
     # sinc derivative at the nodes: D1[i, j] = (-1)**(i-j) / ((i-j) ds)
     m = np.arange(1, n)
     col = np.concatenate(([0.0], np.where(m % 2, -1.0, 1.0) / (m * ds)))
     a = toeplitz(col, -col) / np.sqrt(g)[None, :]
-    h = a.T @ (a / g[:, None])
+    kinetic = a.T @ (a / g[:, None])
+    for arr in (xs, g, kinetic):
+        arr.flags.writeable = False
+    return xs, g, ds, kinetic
+
+
+def _solve_sinc(V, n: int, threshold: float, eigvals_only: bool = False):
+    """Sinc collocation on n nodes of s, x = L sinh(s): the weak form
+    (D1^T G^-1 D1 + diag(V g)) c = E G c, G = diag(g), g = dx/ds, in the
+    symmetric variable u = G^1/2 c.  Returns the nodes, the eigenvalues
+    below threshold and the collocation vectors c = psi(x_j), unit L2
+    (None with ``eigvals_only``)."""
+    from scipy.linalg import eigh
+
+    xs, g, ds, kinetic = _sinc_grid(n)
+    vals = _eval_potential(V, xs)
+    h = kinetic.copy()
     h[np.diag_indices(n)] += vals
     lo = float(vals.min()) - 1.0
-    w, u = eigh(h, subset_by_value=(lo, threshold), driver="evr")
-    c = u / np.sqrt(g * ds)[:, None]
-    return xs, w, c
+    # h is this call's own copy and finite (V is checked by _eval_potential)
+    res = eigh(h, subset_by_value=(lo, threshold), driver="evr",
+               eigvals_only=eigvals_only, overwrite_a=True, check_finite=False)
+    if eigvals_only:
+        return xs, res, None
+    w, u = res
+    return xs, w, u / np.sqrt(g * ds)[:, None]
 
 
 def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
@@ -103,12 +124,25 @@ def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
     ``diagnostics``.  Node counts are the sign changes of the collocation
     vector.  ``V`` must map an array of x to a finite array of the same
     shape; an edge where V still falls outward over its last unit of x
-    raises ConvergenceError.  The solve is logged at DEBUG under
-    ``drttp.oracle``.
+    raises ConvergenceError.  At most ``max_levels`` levels are returned;
+    it must be an int >= 0, else DomainError.  The solve is logged at
+    DEBUG under ``drttp.oracle``.
+
+    The part of each solve that does not depend on V (nodes and kinetic
+    block) is built once per node count per process and reused by every
+    later solve; the ``diagnostics["seconds"]`` of the first solve of a
+    process include that build.
+
+    Limit: a potential that grows without bound is resolved only as far
+    as the two solves agree.  ``x**2`` gives 47 levels (1 to 93); its
+    other eigenvalues below the threshold V(5000) = 2.5e7 are listed as
+    rejected, so ``max_levels`` may not be reached.
 
     ``domain``, ``h`` and ``method`` are accepted and ignored: they
     configured the finite-difference solver this one replaced.
     """
+    if not isinstance(max_levels, (int, np.integer)) or max_levels < 0:
+        raise DomainError(f"max_levels must be an int >= 0, got {max_levels!r}")
     edges = np.array([-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX])
     v_edge = _eval_potential(V, edges)
     if (v_edge[1] - v_edge[0] > _FLATNESS_TOL
@@ -117,9 +151,10 @@ def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
     threshold = float(min(v_edge[0], v_edge[3])) - _BOUND_MARGIN
 
     solves, seconds = [], []
-    for n in (_N_NODES, 2 * _N_NODES):
+    # the coarse solve only tests agreement: it needs no eigenvectors
+    for n, coarse in ((_N_NODES, True), (2 * _N_NODES, False)):
         t0 = time.perf_counter()
-        solves.append(_solve_sinc(V, n, threshold))
+        solves.append(_solve_sinc(V, n, threshold, eigvals_only=coarse))
         seconds.append(time.perf_counter() - t0)
     (_, w_c, _), (xs, w_f, vecs) = solves
     conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])

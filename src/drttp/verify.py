@@ -8,9 +8,7 @@ against an independent numerical route.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,10 +45,6 @@ class CheckResult:
 def _result(name, tol, measured, detail="", strict=False):
     ok = measured < tol if strict else measured <= tol
     return CheckResult(name, tol, float(measured), bool(ok), detail)
-
-
-def _max_workers() -> int:
-    return min(4, os.cpu_count() or 1)
 
 
 def _gl_nodes(a: float, b: float, n: int = 3000):
@@ -333,8 +327,7 @@ def check_oracle_grid() -> list[CheckResult]:
         rel = float(np.max(rep.rel_errors)) if len(rep.rel_errors) else 0.0
         return count_ok and rep.node_match, rel
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as ex:
-        results = list(ex.map(run, points))
+    results = [run(pt) for pt in points]
     worst = max(r[1] for r in results)
     count_bad = sum(0 if r[0] else 1 for r in results)
     return [
@@ -540,8 +533,7 @@ def check_susy_surgery() -> list[CheckResult]:
         ]
         return label, extraneous
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as ex:
-        results = list(ex.map(run, jobs))
+    results = [run(job) for job in jobs]
     bad = sum(len(e) for _, e in results)
     detail = "; ".join(f"{lbl}: ok" if not e else f"{lbl}: {e}" for lbl, e in results)
     out = [_result("susy.spectral-surgery", 0.5, float(bad), detail)]

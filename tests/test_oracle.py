@@ -161,6 +161,29 @@ class TestDiagnostics:
         assert "2 levels kept" in caplog.text and "rejected" in caplog.text
 
 
+class TestSincGridCache:
+    def test_solve_independent_of_order(self):
+        # a solve that wrote into the shared kinetic block would change
+        # every later solve of the same node count
+        ri, tp = RayIdentifiers(0.0, 5.0), TangentPoly(2.0)
+        oracle._sinc_grid.cache_clear()
+        ref = solve_schrodinger(sech2)
+        solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
+        got = solve_schrodinger(sech2)
+        for field in ("eigenvalues", "eigenvectors", "convergence"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+
+    def test_arrays_read_only(self):
+        xs, g, _, kinetic = oracle._sinc_grid(50)
+        for arr in (xs, g, kinetic):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_built_once_per_node_count(self):
+        first = oracle._sinc_grid(50)
+        assert all(a is b for a, b in zip(oracle._sinc_grid(50), first))
+
+
 class TestComparisons:
     def test_identical(self, harmonic_ns):
         ns = harmonic_ns
@@ -187,6 +210,16 @@ class TestInputs:
     def test_scalar_potential_rejected(self):
         with pytest.raises(DomainError):
             solve_schrodinger(lambda x: 1.0)
+
+    @pytest.mark.parametrize("max_levels", [-1, -3, 2.5, "2", None])
+    def test_bad_max_levels_rejected(self, max_levels):
+        # a negative value used to drop levels from the top as a slice end
+        with pytest.raises(DomainError):
+            solve_schrodinger(sech2, max_levels)
+
+    def test_max_levels_caps_levels(self):
+        assert solve_schrodinger(sech2, 1).eigenvalues == pytest.approx([-4.0])
+        assert len(solve_schrodinger(sech2, np.int64(0))) == 0
 
     def test_nonfinite_potential_rejected(self):
         # finite at the box edges, NaN inside
