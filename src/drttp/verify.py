@@ -7,6 +7,7 @@ against an independent numerical route.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -19,11 +20,8 @@ from .core import RayIdentifiers, TangentPoly
 from .errors import AvailabilityError, PairRejectedError, TransferAmbiguityError
 from .spectral import CubicVariable, Kind, TransferDirection
 
-ORACLE_GRID = {
-    "lambda_o": (0.0, 0.5, 1.0, 2.0),
-    "mu_o": (3.0, 5.0, 7.3),
-    "z_T": (2.0, -1.0),
-}
+# the acceptance grid: every (lambda_o, mu_o, z_T) of these values
+GRID_POINTS = list(itertools.product((0.0, 0.5, 1.0, 2.0), (3.0, 5.0, 7.3), (2.0, -1.0)))
 
 
 @dataclass
@@ -45,11 +43,6 @@ class CheckResult:
 def _result(name, tol, measured, detail="", strict=False):
     ok = measured < tol if strict else measured <= tol
     return CheckResult(name, tol, float(measured), bool(ok), detail)
-
-
-def _gl_nodes(a: float, b: float, n: int = 3000):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +269,7 @@ def check_separatrix() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _oracle_for(ri: RayIdentifiers, tp: TangentPoly):
-    def V(x):
-        return core.potential_eval_x(x, ri, tp)
-
-    return oracle.solve_schrodinger(V)
+    return oracle.solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
 
 
 def check_wl_point() -> list[CheckResult]:
@@ -297,9 +287,8 @@ def check_wl_point() -> list[CheckResult]:
     ]
     ns = _oracle_for(ri, tp)
     rep = oracle.compare_spectra([s.epsilon for s in sols], ns, tol)
-    measured = float(np.max(rep.abs_errors)) if len(rep.abs_errors) else math.inf
-    if not rep.count_match:
-        measured = math.inf
+    ok = rep.count_match and len(rep.abs_errors)
+    measured = float(np.max(rep.abs_errors)) if ok else math.inf
     out.append(_result("wl.oracle-agreement", tol, measured,
                        f"oracle {len(ns)} levels"))
     return out
@@ -307,12 +296,6 @@ def check_wl_point() -> list[CheckResult]:
 
 def check_oracle_grid() -> list[CheckResult]:
     tol = 1e-6
-    points = [
-        (lo, mo, zt)
-        for lo in ORACLE_GRID["lambda_o"]
-        for mo in ORACLE_GRID["mu_o"]
-        for zt in ORACLE_GRID["z_T"]
-    ]
 
     def run(pt):
         lo, mo, zt = pt
@@ -327,12 +310,12 @@ def check_oracle_grid() -> list[CheckResult]:
         rel = float(np.max(rep.rel_errors)) if len(rep.rel_errors) else 0.0
         return count_ok and rep.node_match, rel
 
-    results = [run(pt) for pt in points]
+    results = [run(pt) for pt in GRID_POINTS]
     worst = max(r[1] for r in results)
     count_bad = sum(0 if r[0] else 1 for r in results)
     return [
         _result("oracle.grid-counts", 0.5, float(count_bad),
-                f"{len(points)} grid points, violation count"),
+                f"{len(GRID_POINTS)} grid points, violation count"),
         _result("oracle.grid-levels", tol, worst, "max relative error"),
     ]
 
@@ -341,14 +324,15 @@ def check_oracle_grid() -> list[CheckResult]:
 # eigenfunction suite
 # ---------------------------------------------------------------------------
 
-def _gram_and_node_misses(ri, tp, sols, xq, wq) -> tuple[float, int]:
-    """Worst |normalized Gram matrix - I| on the quadrature nodes, and the
+def _gram_checks(ri, tp, sols, xq, wq) -> tuple[float, float, int]:
+    """Worst |normalized Gram matrix - I| on the quadrature nodes, the worst
+    relative gap between its diagonal and ``eigenfunction_norm_sq``, and the
     number of levels whose node count is not their index (an unconverged
     count is a miss)."""
-    psis = np.stack(
-        [wavefunction.solution_eval_x(xq, s, ri, tp) for s in sols]
-    )
+    psis = np.stack([wavefunction.solution_eval_x(xq, s, ri, tp) for s in sols])
     gram = (psis * wq) @ psis.T
+    closed = [wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols) for n in range(len(sols))]
+    norm_gap = float(np.max(np.abs(np.diag(gram) / closed - 1.0)))
     norm = np.sqrt(np.diag(gram))
     gram = gram / norm[:, None] / norm[None, :]
     misses = 0
@@ -361,29 +345,25 @@ def _gram_and_node_misses(ri, tp, sols, xq, wq) -> tuple[float, int]:
         except errors.ConvergenceError:
             nodes = -1
         misses += nodes != n
-    return float(np.max(np.abs(gram - np.eye(len(sols))))), misses
+    return float(np.max(np.abs(gram - np.eye(len(sols))))), norm_gap, misses
 
 
-def check_eigenfunctions(full_grid: bool = True) -> list[CheckResult]:
-    points = [
-        (lo, mo, zt)
-        for lo in ORACLE_GRID["lambda_o"]
-        for mo in ORACLE_GRID["mu_o"]
-        for zt in ORACLE_GRID["z_T"]
-    ] if full_grid else [(0.0, 5.0, 2.0), (1.0, 7.3, -1.0)]
-    node_bad = 0
-    gram_worst = 0.0
-    resid_worst = 0.0
-    xq, wq = _gl_nodes(-35.0, 35.0, 3000)
+def check_eigenfunctions() -> list[CheckResult]:
+    node_bad, gram_worst, norm_worst, resid_worst = 0, 0.0, 0.0, 0.0
+    # Gram sums by the trapezoid rule on x = sinh(u), u uniform, |x| <= 200:
+    # geometric convergence for integrands that decay at both ends (Trefethen
+    # & Weideman, SIAM Rev. 56, 2014), which vanish at the ends here
+    u, du = np.linspace(-math.asinh(200.0), math.asinh(200.0), 1000, retstep=True)
+    xq, wq = np.sinh(u), du * np.cosh(u)
     xs = np.linspace(-8.0, 8.0, 6401)
-    for lo, mo, zt in points:
+    for lo, mo, zt in GRID_POINTS:
         ri = RayIdentifiers(lo, mo)
         tp = TangentPoly(zt)
         sols = spectral.spectrum(ri, tp)
         if not sols:
             continue
-        gram, misses = _gram_and_node_misses(ri, tp, sols, xq, wq)
-        gram_worst = max(gram_worst, gram)
+        gram, norm_gap, misses = _gram_checks(ri, tp, sols, xq, wq)
+        gram_worst, norm_worst = max(gram_worst, gram), max(norm_worst, norm_gap)
         node_bad += misses
         for s in sols:
             psi = wavefunction.solution_eval_x(xs, s, ri, tp)
@@ -397,8 +377,9 @@ def check_eigenfunctions(full_grid: bool = True) -> list[CheckResult]:
     high_gram, high_misses = 0.0, 0
     for lo, mo, zt in ((0.3, 59.7, 2.0), (0.0, 52.0, -1.0)):  # 30 and 26 levels
         ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
-        gram, misses = _gram_and_node_misses(ri, tp, spectral.spectrum(ri, tp), xq, wq)
+        gram, norm_gap, misses = _gram_checks(ri, tp, spectral.spectrum(ri, tp), xq, wq)
         high_gram, high_misses = max(high_gram, gram), high_misses + misses
+        norm_worst = max(norm_worst, norm_gap)
     out = [
         _result("eigenfunction.node-counts", 0.5, float(node_bad),
                 "violation count"),
@@ -409,6 +390,8 @@ def check_eigenfunctions(full_grid: bool = True) -> list[CheckResult]:
                 float(high_misses), "violation count, degrees <= 29"),
         _result("eigenfunction.high-degree-orthogonality", 1e-7,
                 high_gram, "Gram residual, degrees <= 29"),
+        _result("eigenfunction.norm-closed-form", 1e-10, norm_worst,
+                "closed-form norm vs Gram diagonal, every level above"),
     ]
 
     # two-representation identity of the polynomial factor
@@ -460,47 +443,46 @@ def _fd_second(fn, x0: float, h: float) -> float:
     return (16.0 * stencil(h / 2) - stencil(h)) / 15.0
 
 
+def _darboux_gap(log_ff, spec: susy.PartnerSpec, tp: TangentPoly, xs, h_fd: float) -> float:
+    """Worst gap between the partner correction and -2 (log FF)'' by finite
+    differences, at the points xs."""
+    return max(
+        abs((1.0 - tp.z_T) ** 2
+            * susy.partner_correction_z(core.map_x_to_z(float(x0), tp), spec, tp)
+            + 2.0 * _fd_second(log_ff, x0, h_fd))
+        for x0 in xs
+    )
+
+
 def check_darboux(h_fd: float = 4e-3) -> list[CheckResult]:
     ri = RayIdentifiers(0.0, 5.0)
     tp = TangentPoly(2.0)
     basics = spectral.basic_solutions(ri, tp)
     xs = np.linspace(-2.0, 2.5, 9)
-    single_worst = 0.0
-    for ff in basics.values():
-        spec = susy.single_partner_spec(ff, tp)
-        for x0 in xs:
-            target = -2.0 * _fd_second(lambda x: _log_ff_x(x, ff, ri, tp), x0, h_fd)
-            z0 = core.map_x_to_z(float(x0), tp)
-            corr = (1.0 - tp.z_T) ** 2 * susy.partner_correction_z(z0, spec, tp)
-            single_worst = max(single_worst, abs(corr - target))
+    single_worst = max(
+        _darboux_gap(lambda x, ff=ff: _log_ff_x(x, ff, ri, tp),
+                     susy.single_partner_spec(ff, tp), tp, xs, h_fd)
+        for ff in basics.values()
+    )
     out = [_result("susy.darboux-identity", 1e-8, single_worst,
                    "single step, all three basic FFs")]
 
-    double_worst = 0.0
-    for pair in ((Kind.C, Kind.A), (Kind.D, Kind.A)):
-        t, t_prime = basics[pair[0]], basics[pair[1]]
-        spec = susy.double_partner_spec(t, t_prime, tp)
-        for x0 in xs:
-            target = -2.0 * _fd_second(
-                lambda x: _log_wronskian_x(x, t, t_prime, tp), x0, h_fd
-            )
-            z0 = core.map_x_to_z(float(x0), tp)
-            corr = (1.0 - tp.z_T) ** 2 * susy.partner_correction_z(z0, spec, tp)
-            double_worst = max(double_worst, abs(corr - target))
+    double_worst = max(
+        _darboux_gap(lambda x, t=basics[a], tq=basics[b]: _log_wronskian_x(x, t, tq, tp),
+                     susy.double_partner_spec(basics[a], basics[b], tp), tp, xs, h_fd)
+        for a, b in ((Kind.C, Kind.A), (Kind.D, Kind.A))
+    )
     out.append(_result("susy.crum-identity", 1e-7, double_worst,
                        "double step, both admissible pairs"))
 
     # general branch spot check
     ri2 = RayIdentifiers(0.7, 4.0)
     tp2 = TangentPoly(-1.0)
-    worst2 = 0.0
-    for ff in spectral.basic_solutions(ri2, tp2).values():
-        spec = susy.single_partner_spec(ff, tp2)
-        for x0 in (-0.8, 0.4, 1.6):
-            target = -2.0 * _fd_second(lambda x: _log_ff_x(x, ff, ri2, tp2), x0, h_fd)
-            z0 = core.map_x_to_z(float(x0), tp2)
-            corr = (1.0 - tp2.z_T) ** 2 * susy.partner_correction_z(z0, spec, tp2)
-            worst2 = max(worst2, abs(corr - target))
+    worst2 = max(
+        _darboux_gap(lambda x, ff=ff: _log_ff_x(x, ff, ri2, tp2),
+                     susy.single_partner_spec(ff, tp2), tp2, (-0.8, 0.4, 1.6), h_fd)
+        for ff in spectral.basic_solutions(ri2, tp2).values()
+    )
     out.append(_result("susy.darboux-identity-generic", 1e-8, worst2))
     return out
 
@@ -512,13 +494,10 @@ def check_susy_surgery() -> list[CheckResult]:
     base = _oracle_for(ri, tp)
     base_levels = list(base.eigenvalues)
 
-    jobs = []
-    for kind in (Kind.C, Kind.A, Kind.D):
-        spec = susy.single_partner_spec(basics[kind], tp)
-        jobs.append((f"{kind.value}0", spec))
-    for pair in ((Kind.C, Kind.A), (Kind.D, Kind.A)):
-        spec = susy.double_partner_spec(basics[pair[0]], basics[pair[1]], tp)
-        jobs.append((f"{pair[0].value}0+{pair[1].value}0", spec))
+    jobs = [(f"{k.value}0", susy.single_partner_spec(basics[k], tp))
+            for k in (Kind.C, Kind.A, Kind.D)]
+    jobs += [(f"{a.value}0+{b.value}0", susy.double_partner_spec(basics[a], basics[b], tp))
+             for a, b in ((Kind.C, Kind.A), (Kind.D, Kind.A))]
 
     def run(job):
         label, spec = job

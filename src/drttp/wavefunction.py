@@ -20,6 +20,30 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
+# Stirling's series of x (lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2) in
+# 1/x**2 (DLMF 5.11.1); at x >= 10 its truncation is below 1e-16
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+
+
+def _beta(a: float, b: float) -> float:
+    """Euler's Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0.
+
+    Arguments below 10 are raised by B(a, b) = B(a + k, b) (a + b)_k/(a)_k.  Then,
+    with p <= q and s = p + q, log B = log(2 pi / q)/2 + (p - 1/2) log(p/s)
+    + q log1p(-p/s) plus the Stirling tails of p and q less that of s.  No
+    large logarithms cancel: the relative error is a few roundings times
+    |log B|, plus about 10 log(a + b) for an argument raised from below 10.
+    """
+    i, j = max(0, math.ceil(10.0 - a)), max(0, math.ceil(10.0 - b))
+    scale = pochhammer(a + b, i) / pochhammer(a, i) * pochhammer(a + i + b, j) / pochhammer(b, j)
+    a, b = a + i, b + j
+    (p, q), s = sorted((a, b)), a + b
+    tail = polyval(np.array([p, q, s]) ** -2.0, _STIRLING) / (p, q, s)
+    return scale * math.exp(0.5 * math.log(2.0 * math.pi / q) + (p - 0.5) * math.log(p / s)
+                            + q * math.log1p(-p / s) + tail[0] + tail[1] - tail[2])
+
+
 def hypergeom_poly_eval(n: int, a: float, c: float, z) -> float:
     """Terminating hypergeometric sum F(-n, a; c; z), Kahan-compensated.
 
@@ -246,34 +270,31 @@ def eigenfunction_eval_x(x, n: int, ri: RayIdentifiers, tp: TangentPoly,
 
 def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
                           _sols: list[AehSolution] | None = None) -> float:
-    """L2 norm squared over the whole line, exact up to rounding.
+    """L2 norm squared over the whole line, in closed form (DLMF 18.3).
 
-    With dx = dz / core.dz_dx(z) the integral of solution_eval_x squared is
-    int_0^1 g**2 z**(lambda0 - 1) (1 - z)**(lambda1 - 1) Pi_m**2 dz,
-    g = (z - z_T)/(2(1 - z_T)): a polynomial of degree 2m + 2 against a
-    Jacobi weight, integrated exactly by m + 2 Gauss-Jacobi nodes in
-    t = 2z - 1 (Golub & Welsch 1969).  A norm that overflows, as when an
-    exponent reaches the thousands, raises DomainError.
+    In z (dx = dz / core.dz_dx(z)) the norm N is the integral over (0, 1) of
+    z**(l0 - 1) (1 - z)**(l1 - 1) ((z - z_T) Pi_m / (2 (1 - z_T)))**2, with
+    l0 = lambda0, l1 = lambda1 and Pi_m = m!/(l0 + 1)_m P_m^(l0, l1)(1 - 2z).
+    (z - z_T)**2 = z_T**2 (1 - z) + (1 - z_T)**2 z - z (1 - z) splits it into
+    three Jacobi integrals (Table 18.3.1), which sum to
+
+        N = (m + l0 + 1)(mu - m) B(m + 1, l0 + 1) B(l0 + 1, m + l1 + 1)
+            [z_T**2 (2m + l1 + 1)/l0 + (1 - z_T)**2 (2m + l0 + 1)/l1
+             + 2 z_T (z_T - 1)] / (4 mu (1 - z_T)**2),
+
+    mu = 2m + l0 + l1 + 1; the Beta products are m! Gamma(l0 + 1)**2
+    Gamma(m + l1 + 1) / (Gamma(m + l0 + 1) Gamma(mu - m)).  For z_T outside
+    [0, 1] no term cancels.  Raises DomainError if N is not a finite
+    positive float (it underflows when both exponents reach the thousands).
     """
     sol = _level(spectrum(ri, tp) if _sols is None else _sols, n)
-    # deferred import: keeps scipy.special out of the cold start of `import drttp`
-    from scipy.special import roots_jacobi
-
-    # the weights come back inf or nan, not raised, when their scale overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        t, w = roots_jacobi(sol.m + 2, sol.lambda1 - 1.0, sol.lambda0 - 1.0)
-        z = 0.5 * (1.0 + t)
-        f = (z - tp.z_T) / (2.0 * (1.0 - tp.z_T)) * _poly_eval(z, 0.5 * (1.0 - t), sol)
-        total = float(w @ f**2)
-    try:
-        out = total / 2.0 ** (sol.lambda0 + sol.lambda1 - 1.0)
-    except OverflowError:
-        out = math.nan
-    if not math.isfinite(out):
-        raise DomainError(
-            f"norm of level {n} overflows: lambda0 = {sol.lambda0:.6g}, "
-            f"lambda1 = {sol.lambda1:.6g}"
-        )
+    m, l0, l1, zt = sol.m, sol.lambda0, sol.lambda1, tp.z_T
+    c = ((m + l0 + 1.0) * (m + l0 + l1 + 1.0)
+         * _beta(m + 1.0, l0 + 1.0) * _beta(l0 + 1.0, m + l1 + 1.0))
+    out = c * (zt * zt * (2 * m + l1 + 1.0) / l0 + (1.0 - zt) ** 2 * (2 * m + l0 + 1.0) / l1
+               + 2.0 * zt * (zt - 1.0)) / (4.0 * sol.mu * (1.0 - zt) ** 2)
+    if not 0.0 < out < math.inf:
+        raise DomainError(f"norm of level {n} is {out}: lambda0 = {l0:.6g}, lambda1 = {l1:.6g}")
     return out
 
 

@@ -56,7 +56,7 @@ def test_criterion_03_cross_cubic_consistency():
 
 
 def test_criterion_04_eigenfunction_suite():
-    results = verify.check_eigenfunctions(full_grid=True)
+    results = verify.check_eigenfunctions()
     _report(
         "criterion 4: node counts, orthogonality (1e-7), Schrodinger "
         "residual (1e-7), argument-flip identity (1e-10)",

@@ -228,9 +228,10 @@ class TestInputs:
 
     def test_cold_start_leaves_scipy_out(self):
         # the closed-form paths need only numpy: a fresh process that imports
-        # drttp, runs spectrum(), solution_eval_x and the spectrum, partner
-        # and tabulate --psi commands loads no scipy module; the deferred
-        # imports of the oracle then still work
+        # drttp, runs spectrum(), solution_eval_x, eigenfunction_norm_sq,
+        # normalize=True and the spectrum, partner and tabulate --psi
+        # commands loads no scipy module; the deferred imports of the oracle
+        # then still work
         src = os.path.dirname(os.path.dirname(drttp.__file__))
         code = """
 import contextlib, io, json, sys
@@ -241,6 +242,8 @@ ri, tp = drttp.RayIdentifiers(0.5, 7.0), drttp.TangentPoly(2.0)
 sols = drttp.spectrum(ri, tp)
 params = ["--lambda-o", "0.5", "--mu-o", "7", "--zt", "2"]
 psi = wavefunction.solution_eval_x(np.array([-3.0, 0.0, 2.5]), sols[2], ri, tp)
+norm_sq = wavefunction.eigenfunction_norm_sq(2, ri, tp)
+unit = wavefunction.eigenfunction_eval_x(np.array([-3.0, 0.0, 2.5]), 2, ri, tp, normalize=True)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["spectrum", *params]),
              cli.main(["partner", *params, "--ff", "c0"]),
@@ -249,7 +252,8 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 e = lambda x: np.exp(-2.0 * np.abs(x))
 ns = oracle.solve_schrodinger(lambda x: -24.0 * e(x) / (1.0 + e(x)) ** 2)
 print(json.dumps({"codes": codes, "loaded": loaded,
-                  "oracle": ns.eigenvalues.tolist(), "psi": psi.tolist()}))
+                  "oracle": ns.eigenvalues.tolist(), "psi": psi.tolist(),
+                  "norm_sq": norm_sq, "unit": unit.tolist()}))
 """
         out = json.loads(subprocess.run(
             [sys.executable, "-c", code], check=True, capture_output=True,
@@ -260,3 +264,5 @@ print(json.dumps({"codes": codes, "loaded": loaded,
         assert out["psi"] == pytest.approx(
             [0.11728316776232378, 0.03204742893127039, 0.048007635944772434],
             rel=1e-12)
+        scale = out["norm_sq"] ** -0.5
+        assert out["unit"] == pytest.approx([v * scale for v in out["psi"]], rel=1e-15, abs=0.0)

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from drttp import core, wavefunction
 from drttp.core import RayIdentifiers, TangentPoly
-from drttp.errors import ConvergenceError, DomainError
-from drttp.spectral import Kind, spectrum, wl_solve
+from drttp.errors import ConvergenceError, DomainError, DrttpError
+from drttp.spectral import AehSolution, Kind, spectrum, wl_solve
 from drttp.wavefunction import (
     aeh_eval,
     count_nodes,
@@ -221,13 +221,15 @@ class TestEigenfunctions:
     def test_normalized_unit_norm(self):
         xs = np.linspace(-30, 30, 120_001)
         psi = eigenfunction_eval_x(xs, 0, WL5, TP2, normalize=True)
-        norm = np.trapezoid(psi**2, xs)
+        sq = psi**2
+        norm = (xs[1] - xs[0]) * (sq.sum() - 0.5 * (sq[0] + sq[-1]))  # trapezoid rule
         assert norm == pytest.approx(1.0, rel=1e-7)
 
     @pytest.mark.parametrize("params", [
         (1.0, 9.0, 1.05, 3),       # decays beyond |x| = 60
         (0.0, 3.001, 2.0, -1),     # lambda1 ~ 3e-4 just below threshold
         (0.3, 59.7, 2.0, 29),
+        (1.215, 58.69, 1.00137, 27),  # lambda1 = 0.0049
     ])
     def test_norm_matches_beta_expansion(self, params):
         lo, mo, zt, n = params
@@ -235,17 +237,61 @@ class TestEigenfunctions:
         sols = spectrum(ri, tp)
         n %= len(sols)
         got = wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols)
-        assert got == pytest.approx(_mp_norm_sq(sols[n], tp), rel=1e-11)
+        assert got == pytest.approx(_mp_norm_sq(sols[n], tp), rel=1e-11, abs=0.0)
 
-    def test_norm_overflow_is_domain_error(self):
-        # level 0 here has lambda0 = 1745: 2**(lambda0 + lambda1 - 1) and
-        # scipy's Gauss-Jacobi weights both overflow
-        ri, tp = RayIdentifiers(0.5, 77.0), TangentPoly(1.0002)
+    @pytest.mark.parametrize("params", [
+        (0.5, 77.0, 1.0002),  # level 0: lambda0 = 1745
+        (0.0, 80.0, -1e-3),  # level 0: lambda1 = 1039.5
+    ])
+    def test_norm_finite_at_large_exponents(self, params):
+        lo, mo, zt = params
+        ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
         sols = spectrum(ri, tp)
+        got = wavefunction.eigenfunction_norm_sq(0, ri, tp, _sols=sols)
+        assert got == pytest.approx(_mp_norm_sq(sols[0], tp), rel=1e-11, abs=0.0)
+        psi = eigenfunction_eval_x(np.linspace(-5.0, 5.0, 11), 0, ri, tp,
+                                   normalize=True, _sols=sols)
+        assert np.all(np.isfinite(psi)) and np.any(psi > 0.0)
+
+    def test_norm_whole_domain(self):
+        # seeded levels over lambda_o <= 30, mu_o <= 80 and z_T = 2 or
+        # 1e-3..60 (log-uniform) beyond either singular point
+        rng = np.random.default_rng(3)
+        worst, levels = 0.0, 0
+        while levels < 120:
+            lo, mo, d = rng.uniform(0.0, 30.0), rng.uniform(0.0, 80.0), 10 ** rng.uniform(-3, 1.78)
+            tp = TangentPoly((2.0, -d, 1.0 + d)[rng.integers(3)])
+            ri = RayIdentifiers(lo, mo)
+            try:
+                sols = spectrum(ri, tp)
+            except DrttpError:
+                continue
+            if sols:
+                n = int(rng.integers(len(sols)))
+                got = wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols)
+                worst = max(worst, abs(got / _mp_norm_sq(sols[n], tp) - 1.0))
+                levels += 1
+        assert worst <= 1e-12
+
+    def test_norm_underflow_is_domain_error(self):
+        # both exponents in the thousands: the norm is below the smallest float
+        sol = AehSolution(Kind.C, 0, 2000.0, 2000.0)
         with pytest.raises(DomainError):
-            wavefunction.eigenfunction_norm_sq(0, ri, tp, _sols=sols)
-        with pytest.raises(DomainError):
-            eigenfunction_eval_x(0.0, 0, ri, tp, normalize=True, _sols=sols)
+            wavefunction.eigenfunction_norm_sq(0, WL5, TP2, _sols=[sol])
+
+    def test_beta_against_mpmath(self):
+        # arguments 1..3e4, skewed and balanced, down to where B underflows
+        rng = np.random.default_rng(4)
+        pairs = [(1.0, 1.0), (10.0, 10.0), (1746.0, 31.0), (1.0, 1746.0)]
+        for a, b in pairs + [tuple(10 ** rng.uniform(0.0, 4.5, 2)) for _ in range(200)]:
+            with mpmath.workdps(50):
+                log_b = float(mpmath.log(mpmath.beta(a, b)))
+                want = float(mpmath.beta(a, b))
+            got = wavefunction._beta(a, b)
+            if want < 1e-300:  # subnormal or zero: no relative precision left
+                assert got < 1e-300
+            else:
+                assert got == pytest.approx(want, rel=2e-14 + 2e-15 * abs(log_b), abs=0.0)
 
     def test_index_error(self):
         with pytest.raises(IndexError):
