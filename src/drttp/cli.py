@@ -9,7 +9,9 @@ configurations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -167,6 +169,11 @@ def cmd_tabulate(args) -> int:
     cfg = _resolve_params(args)
     ri = core.RayIdentifiers(cfg.lambda_o, cfg.mu_o)
     tp = core.TangentPoly(cfg.z_t)
+    if not (math.isfinite(args.x_min) and math.isfinite(args.x_max)):
+        raise DomainError(
+            f"--x-min and --x-max must be finite, got {args.x_min} and {args.x_max}")
+    if args.points < 0:
+        raise DomainError(f"--points must be >= 0, got {args.points}")
     xs = np.linspace(args.x_min, args.x_max, args.points)
     columns = [("x", xs), ("V", core.potential_eval_x(xs, ri, tp))]
     if args.psi:
@@ -347,8 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every in-process call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PairRejectedError as exc:

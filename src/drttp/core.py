@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +61,15 @@ class RayIdentifiers:
 
 @dataclass(frozen=True)
 class TangentPoly:
-    """Tangent polynomial with a double root ``z_T`` outside [0, 1]."""
+    """Tangent polynomial with a double root ``z_T`` outside [0, 1].
+
+    An instance also holds the inverse map of the last few grids it mapped
+    (see :func:`map_x_to_z_pair`); that memo takes no part in the
+    constructor, equality, hash or repr.
+    """
 
     z_T: float
+    _map_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.z_T) or (0.0 <= self.z_T <= 1.0):
@@ -224,18 +231,55 @@ def _map_newton(x, tp: TangentPoly):
     return _pair_from_small(np.exp(t), right)
 
 
+# The memo of each TangentPoly keeps the pairs of this many most recently
+# used grids of at most _MEMO_MAX_POINTS points: callers evaluate every
+# level, the potential, the partner and node counts on the same few grids.
+_MEMO_GRIDS = 4
+_MEMO_MAX_POINTS = 65536
+# guards each memo's read-modify-write when threads share a TangentPoly
+_MEMO_LOCK = threading.Lock()
+
+
+def _map_pair_uncached(x, tp: TangentPoly):
+    return _map_zt2_pair(x) if tp.z_T == 2.0 else _map_newton(x, tp)
+
+
 def _map_pair(x, tp: TangentPoly):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
-    z, w = _map_zt2_pair(x) if tp.z_T == 2.0 else _map_newton(x, tp)
-    return (z, w) if x.ndim else (float(z), float(w))
+    if not x.ndim:
+        z, w = _map_pair_uncached(x, tp)
+        return float(z), float(w)
+    if x.size > _MEMO_MAX_POINTS:
+        return _map_pair_uncached(x, tp)
+    memo = tp._map_memo
+    key = (x.shape, x.tobytes())
+    with _MEMO_LOCK:
+        pair = memo.pop(key, None)
+    if pair is None:
+        pair = _map_pair_uncached(x, tp)
+    else:
+        _log.debug("inverse map z_T=%r: %d point(s) reused, 0 Newton iterations",
+                   tp.z_T, x.size)
+    with _MEMO_LOCK:
+        memo[key] = pair
+        if len(memo) > _MEMO_GRIDS:
+            del memo[next(iter(memo))]  # the least recently used grid
+    return pair[0].copy(), pair[1].copy()
 
 
 def map_x_to_z_pair(x, tp: TangentPoly):
     """(z(x), 1 - z(x)) with each component accurate in its own relative
     scale; use this instead of forming 1 - z by subtraction near the
-    right asymptote."""
+    right asymptote.
+
+    ``tp`` keeps the pairs of its 4 most recently mapped grids of at most
+    65 536 points for as long as it lives, so a grid mapped again (every
+    level of a spectrum on one grid, say) costs a copy.  Scalars and larger
+    grids are mapped each time.  The returned arrays are always fresh: a
+    caller may change them without affecting later calls.
+    """
     return _map_pair(x, tp)
 
 
@@ -244,7 +288,10 @@ def map_x_to_z(x, tp: TangentPoly):
 
     Uses the elementary closed form on the z_T = 2 branch and Newton in
     t = log z (left of x_of_z(1/2)) or t = log(1 - z) (right) otherwise,
-    converged to rounding.
+    converged to rounding.  A grid is mapped once for the life of ``tp``
+    and reused while it is among the 4 most recently mapped grids of at
+    most 65 536 points; the returned array is always fresh (see
+    :func:`map_x_to_z_pair`).
 
     Parameters
     ----------

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import drttp
 from drttp.cli import main
 
 
@@ -97,6 +101,16 @@ class TestTabulate:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [("--x-min", "inf"), ("--x-max", "nan"),
+                                             ("--points", "-3")])
+    def test_bad_grid_rejected_before_linspace(self, capsys, flag, value):
+        # numpy used to print RuntimeWarnings for a non-finite bound and its
+        # own wording for a negative count
+        code, out, err = run(capsys, *self.ARGS, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
 
 class TestPartnerReport:
     def test_single(self, capsys):
@@ -178,3 +192,26 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--oracle-method", "fd2"])
         assert exc.value.code == 2
+
+
+class TestInProcess:
+    def test_error_exit_leaves_later_calls_unchanged(self, capsys):
+        # main() reuses one parser per process: an argparse error, then a
+        # library error, then a good call print what a fresh process prints
+        good = ["spectrum", "--lambda-o", "0.5", "--mu-o", "7", "--zt", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--zt", "abc"])
+        assert exc.value.code == 2
+        bad_parse = capsys.readouterr()
+        bad_zt = run(capsys, "spectrum", "--lambda-o", "0", "--mu-o", "5", "--zt", "0.5")
+        assert bad_zt[0] == 2
+        in_process = run(capsys, *good)
+        src = os.path.dirname(os.path.dirname(drttp.__file__))
+
+        def fresh(*argv):
+            proc = subprocess.run([sys.executable, "-m", "drttp", *argv], capture_output=True,
+                                  text=True, env=dict(os.environ, PYTHONPATH=src))
+            return proc.returncode, proc.stdout, proc.stderr
+
+        assert fresh("spectrum", "--zt", "abc") == (2, bad_parse.out, bad_parse.err)
+        assert fresh(*good) == in_process

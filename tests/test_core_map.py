@@ -3,6 +3,8 @@
 import logging
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -157,6 +159,125 @@ class TestMap:
         # the root of a log z = log(1 - z) / 2, a = -z_T / (2 (1 - z_T))
         a = -zt / (2.0 * (1.0 - zt))
         assert a * math.log(z[0]) == pytest.approx(0.5 * math.log1p(-z[0]), rel=1e-13)
+
+
+class TestMapMemo:
+    GRID = np.linspace(-12.0, 12.0, 301)
+
+    @staticmethod
+    def count_newton(monkeypatch):
+        calls = []
+        newton = core._map_newton
+
+        def counted(x, tp):
+            calls.append(x.size)
+            return newton(x, tp)
+
+        monkeypatch.setattr(core, "_map_newton", counted)
+        return calls
+
+    @pytest.mark.parametrize("zt", [2.0, -0.7, 3.5])
+    def test_hit_is_bit_identical_to_a_fresh_map(self, zt):
+        tp = TangentPoly(zt)
+        first = core.map_x_to_z_pair(self.GRID, tp)
+        again = core.map_x_to_z_pair(self.GRID.copy(), tp)
+        fresh = core.map_x_to_z_pair(self.GRID, TangentPoly(zt))
+        for a, b, c in zip(first, again, fresh):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert core.map_x_to_z(self.GRID, tp).tobytes() == fresh[0].tobytes()
+
+    @pytest.mark.parametrize("zt", [2.0, -0.7])
+    def test_returned_arrays_are_fresh(self, zt):
+        tp = TangentPoly(zt)
+        want = core.map_x_to_z_pair(self.GRID, TangentPoly(zt))
+        core.map_x_to_z(self.GRID, tp)[:] = -1.0
+        z, w = core.map_x_to_z_pair(self.GRID, tp)
+        z[:], w[:] = -1.0, -1.0
+        assert core.map_x_to_z(self.GRID, tp).tobytes() == want[0].tobytes()
+        z, w = core.map_x_to_z_pair(self.GRID, tp)
+        assert z.tobytes() == want[0].tobytes() and w.tobytes() == want[1].tobytes()
+
+    def test_same_bytes_other_shape_misses(self, monkeypatch):
+        calls = self.count_newton(monkeypatch)
+        tp = TangentPoly(-0.7)
+        xs = np.linspace(-3.0, 3.0, 12)
+        assert core.map_x_to_z(xs, tp).shape == (12,)
+        assert core.map_x_to_z(xs.reshape(3, 4), tp).shape == (3, 4)
+        assert calls == [12, 12]
+        assert len(tp._map_memo) == 2
+
+    def test_bounded_to_four_recent_grids(self, monkeypatch):
+        tp = TangentPoly(-0.7)
+        grids = [np.linspace(-3.0, 3.0, n) for n in range(5, 11)]
+        for xs in grids:
+            core.map_x_to_z(xs, tp)
+        assert len(tp._map_memo) == core._MEMO_GRIDS == 4
+        # a hit makes a grid the most recent: grid 2 outlives grid 3
+        core.map_x_to_z(grids[2], tp)
+        core.map_x_to_z(grids[0], tp)
+        assert sorted(shape[0] for shape, _ in tp._map_memo) == [5, 7, 9, 10]
+        calls = self.count_newton(monkeypatch)
+        core.map_x_to_z(grids[3], tp)
+        assert calls == [8]
+        # above the point cap and 0-d inputs are mapped and not stored
+        tp = TangentPoly(2.0)
+        big = np.linspace(-5.0, 5.0, core._MEMO_MAX_POINTS + 1)
+        core.map_x_to_z_pair(big, tp)
+        core.map_x_to_z(0.25, tp)
+        assert not tp._map_memo
+        core.map_x_to_z_pair(big[:-1], tp)
+        assert len(tp._map_memo) == 1
+
+    def test_levels_on_one_grid_map_it_once(self, monkeypatch):
+        calls = self.count_newton(monkeypatch)
+        ri, tp = RayIdentifiers(0.5, 12.0), TangentPoly(-1.0)
+        sols = spectrum(ri, tp)
+        assert len(sols) == 6
+        values = [solution_eval_x(self.GRID, s, ri, tp) for s in sols]
+        assert calls == [self.GRID.size]
+        fresh = [solution_eval_x(self.GRID, s, ri, TangentPoly(-1.0)) for s in sols]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(values, fresh))
+
+    def test_memo_leaves_equality_hash_and_repr(self):
+        tp = TangentPoly(-1.0)
+        core.map_x_to_z(self.GRID, tp)
+        assert tp._map_memo
+        assert tp == TangentPoly(-1.0) and tp != TangentPoly(-2.0)
+        assert hash(tp) == hash(TangentPoly(-1.0)) == hash((-1.0,))
+        assert repr(tp) == "TangentPoly(z_T=-1.0)"
+        with pytest.raises(TypeError):
+            TangentPoly(-1.0, {})
+
+    def test_threads_sharing_a_tangent_poly(self):
+        # more threads and grids than the memo holds, switching often; without
+        # its lock, eviction raced ("dictionary changed size during iteration")
+        tp = TangentPoly(-0.7)
+        grids = [np.linspace(-4.0, 4.0, n) for n in range(5, 13)]
+        want = [core.map_x_to_z(xs, TangentPoly(-0.7)).tobytes() for xs in grids]
+        errors = []
+
+        def work(k):
+            try:
+                for i in range(1000):
+                    j = (i * (k + 1)) % len(grids)
+                    if core.map_x_to_z(grids[j], tp).tobytes() != want[j]:
+                        errors.append(f"thread {k}: grid {j} differs")
+            except Exception as exc:  # report, so the assertion below shows it
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(tp._map_memo) == core._MEMO_GRIDS
 
 
 class TestSchwarzian:
