@@ -105,6 +105,36 @@ class TangentPoly:
         return 1.0 - 2.0 * self.z_T
 
 
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b rounded, and its exact rounding error (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a: float) -> tuple[float, float]:
+    """Veltkamp's split of a into a high and a low half of 26 bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _dot2(pairs) -> float:
+    """sum(x * y for x, y in pairs) as if in twice the working precision
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005), Algorithm 5.3),
+    with Dekker's TwoProduct, since Python before 3.13 has no fused
+    multiply-add."""
+    p = s = 0.0
+    for x, y in pairs:
+        h = x * y
+        xh, xl = _split(x)
+        yh, yl = _split(y)
+        r = xl * yl - (((h - xh * yh) - xl * yh) - xh * yl)
+        p, q = _two_sum(p, h)
+        s += q + r
+    return p + s
+
+
 def tangent_poly_eval(z, tp: TangentPoly):
     """Evaluate T2(z) = (z - z_T)**2 / (1 - z_T)**2."""
     z = np.asarray(z, dtype=float)
@@ -316,10 +346,11 @@ def schwarzian_eval(z, tp: TangentPoly, gauge: str = "xtilde"):
     if np.any(z == tp.z_T):
         raise PoleError("Schwarzian has a pole at z == z_T")
     P = z - tp.z_T
+    P2 = P * P  # products: NumPy's power is slow on the negative bases of z_T > 1
     base = (
-        -0.5 / P**2
-        + z * (1.0 - z) * (2.0 * z - 1.0) / P**3
-        + 1.5 * z**2 * (1.0 - z) ** 2 / P**4
+        -0.5 / P2
+        + z * (1.0 - z) * (2.0 * z - 1.0) / (P2 * P)
+        + 1.5 * z**2 * (1.0 - z) ** 2 / (P2 * P2)
     )
     if gauge == "xtilde":
         out = base
@@ -349,11 +380,12 @@ def potential_eval_z(z, ri: RayIdentifiers, tp: TangentPoly):
     if np.any((z < 0.0) | (z > 1.0)):
         raise DomainError("z must lie in [0, 1]")
     P = z - tp.z_T
+    P2 = P * P
     lam2 = ri.lambda_o**2
     out = (
-        (lam2 * (1.0 - z) - ri.f0 * z) * (1.0 - z) / P**2
-        - z * (1.0 - z) * (2.0 * z - 1.0) / (2.0 * P**3)
-        - 0.75 * z**2 * (1.0 - z) ** 2 / P**4
+        (lam2 * (1.0 - z) - ri.f0 * z) * (1.0 - z) / P2
+        - z * (1.0 - z) * (2.0 * z - 1.0) / (2.0 * P2 * P)
+        - 0.75 * z**2 * (1.0 - z) ** 2 / (P2 * P2)
     )
     return out if out.ndim else float(out)
 
@@ -367,11 +399,12 @@ def potential_x_of_z(z, ri: RayIdentifiers, tp: TangentPoly):
     """
     z = np.asarray(z, dtype=float)
     P = z - tp.z_T
+    P2 = P * P
     lam2 = ri.lambda_o**2
     bracket = (
-        (1.0 - z) * (lam2 - ri.f0 * z) / P**2
-        - 2.0 * z * (1.0 - z) * (2.0 * z - 1.0) / P**3
-        - 3.0 * z**2 * (1.0 - z) ** 2 / P**4
+        (1.0 - z) * (lam2 - ri.f0 * z) / P2
+        - 2.0 * z * (1.0 - z) * (2.0 * z - 1.0) / (P2 * P)
+        - 3.0 * z**2 * (1.0 - z) ** 2 / (P2 * P2)
     )
     out = (1.0 - tp.z_T) ** 2 * bracket
     return out if out.ndim else float(out)

@@ -5,25 +5,37 @@ zeros of a characteristic cubic in either signed exponent difference: the
 one at z = 1 (``lambda1``, energy epsilon = -lambda1**2) or the one at
 z = 0 (``lambda0``).  The two cubics carry the same information; roots
 transfer between them through a rational relation that is regular except on
-the a/d double-root hyperbola.
+the a/d double-root hyperbola.  They serve the basic solutions, the
+classification and the census.
+
+The bound levels do not go through a cubic: each is the one positive root
+of the defining radical equation mu = lambda0 + lambda1 + 2n + 1, solved
+directly (:func:`spectrum`), which stays well conditioned where two cubic
+roots meet at threshold and where the cubic's leading coefficient vanishes
+as z_T -> 0-.
 """
 
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import RayIdentifiers, TangentPoly
+from .core import RayIdentifiers, TangentPoly, _two_sum
 from .errors import (
     ClassificationError,
+    ConvergenceError,
     DegenerateLimitError,
     DomainError,
     TransferAmbiguityError,
 )
 
+_log = logging.getLogger("drttp.spectral")
+
 _DEGENERATE_C0_TOL = 1e-12
+_EPS = math.ulp(1.0)
 
 
 class Kind(Enum):
@@ -486,37 +498,102 @@ def asymptotic_tau(tp: TangentPoly) -> AsymptoticSlopes:
     )
 
 
-def _select_c_root(n: int, ri: RayIdentifiers,
-                   tp: TangentPoly) -> tuple[float, float]:
-    """The one admissible (lambda0, lambda1) pair of kind C at degree n."""
-    cands = []
-    for r in real_cubic_roots(cubic_coeffs(n, ri, tp)):
-        if r <= 0.0:
-            continue
-        lam0 = expdiff_transfer(r, n, ri, tp,
-                                TransferDirection.LAMBDA1_TO_LAMBDA0)
-        if lam0 > 0.0:
-            cands.append((lam0, r))
-    if len(cands) != 1:
-        raise ClassificationError(
-            f"expected exactly one admissible eigen-root at n={n}, "
-            f"found {len(cands)}"
-        )
-    return cands[0]
+_LEVEL_MAX_ITER = 100
+
+
+def _level_root(n: int, ri: RayIdentifiers,
+                tp: TangentPoly) -> tuple[float, float, int, int]:
+    """Level n as (lambda1, lambda0, Newton steps, bisections).
+
+    With s = sqrt(c0) and u = 2n + 1, lambda1 is the root l > 0 of the
+    quantization condition A - B - l - u = 0, where
+    A = sqrt(mu_o**2 + a2 l**2) = mu and B = sqrt(lambda_o**2 + c0 l**2)
+    = lambda0, solved in the cancellation-free form
+
+        g(l) = (mu_o - lambda_o - u) + a2 l**2 / (A + mu_o)
+               - c0 l**2 / (B + lambda_o) - l,
+
+    whose constant is carried to twice the working precision.  Below
+    threshold g(0) > 0, and g has one root on l > 0.  For z_T < 0,
+    g' <= sqrt(a2) - 1 < 0 everywhere.  For z_T > 1, any root has
+    A = B + l + u > B, so there g' < (a2 - c0) l / B - 1 < -1, because
+    c0 - a2 = s + sqrt(a2) > 0; every crossing is downward, so there is only
+    one.  B >= s l bounds the root by the lambda_o = 0 root, the positive
+    root of ((1 + s)**2 - a2) l**2 + 2u(1 + s) l + u**2 - mu_o**2.
+
+    Newton runs from that bound and bisects when a step leaves the bracket
+    or fails to halve the step before last.  It stops with one last step
+    once g is within its rounding error, or when the bracket is a few ulps
+    wide.
+    """
+    lo, mo, s = ri.lambda_o, ri.mu_o, tp.sqrt_c0
+    al = 1.0 / abs(1.0 - tp.z_T)  # sqrt(a2)
+    u = 2.0 * n + 1.0
+    d, e1 = _two_sum(mo, -lo)
+    d, e2 = _two_sum(d, -u)
+    e = e1 + e2
+    # (1 + s)**2 - a2 = 4s for z_T < 0 (s + al = 1), 4(1 + al) for z_T > 1 (s - al = 1)
+    qa = 4.0 * s if tp.z_T < 0.0 else 4.0 * (1.0 + al)
+    qb = 2.0 * u * (1.0 + s)
+    qc = (u - mo) * (u + mo)
+    a, b = 0.0, -2.0 * qc / (qb + math.sqrt(qb * qb - 4.0 * qa * qc))
+    x, dx, dx_old = b, math.inf, math.inf
+    steps = halvings = 0
+    for _ in range(_LEVEL_MAX_ITER):
+        t = s * x
+        A = math.hypot(mo, al * x)
+        B = math.hypot(lo, t)
+        ta = (al * x) ** 2 / (A + mo)  # A - mu_o
+        tb = t * t / (B + lo) if t else 0.0  # B - lambda_o; 0 where c0 l**2 underflows
+        gx = d - x + (e + ta - tb)
+        if gx < 0.0:
+            b = x
+        elif gx > 0.0:
+            a = x
+        else:
+            break
+        dg = al * al * x / A - (s * t / B if t else 0.0) - 1.0
+        # g' < 0 near the root; once g is within its rounding error, one last step
+        if dg < 0.0 and abs(gx) <= 8.0 * _EPS * (d + x + ta + tb):
+            x -= gx / dg
+            break
+        if b - a <= 4.0 * _EPS * b:
+            break
+        x_new = x - gx / dg if dg < 0.0 else a
+        if a < x_new < b and 2.0 * abs(x_new - x) <= abs(dx_old):
+            steps += 1
+        else:
+            x_new = 0.5 * (a + b)
+            halvings += 1
+        dx_old, dx, x = dx, x_new - x, x_new
+    else:
+        raise ConvergenceError(f"level {n}: no convergence in {_LEVEL_MAX_ITER} iterations")
+    return x, math.hypot(lo, s * x), steps, halvings
 
 
 def spectrum(ri: RayIdentifiers, tp: TangentPoly) -> list[AehSolution]:
     """Discrete spectrum as kind-C solutions with strictly increasing energy.
 
-    Each level is the one root lambda1 > 0 of the lambda1 cubic whose
-    transferred lambda0 is also positive; the transfer's only pole,
-    lambda1 = -(2n + 1), lies off that half-line.
+    Level n is the one root lambda1 > 0 of the quantization condition
+    mu = lambda0 + lambda1 + 2n + 1, where lambda0 and mu are the positive
+    roots of the two defining quadratics; lambda0 is read off its radical,
+    not transferred (see :func:`_level_root`).  Each level is also a root of
+    the lambda1 cubic, which verify's ``cubic.level-residual`` checks.
+    Newton steps and bisections are logged per call at DEBUG under
+    ``drttp.spectral``.
     """
     _check_not_degenerate(tp)
     out = []
+    steps = halvings = 0
     for n in range(bound_state_count(ri.mu_o, ri.lambda_o)):
-        lam0, lam1 = _select_c_root(n, ri, tp)
+        lam1, lam0, k, h = _level_root(n, ri, tp)
+        steps += k
+        halvings += h
         out.append(make_solution(Kind.C, n, lam0, lam1, ri, tp))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("spectrum (%r, %r, z_T=%r): %d level(s), %d Newton steps, "
+                   "%d bisections", ri.lambda_o, ri.mu_o, tp.z_T, len(out),
+                   steps, halvings)
     energies = [s.epsilon for s in out]
     if any(e >= 0.0 for e in energies) or any(
         b <= a for a, b in zip(energies, energies[1:])

@@ -19,6 +19,7 @@ from numpy.polynomial.polynomial import polyder, polyval
 from .core import (
     RayIdentifiers,
     TangentPoly,
+    _dot2,
     map_x_to_z,
     potential_x_of_z,
 )
@@ -154,16 +155,15 @@ class PartnerSpec:
 
     @property
     def delta0(self) -> float:
-        """Constant part of Delta O1 / 4 (the linear numerator is 2z + delta0)."""
-        if self.steps == 1:
-            ff = self.ff_kinds[0]
-            return -(ff.mu - 1.0) * self.outer_pole + ff.lambda0 - 1.0
-        t, t_prime = self.ff_kinds
-        return (
-            -0.5 * (t.mu + t_prime.mu - 2.0) * self.outer_pole
-            + 0.5 * (t.lambda0 + t_prime.lambda0)
-            - 1.0
-        )
+        """Constant part of Delta O1 / 4 (the linear numerator is 2z + delta0):
+        z - 1 plus the mean of lambda0 - mu z over the FFs, z = outer_pole.
+        Those terms cancel to O(1) when mu |z| is large, so the sum is
+        formed as if in twice the working precision."""
+        z, k = self.outer_pole, self.steps
+        pairs = [(1.0, z), (-1.0, 1.0)]
+        for ff in self.ff_kinds:
+            pairs += [(-ff.mu / k, z), (ff.lambda0 / k, 1.0)]
+        return _dot2(pairs)
 
 
 def single_partner_spec(ff: AehSolution, tp: TangentPoly) -> PartnerSpec:

@@ -22,6 +22,8 @@ from .spectral import CubicVariable, Kind, TransferDirection
 
 # the acceptance grid: every (lambda_o, mu_o, z_T) of these values
 GRID_POINTS = list(itertools.product((0.0, 0.5, 1.0, 2.0), (3.0, 5.0, 7.3), (2.0, -1.0)))
+# two deep wells: 30 and 26 levels, degrees <= 29
+HIGH_DEGREE_POINTS = [(0.3, 59.7, 2.0), (0.0, 52.0, -1.0)]
 
 
 @dataclass
@@ -230,6 +232,16 @@ def check_cubic(n_draws: int = 1000, fault: str | None = None) -> list[CheckResu
                 continue
             scale = max(abs(v) for v in s1.coeffs) * max(1.0, abs(l1)) ** 3
             cross_worst = max(cross_worst, abs(s1(l1)) / scale)
+    # spectrum() solves the radical equation; each level must still be a root
+    # of the paper's lambda1 cubic, by residual over the sum of its terms
+    level_worst, n_levels = 0.0, 0
+    for lo, mo, zt in GRID_POINTS + HIGH_DEGREE_POINTS:
+        ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
+        for sol in spectral.spectrum(ri, tp):
+            s1 = spectral.cubic_coeffs(sol.m, ri, tp, CubicVariable.LAMBDA1)
+            terms = sum(abs(c) * sol.lambda1**k for k, c in enumerate(s1.coeffs))
+            level_worst = max(level_worst, abs(s1(sol.lambda1)) / terms)
+            n_levels += 1
     return [
         _result("cubic.cross-consistency", 1e-8, cross_worst,
                 f"{n_draws} draws"),
@@ -238,6 +250,8 @@ def check_cubic(n_draws: int = 1000, fault: str | None = None) -> list[CheckResu
         _result("cubic.quartic-containment", 1e-8, quartic_worst),
         _result("cubic.freeterm-positivity", 0.5, float(freeterm_bad),
                 "violation count"),
+        _result("cubic.level-residual", 1e-12, level_worst,
+                f"scaled residual, {n_levels} levels of the grid and degrees <= 29"),
     ]
 
 
@@ -375,7 +389,7 @@ def check_eigenfunctions() -> list[CheckResult]:
                 ),
             )
     high_gram, high_misses = 0.0, 0
-    for lo, mo, zt in ((0.3, 59.7, 2.0), (0.0, 52.0, -1.0)):  # 30 and 26 levels
+    for lo, mo, zt in HIGH_DEGREE_POINTS:
         ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
         gram, norm_gap, misses = _gram_checks(ri, tp, spectral.spectrum(ri, tp), xq, wq)
         high_gram, high_misses = max(high_gram, gram), high_misses + misses

@@ -1,5 +1,6 @@
 """Characteristic cubics, classification, levelled limit and spectra."""
 
+import logging
 import math
 
 import mpmath
@@ -310,3 +311,96 @@ class TestSpectrum:
 
                     ref = -mpmath.findroot(defining, s.lambda1) ** 2
                     assert abs((s.epsilon - ref) / ref) < 1e-11, (lo, mo, z_t, s.m)
+
+
+def _mp_level(lo, mo, z_t, n):
+    """50-digit lambda1 of level n: the root of the defining system
+    sqrt(lambda_o**2 + c0 l**2) + l + 2n + 1 = sqrt(mu_o**2 + a2 l**2),
+    bracketed by 0 and the lambda_o = 0 root."""
+    with mpmath.workdps(50):
+        L, M, zt = mpmath.mpf(lo) ** 2, mpmath.mpf(mo) ** 2, mpmath.mpf(z_t)
+        c0, a2 = (zt / (zt - 1)) ** 2, 1 / (1 - zt) ** 2
+        u = 2 * n + 1
+        qa, qb, qc = (1 + mpmath.sqrt(c0)) ** 2 - a2, 2 * u * (1 + mpmath.sqrt(c0)), u * u - M
+        hi = -2 * qc / (qb + mpmath.sqrt(qb * qb - 4 * qa * qc))
+
+        def defining(l):
+            return mpmath.sqrt(L + c0 * l**2) + l + u - mpmath.sqrt(M + a2 * l**2)
+
+        return mpmath.findroot(defining, (mpmath.mpf(0), hi), solver="anderson")
+
+
+def _worst_level_error(points, top_only=False):
+    worst = 0.0
+    for lo, mo, z_t in points:
+        sols = spectrum(RayIdentifiers(lo, mo), TangentPoly(z_t))
+        assert len(sols) == bound_state_count(mo, lo), (lo, mo, z_t)
+        for s in sols[-1:] if top_only else sols:
+            ref = _mp_level(lo, mo, z_t, s.m)
+            worst = max(worst, float(abs((s.lambda1 - ref) / ref)))
+    return worst
+
+
+class TestSpectrumEdges:
+    """Levels where the lambda1 cubic degenerates, against 50-digit roots."""
+
+    @staticmethod
+    def _z_t(rng):
+        d = 10 ** rng.uniform(-3, math.log10(60))
+        return (2.0, -d, 1.0 + d)[rng.integers(3)]
+
+    def test_lambda_o_zero_just_below_threshold(self):
+        # mu_o = 2n + 1 + delta: two roots of the cubic meet at 0 as delta -> 0
+        rng = np.random.default_rng(9)
+        points = [(0.0, 2 * n + 1 + 10 ** rng.uniform(-9, -5), self._z_t(rng))
+                  for n in rng.integers(0, 30, size=60)]
+        assert _worst_level_error(points, top_only=True) < 1e-14
+
+    def test_lambda_o_positive_just_below_threshold(self):
+        # delta = mu_o - lambda_o - (2n + 1) is formed to twice working precision
+        rng = np.random.default_rng(10)
+        points = []
+        for n in rng.integers(0, 30, size=60):
+            lo = 30 * rng.random()
+            points.append((lo, lo + 2 * n + 1 + 10 ** rng.uniform(-9, -5), self._z_t(rng)))
+        assert _worst_level_error(points, top_only=True) < 1e-14
+
+    def test_z_t_tends_to_zero_from_below(self):
+        # the cubic's leading coefficient vanishes like |z_T|
+        rng = np.random.default_rng(12)
+        points = [(16.79, 19.49, -1.76e-6), (0.0, 20.0, -1e-4)]
+        points += [(30 * rng.random(), 80 * (1 - rng.random()), -(10 ** rng.uniform(-6, -3)))
+                   for _ in range(20)]
+        assert _worst_level_error(points) < 1e-12
+
+    def test_z_t_between_one_and_two(self):
+        # sqrt(a2) > 1 here, so g' < 0 is proven only at a root, where
+        # g' < -1: g is positive below the level and negative above it
+        rng = np.random.default_rng(13)
+        # the cubic route was 3.1e-11 and 1.5e-12 off at the first two
+        points = [(7.1945297464294935, 30.194600973388095, 1.011796651584371),
+                  (8.52, 37.523, 1.19405)]
+        points += [(30 * rng.random(), 80 * (1 - rng.random()), 1.0 + 10 ** rng.uniform(-3, 0))
+                   for _ in range(20)]
+        assert _worst_level_error(points) < 1e-12
+        for lo, mo, z_t in points:
+            tp = TangentPoly(z_t)
+            s, al = tp.sqrt_c0, 1.0 / (z_t - 1.0)
+            for sol in spectrum(RayIdentifiers(lo, mo), tp):
+                r = sol.lambda1
+                ls = np.concatenate([r * np.geomspace(1e-6, 1e3, 1000), np.geomspace(1e-9, 1e4, 1000)])
+                ls = ls[np.abs(ls / r - 1.0) > 1e-9]
+                A, B = np.hypot(mo, al * ls), np.hypot(lo, s * ls)
+                g = (mo - lo - 2 * sol.m - 1) + (al * ls) ** 2 / (A + mo) - (s * ls) ** 2 / (B + lo) - ls
+                assert np.array_equal(np.sign(g), np.sign(r - ls)), (lo, mo, z_t, sol.m)
+                assert al * al * r / sol.mu - s * s * r / sol.lambda0 - 1.0 < -1.0
+
+    def test_solver_counts_logged_at_debug(self, caplog):
+        ri, tp = RayIdentifiers(0.5, 7.3), TangentPoly(-1.0)
+        spectrum(ri, tp)
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="drttp.spectral")
+        spectrum(ri, tp)
+        assert [r.name for r in caplog.records] == ["drttp.spectral"]
+        assert "3 level(s)" in caplog.text
+        assert "Newton steps" in caplog.text and "bisections" in caplog.text

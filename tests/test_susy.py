@@ -153,6 +153,34 @@ class TestPartnerCorrection:
         assert worst[1] <= 1e-10, worst
         assert worst[2] <= 1e-13, worst
 
+    def test_delta0_against_mpmath(self):
+        # delta0 = z - 1 + mean(lambda0 - mu z) over the FFs cancels to O(1)
+        # from terms of size mu |z|; at (0.5743, 74.927, -55.277), FF b0
+        # (mu = 2 808, lambda0 = -155 137), plain rounding was 1.4e-11 off
+        rng = np.random.default_rng(60)
+        points = [(0.5743, 74.927, -55.277)]
+        for _ in range(40):
+            dist = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+            points.append((rng.uniform(0.0, 30.0), rng.uniform(31.0, 80.0),
+                           (2.0, -dist, 1.0 + dist)[rng.integers(3)]))
+        worst = 0.0
+        with mpmath.workdps(60):
+            for lo, mo, zt in points:
+                tp = TangentPoly(zt)
+                basics = basic_solutions(RayIdentifiers(lo, mo), tp)
+                specs = [susy.single_partner_spec(ff, tp) for ff in basics.values()]
+                for t, tq in itertools.combinations(basics.values(), 2):
+                    try:
+                        specs.append(susy.double_partner_spec(t, tq, tp))
+                    except PairRejectedError:
+                        pass
+                for spec in specs:
+                    z = mpmath.mpf(spec.outer_pole)
+                    exact = z - 1 + sum(mpmath.mpf(ff.lambda0) - mpmath.mpf(ff.mu) * z
+                                        for ff in spec.ff_kinds) / spec.steps
+                    worst = max(worst, float(abs(spec.delta0 - exact) / abs(exact)))
+        assert worst <= 4 * np.finfo(float).eps, worst
+
 
 class TestPairs:
     def test_outer_roots(self, basics):
