@@ -107,6 +107,8 @@ def cmd_spectrum(args) -> int:
     cfg = _resolve_params(args)
     ri = core.RayIdentifiers(cfg.lambda_o, cfg.mu_o)
     tp = core.TangentPoly(cfg.z_t)
+    if args.n is not None and args.n < 0:
+        raise DomainError(f"--n must be >= 0, got {args.n}")
     sols = spectral.spectrum(ri, tp)
     if args.n is not None:
         sols = sols[: args.n]

@@ -282,6 +282,8 @@ def wl_solve(m: int, mu_o: float, tp: TangentPoly) -> list[AehSolution]:
     mu_o - 2m - 1 and the c0 branch) plus the two quadratic-branch roots
     (types c/d' and d).  Energies are epsilon = -lambda1**2.
     """
+    if m < 0:
+        raise DomainError("m must be >= 0")
     _check_not_degenerate(tp)
     ri = RayIdentifiers(0.0, mu_o)
     s = tp.sqrt_c0

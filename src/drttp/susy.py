@@ -10,6 +10,7 @@ the construction to be admissible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -347,12 +348,19 @@ def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int]
 
 @dataclass(frozen=True)
 class HeunPolynomial:
-    """Polynomial solution of a partner Heun equation (ascending coeffs)."""
+    """Polynomial solution of a partner Heun equation (ascending coeffs).
+
+    ``roots_in_01`` is counted by :func:`~drttp.wavefunction.count_roots_in_01`
+    the first time it is read and kept; it is not a field.
+    """
 
     coeffs: tuple[float, ...]
     degree: int
     degree_degenerate: bool
-    roots_in_01: int
+
+    @functools.cached_property
+    def roots_in_01(self) -> int:
+        return count_roots_in_01(self.coeffs)
 
     def __call__(self, z):
         out = polyval(np.asarray(z, dtype=float), self.coeffs)
@@ -398,7 +406,6 @@ def heun_poly_construct(t0: AehSolution, t_prime: AehSolution,
         coeffs=tuple(coeffs),
         degree=len(trimmed) - 1 if degenerate else mp + 1,
         degree_degenerate=degenerate,
-        roots_in_01=count_roots_in_01(coeffs),
     )
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .core import RayIdentifiers, TangentPoly, map_x_to_z_pair
+from .core import RayIdentifiers, TangentPoly, gauge_record, split_at_half
 from .errors import ConvergenceError, DomainError
 from .spectral import AehSolution, spectrum
 
@@ -99,17 +100,32 @@ def hypergeom_poly_jacobi(n: int, a: float, c: float, z) -> float:
 def _hypergeom_poly(n: int, a: float, c: float, z, omz) -> np.ndarray:
     """``hypergeom_poly_jacobi`` from arrays z and 1 - z, each at its own
     relative precision."""
+    alpha, beta = _jacobi_parameters(n, a, c)
+    out = np.ones(z.shape)
+    if n:
+        _times_jacobi(out, n, alpha, beta, split_at_half(z, omz))
+    return out
+
+
+def _jacobi_parameters(n: int, a: float, c: float) -> tuple[float, float]:
+    """(alpha, beta) = (c - 1, a - n - c) of F(-n, a; c; z), checked as
+    ``hypergeom_poly_jacobi`` requires."""
     alpha = c - 1.0
     beta = a - n - c
     if n < 0 or (n > 0 and not (alpha > -1.0 and beta > -1.0)):
         raise DomainError(f"need n >= 0 and alpha, beta > -1: n={n}, ({alpha}, {beta})")
-    out = np.ones(z.shape)
-    if n:
-        left = z <= 0.5
-        for mask, s, reflected in ((left, z, False), (~left, omz, True)):
-            if mask.any():
-                out[mask] = _jacobi_difference(n, alpha, beta, s[mask], reflected)
-    return out
+    return alpha, beta
+
+
+def _times_jacobi(out, n: int, alpha: float, beta: float, halves) -> None:
+    """Multiply the C-contiguous array ``out`` in place by the polynomial of
+    ``hypergeom_poly_jacobi`` (n >= 1), run on each of the ``halves`` of
+    :func:`~drttp.core.split_at_half` in its small coordinate."""
+    left, right, z_left, omz_right = halves
+    flat = out.reshape(-1)
+    for idx, s, reflected in ((left, z_left, False), (right, omz_right, True)):
+        if s.size:
+            flat[idx] *= _jacobi_difference(n, alpha, beta, s, reflected)
 
 
 def _jacobi_difference(n: int, alpha: float, beta: float, s, reflected: bool):
@@ -145,11 +161,18 @@ def hypergeom_poly_coeffs(n: int, a: float, c: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolyFactor:
-    """Polynomial factor of a solution, ascending coefficients."""
+    """Polynomial factor of a solution, ascending coefficients.
+
+    ``roots_in_01`` is counted by :func:`count_roots_in_01` the first time
+    it is read and kept; it is not a field.
+    """
 
     degree: int
     coeffs: tuple[float, ...]
-    roots_in_01: int
+
+    @functools.cached_property
+    def roots_in_01(self) -> int:
+        return count_roots_in_01(self.coeffs)
 
     def __call__(self, z):
         out = polyval(np.asarray(z, dtype=float), self.coeffs)
@@ -174,7 +197,7 @@ def count_roots_in_01(coeffs) -> int:
 def poly_factor(sol: AehSolution) -> PolyFactor:
     """Polynomial factor of a solution as explicit coefficients."""
     coeffs = hypergeom_poly_coeffs(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0)
-    return PolyFactor(sol.m, tuple(coeffs), count_roots_in_01(coeffs))
+    return PolyFactor(sol.m, tuple(coeffs))
 
 
 def _poly_eval(z, omz, sol: AehSolution) -> np.ndarray:
@@ -241,12 +264,20 @@ def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     The Liouville weight and the solution prefactors are merged so the
     tails carry no inf*0 indeterminacy:
     sqrt((z - z_T)/(2(1 - z_T))) z^(l0/2) (1-z)^(l1/2) Pi_m(z),
-    with 1-z carried at its own relative precision.
+    with 1-z carried at its own relative precision.  The weight and the
+    z = 1/2 split of the polynomial factor come from the grid's
+    :class:`~drttp.core.GaugeRecord`, so the levels on one grid share them.
     """
     scalar = np.ndim(x) == 0
-    z, omz = np.atleast_1d(*map_x_to_z_pair(x, tp))
-    w = np.sqrt((z - tp.z_T) / (2.0 * (1.0 - tp.z_T)))
-    out = w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1) * _poly_eval(z, omz, sol)
+    g = gauge_record(x, tp)
+    m = sol.m
+    # derived as _poly_eval derives them: alpha = (lambda0 + 1) - 1 can
+    # differ from lambda0 in its last bit
+    alpha, beta = _jacobi_parameters(m, sol.mu - m, sol.lambda0 + 1.0)
+    out = g.weight * g.z ** (0.5 * sol.lambda0)
+    out *= g.omz ** (0.5 * sol.lambda1)
+    if m:
+        _times_jacobi(out, m, alpha, beta, g.halves)
     return float(out[0]) if scalar else out
 
 

@@ -51,6 +51,23 @@ class TestSpectrum:
         assert lines[0] == "n,lambda0,lambda1,mu,epsilon,E"
         assert len(lines) == 3
 
+    def test_n_limits_levels(self, capsys):
+        # (0.5, 7.3, 2) has 3 levels; --n 0 emits none
+        for n, want in (("2", 2), ("0", 0), ("9", 3)):
+            code, out, _ = run(capsys, "spectrum", "--lambda-o", "0.5", "--mu-o", "7.3",
+                               "--zt", "2", "--n", n)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["n0"] == want and len(doc["levels"]) == want
+
+    def test_negative_n_rejected(self, capsys):
+        # --n -1 used to drop the top level through sols[:-1] and exit 0
+        code, out, err = run(capsys, "spectrum", "--lambda-o", "0.5", "--mu-o", "7.3",
+                             "--zt", "2", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--n" in err and err.count("\n") == 1
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lambda_o = 0\nmu_o = 1\nzt = 2\n")
@@ -150,6 +167,13 @@ class TestWlAndCensus:
         doc = json.loads(out)
         kinds = {row["kind"] for row in doc["solutions"]}
         assert kinds == {"a", "c", "d"}
+
+    def test_wl_negative_m_rejected(self, capsys):
+        code, out, err = run(capsys, "wl", "--lambda-o", "0", "--mu-o", "5",
+                             "--zt", "2", "--m", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_census(self, capsys):
         code, out, _ = run(capsys, "census", "--lambda-o", "0", "--mu-o", "5",

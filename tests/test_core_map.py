@@ -279,6 +279,53 @@ class TestMapMemo:
         assert errors == []
         assert len(tp._map_memo) == core._MEMO_GRIDS
 
+    def test_one_gauge_record_per_grid(self):
+        tp = TangentPoly(-0.7)
+        core.map_x_to_z(self.GRID, tp)
+        (rec,) = tp._map_memo.values()
+        # a grid that is only mapped computes no eigenfunction extras
+        assert "weight" not in vars(rec) and "halves" not in vars(rec)
+        assert core.gauge_record(self.GRID.copy(), tp) is rec
+        assert rec.weight is rec.weight and rec.halves is rec.halves
+        for a in (rec.z, rec.omz, rec.weight, *rec.halves[2:]):
+            assert not a.flags.writeable
+        assert core.map_x_to_z(self.GRID, tp).flags.writeable
+
+    def test_gauge_record_kept_for_memoized_grids_only(self):
+        tp = TangentPoly(-0.7)
+        rec = core.gauge_record(self.GRID, tp)
+        assert core.gauge_record(self.GRID, tp) is rec
+        assert list(tp._map_memo.values()) == [rec]
+        big = np.linspace(-5.0, 5.0, core._MEMO_MAX_POINTS + 1)
+        for x in (0.25, 0.25, big):
+            got = core.gauge_record(x, tp)
+            assert got.z.shape == np.atleast_1d(x).shape
+            assert got is not core.gauge_record(x, tp)
+        assert list(tp._map_memo.values()) == [rec]
+
+    def test_gauge_record_c_contiguous(self):
+        # a Fortran-ordered grid maps to Fortran-ordered arrays; the record
+        # keeps C-ordered ones, which its split and callers index flattened
+        xs = np.asfortranarray(self.GRID[:300].reshape(15, 20))
+        tp = TangentPoly(-0.7)
+        rec = core.gauge_record(xs, tp)
+        z, omz = core.map_x_to_z_pair(np.ascontiguousarray(xs), TangentPoly(-0.7))
+        for got, want in ((rec.z, z), (rec.omz, omz)):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        assert core.gauge_record(np.ascontiguousarray(xs), tp) is rec
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    def test_halves_split_at_one_half(self, order):
+        xs = {"sorted": self.GRID, "reversed": self.GRID[::-1],
+              "shuffled": np.random.default_rng(0).permutation(self.GRID)}[order]
+        rec = core.gauge_record(xs, TangentPoly(2.0))
+        left, right, z_left, omz_right = rec.halves
+        mask = rec.z <= 0.5
+        assert np.array_equal(left, np.flatnonzero(mask))
+        assert np.array_equal(right, np.flatnonzero(~mask))
+        assert np.array_equal(z_left, rec.z[left]) and np.array_equal(omz_right, rec.omz[right])
+        assert not any(h.flags.writeable for h in rec.halves)
 
 class TestSchwarzian:
     def test_eta_mode_values(self):

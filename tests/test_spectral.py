@@ -12,6 +12,7 @@ from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import (
     ClassificationError,
     DegenerateLimitError,
+    DomainError,
     TransferAmbiguityError,
 )
 from drttp.spectral import (
@@ -183,6 +184,11 @@ class TestWlSolve:
         assert Kind.D_PRIME in sols
         d = sols[Kind.D]
         assert d.merged_tail and d.label == "d''"
+
+    def test_negative_m_rejected(self):
+        # m = -1 used to return three "solutions" of degree -1
+        with pytest.raises(DomainError):
+            wl_solve(-1, 5.0, TP2)
 
     def test_invariants_on_all_solutions(self):
         for z_t in (2.0, -1.0):

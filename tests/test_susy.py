@@ -1,5 +1,6 @@
 """Darboux partners, Heun operators and polynomial solutions."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,15 +8,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from drttp import susy, verify
+from drttp import susy, verify, wavefunction
 from drttp.core import RayIdentifiers, TangentPoly, potential_eval_z
 from drttp.errors import (
     AvailabilityError,
     DomainError,
+    DrttpError,
     GaugeError,
     PairRejectedError,
 )
-from drttp.spectral import AehSolution, Kind, basic_solutions
+from drttp.spectral import AehSolution, Kind, basic_solutions, spectrum
 
 TP2 = TangentPoly(2.0)
 WL5 = RayIdentifiers(0.0, 5.0)
@@ -344,6 +346,45 @@ class TestHeun:
         # proportional to z - z_tt'
         root = -poly.coeffs[0] / poly.coeffs[1]
         assert root == pytest.approx(ztt, rel=1e-12)
+
+    def test_poly_root_count_whole_domain(self):
+        # seeded Area A_0 draws over lambda_o <= 30, mu_o <= 80 and z_T = 2 or
+        # 1e-3..60 (log-uniform) beyond either singular point, each basic FF
+        # against the top level
+        rng = np.random.default_rng(17)
+        polys = 0
+        while polys < 300:
+            lo, mo, d = rng.uniform(0.0, 30.0), rng.uniform(0.0, 80.0), 10 ** rng.uniform(-3, 1.78)
+            tp = TangentPoly((2.0, -d, 1.0 + d)[rng.integers(3)])
+            ri = RayIdentifiers(lo, mo)
+            if mo <= lo + 1.0:
+                continue
+            try:
+                sols = spectrum(ri, tp)
+                basics = basic_solutions(ri, tp)
+            except DrttpError:
+                continue
+            for ff in basics.values():
+                poly = susy.heun_poly_construct(ff, sols[-1], tp)
+                assert poly.roots_in_01 == wavefunction.count_roots_in_01(poly.coeffs)
+                polys += 1
+
+    def test_poly_roots_counted_on_first_read_only(self, basics, monkeypatch):
+        calls = []
+
+        def spy(coeffs):
+            calls.append(coeffs)
+            return wavefunction.count_roots_in_01(coeffs)
+
+        monkeypatch.setattr(susy, "count_roots_in_01", spy)
+        poly = susy.heun_poly_construct(basics[Kind.C], basics[Kind.A], TP2)
+        assert calls == []
+        assert [poly.roots_in_01 for _ in range(3)] == [0, 0, 0]
+        assert calls == [poly.coeffs]
+        assert [f.name for f in dataclasses.fields(poly)] == [
+            "coeffs", "degree", "degree_degenerate"]
+        again = susy.heun_poly_construct(basics[Kind.C], basics[Kind.A], TP2)
+        assert again == poly and hash(again) == hash(poly)
 
     def test_poly_residuals(self):
         for r in verify.check_heun(m_max=3):

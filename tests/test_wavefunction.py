@@ -1,6 +1,9 @@
 """Closed-form solutions, eigenfunctions, node counting."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -160,6 +163,163 @@ class TestPolyFactor:
     def test_roots_outside_not_counted(self):
         # z^2 - 3z + 2 = (z-1)(z-2): no roots strictly inside (0,1)
         assert count_roots_in_01([2.0, -3.0, 1.0]) == 0
+
+    @staticmethod
+    def _whole_domain_levels(degrees, count):
+        """(lambda_o, mu_o, z_T, n, level n) for count levels with n in
+        degrees, over seeded draws of lambda_o <= 30, mu_o <= 80 and z_T = 2 or
+        1e-3..60 (log-uniform) beyond either singular point."""
+        rng = np.random.default_rng(11)
+        while True:
+            lo, mo, d = rng.uniform(0.0, 30.0), rng.uniform(0.0, 80.0), 10 ** rng.uniform(-3, 1.78)
+            tp = TangentPoly((2.0, -d, 1.0 + d)[rng.integers(3)])
+            try:
+                sols = spectrum(RayIdentifiers(lo, mo), tp)
+            except DrttpError:
+                continue
+            for n, s in enumerate(sols):
+                if n in degrees:
+                    yield lo, mo, tp.z_T, n, s
+                    count -= 1
+                    if not count:
+                        return
+
+    def test_level_n_has_n_roots_whole_domain(self):
+        # levels stop at n = 7; test_level_n_has_n_roots_from_degree_8 shows
+        # what happens above
+        for *draw, n, s in self._whole_domain_levels(range(8), 400):
+            assert poly_factor(s).roots_in_01 == n, (*draw, n)
+
+    @pytest.mark.xfail(strict=True, reason="count_roots_in_01 (np.roots with a 1e-9 "
+                       "imaginary-part cut) miscounts roots in (0, 1) from degree 8 on; "
+                       "see the FOUND in CHANGES.md")
+    def test_level_n_has_n_roots_from_degree_8(self):
+        bad = [(*draw, n) for *draw, n, s in self._whole_domain_levels(range(8, 10**6), 300)
+               if poly_factor(s).roots_in_01 != n]
+        assert bad == []
+
+    def test_roots_counted_on_first_read_only(self, monkeypatch):
+        calls = []
+
+        def spy(coeffs):
+            calls.append(coeffs)
+            return count_roots_in_01(coeffs)
+
+        monkeypatch.setattr(wavefunction, "count_roots_in_01", spy)
+        pf = poly_factor(spectrum(RayIdentifiers(0.0, 7.4), TP2)[3])
+        assert calls == []
+        assert [pf.roots_in_01 for _ in range(3)] == [3, 3, 3]
+        assert calls == [pf.coeffs]
+        # not a field: equality, hash and repr read degree and coeffs only
+        assert [f.name for f in dataclasses.fields(pf)] == ["degree", "coeffs"]
+        assert pf == wavefunction.PolyFactor(pf.degree, pf.coeffs)
+        assert hash(pf) == hash(wavefunction.PolyFactor(pf.degree, pf.coeffs))
+
+
+def _solution_reference(x, sol, tp):
+    """solution_eval_x without the gauge record: a fresh map, the weight and
+    the polynomial factor over the whole grid, one product."""
+    z, omz = np.atleast_1d(*core.map_x_to_z_pair(x, TangentPoly(tp.z_T)))
+    w = np.sqrt((z - tp.z_T) / (2.0 * (1.0 - tp.z_T)))
+    return (w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1)
+            * wavefunction._poly_eval(z, omz, sol))
+
+
+class TestGaugeRecord:
+    GRID = np.linspace(-30.0, 30.0, 1201)
+    GRIDS = {
+        "sorted": GRID,
+        "reversed": GRID[::-1].copy(),
+        "shuffled": np.random.default_rng(2).permutation(GRID),
+        "2-d": GRID[:1200].reshape(30, 40),
+        "2-d, Fortran order": np.asfortranarray(GRID[:1200].reshape(30, 40)),
+        "above the cap": np.linspace(-45.0, 45.0, core._MEMO_MAX_POINTS + 7),
+    }
+    CASES = [(0.5, 12.0, 2.0), (0.7, 60.4, 2.0), (0.3, 14.2, -0.8), (1.2, 10.9, 3.5)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_equal_to_unmemoized_formula(self, case):
+        lo, mo, zt = case
+        ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
+        sols = spectrum(ri, tp)
+        others = [np.linspace(-1.0, 1.0, k) for k in range(3, 3 + core._MEMO_GRIDS)]
+        for name, xs in self.GRIDS.items():
+            want = [_solution_reference(xs, s, tp).tobytes() for s in sols]
+            # first call, hits, then after the other grids evicted it
+            for _ in range(2):
+                got = [solution_eval_x(xs, s, ri, tp).tobytes() for s in sols]
+                assert got == want, name
+            for other in others:
+                solution_eval_x(other, sols[-1], ri, tp)
+            got = [solution_eval_x(xs, s, ri, tp).tobytes() for s in sols]
+            assert got == want, name
+            norm = [math.sqrt(wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols))
+                    for n in range(len(sols))]
+            for n in range(len(sols)):
+                psi = eigenfunction_eval_x(xs, n, ri, tp, normalize=True, _sols=sols)
+                assert psi.tobytes() == (np.frombuffer(want[n]).reshape(xs.shape)
+                                         / norm[n]).tobytes()
+        for x in (-29.3, -1.5 * math.log(2.0), 0.0, 7.25):
+            for s in sols:
+                got = solution_eval_x(x, s, ri, tp)
+                assert isinstance(got, float)
+                assert np.float64(got).tobytes() == _solution_reference(x, s, tp).tobytes()
+
+    def test_results_are_fresh_arrays(self):
+        ri, tp = RayIdentifiers(0.5, 12.0), TangentPoly(-0.8)
+        sols = spectrum(ri, tp)
+        first = solution_eval_x(self.GRID, sols[2], ri, tp)
+        want = first.copy()
+        rec = core.gauge_record(self.GRID, tp)
+        assert not any(np.shares_memory(first, a) for a in (rec.z, rec.omz, rec.weight))
+        assert first.flags.writeable
+        first[:] = np.nan
+        assert solution_eval_x(self.GRID, sols[2], ri, tp).tobytes() == want.tobytes()
+        assert solution_eval_x(self.GRID, sols[0], ri, tp) is not solution_eval_x(
+            self.GRID, sols[0], ri, tp)
+
+    def test_where_z_or_one_minus_z_is_zero(self):
+        # z = 0 at x = -800 and 1 - z = 0 at x = 800 on z_T = 2: the value is
+        # 0, signed by the polynomial factor at z = 1 (-0.0 on odd levels)
+        ri = RayIdentifiers(0.5, 12.0)
+        sols = spectrum(ri, TP2)
+        xs = np.array([-800.0, 800.0])
+        assert [a.tolist() for a in core.map_x_to_z_pair(xs, TP2)] == [[0.0, 1.0], [1.0, 0.0]]
+        for s in sols:
+            for got in (solution_eval_x(xs, s, ri, TP2),
+                        np.array([solution_eval_x(x, s, ri, TP2) for x in xs])):
+                assert got.tolist() == [0.0, 0.0]
+                assert np.signbit(got).tolist() == [False, s.m % 2 == 1]
+
+    def test_threads_sharing_a_tangent_poly(self):
+        ri, tp = RayIdentifiers(0.3, 14.2), TangentPoly(-0.8)
+        sols = spectrum(ri, tp)
+        grids = [np.linspace(-20.0, 20.0, n) for n in range(401, 409)]
+        grids[3] = np.random.default_rng(4).permutation(grids[3])
+        want = [[_solution_reference(xs, s, tp).tobytes() for s in sols] for xs in grids]
+        results = [[] for _ in range(4)]
+
+        def work(k):
+            try:
+                for i in range(60):
+                    j = (i * (k + 1)) % len(grids)
+                    got = [solution_eval_x(grids[j], s, ri, tp).tobytes() for s in sols]
+                    results[k].append(got == want[j])
+            except Exception as exc:  # report, so the assertion below shows it
+                results[k].append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r == [True] * 60 for r in results)
 
 
 class TestEigenfunctions:
