@@ -36,7 +36,6 @@ from .errors import (
 from .oracle import (
     NumericSpectrum,
     compare_spectra,
-    residual_check,
     solve_schrodinger,
     spectral_symmetric_difference,
 )

@@ -143,9 +143,20 @@ def tangent_poly_eval(z, tp: TangentPoly):
     return out if out.ndim else float(out)
 
 
-def x_of_z(z, tp: TangentPoly):
-    """Closed-form inverse map x(z), strictly increasing on (0, 1)."""
+def unit_interval(z, closed: bool = True) -> np.ndarray:
+    """z as a float array; DomainError unless every point lies in [0, 1],
+    or in (0, 1) when not ``closed``.  NaN lies in neither."""
     z = np.asarray(z, dtype=float)
+    inside = (0.0 <= z) & (z <= 1.0) if closed else (0.0 < z) & (z < 1.0)
+    if not np.all(inside):
+        raise DomainError(f"z must lie in {'[0, 1]' if closed else '(0, 1)'}")
+    return z
+
+
+def x_of_z(z, tp: TangentPoly):
+    """Closed-form inverse map x(z), strictly increasing on (0, 1); a z
+    outside (0, 1) raises DomainError."""
+    z = unit_interval(z, closed=False)
     zT = tp.z_T
     out = (-zT * np.log(z) - (1.0 - zT) * np.log1p(-z)) / (2.0 * (1.0 - zT)) + X_ORIGIN
     return out if out.ndim else float(out)
@@ -448,11 +459,10 @@ def potential_eval_z(z, ri: RayIdentifiers, tp: TangentPoly):
     This is the asymmetric-well form that reduces exactly to the
     asymptotically-levelled (Williams-Levai) potential at lambda_o = 0;
     v[1] = 0 and v[0] = lambda_o**2 / z_T**2.  The physical x-gauge
-    potential is :func:`potential_eval_x`.
+    potential is :func:`potential_eval_x`.  A z outside [0, 1], NaN
+    included, raises DomainError.
     """
-    z = np.asarray(z, dtype=float)
-    if np.any((z < 0.0) | (z > 1.0)):
-        raise DomainError("z must lie in [0, 1]")
+    z = unit_interval(z)
     P = z - tp.z_T
     P2 = P * P
     lam2 = ri.lambda_o**2

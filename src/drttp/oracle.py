@@ -183,26 +183,6 @@ def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
     )
 
 
-def residual_check(psi: np.ndarray, E: float, V, x_grid: np.ndarray) -> float:
-    """Max interior Schrodinger residual with 4th-order differences.
-
-    max |(-psi'' + (V - E) psi)| / max|psi| over interior grid points.
-    """
-    psi = np.asarray(psi, dtype=float)
-    x_grid = np.asarray(x_grid, dtype=float)
-    if psi.shape != x_grid.shape:
-        raise DomainError("psi and x_grid must have the same shape")
-    if np.max(np.abs(psi)) == 0.0:
-        raise DomainError("psi must be nontrivial")
-    h = x_grid[1] - x_grid[0]
-    d2 = (
-        -psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
-    ) / (12.0 * h * h)
-    vals = _eval_potential(V, x_grid[2:-2])
-    res = -d2 + (vals - E) * psi[2:-2]
-    return float(np.max(np.abs(res)) / np.max(np.abs(psi)))
-
-
 @dataclass
 class SpectrumComparison:
     count_match: bool

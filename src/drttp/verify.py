@@ -61,13 +61,9 @@ def check_map() -> list[CheckResult]:
 
         def central(h):
             # differentiate whichever edge distance is small; dz = -d(1-z)
-            zp_l, _ = core.map_x_to_z_pair(xs + h, tp)
-            zm_l, _ = core.map_x_to_z_pair(xs - h, tp)
-            _, op_r = core.map_x_to_z_pair(xs + h, tp)
-            _, om_r = core.map_x_to_z_pair(xs - h, tp)
-            return np.where(
-                z < 0.5, (zp_l - zm_l) / (2 * h), -(op_r - om_r) / (2 * h)
-            )
+            zp, op = core.map_x_to_z_pair(xs + h, tp)
+            zm, om = core.map_x_to_z_pair(xs - h, tp)
+            return np.where(z < 0.5, (zp - zm) / (2 * h), -(op - om) / (2 * h))
 
         h = 1e-4
         zp = (4.0 * central(h / 2) - central(h)) / 3.0
@@ -335,6 +331,58 @@ def check_oracle_grid() -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
+# exact derivatives
+# ---------------------------------------------------------------------------
+
+def _log_power_jet(z, omz, z_T: float, exps):
+    """(w, (ln w)_z, (ln w)_zz) of w = z**e0 (1 - z)**e1 s**eT on the pair
+    (z, 1 - z), exps = (e0, e1, eT), s = (z - z_T) / (2 (1 - z_T)) > 0 the
+    base of the Liouville weight (see core.GaugeRecord.weight)."""
+    e0, e1, eT = exps
+    zr = z - z_T
+    w = z**e0 * omz**e1 * (zr / (2.0 * (1.0 - z_T))) ** eT
+    return w, e0 / z - e1 / omz + eT / zr, -e0 / z**2 - e1 / omz**2 - eT / zr**2
+
+
+def _power_poly_jet(z, omz, z_T: float, exps, poly):
+    """(f, f_z, f_zz) of f = w Pi, w as in :func:`_log_power_jet`, from
+    poly = (Pi, Pi', Pi'') at the points."""
+    w, dlw, d2lw = _log_power_jet(z, omz, z_T, exps)
+    P, dP, d2P = poly
+    return w * P, w * (dlw * P + dP), w * ((d2lw + dlw**2) * P + 2.0 * dlw * dP + d2P)
+
+
+def _x_second(z, omz, tp: TangentPoly, f_z, f_zz):
+    """f_xx = z'**2 f_zz + z' (dz'/dz) f_z, with z' = dz/dx from the pair
+    (z, 1 - z) and dz'/dz = z' (1/z - 1/(1 - z) - 1/(z - z_T))."""
+    zr = z - tp.z_T
+    zp = 2.0 * z * omz * (1.0 - tp.z_T) / zr
+    return zp**2 * (f_zz + (1.0 / z - 1.0 / omz - 1.0 / zr) * f_z)
+
+
+def _schrodinger_residual(ri: RayIdentifiers, tp: TangentPoly, sols, xs) -> float:
+    """Worst max |-psi'' + (V - E) psi| / max |psi| over the levels sols at
+    the points xs.  psi'' is exact: the polynomial factor's derivatives come
+    from d/dz F(-m, a; c; z) = (-m a / c) F(-m + 1, a + 1; c + 1; z) through
+    the Jacobi recurrence; psi and V are the library's evaluators."""
+    z, omz = core.map_x_to_z_pair(xs, tp)
+    V = core.potential_eval_x(xs, ri, tp)
+    worst = 0.0
+    for s in sols:
+        m, a, c = s.m, s.mu - s.m, s.lambda0 + 1.0
+        poly, scale = [], 1.0
+        for j in range(3):  # scale is 0 from j = m + 1 on
+            poly.append(scale * wavefunction._hypergeom_poly(max(m - j, 0), a + j, c + j, z, omz))
+            scale *= -(m - j) * (a + j) / (c + j)
+        exps = (0.5 * s.lambda0, 0.5 * s.lambda1, 0.5)
+        _, f_z, f_zz = _power_poly_jet(z, omz, tp.z_T, exps, poly)
+        psi = wavefunction.solution_eval_x(xs, s, ri, tp)
+        res = -_x_second(z, omz, tp, f_z, f_zz) + (V - s.epsilon) * psi
+        worst = max(worst, float(np.max(np.abs(res)) / np.max(np.abs(psi))))
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # eigenfunction suite
 # ---------------------------------------------------------------------------
 
@@ -364,42 +412,34 @@ def _gram_checks(ri, tp, sols, xq, wq) -> tuple[float, float, int]:
 
 def check_eigenfunctions() -> list[CheckResult]:
     node_bad, gram_worst, norm_worst, resid_worst = 0, 0.0, 0.0, 0.0
+    high_gram, high_misses = 0.0, 0
     # Gram sums by the trapezoid rule on x = sinh(u), u uniform, |x| <= 200:
     # geometric convergence for integrands that decay at both ends (Trefethen
     # & Weideman, SIAM Rev. 56, 2014), which vanish at the ends here
     u, du = np.linspace(-math.asinh(200.0), math.asinh(200.0), 1000, retstep=True)
     xq, wq = np.sinh(u), du * np.cosh(u)
+    # the residual's 1/z terms need z clear of underflow, as on |x| <= 8
     xs = np.linspace(-8.0, 8.0, 6401)
-    for lo, mo, zt in GRID_POINTS:
-        ri = RayIdentifiers(lo, mo)
-        tp = TangentPoly(zt)
+    for pt in GRID_POINTS + HIGH_DEGREE_POINTS:
+        lo, mo, zt = pt
+        ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
         sols = spectral.spectrum(ri, tp)
         if not sols:
             continue
         gram, norm_gap, misses = _gram_checks(ri, tp, sols, xq, wq)
-        gram_worst, norm_worst = max(gram_worst, gram), max(norm_worst, norm_gap)
-        node_bad += misses
-        for s in sols:
-            psi = wavefunction.solution_eval_x(xs, s, ri, tp)
-            psi = psi / np.max(np.abs(psi))
-            resid_worst = max(
-                resid_worst,
-                oracle.residual_check(
-                    psi, s.epsilon, lambda x: core.potential_eval_x(x, ri, tp), xs
-                ),
-            )
-    high_gram, high_misses = 0.0, 0
-    for lo, mo, zt in HIGH_DEGREE_POINTS:
-        ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
-        gram, norm_gap, misses = _gram_checks(ri, tp, spectral.spectrum(ri, tp), xq, wq)
-        high_gram, high_misses = max(high_gram, gram), high_misses + misses
         norm_worst = max(norm_worst, norm_gap)
+        resid_worst = max(resid_worst, _schrodinger_residual(ri, tp, sols, xs))
+        if pt in HIGH_DEGREE_POINTS:
+            high_gram, high_misses = max(high_gram, gram), high_misses + misses
+        else:
+            gram_worst, node_bad = max(gram_worst, gram), node_bad + misses
     out = [
         _result("eigenfunction.node-counts", 0.5, float(node_bad),
                 "violation count"),
         _result("eigenfunction.orthogonality", 1e-7, gram_worst,
                 "Gram residual"),
-        _result("eigenfunction.schrodinger-residual", 1e-7, resid_worst),
+        _result("eigenfunction.schrodinger-residual", 1e-10, resid_worst,
+                "exact psi'', every level above, degrees <= 29 included"),
         _result("eigenfunction.high-degree-node-counts", 0.5,
                 float(high_misses), "violation count, degrees <= 29"),
         _result("eigenfunction.high-degree-orthogonality", 1e-7,
@@ -427,78 +467,46 @@ def check_eigenfunctions() -> list[CheckResult]:
 # SUSY partners
 # ---------------------------------------------------------------------------
 
-def _log_ff_x(x, sol, ri, tp):
-    z, omz = core.map_x_to_z_pair(np.asarray(x, dtype=float), tp)
-    return (
-        0.5 * np.log((z - tp.z_T) / (2.0 * (1.0 - tp.z_T)))
-        + 0.5 * sol.lambda0 * np.log(z)
-        + 0.5 * sol.lambda1 * np.log(omz)
-    )
+def _darboux_gap(spec: susy.PartnerSpec, tp: TangentPoly, xs) -> float:
+    """Worst gap between the partner correction and -2 (ln W)'' at the points
+    xs, exact by the chain rule.  W is the x-gauge FF
+    s**(1/2) z**(l0/2) (1 - z)**(l1/2) for one step and, for two, the
+    Wronskian of the pair's FFs, z**((l0 + l0')/2) (1 - z)**((l1 + l1')/2)
+    times ((l0' - l0)(1 - z) - (l1' - l1) z)/2.  The log-derivatives are
+    summed term by term: f_zz/f - (f_z/f)**2 would cancel the squares of
+    the large power terms near either end."""
+    z, omz = core.map_x_to_z_pair(xs, tp)
+    if spec.steps == 1:
+        (ff,) = spec.ff_kinds
+        exps, dlp, d2lp = (0.5 * ff.lambda0, 0.5 * ff.lambda1, 0.5), 0.0, 0.0
+    else:
+        t, tq = spec.ff_kinds
+        d0, d1 = tq.lambda0 - t.lambda0, tq.lambda1 - t.lambda1
+        exps = (0.5 * (t.lambda0 + tq.lambda0), 0.5 * (t.lambda1 + tq.lambda1), 0.0)
+        dlp = -(d0 + d1) / (d0 * omz - d1 * z)  # (ln of the linear factor)_z
+        d2lp = -dlp**2
+    _, dlw, d2lw = _log_power_jet(z, omz, tp.z_T, exps)
+    log_xx = _x_second(z, omz, tp, dlw + dlp, d2lw + d2lp)
+    correction = (1.0 - tp.z_T) ** 2 * susy.partner_correction_z(z, spec, tp)
+    return float(np.max(np.abs(correction + 2.0 * log_xx)))
 
 
-def _log_wronskian_x(x, t, t_prime, tp):
-    z, omz = core.map_x_to_z_pair(np.asarray(x, dtype=float), tp)
-    lp = (
-        np.log(z * omz)
-        + 0.5 * (t.lambda0 + t_prime.lambda0) * np.log(z)
-        + 0.5 * (t.lambda1 + t_prime.lambda1) * np.log(omz)
-    )
-    fac = (t_prime.lambda0 - t.lambda0) / (2.0 * z) - (
-        t_prime.lambda1 - t.lambda1
-    ) / (2.0 * omz)
-    return lp + np.log(np.abs(fac))
-
-
-def _fd_second(fn, x0: float, h: float) -> float:
-    def stencil(hh):
-        v = [fn(x0 + i * hh) for i in (-2, -1, 0, 1, 2)]
-        return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * hh * hh)
-
-    return (16.0 * stencil(h / 2) - stencil(h)) / 15.0
-
-
-def _darboux_gap(log_ff, spec: susy.PartnerSpec, tp: TangentPoly, xs, h_fd: float) -> float:
-    """Worst gap between the partner correction and -2 (log FF)'' by finite
-    differences, at the points xs."""
-    return max(
-        abs((1.0 - tp.z_T) ** 2
-            * susy.partner_correction_z(core.map_x_to_z(float(x0), tp), spec, tp)
-            + 2.0 * _fd_second(log_ff, x0, h_fd))
-        for x0 in xs
-    )
-
-
-def check_darboux(h_fd: float = 4e-3) -> list[CheckResult]:
-    ri = RayIdentifiers(0.0, 5.0)
+def check_darboux() -> list[CheckResult]:
     tp = TangentPoly(2.0)
-    basics = spectral.basic_solutions(ri, tp)
+    basics = spectral.basic_solutions(RayIdentifiers(0.0, 5.0), tp)
     xs = np.linspace(-2.0, 2.5, 9)
-    single_worst = max(
-        _darboux_gap(lambda x, ff=ff: _log_ff_x(x, ff, ri, tp),
-                     susy.single_partner_spec(ff, tp), tp, xs, h_fd)
-        for ff in basics.values()
-    )
-    out = [_result("susy.darboux-identity", 1e-8, single_worst,
-                   "single step, all three basic FFs")]
-
-    double_worst = max(
-        _darboux_gap(lambda x, t=basics[a], tq=basics[b]: _log_wronskian_x(x, t, tq, tp),
-                     susy.double_partner_spec(basics[a], basics[b], tp), tp, xs, h_fd)
-        for a, b in ((Kind.C, Kind.A), (Kind.D, Kind.A))
-    )
-    out.append(_result("susy.crum-identity", 1e-7, double_worst,
-                       "double step, both admissible pairs"))
-
+    single = max(_darboux_gap(susy.single_partner_spec(ff, tp), tp, xs) for ff in basics.values())
+    double = max(_darboux_gap(susy.double_partner_spec(basics[a], basics[b], tp), tp, xs)
+                 for a, b in ((Kind.C, Kind.A), (Kind.D, Kind.A)))
     # general branch spot check
-    ri2 = RayIdentifiers(0.7, 4.0)
     tp2 = TangentPoly(-1.0)
-    worst2 = max(
-        _darboux_gap(lambda x, ff=ff: _log_ff_x(x, ff, ri2, tp2),
-                     susy.single_partner_spec(ff, tp2), tp2, (-0.8, 0.4, 1.6), h_fd)
-        for ff in spectral.basic_solutions(ri2, tp2).values()
-    )
-    out.append(_result("susy.darboux-identity-generic", 1e-8, worst2))
-    return out
+    generic = max(_darboux_gap(susy.single_partner_spec(ff, tp2), tp2, (-0.8, 0.4, 1.6))
+                  for ff in spectral.basic_solutions(RayIdentifiers(0.7, 4.0), tp2).values())
+    return [
+        _result("susy.darboux-identity", 1e-12, single, "single step, all three basic FFs"),
+        _result("susy.crum-identity", 1e-12, double, "double step, both admissible pairs"),
+        _result("susy.darboux-identity-generic", 1e-12, generic),
+    ]
 
 
 def check_susy_surgery() -> list[CheckResult]:
@@ -661,7 +669,7 @@ def check_heun(m_max: int = 5) -> list[CheckResult]:
                 e0, e1 = susy.lambe_ward_exponents(seed, sigma2)
                 for z in (0.22, 0.58, 0.84):
                     lw_worst = max(
-                        lw_worst, _lambe_ward_residual(op2, poly, e0, e1, z)
+                        lw_worst, _lambe_ward_residual(op2, poly, e0, e1, z, tp)
                     )
         # degree-1 annihilation for all ordered basic pairs
         for ka in basics:
@@ -712,18 +720,10 @@ def check_heun(m_max: int = 5) -> list[CheckResult]:
 
 
 def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
-                         e0: float, e1: float, z: float) -> float:
-    # analytic derivatives of z^e0 (1-z)^e1 P(z)
-    P = poly(z)
-    dP = float(polyval(z, poly.deriv_coeffs(1))) if poly.degree > 0 else 0.0
-    d2P = float(polyval(z, poly.deriv_coeffs(2))) if poly.degree > 1 else 0.0
-    w = z**e0 * (1.0 - z) ** e1
-    dlw = e0 / z - e1 / (1.0 - z)
-    d2lw = -e0 / z**2 - e1 / (1.0 - z) ** 2
-    f = w * P
-    df = w * (dlw * P + dP)
-    d2f = w * ((d2lw + dlw**2) * P + 2.0 * dlw * dP + d2P)
-    return op.residual(f, df, d2f, z)
+                         e0: float, e1: float, z: float, tp: TangentPoly) -> float:
+    # z^e0 (1-z)^e1 P(z) and its two exact derivatives
+    P = [float(polyval(z, poly.deriv_coeffs(k))) for k in range(3)]
+    return op.residual(*_power_poly_jet(z, 1.0 - z, tp.z_T, (e0, e1, 0.0), P), z)
 
 
 # ---------------------------------------------------------------------------

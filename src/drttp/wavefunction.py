@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .core import RayIdentifiers, TangentPoly, gauge_record, split_at_half
+from .core import RayIdentifiers, TangentPoly, gauge_record, split_at_half, unit_interval
 from .errors import ConvergenceError, DomainError
 from .spectral import AehSolution, spectrum
 
@@ -218,14 +218,13 @@ def aeh_eval(z, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     """Solution value z^((lambda0+1)/2) (1-z)^((lambda1+1)/2) * Pi_m(z).
 
     Endpoints return the limit value (0, finite, or inf by the exponent
-    sign); irregular solutions are finite only on the open interval.  For
-    m >= 1 both lambdas must exceed -1 (``hypergeom_poly_jacobi``).
+    sign); irregular solutions are finite only on the open interval.  A z
+    outside [0, 1], NaN included, raises DomainError.  For m >= 1 both
+    lambdas must exceed -1 (``hypergeom_poly_jacobi``).
     """
-    z_arr = np.asarray(z, dtype=float)
+    z_arr = unit_interval(z)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
-    if np.any((z_arr < 0.0) | (z_arr > 1.0)):
-        raise DomainError("z must lie in [0, 1]")
     e0 = 0.5 * (sol.lambda0 + 1.0)
     e1 = 0.5 * (sol.lambda1 + 1.0)
     out = np.empty_like(z_arr)
@@ -334,7 +333,8 @@ def count_nodes(f, interval: tuple[float, float], initial: int = 4096,
     """Strict sign changes of f on the open interval.
 
     ``f`` must map an array of points to an array of the same shape; any
-    other result raises DomainError.  Zeros and NaN values of f are
+    other result raises DomainError, as does an interval with an end that
+    is not finite.  Zeros and NaN values of f are
     skipped.  The first grid splits the interval into ``initial`` equal
     cells and holds their ``initial - 1`` interior points.  Each refinement
     halves every cell, evaluates f only at the new midpoints and merges
@@ -346,6 +346,8 @@ def count_nodes(f, interval: tuple[float, float], initial: int = 4096,
     if initial < 1:
         raise DomainError(f"initial must be at least 1 cell, got {initial}")
     a, b = interval
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"interval must be finite, got {interval}")
     prev = vals = None
     cells = initial
     while cells - 1 <= cap:

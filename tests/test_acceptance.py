@@ -58,8 +58,8 @@ def test_criterion_03_cross_cubic_consistency():
 def test_criterion_04_eigenfunction_suite():
     results = verify.check_eigenfunctions()
     _report(
-        "criterion 4: node counts, orthogonality (1e-7), Schrodinger "
-        "residual (1e-7), argument-flip identity (1e-10)",
+        "criterion 4: node counts, orthogonality (1e-7), exact Schrodinger "
+        "residual (1e-10, degrees <= 29 included), argument-flip identity (1e-10)",
         results,
     )
 
@@ -95,7 +95,8 @@ def test_criterion_08_appendix_b():
     results = verify.check_appendix_b()
     _report(
         "criterion 8: nodelessness predicates match brute-force node "
-        "counting exactly on the 30x8 grid at c0 in {1/4, 4}",
+        "counting exactly on 1332 configurations of the 30x8 grid at "
+        "c0 in {1/4, 4}",
         results,
     )
 

@@ -87,6 +87,12 @@ class TestMap:
             float(sol.y[0, -1]), abs=1e-9
         )
 
+    def test_x_of_z_outside_open_interval_rejected(self):
+        # 1.5 gave NaN with a RuntimeWarning, 0 and 1 gave -inf and inf
+        for z in (1.5, -0.2, 0.0, 1.0, math.nan, [0.3, math.nan]):
+            with pytest.raises(DomainError):
+                core.x_of_z(z, TP2)
+
     def test_roundtrip_precision(self):
         tp = TangentPoly(-1.0)
         xs = np.linspace(-20.0, 20.0, 41)
@@ -368,6 +374,10 @@ class TestPotentials:
         assert core.potential_eval_z(0.0, ri, TP2) == pytest.approx(0.25)
         with pytest.raises(DomainError):
             core.potential_eval_z(1.2, ri, TP2)
+        # NaN passed the old guard and came back as NaN
+        for z in (math.nan, [0.3, math.nan]):
+            with pytest.raises(DomainError):
+                core.potential_eval_z(z, ri, TP2)
 
     def test_z_gauge_matches_levelled_form(self):
         # eta = 2z - 1 substitution into the asymmetric closed form

@@ -81,6 +81,22 @@ class TestSinglePartner:
         for r in verify.check_darboux():
             assert r.passed, r.line()
 
+    def test_darboux_gap_detects_shifted_delta0(self, basics):
+        # delta0 off by 1e-9 breaks the 1e-12 gate, one step and two
+        class Shifted(susy.PartnerSpec):
+            @property
+            def delta0(self):
+                return super().delta0 + 1e-9
+
+        xs = np.linspace(-2.0, 2.5, 9)
+        specs = [susy.single_partner_spec(ff, TP2) for ff in basics.values()]
+        specs.append(susy.double_partner_spec(basics[Kind.C], basics[Kind.A], TP2))
+        for spec in specs:
+            assert verify._darboux_gap(spec, TP2, xs) <= 1e-12
+            bad = Shifted(spec.steps, spec.ff_kinds, spec.outer_pole,
+                          spec.expected_spectral_delta)
+            assert verify._darboux_gap(bad, TP2, xs) > 1e-12
+
     def test_x_gauge_matches_z_gauge_scaling(self, basics):
         from drttp.core import map_x_to_z, potential_eval_x
 

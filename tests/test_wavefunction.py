@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from drttp import core, wavefunction
+from drttp import core, verify, wavefunction
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError, DrttpError
 from drttp.spectral import AehSolution, Kind, spectrum, wl_solve
@@ -138,6 +138,14 @@ class TestAehEval:
         assert aeh_eval(1.0, sol, WL5, TP2) == 0.0
         irregular = {s.kind: s for s in wl_solve(0, 5.0, TP2)}[Kind.D]
         assert aeh_eval(0.0, irregular, WL5, TP2) == math.inf
+
+    def test_outside_closed_interval_rejected(self):
+        # NaN passed the old guard: [0.3, nan] returned uninitialised memory
+        # in its second slot, a scalar NaN returned 1.0
+        sol = spectrum(WL5, TP2)[0]
+        for z in (math.nan, [0.3, math.nan], -0.1, 1.1, [0.5, math.inf]):
+            with pytest.raises(DomainError):
+                aeh_eval(z, sol, WL5, TP2)
 
     @pytest.mark.parametrize("params", [(0.0, 60.0, -1.0), (0.5, 80.0, 2.0)])
     def test_high_degree_polynomial_factor(self, params):
@@ -465,19 +473,32 @@ class TestEigenfunctions:
                 wavefunction.eigenfunction_norm_sq(n, ri, tp)
 
     def test_schrodinger_residual(self):
-        from drttp.oracle import residual_check
-
         ri = RayIdentifiers(0.5, 5.0)
         tp = TangentPoly(-1.0)
-        sols = spectrum(ri, tp)
         xs = np.linspace(-8.0, 8.0, 6401)
-        for s in sols:
-            psi = solution_eval_x(xs, s, ri, tp)
-            psi = psi / np.max(np.abs(psi))
-            res = residual_check(
-                psi, s.epsilon, lambda x: core.potential_eval_x(x, ri, tp), xs
-            )
-            assert res < 1e-7
+        assert verify._schrodinger_residual(ri, tp, spectrum(ri, tp), xs) < 1e-10
+
+    @pytest.mark.parametrize("params", verify.HIGH_DEGREE_POINTS)
+    def test_schrodinger_residual_high_degree(self, params):
+        # 4th-order differences on this grid read 1.3e-5 and 3.9e-4 here
+        ri, tp = RayIdentifiers(*params[:2]), TangentPoly(params[2])
+        xs = np.linspace(-8.0, 8.0, 6401)
+        sols = spectrum(ri, tp)
+        assert max(s.m for s in sols) >= 25
+        assert verify._schrodinger_residual(ri, tp, sols, xs) < 1e-10
+
+    @pytest.mark.parametrize("params", [(0.5, 5.0, -1.0), (0.3, 59.7, 2.0)])
+    def test_schrodinger_residual_detects_shifted_level(self, params):
+        # one level's energy off by 1e-9 relative breaks the 1e-10 gate;
+        # epsilon is derived from lambda1, so only the copy's energy moves
+        ri, tp = RayIdentifiers(*params[:2]), TangentPoly(params[2])
+        xs = np.linspace(-8.0, 8.0, 6401)
+        sols = spectrum(ri, tp)
+        for n in (0, len(sols) // 2):
+            shifted = dataclasses.replace(sols[n])
+            object.__setattr__(shifted, "epsilon", sols[n].epsilon * (1.0 + 1e-9))
+            bad = sols[:n] + [shifted] + sols[n + 1:]
+            assert verify._schrodinger_residual(ri, tp, bad, xs) > 1e-10
 
 
 class TestCountNodes:
@@ -535,3 +556,9 @@ class TestCountNodes:
     def test_scalar_result_rejected(self):
         with pytest.raises(DomainError):
             count_nodes(lambda x: 1.0, (0.0, 1.0))
+
+    def test_interval_not_finite_rejected(self):
+        # (0, nan) counted 0 nodes on a grid of NaN points
+        for interval in ((0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)):
+            with pytest.raises(DomainError):
+                count_nodes(lambda x: x - 0.5, interval)
