@@ -50,7 +50,6 @@ from .spectral import (
     basic_solutions,
     bound_state_count,
     classify_region,
-    classify_solution,
     cubic_coeffs,
     expdiff_transfer,
     nodeless_census,

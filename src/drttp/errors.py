@@ -20,7 +20,8 @@ class DegenerateLimitError(DomainError):
 class TransferAmbiguityError(DrttpError):
     """Exponent-difference transfer hit the a/d-hyperbola pole.
 
-    The caller must switch to the companion characteristic cubic.
+    There the transferred root is ambiguous; the companion characteristic
+    cubic still determines it.
     """
 
 

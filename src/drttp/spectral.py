@@ -1,18 +1,15 @@
-"""Characteristic cubics, solution classification and the discrete spectrum.
+"""Characteristic cubics, the discrete spectrum and the basic solutions.
 
 Energies of the polynomial-times-exponents solutions are fixed by the real
 zeros of a characteristic cubic in either signed exponent difference: the
 one at z = 1 (``lambda1``, energy epsilon = -lambda1**2) or the one at
 z = 0 (``lambda0``).  The two cubics carry the same information; roots
 transfer between them through a rational relation that is regular except on
-the a/d double-root hyperbola.  They serve the basic solutions, the
-classification and the census.
+the a/d double-root hyperbola.  verify's ``cubic.*`` checks test them.
 
-The bound levels do not go through a cubic: each is the one positive root
-of the defining radical equation mu = lambda0 + lambda1 + 2n + 1, solved
-directly (:func:`spectrum`), which stays well conditioned where two cubic
-roots meet at threshold and where the cubic's leading coefficient vanishes
-as z_T -> 0-.
+The levels and the three m = 0 basic solutions do not go through a cubic:
+each is the one root of mu = lambda0 + lambda1 + 2m + 1 with the sign
+pattern of (mu, lambda0, lambda1) that names its kind (:func:`_radical_roots`).
 """
 
 from __future__ import annotations
@@ -20,11 +17,14 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import RayIdentifiers, TangentPoly, _two_sum
 from .errors import (
+    AvailabilityError,
     ClassificationError,
     ConvergenceError,
     DegenerateLimitError,
@@ -36,6 +36,7 @@ _log = logging.getLogger("drttp.spectral")
 
 _DEGENERATE_C0_TOL = 1e-12
 _EPS = math.ulp(1.0)
+_FLOAT_MAX = sys.float_info.max
 
 
 class Kind(Enum):
@@ -93,17 +94,21 @@ class AehSolution:
 def make_solution(kind: Kind, m: int, lambda0: float, lambda1: float,
                   ri: RayIdentifiers, tp: TangentPoly, *,
                   merged_tail: bool = False, tol: float = 1e-10) -> AehSolution:
-    """Build a solution and enforce the defining quadratic constraints."""
-    sol = AehSolution(kind, m, lambda0, lambda1, merged_tail=merged_tail)
-    scale = 1.0 + ri.mu_o**2 + lambda0**2 + lambda1**2
-    r1 = lambda0**2 - (ri.lambda_o**2 + tp.c0 * lambda1**2)
-    r2 = sol.mu**2 - (ri.mu_o**2 + tp.a2 * lambda1**2)
+    """Build a solution and enforce the defining quadratic constraints;
+    DomainError where mu**2 or epsilon would not be finite."""
+    mu = lambda0 + lambda1 + 2 * m + 1
+    sq0, sq1 = lambda0 * lambda0, lambda1 * lambda1
+    scale = 1.0 + ri.mu_o**2 + sq0 + sq1
+    if not math.isfinite(scale + mu * mu):
+        raise DomainError(f"mu**2 or epsilon overflows at ({lambda0!r}, {lambda1!r})")
+    r1 = sq0 - (ri.lambda_o**2 + tp.c0 * sq1)
+    r2 = mu * mu - (ri.mu_o**2 + tp.a2 * sq1)
     if abs(r1) > tol * scale or abs(r2) > tol * scale:
         raise ClassificationError(
             f"exponent differences violate the defining constraints: "
             f"residuals {r1:.3e}, {r2:.3e}"
         )
-    return sol
+    return AehSolution(kind, m, lambda0, lambda1, merged_tail=merged_tail)
 
 
 @dataclass(frozen=True)
@@ -342,62 +347,6 @@ def classify_region(m: int, ri: RayIdentifiers,
     return Region.D, flags
 
 
-def _negative_pair_rank(lambda1: float, m: int, ri: RayIdentifiers,
-                        tp: TangentPoly) -> bool:
-    """True when lambda1 is the upper of the cubic's both-negative roots."""
-    spec = cubic_coeffs(m, ri, tp, CubicVariable.LAMBDA1)
-    roots = real_cubic_roots(spec)
-    neg = []
-    for r in roots:
-        try:
-            l0 = expdiff_transfer(r, m, ri, tp, TransferDirection.LAMBDA1_TO_LAMBDA0)
-        except TransferAmbiguityError:
-            continue
-        if r < 0.0 and l0 < 0.0:
-            neg.append(r)
-    if not neg:
-        raise ClassificationError("no matching negative-pair root found")
-    nearest = min(neg, key=lambda r: abs(r - lambda1))
-    if abs(nearest - lambda1) > 1e-6 * max(1.0, abs(lambda1)):
-        raise ClassificationError("lambda1 does not match any cubic root")
-    return nearest == max(neg)
-
-
-def classify_solution(lambda0: float, lambda1: float, m: int,
-                      ri: RayIdentifiers, tp: TangentPoly) -> Kind:
-    """Type tag from the sign pattern, continued in lambda_o from the
-    levelled-limit conventions.
-
-    Eigenfunctions (kind C) have both exponent differences positive; the
-    both-negative pattern splits into the primary d sequence and the
-    supplementary d' by rank among the cubic's roots.
-    """
-    scale = 1.0 + ri.mu_o**2 + lambda0**2 + lambda1**2
-    if abs(lambda0**2 - ri.lambda_o**2 - tp.c0 * lambda1**2) > 1e-8 * scale:
-        raise ClassificationError("pair violates the z=0 quadratic constraint")
-    u = 2.0 * m + 1.0
-    if abs(lambda1) < 1e-12:
-        # zero-energy threshold: take the one-sided limit in mu_o
-        ri_up = RayIdentifiers(ri.lambda_o, ri.mu_o * (1.0 + 1e-7) + 1e-12)
-        spec = cubic_coeffs(m, ri_up, tp, CubicVariable.LAMBDA1)
-        roots = real_cubic_roots(spec)
-        lam1 = min(roots, key=abs)
-        lam0 = expdiff_transfer(lam1, m, ri_up, tp,
-                                TransferDirection.LAMBDA1_TO_LAMBDA0)
-        return classify_solution(lam0, lam1, m, ri_up, tp)
-    if lambda0 > 0.0 and lambda1 > 0.0:
-        if ri.mu_o <= u:
-            raise ClassificationError("positive pair requires mu_o > 2m + 1")
-        return Kind.C
-    if lambda0 > 0.0 and lambda1 < 0.0:
-        return Kind.A if ri.mu_o > u else Kind.A_PRIME
-    if lambda0 < 0.0 and lambda1 > 0.0:
-        return Kind.B if ri.mu_o > u else Kind.B_PRIME
-    if ri.mu_o > u:
-        return Kind.D
-    return Kind.D_PRIME if _negative_pair_rank(lambda1, m, ri, tp) else Kind.D
-
-
 @dataclass(frozen=True)
 class NodelessCensus:
     """Closed-form bounds on nodeless below-ground solutions."""
@@ -502,75 +451,136 @@ def asymptotic_tau(tp: TangentPoly) -> AsymptoticSlopes:
 
 _LEVEL_MAX_ITER = 100
 
+# signs of (mu, lambda0, lambda1) of each m = 0 basic kind; C is every level's
+_SIGNS = {Kind.C: (1.0, 1.0, 1.0), Kind.D: (-1.0, -1.0, -1.0), Kind.A: (1.0, 1.0, -1.0),
+          Kind.B: (1.0, -1.0, 1.0)}
 
-def _level_root(n: int, ri: RayIdentifiers,
-                tp: TangentPoly) -> tuple[float, float, int, int]:
-    """Level n as (lambda1, lambda0, Newton steps, bisections).
 
-    With s = sqrt(c0) and u = 2n + 1, lambda1 is the root l > 0 of the
-    quantization condition A - B - l - u = 0, where
-    A = sqrt(mu_o**2 + a2 l**2) = mu and B = sqrt(lambda_o**2 + c0 l**2)
-    = lambda0, solved in the cancellation-free form
+def _radical_roots(signs: tuple[float, float, float], ms: Iterable[int],
+                   ri: RayIdentifiers, tp: TangentPoly
+                   ) -> Iterator[tuple[float, float, int, int]]:
+    """Solutions of sign pattern ``signs`` (the signs of mu, lambda0 and
+    lambda1), one per degree m in ``ms``: (lambda0, lambda1, Newton steps,
+    bisections).
 
-        g(l) = (mu_o - lambda_o - u) + a2 l**2 / (A + mu_o)
-               - c0 l**2 / (B + lambda_o) - l,
+    With t = |lambda1|, A = sqrt(mu_o**2 + a2 t**2) = |mu| and
+    B = sqrt(lambda_o**2 + c0 t**2) = |lambda0|, mu = lambda0 + lambda1
+    + 2m + 1 reads g(t) = A - p0 B - p1 t - v = 0, where p0, p1 and v are
+    the signs of lambda0 and lambda1 and 2m + 1, times the sign of mu.  With
+    s = sqrt(c0), al = sqrt(a2) (s - al = 1 for z_T > 1, s + al = 1 for
+    z_T < 0) and d = mu_o - p0 lambda_o - v, g > 0 below the root and g < 0
+    above it on the bracket [lo, hi]:
 
-    whose constant is carried to twice the working precision.  Below
-    threshold g(0) > 0, and g has one root on l > 0.  For z_T < 0,
-    g' <= sqrt(a2) - 1 < 0 everywhere.  For z_T > 1, any root has
-    A = B + l + u > B, so there g' < (a2 - c0) l / B - 1 < -1, because
-    c0 - a2 = s + sqrt(a2) > 0; every crossing is downward, so there is only
-    one.  B >= s l bounds the root by the lambda_o = 0 root, the positive
-    root of ((1 + s)**2 - a2) l**2 + 2u(1 + s) l + u**2 - mu_o**2.
+    * c, level n (+, +, +), v = 2n + 1: lo = d/(1 + s), as A >= mu_o and
+      B <= lambda_o + s t; hi is the lambda_o = 0 root (B >= s t), the
+      positive root of ((1 + s)**2 - a2) t**2 + 2v(1 + s) t + v**2 - mu_o**2.
+      It is unique: for z_T < 0, g' <= al - 1 < 0; for z_T > 1 a root has
+      A = B + t + v > B, so there g' < (a2 - c0) t / B - 1 < -1, as
+      c0 - a2 = s + al > 0.
+    * d (-, -, -): the c equation with v = -1, on the same bracket.
+    * a (+, +, -), z_T > 1: g = mu_o**2/(A + al t) - lambda_o**2/(B + s t) - 1;
+      lo = d/al and hi = (mu_o**2 - 1)/(2 al), where the first term is 1.
+    * b (+, -, +), z_T < 0: g = mu_o**2/(A + al t) + lambda_o**2/(B + s t) - 1
+      falls strictly; lo = (mu_o**2 - 1)/(2 al) and
+      hi = (mu_o**2/al + lambda_o**2/s)/2.
 
-    Newton runs from that bound and bisects when a step leaves the bracket
-    or fails to halve the step before last.  It stops with one last step
-    once g is within its rounding error, or when the bracket is a few ulps
-    wide.
+    In Area A_0 (mu_o > lambda_o + 1) the m = 0 patterns c, d and a or b
+    each have a root.  Each solution is a root of the lambda1 cubic, whose
+    leading coefficient 8 s (1 - s) is not 0, and two share lambda1 only at
+    its double root -1 on the a/d hyperbola: each pattern has exactly one.
+
+    A is split as mu_o + a2 t**2/(A + mu_o) while al t <= mu_o, else as
+    al t + mu_o**2/(A + al t); once A is split far, B is split likewise at
+    s t = lambda_o, so the growing remainders A - mu_o and B - lambda_o never
+    cancel.  g is then a constant (d, to twice the working precision, while
+    both split near), a slope times t (exact through s -/+ al = 1) and the
+    two remainders.  Newton runs from hi and bisects, by the geometric mean
+    while hi > 4 lo, when a step leaves the bracket or fails to halve the
+    step before last.  It stops with one last step once g is within its
+    rounding error, or when the bracket is a few ulps wide.
     """
+    sm, s0, s1 = signs
+    p0, p1 = sm * s0, sm * s1
     lo, mo, s = ri.lambda_o, ri.mu_o, tp.sqrt_c0
     al = 1.0 / abs(1.0 - tp.z_T)  # sqrt(a2)
-    u = 2.0 * n + 1.0
-    d, e1 = _two_sum(mo, -lo)
-    d, e2 = _two_sum(d, -u)
-    e = e1 + e2
-    # (1 + s)**2 - a2 = 4s for z_T < 0 (s + al = 1), 4(1 + al) for z_T > 1 (s - al = 1)
-    qa = 4.0 * s if tp.z_T < 0.0 else 4.0 * (1.0 + al)
-    qb = 2.0 * u * (1.0 + s)
-    qc = (u - mo) * (u + mo)
-    a, b = 0.0, -2.0 * qc / (qb + math.sqrt(qb * qb - 4.0 * qa * qc))
-    x, dx, dx_old = b, math.inf, math.inf
-    steps = halvings = 0
-    for _ in range(_LEVEL_MAX_ITER):
-        t = s * x
-        A = math.hypot(mo, al * x)
-        B = math.hypot(lo, t)
-        ta = (al * x) ** 2 / (A + mo)  # A - mu_o
-        tb = t * t / (B + lo) if t else 0.0  # B - lambda_o; 0 where c0 l**2 underflows
-        gx = d - x + (e + ta - tb)
-        if gx < 0.0:
-            b = x
-        elif gx > 0.0:
-            a = x
-        else:
-            break
-        dg = al * al * x / A - (s * t / B if t else 0.0) - 1.0
-        # g' < 0 near the root; once g is within its rounding error, one last step
-        if dg < 0.0 and abs(gx) <= 8.0 * _EPS * (d + x + ta + tb):
-            x -= gx / dg
-            break
-        if b - a <= 4.0 * _EPS * b:
-            break
-        x_new = x - gx / dg if dg < 0.0 else a
-        if a < x_new < b and 2.0 * abs(x_new - x) <= abs(dx_old):
-            steps += 1
-        else:
-            x_new = 0.5 * (a + b)
-            halvings += 1
-        dx_old, dx, x = dx, x_new - x, x_new
+    above = tp.z_T > 1.0
+    # slope of g by radicals split far (none, A, both), exact by s -/+ al = 1
+    if above:
+        ks = (-p1, al - p1, (1.0 - p0) * al - p0 - p1)
     else:
-        raise ConvergenceError(f"level {n}: no convergence in {_LEVEL_MAX_ITER} iterations")
-    return x, math.hypot(lo, s * x), steps, halvings
+        ks = (-p1, 1.0 - p1 - s, 1.0 - p1 - (1.0 + p0) * s)
+    mo2, lo2 = mo * mo, lo * lo
+    hypot = math.hypot
+    for m in ms:
+        v = sm * (2.0 * m + 1.0)
+        d, e1 = _two_sum(mo, -p0 * lo)
+        d, e2 = _two_sum(d, -v)
+        # the constant of g by split (none, A, both) and its rounding error
+        cs = (d, -p0 * lo - v, -v)
+        es = (e1 + e2, 0.0, 0.0)
+        if p0 < 0.0 or p1 < 0.0:  # b or a: mu_o**2/(A + al t) = v at h
+            h = (mo - v) * (mo + v) / (2.0 * al * v)
+            a, b = (h, (mo2 / al + lo2 / s) / (2.0 * v)) if p0 < 0.0 else (d / al, h)
+        else:  # c, d: A >= mu_o and B <= lambda_o + s t give a
+            a = d / (1.0 + s)
+            qa = 4.0 * (1.0 + al) if above else 4.0 * s  # (1 + s)**2 - a2
+            qb, qc = 2.0 * v * (1.0 + s), (v - mo) * (v + mo)
+            rt = math.sqrt(qb * qb - 4.0 * qa * qc)
+            b = -2.0 * qc / (qb + rt) if qb > 0.0 else (rt - qb) / (2.0 * qa)
+        if b > _FLOAT_MAX:  # a root beyond it fails make_solution
+            b = _FLOAT_MAX
+        x = b
+        dx = dx_old = math.inf
+        steps = halvings = 0
+        for _ in range(_LEVEL_MAX_ITER):
+            ax = al * x
+            t = s * x
+            A = hypot(mo, ax)
+            B = hypot(lo, t)
+            if ax > mo:  # A - al t
+                ra = mo2 / (A + ax)
+                da = -al * ra / A
+                i = 1
+            else:  # A - mu_o
+                ra = ax * ax / (A + mo)
+                da = al * ax / A
+                i = 0
+            if i and t > lo:  # B - s t, once A is split far
+                rb = lo2 / (B + t)
+                db = -s * rb / B
+                i = 2
+            elif t:  # B - lambda_o
+                rb = t * t / (B + lo)
+                db = s * t / B
+            else:  # c0 t**2 underflows
+                rb = db = 0.0
+            c = cs[i]
+            k = ks[i]
+            gx = c + k * x + (es[i] + ra - p0 * rb)
+            if gx < 0.0:
+                b = x
+            elif gx > 0.0:
+                a = x
+            else:
+                break
+            dg = k + da - p0 * db
+            # g' < 0 near the root; once g is within its rounding error, one last step
+            if dg < 0.0 and abs(gx) <= 8.0 * _EPS * (abs(c) + abs(k * x) + ra + rb):
+                x -= gx / dg
+                break
+            if b - a <= 4.0 * _EPS * b:
+                break
+            x_new = x - gx / dg if dg < 0.0 else a
+            if a < x_new < b and 2.0 * abs(x_new - x) <= abs(dx_old):
+                steps += 1
+            else:
+                x_new = math.sqrt(a) * math.sqrt(b) if 0.0 < 4.0 * a < b else 0.5 * (a + b)
+                halvings += 1
+            dx_old, dx, x = dx, x_new - x, x_new
+        else:
+            raise ConvergenceError(f"sign pattern {signs}, degree {m}: no convergence "
+                                   f"in {_LEVEL_MAX_ITER} iterations")
+        yield s0 * hypot(lo, s * x), s1 * x, steps, halvings
 
 
 def spectrum(ri: RayIdentifiers, tp: TangentPoly) -> list[AehSolution]:
@@ -579,16 +589,16 @@ def spectrum(ri: RayIdentifiers, tp: TangentPoly) -> list[AehSolution]:
     Level n is the one root lambda1 > 0 of the quantization condition
     mu = lambda0 + lambda1 + 2n + 1, where lambda0 and mu are the positive
     roots of the two defining quadratics; lambda0 is read off its radical,
-    not transferred (see :func:`_level_root`).  Each level is also a root of
-    the lambda1 cubic, which verify's ``cubic.level-residual`` checks.
+    not transferred (see :func:`_radical_roots`).  Each level is also a root
+    of the lambda1 cubic, which verify's ``cubic.level-residual`` checks.
     Newton steps and bisections are logged per call at DEBUG under
     ``drttp.spectral``.
     """
     _check_not_degenerate(tp)
     out = []
     steps = halvings = 0
-    for n in range(bound_state_count(ri.mu_o, ri.lambda_o)):
-        lam1, lam0, k, h = _level_root(n, ri, tp)
+    roots = _radical_roots(_SIGNS[Kind.C], range(bound_state_count(ri.mu_o, ri.lambda_o)), ri, tp)
+    for n, (lam0, lam1, k, h) in enumerate(roots):
         steps += k
         halvings += h
         out.append(make_solution(Kind.C, n, lam0, lam1, ri, tp))
@@ -605,30 +615,14 @@ def spectrum(ri: RayIdentifiers, tp: TangentPoly) -> list[AehSolution]:
 
 
 def basic_solutions(ri: RayIdentifiers, tp: TangentPoly) -> dict[Kind, AehSolution]:
-    """The three m = 0 basic solutions, keyed by kind.
-
-    Requires a point with a nonempty spectrum (Area A_0) so that all three
-    types coexist.
-    """
-    region, _ = classify_region(0, ri)
-    if region is not Region.A:
-        from .errors import AvailabilityError
-
-        raise AvailabilityError(
-            "basic-solution triple requires mu_o > lambda_o + 1 (Area A_0)"
-        )
-    variable = CubicVariable.LAMBDA0 if tp.c0 > 1.0 else CubicVariable.LAMBDA1
-    spec = cubic_coeffs(0, ri, tp, variable)
-    out: dict[Kind, AehSolution] = {}
-    for r in real_cubic_roots(spec):
-        if variable is CubicVariable.LAMBDA0:
-            lam0 = r
-            lam1 = expdiff_transfer(r, 0, ri, tp,
-                                    TransferDirection.LAMBDA0_TO_LAMBDA1)
-        else:
-            lam1 = r
-            lam0 = expdiff_transfer(r, 0, ri, tp,
-                                    TransferDirection.LAMBDA1_TO_LAMBDA0)
-        kind = classify_solution(lam0, lam1, 0, ri, tp)
-        out[kind] = make_solution(kind, 0, lam0, lam1, ri, tp)
-    return out
+    """The three m = 0 basic solutions of Area A_0, keyed by kind in
+    ascending order of mu: c (level 0 of :func:`spectrum`), d, and a
+    (z_T > 1) or b (z_T < 0), each the one root of its sign pattern."""
+    if classify_region(0, ri)[0] is not Region.A:
+        raise AvailabilityError("basic-solution triple requires mu_o > lambda_o + 1 (Area A_0)")
+    _check_not_degenerate(tp)
+    sols = []
+    for kind in (Kind.C, Kind.D, Kind.A if tp.z_T > 1.0 else Kind.B):
+        (lam0, lam1, _, _), = _radical_roots(_SIGNS[kind], (0,), ri, tp)
+        sols.append(make_solution(kind, 0, lam0, lam1, ri, tp))
+    return {sol.kind: sol for sol in sorted(sols, key=lambda sol: sol.mu)}

@@ -228,16 +228,20 @@ def check_cubic(n_draws: int = 1000, fault: str | None = None) -> list[CheckResu
                 continue
             scale = max(abs(v) for v in s1.coeffs) * max(1.0, abs(l1)) ** 3
             cross_worst = max(cross_worst, abs(s1(l1)) / scale)
-    # spectrum() solves the radical equation; each level must still be a root
-    # of the paper's lambda1 cubic, by residual over the sum of its terms
-    level_worst, n_levels = 0.0, 0
+    # spectrum() and basic_solutions() solve the radical equation; each level
+    # and basic solution must still be a root of the paper's lambda1 cubic,
+    # by residual over the sum of its terms
+    level_worst, n_levels, n_basic = 0.0, 0, 0
     for lo, mo, zt in GRID_POINTS + HIGH_DEGREE_POINTS:
         ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
-        for sol in spectral.spectrum(ri, tp):
+        sols = spectral.spectrum(ri, tp)
+        # a nonempty spectrum is Area A_0
+        basics = list(spectral.basic_solutions(ri, tp).values()) if sols else []
+        n_levels, n_basic = n_levels + len(sols), n_basic + len(basics)
+        for sol in sols + basics:
             s1 = spectral.cubic_coeffs(sol.m, ri, tp, CubicVariable.LAMBDA1)
-            terms = sum(abs(c) * sol.lambda1**k for k, c in enumerate(s1.coeffs))
+            terms = sum(abs(c) * abs(sol.lambda1) ** k for k, c in enumerate(s1.coeffs))
             level_worst = max(level_worst, abs(s1(sol.lambda1)) / terms)
-            n_levels += 1
     return [
         _result("cubic.cross-consistency", 1e-8, cross_worst,
                 f"{n_draws} draws"),
@@ -247,7 +251,8 @@ def check_cubic(n_draws: int = 1000, fault: str | None = None) -> list[CheckResu
         _result("cubic.freeterm-positivity", 0.5, float(freeterm_bad),
                 "violation count"),
         _result("cubic.level-residual", 1e-12, level_worst,
-                f"scaled residual, {n_levels} levels of the grid and degrees <= 29"),
+                f"scaled residual, {n_levels} levels of the grid and degrees <= 29 "
+                f"and {n_basic} basic solutions"),
     ]
 
 

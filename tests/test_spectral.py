@@ -1,4 +1,4 @@
-"""Characteristic cubics, classification, levelled limit and spectra."""
+"""Characteristic cubics, regions, levelled limit, spectra and basic solutions."""
 
 import logging
 import math
@@ -10,7 +10,6 @@ import pytest
 from drttp import spectral
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import (
-    ClassificationError,
     DegenerateLimitError,
     DomainError,
     TransferAmbiguityError,
@@ -20,11 +19,12 @@ from drttp.spectral import (
     Kind,
     Region,
     TransferDirection,
+    basic_solutions,
     bound_state_count,
     classify_region,
-    classify_solution,
     cubic_coeffs,
     expdiff_transfer,
+    make_solution,
     nodeless_census,
     real_cubic_roots,
     spectrum,
@@ -220,18 +220,6 @@ class TestCountsAndRegions:
         assert classify_region(1, RayIdentifiers(0.5, 1.0))[0] is Region.B
         assert classify_region(0, RayIdentifiers(1.5, 1.2))[0] is Region.D
 
-    def test_classify_solution(self):
-        assert classify_solution(24.0, -12.0, 0, WL5, TP2) is Kind.A
-        sols = {s.kind: s for s in wl_solve(3, 5.0, TP2)}
-        dp = sols[Kind.D_PRIME]
-        assert classify_solution(dp.lambda0, dp.lambda1, 3, WL5, TP2) is Kind.D_PRIME
-        d = sols[Kind.D]
-        assert classify_solution(d.lambda0, d.lambda1, 3, WL5, TP2) is Kind.D
-        c = {s.kind: s for s in wl_solve(0, 5.0, TP2)}[Kind.C]
-        assert classify_solution(c.lambda0, c.lambda1, 0, WL5, TP2) is Kind.C
-        with pytest.raises(ClassificationError):
-            classify_solution(5.0, 1.0, 0, WL5, TP2)   # violates constraints
-
 
 class TestCensus:
     def test_levelled_bounds(self):
@@ -410,3 +398,134 @@ class TestSpectrumEdges:
         assert [r.name for r in caplog.records] == ["drttp.spectral"]
         assert "3 level(s)" in caplog.text
         assert "Newton steps" in caplog.text and "bisections" in caplog.text
+
+
+# signs of (mu, lambda0, lambda1) of each basic kind
+_PATTERNS = {Kind.C: (1, 1, 1), Kind.D: (-1, -1, -1), Kind.A: (1, 1, -1), Kind.B: (1, -1, 1)}
+
+
+def _edge_draws(row, n, rng):
+    """Area A_0 draws, lambda_o <= 30 and mu_o <= 80, on one z_T row."""
+    out = []
+    for _ in range(n):
+        lo = 30 * rng.random()
+        mo = lo + 1 + (79 - lo) * rng.random()
+        if row == "right-edge":
+            z_t = 1 + 10 ** rng.uniform(-6, -3)
+        elif row == "right":
+            z_t = 1 + 10 ** rng.uniform(-3, 0)
+        elif row == "left-edge":
+            z_t = -(10 ** rng.uniform(-6, -3))
+        else:  # z_T = 2 or log-uniform out to 60 from 0 and 1
+            d = 10 ** rng.uniform(-3, math.log10(60))
+            z_t = (2.0, -d, 1.0 + d)[rng.integers(3)]
+            if row == "threshold":
+                mo = lo + 1 + 10 ** rng.uniform(-9, -5)
+        out.append((lo, mo, float(z_t)))
+    return out
+
+
+def _mp_error(sol, lo, mo, z_t):
+    """Relative error of sol.lambda1 against the 50-digit root, near it, of
+    its own sign pattern of the defining system
+    sigma_mu sqrt(mu_o**2 + a2 t**2) = sigma_0 sqrt(lambda_o**2 + c0 t**2)
+    + sigma_1 t + 2m + 1."""
+    sm, s0, s1 = _PATTERNS[sol.kind]
+    assert (math.copysign(1, sol.mu), math.copysign(1, sol.lambda0),
+            math.copysign(1, sol.lambda1)) == (sm, s0, s1)
+    with mpmath.workdps(50):
+        L, M, zt = mpmath.mpf(lo) ** 2, mpmath.mpf(mo) ** 2, mpmath.mpf(z_t)
+        c0, a2 = (zt / (zt - 1)) ** 2, 1 / (1 - zt) ** 2
+
+        def defining(t):
+            return (sm * mpmath.sqrt(M + a2 * t**2) - s0 * mpmath.sqrt(L + c0 * t**2)
+                    - s1 * t - (2 * sol.m + 1))
+
+        ref = s1 * mpmath.findroot(defining, mpmath.mpf(abs(sol.lambda1)))
+        return float(abs((sol.lambda1 - ref) / ref))
+
+
+class TestBasicSolutions:
+    """The three m = 0 solutions, each the root of its own sign pattern."""
+
+    def test_c_is_level_zero(self):
+        rng = np.random.default_rng(21)
+        for row in ("ordinary", "right-edge", "left-edge", "threshold"):
+            for lo, mo, z_t in _edge_draws(row, 100, rng):
+                ri, tp = RayIdentifiers(lo, mo), TangentPoly(z_t)
+                assert basic_solutions(ri, tp)[Kind.C] == spectrum(ri, tp)[0], (lo, mo, z_t)
+
+    @pytest.mark.parametrize("point", [
+        (26.365999810141247, 32.49631251270906, 1.0000025580355787),
+        (18.314013689020246, 28.79394732046727, 1.0000013406254948),
+        (29.15502672802199, 30.240980592527425, -3.879797750821005e-06),
+        (16.9882740130523, 18.74021211169794, -1.3005902635678289e-06),
+        (6.382641397623506, 8.82628967789683, 1.0000012407518972),
+    ])
+    def test_edge_draws_give_three_kinds(self, point):
+        # the cubic route raised ClassificationError on the first four and
+        # returned only d on the last
+        lo, mo, z_t = point
+        basics = basic_solutions(RayIdentifiers(lo, mo), TangentPoly(z_t))
+        regular = Kind.A if z_t > 1 else Kind.B
+        assert set(basics) == {regular, Kind.C, Kind.D}
+        for sol in basics.values():
+            assert _mp_error(sol, lo, mo, z_t) < 1e-13
+
+    def test_edge_rows_never_raise(self):
+        rng = np.random.default_rng(22)
+        for row in ("right-edge", "right", "left-edge"):
+            for lo, mo, z_t in _edge_draws(row, 2000, rng):
+                basics = basic_solutions(RayIdentifiers(lo, mo), TangentPoly(z_t))
+                assert len(basics) == 3, (lo, mo, z_t)
+
+    def test_order_is_ascending_mu(self):
+        for z_t in (2.0, -1.0, 1.001, -1e-4):
+            basics = basic_solutions(RayIdentifiers(0.7, 9.0), TangentPoly(z_t))
+            mus = [s.mu for s in basics.values()]
+            assert mus == sorted(mus) and next(iter(basics)) is Kind.D
+
+    def test_levels_and_basics_against_mpmath(self):
+        rng = np.random.default_rng(23)
+        worst = {}
+        for row in ("ordinary", "right-edge", "left-edge", "threshold"):
+            for lo, mo, z_t in _edge_draws(row, 25, rng):
+                ri, tp = RayIdentifiers(lo, mo), TangentPoly(z_t)
+                levels = spectrum(ri, tp)
+                sols = [levels[0], levels[len(levels) // 2], levels[-1]]
+                sols += basic_solutions(ri, tp).values()
+                for sol in sols:
+                    err = _mp_error(sol, lo, mo, z_t)
+                    worst[row] = max(worst.get(row, 0.0), err)
+        assert max(worst.values()) < 1e-13, worst
+
+    def test_lambda_o_near_one_as_z_t_tends_to_zero(self):
+        # the d and b constants 1 - lambda_o and lambda_o - 1 cancel here, and
+        # their roots grow like 1/|z_T|: B is split at lambda_o, not at A's split
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            lo = 1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-12, -3)
+            mo, z_t = lo + 1 + 20 * rng.random(), -(10 ** rng.uniform(-16, -6))
+            for sol in basic_solutions(RayIdentifiers(lo, mo), TangentPoly(z_t)).values():
+                assert _mp_error(sol, lo, mo, z_t) < 1e-13, (lo, mo, z_t, sol.kind)
+
+    @pytest.mark.parametrize("z_t", [-1e-300, -1e-200, -1e-20, -1e-12, 1 + 1e-15, 1 + 1e-9])
+    def test_extreme_z_t(self, z_t):
+        # the cubic route raised ZeroDivisionError at the first two and
+        # ClassificationError at the others; the d root, about
+        # (1 - lambda_o)/(2|z_T|), squares beyond the float range at the first two
+        ri, tp = RayIdentifiers(0.3, 5.0), TangentPoly(z_t)
+        if -1e-100 < z_t < 0.0:
+            with pytest.raises(DomainError):
+                basic_solutions(ri, tp)
+        else:
+            basics = basic_solutions(ri, tp)
+            assert len(basics) == 3 and basics[Kind.C] == spectrum(ri, tp)[0]
+
+    def test_overflowing_root_is_a_domain_error(self):
+        # AehSolution would square lambda1 = 1e160 with ** and overflow
+        ri, tp = RayIdentifiers(0.3, 5.0), TangentPoly(-1.0)
+        with pytest.raises(DomainError):
+            make_solution(Kind.B, 0, -1.0, 1e160, ri, tp)
+        with pytest.raises(DomainError):
+            make_solution(Kind.B, 0, math.nan, 1.0, ri, tp)
