@@ -397,24 +397,14 @@ def map_x_to_z_pair(x, tp: TangentPoly):
 
 
 def map_x_to_z(x, tp: TangentPoly):
-    """Invert the change of variable: unique z in (0, 1) with x(z) = x.
+    """Invert the change of variable: unique z in (0, 1) with x(z) = x, for
+    finite x (a float or an array).
 
     Uses the elementary closed form on the z_T = 2 branch and Newton in
     t = log z (left of x_of_z(1/2)) or t = log(1 - z) (right) otherwise,
-    converged to rounding.  A grid is mapped once for the life of ``tp``
-    and reused while it is among the 4 most recently mapped grids of at
-    most 65 536 points; the returned array is always fresh (see
-    :func:`map_x_to_z_pair`).
-
-    Parameters
-    ----------
-    x : float or ndarray
-        Position(s); must be finite.
-    tp : TangentPoly
-
-    Returns
-    -------
-    float or ndarray
+    converged to rounding, memoized as :func:`map_x_to_z_pair` describes;
+    the returned array is always fresh.  Where z is near 1, take 1 - z from
+    :func:`map_x_to_z_pair`, not by subtraction.
     """
     x = _finite(x)
     z = _map_record(x, tp).z
@@ -430,12 +420,13 @@ def schwarzian_eval(z, tp: TangentPoly, gauge: str = "xtilde"):
     z = np.asarray(z, dtype=float)
     if np.any(z == tp.z_T):
         raise PoleError("Schwarzian has a pole at z == z_T")
+    omz = 1.0 - z
     P = z - tp.z_T
     P2 = P * P  # products: NumPy's power is slow on the negative bases of z_T > 1
     base = (
         -0.5 / P2
-        + z * (1.0 - z) * (2.0 * z - 1.0) / (P2 * P)
-        + 1.5 * z**2 * (1.0 - z) ** 2 / (P2 * P2)
+        + z * omz * (z - omz) / (P2 * P)
+        + 1.5 * z**2 * omz**2 / (P2 * P2)
     )
     if gauge == "xtilde":
         out = base
@@ -463,46 +454,47 @@ def potential_eval_z(z, ri: RayIdentifiers, tp: TangentPoly):
     included, raises DomainError.
     """
     z = unit_interval(z)
+    omz = 1.0 - z
     P = z - tp.z_T
     P2 = P * P
     lam2 = ri.lambda_o**2
     out = (
-        (lam2 * (1.0 - z) - ri.f0 * z) * (1.0 - z) / P2
-        - z * (1.0 - z) * (2.0 * z - 1.0) / (2.0 * P2 * P)
-        - 0.75 * z**2 * (1.0 - z) ** 2 / (P2 * P2)
+        (lam2 * omz - ri.f0 * z) * omz / P2
+        - z * omz * (z - omz) / (2.0 * P2 * P)
+        - 0.75 * z**2 * omz**2 / (P2 * P2)
     )
     return out if out.ndim else float(out)
 
 
-def potential_x_of_z(z, ri: RayIdentifiers, tp: TangentPoly):
-    """Canonical potential V as a function of z(x).
+def potential_x_of_z(z, omz, ri: RayIdentifiers, tp: TangentPoly):
+    """Canonical potential V as a function of the pair (z(x), 1 - z(x)),
+    each at its own relative precision (a :class:`GaugeRecord`'s).
 
     Equal to -(z')**2 I0[z] - {z,x}/2 but assembled as a single rational
     expression so the endpoint limits carry no 0*inf indeterminacy.
     V(z=1) = 0; V(z=0) = lambda_o**2 (1-z_T)**2 / z_T**2.
     """
-    z = np.asarray(z, dtype=float)
     P = z - tp.z_T
     P2 = P * P
-    lam2 = ri.lambda_o**2
     bracket = (
-        (1.0 - z) * (lam2 - ri.f0 * z) / P2
-        - 2.0 * z * (1.0 - z) * (2.0 * z - 1.0) / (P2 * P)
-        - 3.0 * z**2 * (1.0 - z) ** 2 / (P2 * P2)
+        omz * (ri.lambda_o**2 - ri.f0 * z) / P2
+        - 2.0 * z * omz * (z - omz) / (P2 * P)
+        - 3.0 * z**2 * omz**2 / (P2 * P2)
     )
-    out = (1.0 - tp.z_T) ** 2 * bracket
-    return out if out.ndim else float(out)
+    return (1.0 - tp.z_T) ** 2 * bracket
 
 
 def potential_eval_x(x, ri: RayIdentifiers, tp: TangentPoly):
-    """Canonical x-gauge potential V(x).
+    """Canonical x-gauge potential V(x), from the (z, 1 - z) pair of the
+    grid's :class:`GaugeRecord`: accurate in relative terms in both tails.
 
     Asymptotes: V(+inf) = 0 and V(-inf) = lambda_o**2 (1-z_T)**2 / z_T**2.
     On the z_T = 2 branch this is the Dutt-Khare-Varshni potential shifted
     so that the right asymptote sits at zero energy.
     """
-    z = map_x_to_z(x, tp)
-    return potential_x_of_z(z, ri, tp)
+    g = gauge_record(x, tp)
+    out = potential_x_of_z(g.z, g.omz, ri, tp)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def dkv_map(ri: RayIdentifiers) -> tuple[float, float, float]:

@@ -14,7 +14,6 @@ pattern of (mu, lambda0, lambda1) that names its kind (:func:`_radical_roots`).
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 import sys
@@ -35,6 +34,12 @@ from .errors import (
 _log = logging.getLogger("drttp.spectral")
 
 _DEGENERATE_C0_TOL = 1e-12
+# relative residual of the defining quadratics that make_solution admits
+_CONSTRAINT_TOL = 1e-10
+# relative distance from a separatrix within which classify_region flags it
+_BOUNDARY_TOL = 1e-12
+# NodelessCensus.hyperbola_residuals holds the degrees m < _CENSUS_DEGREES
+_CENSUS_DEGREES = 6
 _EPS = math.ulp(1.0)
 _FLOAT_MAX = sys.float_info.max
 
@@ -93,7 +98,7 @@ class AehSolution:
 
 def make_solution(kind: Kind, m: int, lambda0: float, lambda1: float,
                   ri: RayIdentifiers, tp: TangentPoly, *,
-                  merged_tail: bool = False, tol: float = 1e-10) -> AehSolution:
+                  merged_tail: bool = False) -> AehSolution:
     """Build a solution and enforce the defining quadratic constraints;
     DomainError where mu**2 or epsilon would not be finite."""
     mu = lambda0 + lambda1 + 2 * m + 1
@@ -103,7 +108,7 @@ def make_solution(kind: Kind, m: int, lambda0: float, lambda1: float,
         raise DomainError(f"mu**2 or epsilon overflows at ({lambda0!r}, {lambda1!r})")
     r1 = sq0 - (ri.lambda_o**2 + tp.c0 * sq1)
     r2 = mu * mu - (ri.mu_o**2 + tp.a2 * sq1)
-    if abs(r1) > tol * scale or abs(r2) > tol * scale:
+    if abs(r1) > _CONSTRAINT_TOL * scale or abs(r2) > _CONSTRAINT_TOL * scale:
         raise ClassificationError(
             f"exponent differences violate the defining constraints: "
             f"residuals {r1:.3e}, {r2:.3e}"
@@ -165,22 +170,14 @@ def cubic_coeffs(m: int, ri: RayIdentifiers, tp: TangentPoly,
     return CubicSpec(variable, coeffs, disc)
 
 
-_CUBE_ROOTS_UNITY = (
-    complex(1.0, 0.0),
-    cmath.exp(2j * math.pi / 3.0),
-    cmath.exp(-2j * math.pi / 3.0),
-)
-
-
 def real_cubic_roots(spec: CubicSpec) -> list[float]:
     """Real roots of the characteristic cubic, ascending, with multiplicity.
 
-    Three real roots are produced by the complex-cube-root prescription
-    (principal cube root of delta1/2 + i sqrt(4 delta0^3 - delta1^2)/2,
-    combined with the three cube roots of -1), then polished with two
-    Newton steps.  A trigonometric evaluation is the fallback when the
-    imaginary part underflows; a negative discriminant yields the single
-    real root by the real Cardano branch.
+    Three real roots (a discriminant >= 0) come from the trigonometric form
+    -(b + 2 sqrt(delta0) cos((theta - 2 pi k)/3))/(3a), k = 0, 1, 2, which
+    also covers double and triple roots; a negative discriminant yields the
+    single real root by the real Cardano branch.  Each root is polished
+    with two Newton steps.
     """
     c0, c1, c2, c3 = spec.coeffs
     a, b, c, d = c3, c2, c1, c0
@@ -189,16 +186,8 @@ def real_cubic_roots(spec: CubicSpec) -> list[float]:
     delta0 = b * b - 3.0 * a * c
     delta1 = 2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d
     big = 4.0 * delta0**3 - delta1**2
-    scale6 = max(abs(v) for v in spec.coeffs) ** 6
 
-    if big > 1e-28 * scale6:
-        # three distinct real roots; |C|^2 = delta0 makes 2 Re(u C) exact
-        C = (0.5 * delta1 + 0.5j * math.sqrt(big)) ** (1.0 / 3.0)
-        roots = [
-            -(b + 2.0 * (u * C).real) / (3.0 * a) for u in _CUBE_ROOTS_UNITY
-        ]
-    elif big >= 0.0:
-        # imaginary part underflows: trigonometric form, handles double roots
+    if big >= 0.0:
         if delta0 <= 0.0:
             roots = [-b / (3.0 * a)] * 3
         else:
@@ -318,8 +307,7 @@ class Region(Enum):
     D = "D"
 
 
-def classify_region(m: int, ri: RayIdentifiers,
-                    boundary_tol: float = 1e-12) -> tuple[Region, list[str]]:
+def classify_region(m: int, ri: RayIdentifiers) -> tuple[Region, list[str]]:
     """Locate (lambda_o, mu_o) among the four zero-energy separatrix areas.
 
     Returns the strict-inequality region and the list of separatrix flags
@@ -330,11 +318,11 @@ def classify_region(m: int, ri: RayIdentifiers,
     lo, mo = ri.lambda_o, ri.mu_o
     scale = max(1.0, abs(lo), abs(mo), u)
     flags = []
-    if abs(mo - (lo + u)) <= boundary_tol * scale:
+    if abs(mo - (lo + u)) <= _BOUNDARY_TOL * scale:
         flags.append("A|D")
-    if abs(mo + lo - u) <= boundary_tol * scale:
+    if abs(mo + lo - u) <= _BOUNDARY_TOL * scale:
         flags.append("B|D")
-    if abs(mo - (lo - u)) <= boundary_tol * scale:
+    if abs(mo - (lo - u)) <= _BOUNDARY_TOL * scale:
         flags.append("C|D")
     if flags:
         return Region.D, flags
@@ -369,8 +357,7 @@ class NodelessCensus:
         return m > self.m_minus_c0
 
 
-def nodeless_census(ri: RayIdentifiers, tp: TangentPoly,
-                    m_range: int = 6) -> NodelessCensus:
+def nodeless_census(ri: RayIdentifiers, tp: TangentPoly) -> NodelessCensus:
     """Bounds selecting the below-ground (hence nodeless) solutions.
 
     The c-referenced bounds require a nonempty spectrum (mu_o > 1); they
@@ -378,7 +365,7 @@ def nodeless_census(ri: RayIdentifiers, tp: TangentPoly,
     """
     s = tp.sqrt_c0
     mo = ri.mu_o
-    u_h = [2.0 * m + 1.0 for m in range(m_range)]
+    u_h = [2.0 * m + 1.0 for m in range(_CENSUS_DEGREES)]
     hyper = tuple(
         mo**2 - ri.lambda_o**2 + (1.0 - 2.0 * s) * u * u for u in u_h
     )
@@ -618,7 +605,7 @@ def basic_solutions(ri: RayIdentifiers, tp: TangentPoly) -> dict[Kind, AehSoluti
     """The three m = 0 basic solutions of Area A_0, keyed by kind in
     ascending order of mu: c (level 0 of :func:`spectrum`), d, and a
     (z_T > 1) or b (z_T < 0), each the one root of its sign pattern."""
-    if classify_region(0, ri)[0] is not Region.A:
+    if not bound_state_count(ri.mu_o, ri.lambda_o):  # the Area A_0 test of spectrum()
         raise AvailabilityError("basic-solution triple requires mu_o > lambda_o + 1 (Area A_0)")
     _check_not_degenerate(tp)
     sols = []

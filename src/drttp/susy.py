@@ -21,7 +21,7 @@ from .core import (
     RayIdentifiers,
     TangentPoly,
     _dot2,
-    map_x_to_z,
+    gauge_record,
     potential_x_of_z,
 )
 from .errors import (
@@ -39,6 +39,11 @@ from .spectral import (
     wl_solve,
 )
 from .wavefunction import count_roots_in_01, hypergeom_poly_coeffs
+
+# relative spread of d across the basic kinds that structure_constants admits
+_STRUCTURE_TOL = 1e-8
+# seeded points of [-1.5, 2.5] at which b2_factor_check samples the factorization
+_B2_SAMPLES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +67,12 @@ class StructureConstants:
         return 0.5 * (lambda0 + 1.0) * (lambda1 + 1.0)
 
 
-def structure_constants(ri: RayIdentifiers, tp: TangentPoly,
-                        check_tol: float = 1e-8) -> StructureConstants:
+def structure_constants(ri: RayIdentifiers, tp: TangentPoly) -> StructureConstants:
     """Derive the constants from the basic solutions and freeze them.
 
     The derivation solves  8 rho0 rho1 + d epsilon = o00  for d on each
-    basic solution; inconsistency across the three kinds beyond
-    ``check_tol`` signals a convention bug upstream and raises.
+    basic solution; inconsistency across the three kinds beyond a relative
+    1e-8 signals a convention bug upstream and raises.
     """
     o00 = ri.mu_o**2 - ri.lambda_o**2 + 1.0
     basics = basic_solutions(ri, tp)
@@ -82,7 +86,7 @@ def structure_constants(ri: RayIdentifiers, tp: TangentPoly,
     if not ds:
         raise AvailabilityError("no basic solution with nonzero energy")
     spread = max(ds) - min(ds)
-    if spread > check_tol * max(1.0, abs(ds[0])):
+    if spread > _STRUCTURE_TOL * max(1.0, abs(ds[0])):
         raise DomainError(
             f"structure-constant derivation inconsistent across kinds "
             f"(spread {spread:.3e})"
@@ -211,20 +215,28 @@ def partner_correction_z(z, spec: PartnerSpec, tp: TangentPoly):
     One step is the case outer_pole = z_T, where Q = P.
     """
     z = np.asarray(z, dtype=float)
-    zz = z * (z - 1.0)
-    P2 = (z - tp.z_T) ** 2
-    Q = z - spec.outer_pole
-    out = 8.0 * zz**2 / (P2 * Q**2) - 4.0 * zz * (2.0 * z + spec.delta0) / (P2 * Q)
+    out = _partner_correction(z, 1.0 - z, spec, tp)
     return out if out.ndim else float(out)
 
 
+def _partner_correction(z, omz, spec: PartnerSpec, tp: TangentPoly):
+    """:func:`partner_correction_z` on the pair (z, 1 - z)."""
+    zo = z * omz
+    P2 = (z - tp.z_T) ** 2
+    Q = z - spec.outer_pole
+    return 8.0 * zo**2 / (P2 * Q**2) + 4.0 * zo * (2.0 * z + spec.delta0) / (P2 * Q)
+
+
 def partner_potential_x(spec: PartnerSpec, ri: RayIdentifiers, tp: TangentPoly):
-    """Vectorized x-gauge partner potential callable for a spec."""
+    """Vectorized x-gauge partner potential callable for a spec; it reads the
+    (z, 1 - z) pair of the grid's :class:`~drttp.core.GaugeRecord`."""
     scale = (1.0 - tp.z_T) ** 2
 
     def V(x):
-        z = map_x_to_z(x, tp)
-        return potential_x_of_z(z, ri, tp) + scale * partner_correction_z(z, spec, tp)
+        g = gauge_record(x, tp)
+        out = (potential_x_of_z(g.z, g.omz, ri, tp)
+               + scale * _partner_correction(g.z, g.omz, spec, tp))
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     return V
 
@@ -457,8 +469,7 @@ def b2_poly_eval(z, sol: AehSolution, tp: TangentPoly):
 
 
 def b2_factor_check(t_kind: Kind, tprime_kind: Kind, tdprime_kind: Kind,
-                    ri: RayIdentifiers, tp: TangentPoly,
-                    n_samples: int = 20, seed: int = 0) -> dict:
+                    ri: RayIdentifiers, tp: TangentPoly, seed: int = 0) -> dict:
     """Factorization identity of the basic-solution quadratic.
 
     Returns the max absolute difference between the quadratic built from
@@ -474,7 +485,7 @@ def b2_factor_check(t_kind: Kind, tprime_kind: Kind, tdprime_kind: Kind,
     z_a = outer_root_ztt(t, t1)
     z_b = outer_root_ztt(t, t2)
     rng = np.random.RandomState(seed)
-    zs = rng.uniform(-1.5, 2.5, n_samples)
+    zs = rng.uniform(-1.5, 2.5, _B2_SAMPLES)
     lhs = b2_poly_eval(zs, t, tp)
     rhs = 0.5 * (t.mu - 1.0) * (zs - z_a) * (zs - z_b)
     factor_residual = float(np.max(np.abs(lhs - rhs)))

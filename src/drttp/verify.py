@@ -340,29 +340,35 @@ def check_oracle_grid() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _log_power_jet(z, omz, z_T: float, exps):
-    """(w, (ln w)_z, (ln w)_zz) of w = z**e0 (1 - z)**e1 s**eT on the pair
-    (z, 1 - z), exps = (e0, e1, eT), s = (z - z_T) / (2 (1 - z_T)) > 0 the
-    base of the Liouville weight (see core.GaugeRecord.weight)."""
+    """(w, D ln w, D**2 ln w) of w = z**e0 (1 - z)**e1 s**eT on the pair
+    (z, 1 - z), D = z (1 - z) d/dz, exps = (e0, e1, eT), s = (z - z_T) /
+    (2 (1 - z_T)) > 0 the base of the Liouville weight (see
+    core.GaugeRecord.weight).  No term divides by z or 1 - z."""
     e0, e1, eT = exps
     zr = z - z_T
+    zo = z * omz
     w = z**e0 * omz**e1 * (zr / (2.0 * (1.0 - z_T))) ** eT
-    return w, e0 / z - e1 / omz + eT / zr, -e0 / z**2 - e1 / omz**2 - eT / zr**2
+    return (w, e0 * omz - e1 * z + eT * zo / zr,
+            zo * (eT * ((omz - z) - zo / zr) / zr - e0 - e1))
 
 
 def _power_poly_jet(z, omz, z_T: float, exps, poly):
-    """(f, f_z, f_zz) of f = w Pi, w as in :func:`_log_power_jet`, from
-    poly = (Pi, Pi', Pi'') at the points."""
+    """(f, D f, D**2 f) of f = w Pi, w and D as in :func:`_log_power_jet`,
+    from poly = (Pi, Pi', Pi'') at the points."""
     w, dlw, d2lw = _log_power_jet(z, omz, z_T, exps)
-    P, dP, d2P = poly
+    zo = z * omz
+    P, dP = poly[0], zo * poly[1]
+    d2P = (omz - z) * dP + zo * zo * poly[2]
     return w * P, w * (dlw * P + dP), w * ((d2lw + dlw**2) * P + 2.0 * dlw * dP + d2P)
 
 
-def _x_second(z, omz, tp: TangentPoly, f_z, f_zz):
-    """f_xx = z'**2 f_zz + z' (dz'/dz) f_z, with z' = dz/dx from the pair
-    (z, 1 - z) and dz'/dz = z' (1/z - 1/(1 - z) - 1/(z - z_T))."""
+def _x_second(z, omz, tp: TangentPoly, f_D, f_DD):
+    """f_xx from D f and D**2 f: d/dx = k D with k = 2 (1 - z_T)/(z - z_T)
+    and D k = -k z (1 - z)/(z - z_T), so f_xx = k**2 (D**2 f - z (1 - z)
+    D f/(z - z_T))."""
     zr = z - tp.z_T
-    zp = 2.0 * z * omz * (1.0 - tp.z_T) / zr
-    return zp**2 * (f_zz + (1.0 / z - 1.0 / omz - 1.0 / zr) * f_z)
+    k = 2.0 * (1.0 - tp.z_T) / zr
+    return k * k * (f_DD - z * omz / zr * f_D)
 
 
 def _schrodinger_residual(ri: RayIdentifiers, tp: TangentPoly, sols, xs) -> float:
@@ -380,9 +386,9 @@ def _schrodinger_residual(ri: RayIdentifiers, tp: TangentPoly, sols, xs) -> floa
             poly.append(scale * wavefunction._hypergeom_poly(max(m - j, 0), a + j, c + j, z, omz))
             scale *= -(m - j) * (a + j) / (c + j)
         exps = (0.5 * s.lambda0, 0.5 * s.lambda1, 0.5)
-        _, f_z, f_zz = _power_poly_jet(z, omz, tp.z_T, exps, poly)
+        _, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, exps, poly)
         psi = wavefunction.solution_eval_x(xs, s, ri, tp)
-        res = -_x_second(z, omz, tp, f_z, f_zz) + (V - s.epsilon) * psi
+        res = -_x_second(z, omz, tp, f_D, f_DD) + (V - s.epsilon) * psi
         worst = max(worst, float(np.max(np.abs(res)) / np.max(np.abs(psi))))
     return worst
 
@@ -423,8 +429,6 @@ def check_eigenfunctions() -> list[CheckResult]:
     # & Weideman, SIAM Rev. 56, 2014), which vanish at the ends here
     u, du = np.linspace(-math.asinh(200.0), math.asinh(200.0), 1000, retstep=True)
     xq, wq = np.sinh(u), du * np.cosh(u)
-    # the residual's 1/z terms need z clear of underflow, as on |x| <= 8
-    xs = np.linspace(-8.0, 8.0, 6401)
     for pt in GRID_POINTS + HIGH_DEGREE_POINTS:
         lo, mo, zt = pt
         ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
@@ -433,7 +437,7 @@ def check_eigenfunctions() -> list[CheckResult]:
             continue
         gram, norm_gap, misses = _gram_checks(ri, tp, sols, xq, wq)
         norm_worst = max(norm_worst, norm_gap)
-        resid_worst = max(resid_worst, _schrodinger_residual(ri, tp, sols, xs))
+        resid_worst = max(resid_worst, _schrodinger_residual(ri, tp, sols, xq))
         if pt in HIGH_DEGREE_POINTS:
             high_gram, high_misses = max(high_gram, gram), high_misses + misses
         else:
@@ -444,7 +448,8 @@ def check_eigenfunctions() -> list[CheckResult]:
         _result("eigenfunction.orthogonality", 1e-7, gram_worst,
                 "Gram residual"),
         _result("eigenfunction.schrodinger-residual", 1e-10, resid_worst,
-                "exact psi'', every level above, degrees <= 29 included"),
+                "exact psi'' on the Gram nodes (|x| <= 200), every level above, "
+                "degrees <= 29 included"),
         _result("eigenfunction.high-degree-node-counts", 0.5,
                 float(high_misses), "violation count, degrees <= 29"),
         _result("eigenfunction.high-degree-orthogonality", 1e-7,
@@ -478,7 +483,7 @@ def _darboux_gap(spec: susy.PartnerSpec, tp: TangentPoly, xs) -> float:
     s**(1/2) z**(l0/2) (1 - z)**(l1/2) for one step and, for two, the
     Wronskian of the pair's FFs, z**((l0 + l0')/2) (1 - z)**((l1 + l1')/2)
     times ((l0' - l0)(1 - z) - (l1' - l1) z)/2.  The log-derivatives are
-    summed term by term: f_zz/f - (f_z/f)**2 would cancel the squares of
+    summed term by term: D**2 f/f - (D f/f)**2 would cancel the squares of
     the large power terms near either end."""
     z, omz = core.map_x_to_z_pair(xs, tp)
     if spec.steps == 1:
@@ -488,11 +493,11 @@ def _darboux_gap(spec: susy.PartnerSpec, tp: TangentPoly, xs) -> float:
         t, tq = spec.ff_kinds
         d0, d1 = tq.lambda0 - t.lambda0, tq.lambda1 - t.lambda1
         exps = (0.5 * (t.lambda0 + tq.lambda0), 0.5 * (t.lambda1 + tq.lambda1), 0.0)
-        dlp = -(d0 + d1) / (d0 * omz - d1 * z)  # (ln of the linear factor)_z
-        d2lp = -dlp**2
+        dlp = -(d0 + d1) * z * omz / (d0 * omz - d1 * z)  # D ln of the linear factor
+        d2lp = (omz - z) * dlp - dlp**2
     _, dlw, d2lw = _log_power_jet(z, omz, tp.z_T, exps)
     log_xx = _x_second(z, omz, tp, dlw + dlp, d2lw + d2lp)
-    correction = (1.0 - tp.z_T) ** 2 * susy.partner_correction_z(z, spec, tp)
+    correction = (1.0 - tp.z_T) ** 2 * susy._partner_correction(z, omz, spec, tp)
     return float(np.max(np.abs(correction + 2.0 * log_xx)))
 
 
@@ -726,9 +731,12 @@ def check_heun(m_max: int = 5) -> list[CheckResult]:
 
 def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
                          e0: float, e1: float, z: float, tp: TangentPoly) -> float:
-    # z^e0 (1-z)^e1 P(z) and its two exact derivatives
+    # z^e0 (1-z)^e1 P(z) and its two exact derivatives, from the Euler jet
     P = [float(polyval(z, poly.deriv_coeffs(k))) for k in range(3)]
-    return op.residual(*_power_poly_jet(z, 1.0 - z, tp.z_T, (e0, e1, 0.0), P), z)
+    omz = 1.0 - z
+    zo = z * omz
+    f, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, (e0, e1, 0.0), P)
+    return op.residual(f, f_D / zo, (f_DD - (omz - z) * f_D) / zo**2, z)
 
 
 # ---------------------------------------------------------------------------

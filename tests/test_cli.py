@@ -139,6 +139,15 @@ class TestPartnerReport:
         assert doc["expected_spectral_delta"][0] == pytest.approx(-1.95211435,
                                                                   abs=1e-6)
 
+    @pytest.mark.parametrize("mu_o", ["1.0000000000001", "1.000000000001"])
+    def test_single_just_above_the_separatrix(self, capsys, mu_o):
+        # spectrum has a level here; partner exited 2 on classify_region's band
+        code, out, _ = run(capsys, "partner", "--lambda-o", "0", "--mu-o", mu_o,
+                           "--zt", "2", "--ff", "c0")
+        assert code == 0
+        _, levels, _ = run(capsys, "spectrum", "--lambda-o", "0", "--mu-o", mu_o, "--zt", "2")
+        assert json.loads(out)["ff"][0]["lambda1"] == json.loads(levels)["levels"][0]["lambda1"]
+
     def test_double_prints_no_warning(self, capsys):
         # z**(lambda0/2) overflows on (0, 1) at this point
         argv = ("partner", "--lambda-o", "15.3546487410077",

@@ -6,14 +6,15 @@ import re
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from drttp import core
+from drttp import core, susy
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError, PoleError
-from drttp.spectral import spectrum
+from drttp.spectral import Kind, basic_solutions, spectrum
 from drttp.wavefunction import solution_eval_x
 
 TP2 = TangentPoly(2.0)
@@ -408,6 +409,59 @@ class TestPotentials:
         ri = RayIdentifiers(0.0, 2.0)
         want = 0.0 - 4.0 / (2 * math.sqrt(2)) + 11.0 / (4 * 2) - 3.0 / (4 * 4)
         assert core.potential_eval_x(0.0, ri, TP2) == pytest.approx(want, rel=1e-14)
+
+
+class TestTails:
+    """V and the partner potentials against 50 digits where 1 - z is tiny."""
+
+    XS = (10.0, 15.0, 18.0, 25.0)
+
+    @staticmethod
+    def _mp_pair(x, tp):
+        # right of z = 1/2: solve x(z) = x for t = log(1 - z)
+        zt, x = mpmath.mpf(tp.z_T), mpmath.mpf(x)
+
+        def f(t):
+            w = mpmath.exp(t)
+            return (-zt * mpmath.log1p(-w) - (1 - zt) * t) / (2 * (1 - zt)) - mpmath.log(2) - x
+
+        w = mpmath.exp(mpmath.findroot(f, -2 * x))
+        return 1 - w, w
+
+    @staticmethod
+    def _mp_potential(z, omz, ri, tp, spec=None):
+        """The paper's V in z, plus the partner correction
+        8 z^2 (1-z)^2/(P^2 Q^2) + z (1-z) Delta O1/(P^2 Q), Delta O1 = 4 (2z
+        + delta0), delta0 = p - 1 + mean(lambda0 - mu p) at the outer pole p."""
+        zt = mpmath.mpf(tp.z_T)
+        lo, mo = mpmath.mpf(ri.lambda_o), mpmath.mpf(ri.mu_o)
+        P, zo = z - zt, z * omz
+        v = omz * (lo**2 - (mo**2 - 1) * z) / P**2 - 2 * zo * (2 * z - 1) / P**3 - 3 * zo**2 / P**4
+        if spec is not None:
+            p = mpmath.mpf(spec.outer_pole)
+            d0 = p - 1 + sum(mpmath.mpf(f.lambda0) - mpmath.mpf(f.mu) * p
+                             for f in spec.ff_kinds) / spec.steps
+            v += 8 * zo**2 / (P**2 * (z - p) ** 2) + 4 * zo * (2 * z + d0) / (P**2 * (z - p))
+        return (1 - zt) ** 2 * v
+
+    @pytest.mark.parametrize("z_t", [2.0, -1.0])
+    def test_against_mpmath(self, z_t):
+        # 1 - z formed by subtraction was 7.3e-8 off at x = 10, 0.91 at 18
+        # and exactly 0 from x = 19 on (0.5, 7.3, 2)
+        ri, tp = RayIdentifiers(0.5, 7.3), TangentPoly(z_t)
+        basics = basic_solutions(ri, tp)
+        c0 = basics[Kind.C]
+        specs = [None, susy.single_partner_spec(c0, tp),
+                 susy.double_partner_spec(c0, basics[Kind.A if z_t > 1 else Kind.B], tp)]
+        xs = np.array(self.XS)
+        with mpmath.workdps(50):
+            pairs = [self._mp_pair(x, tp) for x in self.XS]
+            for spec in specs:
+                V = (core.potential_eval_x(xs, ri, tp) if spec is None
+                     else susy.partner_potential_x(spec, ri, tp)(xs))
+                for x, v, (z, omz) in zip(self.XS, V, pairs):
+                    want = float(self._mp_potential(z, omz, ri, tp, spec))
+                    assert v == pytest.approx(want, rel=1e-13, abs=0.0), (spec, x)
 
 
 class TestDkv:

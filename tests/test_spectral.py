@@ -479,6 +479,15 @@ class TestBasicSolutions:
                 basics = basic_solutions(RayIdentifiers(lo, mo), TangentPoly(z_t))
                 assert len(basics) == 3, (lo, mo, z_t)
 
+    @pytest.mark.parametrize("above", [1e-13, 1e-12])
+    @pytest.mark.parametrize("lo, z_t", [(0.0, 2.0), (0.7, -1.0)])
+    def test_just_above_the_separatrix(self, above, lo, z_t):
+        # within 1e-12 of mu_o = lambda_o + 1, classify_region's band put the
+        # point in Region D: spectrum() had a level and this raised
+        ri, tp = RayIdentifiers(lo, (lo + 1.0) * (1.0 + above)), TangentPoly(z_t)
+        basics = basic_solutions(ri, tp)
+        assert len(basics) == 3 and basics[Kind.C] == spectrum(ri, tp)[0]
+
     def test_order_is_ascending_mu(self):
         for z_t in (2.0, -1.0, 1.001, -1e-4):
             basics = basic_solutions(RayIdentifiers(0.7, 9.0), TangentPoly(z_t))

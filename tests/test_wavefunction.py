@@ -472,33 +472,39 @@ class TestEigenfunctions:
             with pytest.raises(IndexError):
                 wavefunction.eigenfunction_norm_sq(n, ri, tp)
 
+    # a uniform grid on |x| <= 8 and the nodes of verify's Gram sums on
+    # |x| <= 200, where z or 1 - z underflows and a chain rule with 1/z terms
+    # divided by zero
+    RESIDUAL_GRIDS = (np.linspace(-8.0, 8.0, 6401),
+                      np.sinh(np.linspace(-math.asinh(200.0), math.asinh(200.0), 1000)))
+
     def test_schrodinger_residual(self):
         ri = RayIdentifiers(0.5, 5.0)
         tp = TangentPoly(-1.0)
-        xs = np.linspace(-8.0, 8.0, 6401)
-        assert verify._schrodinger_residual(ri, tp, spectrum(ri, tp), xs) < 1e-10
+        for xs in self.RESIDUAL_GRIDS:
+            assert verify._schrodinger_residual(ri, tp, spectrum(ri, tp), xs) < 1e-10
 
     @pytest.mark.parametrize("params", verify.HIGH_DEGREE_POINTS)
     def test_schrodinger_residual_high_degree(self, params):
-        # 4th-order differences on this grid read 1.3e-5 and 3.9e-4 here
+        # 4th-order differences on the |x| <= 8 grid read 1.3e-5 and 3.9e-4 here
         ri, tp = RayIdentifiers(*params[:2]), TangentPoly(params[2])
-        xs = np.linspace(-8.0, 8.0, 6401)
         sols = spectrum(ri, tp)
         assert max(s.m for s in sols) >= 25
-        assert verify._schrodinger_residual(ri, tp, sols, xs) < 1e-10
+        for xs in self.RESIDUAL_GRIDS:
+            assert verify._schrodinger_residual(ri, tp, sols, xs) < 1e-10
 
     @pytest.mark.parametrize("params", [(0.5, 5.0, -1.0), (0.3, 59.7, 2.0)])
     def test_schrodinger_residual_detects_shifted_level(self, params):
         # one level's energy off by 1e-9 relative breaks the 1e-10 gate;
         # epsilon is derived from lambda1, so only the copy's energy moves
         ri, tp = RayIdentifiers(*params[:2]), TangentPoly(params[2])
-        xs = np.linspace(-8.0, 8.0, 6401)
         sols = spectrum(ri, tp)
         for n in (0, len(sols) // 2):
             shifted = dataclasses.replace(sols[n])
             object.__setattr__(shifted, "epsilon", sols[n].epsilon * (1.0 + 1e-9))
             bad = sols[:n] + [shifted] + sols[n + 1:]
-            assert verify._schrodinger_residual(ri, tp, bad, xs) > 1e-10
+            for xs in self.RESIDUAL_GRIDS:
+                assert verify._schrodinger_residual(ri, tp, bad, xs) > 1e-10
 
 
 class TestCountNodes:
