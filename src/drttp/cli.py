@@ -2,8 +2,11 @@
 
 Subcommands: spectrum | tabulate | partner | verify | wl | census.
 Exit codes: 0 ok, 1 verification failure, 2 bad parameters, 3 rejected
-construction.  Output is JSON (versioned schema) or CSV; identical
-configurations produce identical bytes.
+construction.  ``spectrum`` writes JSON (versioned schema) or CSV,
+``tabulate`` CSV and the others JSON; a format a command cannot write is
+a bad parameter.  Identical configurations produce identical bytes.
+Only ``tabulate``, ``partner`` and ``verify`` import the array modules, so
+``spectrum``, ``wl`` and ``census`` start without NumPy.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import core, spectral, susy, verify, wavefunction
+from . import spectral
 from .errors import DomainError, DrttpError, PairRejectedError
+from .params import RayIdentifiers, TangentPoly
 from .spectral import Kind
 
 SCHEMA_VERSION = 1
@@ -64,7 +66,9 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve_params(args) -> RunConfig:
+def _resolve_params(args, formats=("json",)) -> RunConfig:
+    """The run's parameters from flags over the config file; ``formats`` are
+    the output formats the command writes, its default first."""
     file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
 
     def pick(name, cast, default=None):
@@ -81,13 +85,13 @@ def _resolve_params(args) -> RunConfig:
         lambda_o=pick("lambda_o", float),
         mu_o=pick("mu_o", float),
         z_t=pick("zt", float),
-        fmt=pick("format", str, "json"),
+        fmt=pick("format", str, formats[0]),
         out=getattr(args, "out", None),
     )
     if not (cfg.z_t < 0.0 or cfg.z_t > 1.0):
         raise DrttpError("z_T must lie outside [0, 1]")
-    if cfg.fmt not in ("json", "csv"):
-        raise DrttpError(f"unknown format {cfg.fmt!r}")
+    if cfg.fmt not in formats:
+        raise DrttpError(f"{args.command} writes {' or '.join(formats)}, not {cfg.fmt}")
     return cfg
 
 
@@ -104,9 +108,9 @@ def _params_dict(cfg: RunConfig) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _resolve_params(args)
-    ri = core.RayIdentifiers(cfg.lambda_o, cfg.mu_o)
-    tp = core.TangentPoly(cfg.z_t)
+    cfg = _resolve_params(args, ("json", "csv"))
+    ri = RayIdentifiers(cfg.lambda_o, cfg.mu_o)
+    tp = TangentPoly(cfg.z_t)
     if args.n is not None and args.n < 0:
         raise DomainError(f"--n must be >= 0, got {args.n}")
     sols = spectral.spectrum(ri, tp)
@@ -147,6 +151,8 @@ def cmd_spectrum(args) -> int:
 
 def _parse_partner_request(spec_str: str, ri, tp):
     """'c0' -> single-step spec; 'd0+t0' / 'd0,c0-pair' style -> double."""
+    from . import susy
+
     basics = spectral.basic_solutions(ri, tp)
     reg = Kind.A if tp.c0 > 1.0 else Kind.B
 
@@ -168,9 +174,13 @@ def _parse_partner_request(spec_str: str, ri, tp):
 
 
 def cmd_tabulate(args) -> int:
-    cfg = _resolve_params(args)
-    ri = core.RayIdentifiers(cfg.lambda_o, cfg.mu_o)
-    tp = core.TangentPoly(cfg.z_t)
+    import numpy as np
+
+    from . import core, susy, wavefunction
+
+    cfg = _resolve_params(args, ("csv",))
+    ri = RayIdentifiers(cfg.lambda_o, cfg.mu_o)
+    tp = TangentPoly(cfg.z_t)
     if not (math.isfinite(args.x_min) and math.isfinite(args.x_max)):
         raise DomainError(
             f"--x-min and --x-max must be finite, got {args.x_min} and {args.x_max}")
@@ -209,8 +219,8 @@ def cmd_tabulate(args) -> int:
 
 def cmd_partner(args) -> int:
     cfg = _resolve_params(args)
-    ri = core.RayIdentifiers(cfg.lambda_o, cfg.mu_o)
-    tp = core.TangentPoly(cfg.z_t)
+    ri = RayIdentifiers(cfg.lambda_o, cfg.mu_o)
+    tp = TangentPoly(cfg.z_t)
     spec = _parse_partner_request(args.ff, ri, tp)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -232,7 +242,7 @@ def cmd_wl(args) -> int:
     cfg = _resolve_params(args)
     if cfg.lambda_o != 0.0:
         raise DrttpError("the levelled-limit solver requires lambda-o = 0")
-    tp = core.TangentPoly(cfg.z_t)
+    tp = TangentPoly(cfg.z_t)
     n0 = spectral.bound_state_count(cfg.mu_o)
     m_values = [args.m] if args.m is not None else list(range(max(n0, 1)))
     rows = []
@@ -254,8 +264,8 @@ def cmd_wl(args) -> int:
 
 def cmd_census(args) -> int:
     cfg = _resolve_params(args)
-    ri = core.RayIdentifiers(cfg.lambda_o, cfg.mu_o)
-    tp = core.TangentPoly(cfg.z_t)
+    ri = RayIdentifiers(cfg.lambda_o, cfg.mu_o)
+    tp = TangentPoly(cfg.z_t)
     census = spectral.nodeless_census(ri, tp)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -272,6 +282,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     fault = "cubic" if args.inject_fault else None
     timings = {} if args.timings else None
     results = verify.run_verification(only=args.only, fault=fault, timings=timings)

@@ -21,7 +21,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import RayIdentifiers, TangentPoly, _two_sum
 from .errors import (
     AvailabilityError,
     ClassificationError,
@@ -30,6 +29,7 @@ from .errors import (
     DomainError,
     TransferAmbiguityError,
 )
+from .params import RayIdentifiers, TangentPoly, _two_sum
 
 _log = logging.getLogger("drttp.spectral")
 

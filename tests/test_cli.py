@@ -193,6 +193,36 @@ class TestWlAndCensus:
         assert doc["mu_cross_slope"] == pytest.approx(math.sqrt(3.0))
 
 
+class TestFormats:
+    # each command writes the formats it names; any other exits 2 with
+    # nothing on stdout and an error that names the command
+    PARAMS = ("--lambda-o", "0", "--mu-o", "5", "--zt", "2")
+
+    @pytest.mark.parametrize("command, extra, bad", [
+        ("tabulate", ("--points", "5"), "json"),
+        ("partner", ("--ff", "c0"), "csv"),
+        ("wl", (), "csv"),
+        ("census", (), "csv"),
+    ])
+    def test_unwritable_format_rejected(self, capsys, command, extra, bad):
+        argv = (command, *self.PARAMS, *extra)
+        code, default_out, _ = run(capsys, *argv)
+        assert code == 0
+        good = "json" if bad == "csv" else "csv"
+        assert run(capsys, *argv, "--format", good) == (0, default_out, "")
+        code, out, err = run(capsys, *argv, "--format", bad)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {command} writes {good}, not {bad}\n"
+
+    def test_format_from_config_file_checked(self, capsys, tmp_path):
+        # a format given in the file is given, unlike the json default
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda_o = 0\nmu_o = 5\nzt = 2\nformat = json\n")
+        code, out, err = run(capsys, "tabulate", "--config", str(cfg), "--points", "5")
+        assert code == 2 and out == "" and "tabulate" in err
+
+
 class TestVerify:
     def test_filtered_group_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "constants")
