@@ -92,12 +92,11 @@ _LAZY = {
         "structure_constants",
     ),
     "wavefunction": (
-        "PolyFactor",
         "aeh_eval",
         "count_nodes",
         "eigenfunction_eval_x",
+        "factor_roots_in_01",
         "hypergeom_poly_eval",
-        "poly_factor",
         "solution_eval_x",
     ),
 }

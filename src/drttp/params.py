@@ -35,6 +35,9 @@ class RayIdentifiers:
             raise DomainError(f"lambda_o must be finite and >= 0, got {self.lambda_o}")
         if not (math.isfinite(self.mu_o) and self.mu_o > 0.0):
             raise DomainError(f"mu_o must be finite and > 0, got {self.mu_o}")
+        # plain floats: a NumPy scalar would keep its own precision downstream
+        object.__setattr__(self, "lambda_o", float(self.lambda_o))
+        object.__setattr__(self, "mu_o", float(self.mu_o))
 
     @property
     def f0(self) -> float:
@@ -59,6 +62,7 @@ class TangentPoly:
             raise DomainError(
                 f"z_T must lie outside [0, 1], got {self.z_T}"
             )
+        object.__setattr__(self, "z_T", float(self.z_T))
 
     @property
     def sqrt_c0(self) -> float:
@@ -69,10 +73,6 @@ class TangentPoly:
     @property
     def c0(self) -> float:
         return self.sqrt_c0**2
-
-    @property
-    def c1(self) -> float:
-        return 1.0
 
     @property
     def a2(self) -> float:

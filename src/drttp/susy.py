@@ -38,7 +38,6 @@ from .spectral import (
     wl_quadratic_roots,
     wl_solve,
 )
-from .wavefunction import count_roots_in_01, hypergeom_poly_coeffs
 
 # relative spread of d across the basic kinds that structure_constants admits
 _STRUCTURE_TOL = 1e-8
@@ -358,12 +357,37 @@ def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int]
     )
 
 
+def hypergeom_poly_coeffs(n: int, a: float, c: float) -> np.ndarray:
+    """Ascending coefficients of F(-n, a; c; z)."""
+    coef = np.empty(n + 1)
+    coef[0] = 1.0
+    for k in range(n):
+        coef[k + 1] = coef[k] * ((-n + k) * (a + k)) / ((c + k) * (k + 1.0))
+    return coef
+
+
+def count_roots_in_01(coeffs) -> int:
+    """Real roots of a polynomial strictly inside (0, 1), by ``np.roots``
+    with a 1e-9 cut on the imaginary part."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = np.trim_zeros(coeffs, "b")
+    if coeffs.size <= 1:
+        return 0
+    rts = np.roots(coeffs[::-1])
+    scale = max(1.0, float(np.max(np.abs(rts))))
+    count = 0
+    for r in rts:
+        if abs(r.imag) < 1e-9 * scale and 0.0 < r.real < 1.0:
+            count += 1
+    return count
+
+
 @dataclass(frozen=True)
 class HeunPolynomial:
     """Polynomial solution of a partner Heun equation (ascending coeffs).
 
-    ``roots_in_01`` is counted by :func:`~drttp.wavefunction.count_roots_in_01`
-    the first time it is read and kept; it is not a field.
+    ``roots_in_01`` is counted by :func:`count_roots_in_01` the first time
+    it is read and kept; it is not a field.
     """
 
     coeffs: tuple[float, ...]
@@ -372,6 +396,10 @@ class HeunPolynomial:
 
     @functools.cached_property
     def roots_in_01(self) -> int:
+        """Real roots in (0, 1).  The float coefficients and ``np.roots``
+        limit it: it agrees with an exact count on all 1 440 polynomials of
+        the appendix-b grid (degree <= 8), but from degree 11 on it can
+        miscount; 155 of 600 whole-domain polynomials up to degree 36 differ."""
         return count_roots_in_01(self.coeffs)
 
     def __call__(self, z):

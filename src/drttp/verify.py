@@ -42,9 +42,8 @@ class CheckResult:
         )
 
 
-def _result(name, tol, measured, detail="", strict=False):
-    ok = measured < tol if strict else measured <= tol
-    return CheckResult(name, tol, float(measured), bool(ok), detail)
+def _result(name, tol, measured, detail=""):
+    return CheckResult(name, tol, float(measured), bool(measured <= tol), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ def check_schwarzian() -> list[CheckResult]:
 
     etas = np.linspace(1.0, 9.0, 33)
     parity = float(np.max(np.abs(core.schwarzian_eta(etas) - core.schwarzian_eta(-etas))))
-    out.append(_result("schwarzian.parity", 0.0, parity, strict=False))
+    out.append(_result("schwarzian.parity", 0.0, parity))
     vals = abs(core.schwarzian_eta(1.0) + 2.0) + abs(core.schwarzian_eta(1e8) + 0.5)
     out.append(_result("schwarzian.eta-values", 1e-12, vals))
     return out
@@ -900,13 +899,13 @@ def check_census() -> list[CheckResult]:
             ri = RayIdentifiers(0.0, float(mu_o))
             census = spectral.nodeless_census(ri, tp)
             n0 = spectral.bound_state_count(ri.mu_o)
-            for m in range(6):
+            for m in range(30):
                 if 2 * m + 1 == ri.mu_o:
                     continue
                 sols = spectral.wl_solve(m, ri.mu_o, tp)
                 lin = [s for s in sols if s.kind in
                        (Kind.A, Kind.B, Kind.A_PRIME, Kind.B_PRIME)][0]
-                nodeless = wavefunction.poly_factor(lin).roots_in_01 == 0
+                nodeless = wavefunction.factor_roots_in_01(lin) == 0
                 pred = (census.primary_nodeless(m) if m < n0
                         else census.supplementary_nodeless(m))
                 checked += 1

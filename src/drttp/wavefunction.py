@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -150,54 +148,30 @@ def _jacobi_difference(n: int, alpha: float, beta: float, s, reflected: bool):
     return p
 
 
-def hypergeom_poly_coeffs(n: int, a: float, c: float) -> np.ndarray:
-    """Ascending coefficients of F(-n, a; c; z)."""
-    coef = np.empty(n + 1)
-    coef[0] = 1.0
-    for k in range(n):
-        coef[k + 1] = coef[k] * ((-n + k) * (a + k)) / ((c + k) * (k + 1.0))
-    return coef
+def factor_roots_in_01(sol: AehSolution) -> int:
+    """Zeros in (0, 1) of the polynomial factor of a solution, by Klein's
+    formula (Szego, Orthogonal Polynomials, Thm 6.72).
 
-
-@dataclass(frozen=True)
-class PolyFactor:
-    """Polynomial factor of a solution, ascending coefficients.
-
-    ``roots_in_01`` is counted by :func:`count_roots_in_01` the first time
-    it is read and kept; it is not a field.
+    The factor is a constant times P_m^(a, b)(1 - 2z), a = lambda0,
+    b = lambda1.  With X the largest integer below
+    u = m + 1 - max(-a, 0) - max(-b, 0) (0 if u <= 0 or 2m + a + b + 1 <= 0),
+    the count is 2 [(X + 1)/2] if (-1)^m C(m + a, m) C(m + b, m) > 0 and
+    2 [X/2] + 1 otherwise; a bound state has m.  The sign of C(m + a, m) is
+    that of the product of a + k, k = 1..m, and likewise for b; a factor
+    that vanishes puts a zero on an endpoint and raises DomainError.
     """
-
-    degree: int
-    coeffs: tuple[float, ...]
-
-    @functools.cached_property
-    def roots_in_01(self) -> int:
-        return count_roots_in_01(self.coeffs)
-
-    def __call__(self, z):
-        out = polyval(np.asarray(z, dtype=float), self.coeffs)
-        return out if out.ndim else float(out)
-
-
-def count_roots_in_01(coeffs) -> int:
-    """Real roots of a polynomial strictly inside (0, 1)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    coeffs = np.trim_zeros(coeffs, "b")
-    if coeffs.size <= 1:
-        return 0
-    rts = np.roots(coeffs[::-1])
-    scale = max(1.0, float(np.max(np.abs(rts))))
-    count = 0
-    for r in rts:
-        if abs(r.imag) < 1e-9 * scale and 0.0 < r.real < 1.0:
-            count += 1
-    return count
-
-
-def poly_factor(sol: AehSolution) -> PolyFactor:
-    """Polynomial factor of a solution as explicit coefficients."""
-    coeffs = hypergeom_poly_coeffs(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0)
-    return PolyFactor(sol.m, tuple(coeffs))
+    m, a, b = sol.m, sol.lambda0, sol.lambda1
+    minus_signs = m  # of (-1)^m and of the factors a + k, b + k
+    for k in range(1, m + 1):
+        if a + k == 0.0 or b + k == 0.0:
+            raise DomainError(f"C(m + lambda, m) vanishes: m={m}, ({a}, {b})")
+        minus_signs += (a + k < 0.0) + (b + k < 0.0)
+    x = 0
+    if 2 * m + a + b + 1.0 > 0.0:
+        # u in this form is exact at an integer; Szego's
+        # (|2m + a + b + 1| - |a| - |b| + 1)/2 can round one ulp above it
+        x = max(math.ceil(m + 1.0 - max(-a, 0.0) - max(-b, 0.0)) - 1, 0)
+    return 2 * ((x + 1) // 2) if minus_signs % 2 == 0 else 2 * (x // 2) + 1
 
 
 def _poly_eval(z, omz, sol: AehSolution) -> np.ndarray:

@@ -38,8 +38,8 @@ EXPORTS = {
              "lambe_ward_eval", "nodeless_predicate", "outer_root_ztt",
              "partner_correction_z", "partner_potential_x", "single_partner_spec",
              "structure_constants"),
-    "wavefunction": ("PolyFactor", "aeh_eval", "count_nodes", "eigenfunction_eval_x",
-                     "hypergeom_poly_eval", "poly_factor", "solution_eval_x"),
+    "wavefunction": ("aeh_eval", "count_nodes", "eigenfunction_eval_x", "factor_roots_in_01",
+                     "hypergeom_poly_eval", "solution_eval_x"),
 }
 NAMES = sorted({n for names in EXPORTS.values() for n in names} | set(EXPORTS))
 
@@ -118,6 +118,17 @@ class TestParameterChecks:
         assert (ri.lambda_o, ri.mu_o, ri.f0) == (1.0, 7.0, 48.0)
         assert drttp.TangentPoly(cast(2)).c0 == 4.0
         assert drttp.TangentPoly(cast(-1)).z_T == -1.0
+
+    def test_fields_stored_as_float(self):
+        # a float32 field made the spectrum's Newton solve run in single
+        # precision and raise ConvergenceError
+        args = (np.float32(0.5), np.float32(7.3)), np.float32(2.0)
+        ri, tp = drttp.RayIdentifiers(*args[0]), drttp.TangentPoly(args[1])
+        assert [type(v) for v in (ri.lambda_o, ri.mu_o, tp.z_T)] == [float] * 3
+        want = drttp.spectrum(drttp.RayIdentifiers(*map(float, args[0])),
+                              drttp.TangentPoly(float(args[1])))
+        assert len(want) == 3
+        assert drttp.spectrum(ri, tp) == want
 
     @pytest.mark.parametrize("lambda_o, mu_o", [
         (math.nan, 5.0), (math.inf, 5.0), (-math.inf, 5.0), (-0.5, 5.0), (-1, 5),

@@ -11,18 +11,18 @@ import pytest
 from scipy.integrate import quad
 
 from drttp import core, verify, wavefunction
+from drttp.susy import count_roots_in_01, hypergeom_poly_coeffs
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError, DrttpError
 from drttp.spectral import AehSolution, Kind, spectrum, wl_solve
 from drttp.wavefunction import (
     aeh_eval,
     count_nodes,
-    count_roots_in_01,
     eigenfunction_eval_x,
+    factor_roots_in_01,
     hypergeom_flip_eval,
     hypergeom_poly_eval,
     hypergeom_poly_jacobi,
-    poly_factor,
     solution_eval_x,
 )
 
@@ -161,67 +161,56 @@ class TestAehEval:
 
 
 class TestPolyFactor:
+    """Zeros in (0, 1) of the polynomial factor, by Klein's formula."""
+
     def test_degree_and_nodes(self):
         sols = spectrum(RayIdentifiers(0.0, 7.4), TP2)
         for n, s in enumerate(sols):
-            pf = poly_factor(s)
-            assert pf.degree == n
-            assert pf.roots_in_01 == n   # eigenfunction nodes sit inside (0,1)
+            assert s.m == n
+            assert factor_roots_in_01(s) == n   # eigenfunction nodes sit inside (0,1)
 
     def test_roots_outside_not_counted(self):
         # z^2 - 3z + 2 = (z-1)(z-2): no roots strictly inside (0,1)
         assert count_roots_in_01([2.0, -3.0, 1.0]) == 0
 
-    @staticmethod
-    def _whole_domain_levels(degrees, count):
-        """(lambda_o, mu_o, z_T, n, level n) for count levels with n in
-        degrees, over seeded draws of lambda_o <= 30, mu_o <= 80 and z_T = 2 or
-        1e-3..60 (log-uniform) beyond either singular point."""
+    def test_level_n_has_n_roots_whole_domain(self):
+        # every level of seeded draws over lambda_o <= 30, mu_o <= 80 and
+        # z_T = 2 or 1e-3..60 (log-uniform) beyond either singular point
         rng = np.random.default_rng(11)
-        while True:
+        draws = levels = top = 0
+        while draws < 300:
             lo, mo, d = rng.uniform(0.0, 30.0), rng.uniform(0.0, 80.0), 10 ** rng.uniform(-3, 1.78)
             tp = TangentPoly((2.0, -d, 1.0 + d)[rng.integers(3)])
             try:
                 sols = spectrum(RayIdentifiers(lo, mo), tp)
             except DrttpError:
                 continue
+            draws += 1
             for n, s in enumerate(sols):
-                if n in degrees:
-                    yield lo, mo, tp.z_T, n, s
-                    count -= 1
-                    if not count:
-                        return
+                assert factor_roots_in_01(s) == n, (lo, mo, tp.z_T, n)
+            levels, top = levels + len(sols), max(top, len(sols) - 1)
+        assert levels > 3000 and top >= 30
 
-    def test_level_n_has_n_roots_whole_domain(self):
-        # levels stop at n = 7; test_level_n_has_n_roots_from_degree_8 shows
-        # what happens above
-        for *draw, n, s in self._whole_domain_levels(range(8), 400):
-            assert poly_factor(s).roots_in_01 == n, (*draw, n)
+    def test_census_grid_factors_match_np_roots(self):
+        # below degree 8 the np.roots count of the monomial coefficients is
+        # reliable, so it serves as the reference for all three kinds
+        kinds = set()
+        for z_t in list(np.linspace(-3.0, -0.15, 10)) + list(np.linspace(1.15, 4.0, 10)):
+            tp = TangentPoly(float(z_t))
+            for mu_o in np.linspace(1.41, 9.13, 20):
+                for m in range(8):
+                    for s in wl_solve(m, float(mu_o), tp):
+                        coeffs = hypergeom_poly_coeffs(m, s.mu - m, s.lambda0 + 1.0)
+                        assert factor_roots_in_01(s) == count_roots_in_01(coeffs), (
+                            z_t, mu_o, m, s.kind)
+                        kinds.add(s.kind)
+        assert len(kinds) == 7   # a, b, a', b', c, d', d
 
-    @pytest.mark.xfail(strict=True, reason="count_roots_in_01 (np.roots with a 1e-9 "
-                       "imaginary-part cut) miscounts roots in (0, 1) from degree 8 on; "
-                       "see the FOUND in CHANGES.md")
-    def test_level_n_has_n_roots_from_degree_8(self):
-        bad = [(*draw, n) for *draw, n, s in self._whole_domain_levels(range(8, 10**6), 300)
-               if poly_factor(s).roots_in_01 != n]
-        assert bad == []
-
-    def test_roots_counted_on_first_read_only(self, monkeypatch):
-        calls = []
-
-        def spy(coeffs):
-            calls.append(coeffs)
-            return count_roots_in_01(coeffs)
-
-        monkeypatch.setattr(wavefunction, "count_roots_in_01", spy)
-        pf = poly_factor(spectrum(RayIdentifiers(0.0, 7.4), TP2)[3])
-        assert calls == []
-        assert [pf.roots_in_01 for _ in range(3)] == [3, 3, 3]
-        assert calls == [pf.coeffs]
-        # not a field: equality, hash and repr read degree and coeffs only
-        assert [f.name for f in dataclasses.fields(pf)] == ["degree", "coeffs"]
-        assert pf == wavefunction.PolyFactor(pf.degree, pf.coeffs)
-        assert hash(pf) == hash(wavefunction.PolyFactor(pf.degree, pf.coeffs))
+    @pytest.mark.parametrize("lambda0, lambda1", [(-1.0, 0.5), (0.5, -2.0), (-3.0, -3.0)])
+    def test_vanishing_binomial_raises(self, lambda0, lambda1):
+        # C(m + lambda, m) = 0 puts a zero of the factor on an endpoint
+        with pytest.raises(DomainError, match="vanishes"):
+            factor_roots_in_01(AehSolution(Kind.A, 3, lambda0, lambda1))
 
 
 def _solution_reference(x, sol, tp):
