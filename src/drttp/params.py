@@ -49,9 +49,12 @@ class RayIdentifiers:
 class TangentPoly:
     """Tangent polynomial with a double root ``z_T`` outside [0, 1].
 
-    An instance also holds the inverse map of the last few grids it mapped
-    (see :func:`drttp.core.map_x_to_z_pair`); that memo takes no part in
-    the constructor, equality, hash or repr.
+    ``sqrt_c0`` = z_T/(z_T - 1) (the positive square root of ``c0`` by the
+    sign convention of the family), ``c0`` and ``a2`` = 1/(1 - z_T)**2 are
+    computed once, on construction.  Neither they nor the inverse map of the
+    last few grids an instance mapped (see
+    :func:`drttp.core.map_x_to_z_pair`) are fields: they take no part in the
+    constructor, equality, hash or repr.
     """
 
     z_T: float
@@ -62,21 +65,10 @@ class TangentPoly:
             raise DomainError(
                 f"z_T must lie outside [0, 1], got {self.z_T}"
             )
-        object.__setattr__(self, "z_T", float(self.z_T))
-
-    @property
-    def sqrt_c0(self) -> float:
-        # z_T/(z_T - 1) > 0 for any admissible z_T; this is the positive
-        # square root of c0 by the sign convention of the family.
-        return self.z_T / (self.z_T - 1.0)
-
-    @property
-    def c0(self) -> float:
-        return self.sqrt_c0**2
-
-    @property
-    def a2(self) -> float:
-        return 1.0 / (1.0 - self.z_T) ** 2
+        z_T = float(self.z_T)
+        sqrt_c0 = z_T / (z_T - 1.0)
+        self.__dict__.update(z_T=z_T, sqrt_c0=sqrt_c0, c0=sqrt_c0**2,
+                             a2=1.0 / (1.0 - z_T) ** 2)
 
     @property
     def x_tilde_T(self) -> float:

@@ -67,7 +67,7 @@ class TransferDirection(Enum):
     LAMBDA0_TO_LAMBDA1 = "lambda0_to_lambda1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AehSolution:
     """One almost-everywhere-holomorphic solution.
 
@@ -84,9 +84,12 @@ class AehSolution:
     epsilon: float = field(init=False)
     merged_tail: bool = False  # d-sequence member relabeled from the d'' tail
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", self.lambda0 + self.lambda1 + 2 * self.m + 1)
-        object.__setattr__(self, "epsilon", -self.lambda1**2)
+    def __init__(self, kind: Kind, m: int, lambda0: float, lambda1: float,
+                 merged_tail: bool = False):
+        # frozen: the instance dict is filled in one call, not one setattr per field
+        self.__dict__.update(kind=kind, m=m, lambda0=lambda0, lambda1=lambda1,
+                             merged_tail=merged_tail, mu=lambda0 + lambda1 + 2 * m + 1,
+                             epsilon=-lambda1**2)
 
     @property
     def label(self) -> str:
@@ -498,19 +501,22 @@ def _radical_roots(signs: tuple[float, float, float], ms: Iterable[int],
         ks = (-p1, 1.0 - p1 - s, 1.0 - p1 - (1.0 + p0) * s)
     mo2, lo2 = mo * mo, lo * lo
     hypot = math.hypot
+    # what does not depend on m: the first sum of d, bracket and tolerance factors
+    plo = -p0 * lo
+    d0, e1 = _two_sum(mo, plo)
+    qa = 4.0 * (1.0 + al) if above else 4.0 * s  # (1 + s)**2 - a2
+    tol_g, tol_x = 8.0 * _EPS, 4.0 * _EPS
     for m in ms:
         v = sm * (2.0 * m + 1.0)
-        d, e1 = _two_sum(mo, -p0 * lo)
-        d, e2 = _two_sum(d, -v)
+        d, e2 = _two_sum(d0, -v)
         # the constant of g by split (none, A, both) and its rounding error
-        cs = (d, -p0 * lo - v, -v)
+        cs = (d, plo - v, -v)
         es = (e1 + e2, 0.0, 0.0)
         if p0 < 0.0 or p1 < 0.0:  # b or a: mu_o**2/(A + al t) = v at h
             h = (mo - v) * (mo + v) / (2.0 * al * v)
             a, b = (h, (mo2 / al + lo2 / s) / (2.0 * v)) if p0 < 0.0 else (d / al, h)
         else:  # c, d: A >= mu_o and B <= lambda_o + s t give a
             a = d / (1.0 + s)
-            qa = 4.0 * (1.0 + al) if above else 4.0 * s  # (1 + s)**2 - a2
             qb, qc = 2.0 * v * (1.0 + s), (v - mo) * (v + mo)
             rt = math.sqrt(qb * qb - 4.0 * qa * qc)
             b = -2.0 * qc / (qb + rt) if qb > 0.0 else (rt - qb) / (2.0 * qa)
@@ -543,7 +549,8 @@ def _radical_roots(signs: tuple[float, float, float], ms: Iterable[int],
                 rb = db = 0.0
             c = cs[i]
             k = ks[i]
-            gx = c + k * x + (es[i] + ra - p0 * rb)
+            kx = k * x
+            gx = c + kx + (es[i] + ra - p0 * rb)
             if gx < 0.0:
                 b = x
             elif gx > 0.0:
@@ -552,10 +559,10 @@ def _radical_roots(signs: tuple[float, float, float], ms: Iterable[int],
                 break
             dg = k + da - p0 * db
             # g' < 0 near the root; once g is within its rounding error, one last step
-            if dg < 0.0 and abs(gx) <= 8.0 * _EPS * (abs(c) + abs(k * x) + ra + rb):
+            if dg < 0.0 and abs(gx) <= tol_g * (abs(c) + abs(kx) + ra + rb):
                 x -= gx / dg
                 break
-            if b - a <= 4.0 * _EPS * b:
+            if b - a <= tol_x * b:
                 break
             x_new = x - gx / dg if dg < 0.0 else a
             if a < x_new < b and 2.0 * abs(x_new - x) <= abs(dx_old):
@@ -604,12 +611,20 @@ def spectrum(ri: RayIdentifiers, tp: TangentPoly) -> list[AehSolution]:
 def basic_solutions(ri: RayIdentifiers, tp: TangentPoly) -> dict[Kind, AehSolution]:
     """The three m = 0 basic solutions of Area A_0, keyed by kind in
     ascending order of mu: c (level 0 of :func:`spectrum`), d, and a
-    (z_T > 1) or b (z_T < 0), each the one root of its sign pattern."""
+    (z_T > 1) or b (z_T < 0), each the one root of its sign pattern.
+    Newton steps and bisections are logged per call at DEBUG under
+    ``drttp.spectral``."""
     if not bound_state_count(ri.mu_o, ri.lambda_o):  # the Area A_0 test of spectrum()
         raise AvailabilityError("basic-solution triple requires mu_o > lambda_o + 1 (Area A_0)")
     _check_not_degenerate(tp)
     sols = []
+    steps = halvings = 0
     for kind in (Kind.C, Kind.D, Kind.A if tp.z_T > 1.0 else Kind.B):
-        (lam0, lam1, _, _), = _radical_roots(_SIGNS[kind], (0,), ri, tp)
+        (lam0, lam1, k, h), = _radical_roots(_SIGNS[kind], (0,), ri, tp)
+        steps += k
+        halvings += h
         sols.append(make_solution(kind, 0, lam0, lam1, ri, tp))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("basic_solutions (%r, %r, z_T=%r): %d Newton steps, %d bisections",
+                   ri.lambda_o, ri.mu_o, tp.z_T, steps, halvings)
     return {sol.kind: sol for sol in sorted(sols, key=lambda sol: sol.mu)}

@@ -359,11 +359,10 @@ def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int]
 
 def hypergeom_poly_coeffs(n: int, a: float, c: float) -> np.ndarray:
     """Ascending coefficients of F(-n, a; c; z)."""
-    coef = np.empty(n + 1)
-    coef[0] = 1.0
+    coef = [1.0]
     for k in range(n):
-        coef[k + 1] = coef[k] * ((-n + k) * (a + k)) / ((c + k) * (k + 1.0))
-    return coef
+        coef.append(coef[k] * ((-n + k) * (a + k)) / ((c + k) * (k + 1.0)))
+    return np.array(coef)
 
 
 def count_roots_in_01(coeffs) -> int:
@@ -423,30 +422,27 @@ def heun_poly_construct(t0: AehSolution, t_prime: AehSolution,
         raise DomainError("the factorization function t0 must be basic")
     mp = t_prime.m
     lam0, lam1, mu = t_prime.lambda0, t_prime.lambda1, t_prime.mu
+    # each coefficient takes its terms in the order of a loop over k, f1's before
+    # f0's, which fixes its rounding
     coeffs = np.zeros(mp + 2)
     if mp > 0:
         f1 = hypergeom_poly_coeffs(mp - 1, mu - mp + 1.0, lam0 + 2.0)
-        amp = -mp * (lam0 + lam1 + mp + 1.0)
+        amp_f1 = -mp * (lam0 + lam1 + mp + 1.0) * f1
         # z(z-1) F' piece: z^(k+2) - z^(k+1)
-        for k, ck in enumerate(f1):
-            coeffs[k + 2] += amp * ck
-            coeffs[k + 1] -= amp * ck
+        coeffs[2:] += amp_f1
+        coeffs[1:-1] -= amp_f1
     f0 = hypergeom_poly_coeffs(mp, mu - mp, lam0 + 1.0)
     b_lin = 0.5 * (lam0 + 1.0) * ((lam0 - t0.lambda0) + (lam1 - t0.lambda1))
     b_const = 0.5 * (lam0 + 1.0) * (lam0 - t0.lambda0)
-    for k, ck in enumerate(f0):
-        coeffs[k + 1] += b_lin * ck
-        coeffs[k] -= b_const * ck
+    coeffs[1:] += b_lin * f0
+    coeffs[:-1] -= b_const * f0
     scale = float(np.max(np.abs(coeffs))) or 1.0
-    degenerate = abs(coeffs[-1]) < 1e-12 * scale
-    trimmed = coeffs.copy()
+    degenerate = bool(abs(coeffs[-1]) < 1e-12 * scale)
+    degree = mp + 1
     if degenerate:
-        trimmed = np.trim_zeros(np.where(np.abs(coeffs) < 1e-12 * scale, 0.0, coeffs), "b")
-    return HeunPolynomial(
-        coeffs=tuple(coeffs),
-        degree=len(trimmed) - 1 if degenerate else mp + 1,
-        degree_degenerate=degenerate,
-    )
+        degree = len(np.trim_zeros(np.where(np.abs(coeffs) < 1e-12 * scale, 0.0, coeffs), "b")) - 1
+    return HeunPolynomial(coeffs=tuple(coeffs.tolist()), degree=degree,
+                          degree_degenerate=degenerate)
 
 
 def heun_poly_residual(op: HeunOperator, poly: HeunPolynomial, z: float) -> float:

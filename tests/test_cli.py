@@ -278,3 +278,315 @@ class TestInProcess:
 
         assert fresh("spectrum", "--zt", "abc") == (2, bad_parse.out, bad_parse.err)
         assert fresh(*good) == in_process
+
+
+# exact stdout of one spectrum with a few levels, one with 20, one with
+# z_T - 1 <= 1e-2 and one two-step partner: every closed-form float the CLI
+# prints is pinned to its last bit
+GOLDEN = {
+    ('spectrum', '--lambda-o', '0.5', '--mu-o', '7.3', '--zt', '2'): """\
+{
+  "gauge": {
+    "E": "epsilon",
+    "convention": "V(+inf) = 0, hbar^2/2m = 1"
+  },
+  "levels": [
+    {
+      "E": -4.8334566556598,
+      "epsilon": -4.8334566556598,
+      "lambda0": 4.42536175048314,
+      "lambda1": 2.198512373324244,
+      "mu": 7.623874123807385,
+      "n": 0
+    },
+    {
+      "E": -2.1548873985184005,
+      "epsilon": -2.1548873985184005,
+      "lambda0": 2.9781789056525136,
+      "lambda1": 1.4679534728724888,
+      "mu": 7.446132378525002,
+      "n": 1
+    },
+    {
+      "E": -0.5664173170060334,
+      "epsilon": -0.5664173170060334,
+      "lambda0": 1.5860861477309904,
+      "lambda1": 0.7526070136572163,
+      "mu": 7.338693161388207,
+      "n": 2
+    }
+  ],
+  "n0": 3,
+  "params": {
+    "lambda_o": 0.5,
+    "mu_o": 7.3,
+    "z_T": 2.0
+  },
+  "schema_version": 1
+}
+""",
+    ('spectrum', '--lambda-o', '0.25', '--mu-o', '40', '--zt', '-3'): """\
+{
+  "gauge": {
+    "E": "epsilon",
+    "convention": "V(+inf) = 0, hbar^2/2m = 1"
+  },
+  "levels": [
+    {
+      "E": -506.6887830529348,
+      "epsilon": -506.6887830529348,
+      "lambda0": 16.884162415330994,
+      "lambda1": 22.50974862260649,
+      "mu": 40.393911037937485,
+      "n": 0
+    },
+    {
+      "E": -455.57602546030427,
+      "epsilon": -455.57602546030427,
+      "lambda0": 16.010122245673863,
+      "lambda1": 21.344226982027347,
+      "mu": 40.354349227701206,
+      "n": 1
+    },
+    {
+      "E": -407.22841763351437,
+      "epsilon": -407.22841763351437,
+      "lambda0": 15.136990616329648,
+      "lambda1": 20.179901328636728,
+      "mu": 40.31689194496637,
+      "n": 2
+    },
+    {
+      "E": -361.63754453787857,
+      "epsilon": -361.63754453787857,
+      "lambda0": 14.264768445458786,
+      "lambda1": 19.016770086896422,
+      "mu": 40.281538532355206,
+      "n": 3
+    },
+    {
+      "E": -318.7949966155312,
+      "epsilon": -318.7949966155312,
+      "lambda0": 13.393456820262509,
+      "lambda1": 17.85483118417901,
+      "mu": 40.24828800444152,
+      "n": 4
+    },
+    {
+      "E": -278.69237196785235,
+      "epsilon": -278.69237196785235,
+      "lambda0": 12.523057104074747,
+      "lambda1": 16.694081944445234,
+      "mu": 40.21713904851998,
+      "n": 5
+    },
+    {
+      "E": -241.32127853011175,
+      "epsilon": -241.32127853011175,
+      "lambda0": 11.65357109100845,
+      "lambda1": 15.534518934621431,
+      "mu": 40.18809002562988,
+      "n": 6
+    },
+    {
+      "E": -206.6733362363546,
+      "epsilon": -206.6733362363546,
+      "lambda0": 10.78500123472174,
+      "lambda1": 14.376137737109874,
+      "mu": 40.16113897183161,
+      "n": 7
+    },
+    {
+      "E": -174.7401791728898,
+      "epsilon": -174.7401791728898,
+      "lambda0": 9.917350996347288,
+      "lambda1": 13.218932603387076,
+      "mu": 40.13628359973436,
+      "n": 8
+    },
+    {
+      "E": -145.51345771937616,
+      "epsilon": -145.51345771937616,
+      "lambda0": 9.050625390941175,
+      "lambda1": 12.062895909331894,
+      "mu": 40.11352130027307,
+      "n": 9
+    },
+    {
+      "E": -118.98484067782722,
+      "epsilon": -118.98484067782722,
+      "lambda0": 8.184831878620221,
+      "lambda1": 10.908017266113362,
+      "mu": 40.092849144733584,
+      "n": 10
+    },
+    {
+      "E": -95.14601739277425,
+      "epsilon": -95.14601739277425,
+      "lambda0": 7.31998188409203,
+      "lambda1": 9.754282002934621,
+      "mu": 40.07426388702665,
+      "n": 11
+    },
+    {
+      "E": -73.98869987281245,
+      "epsilon": -73.98869987281245,
+      "lambda0": 6.456093530801502,
+      "lambda1": 8.601668435414867,
+      "mu": 40.05776196621637,
+      "n": 12
+    },
+    {
+      "E": -55.50462494214984,
+      "epsilon": -55.50462494214984,
+      "lambda0": 5.593196897120579,
+      "lambda1": 7.450142612202121,
+      "mu": 40.0433395093227,
+      "n": 13
+    },
+    {
+      "E": -39.685556505130585,
+      "epsilon": -39.685556505130585,
+      "lambda0": 4.73134500265368,
+      "lambda1": 6.29964733180601,
+      "mu": 40.03099233445969,
+      "n": 14
+    },
+    {
+      "E": -26.523288193047026,
+      "epsilon": -26.523288193047026,
+      "lambda0": 3.870639431487897,
+      "lambda1": 5.150076523028277,
+      "mu": 40.02071595451618,
+      "n": 15
+    },
+    {
+      "E": -16.009647443643455,
+      "epsilon": -16.009647443643455,
+      "lambda0": 3.011299833468837,
+      "lambda1": 4.001205748726683,
+      "mu": 40.012505582195516,
+      "n": 16
+    },
+    {
+      "E": -8.136506463722673,
+      "epsilon": -8.136506463722673,
+      "lambda0": 2.1538999247513813,
+      "lambda1": 2.85245621591685,
+      "mu": 40.00635614066823,
+      "n": 17
+    },
+    {
+      "E": -2.8958465506257913,
+      "epsilon": -2.8958465506257913,
+      "lambda0": 1.3005436112360889,
+      "lambda1": 1.7017187049056584,
+      "mu": 40.002262316141746,
+      "n": 18
+    },
+    {
+      "E": -0.2813143430678221,
+      "epsilon": -0.2813143430678221,
+      "lambda0": 0.4698290305799014,
+      "lambda1": 0.5303907456468505,
+      "mu": 40.00021977622675,
+      "n": 19
+    }
+  ],
+  "n0": 20,
+  "params": {
+    "lambda_o": 0.25,
+    "mu_o": 40.0,
+    "z_T": -3.0
+  },
+  "schema_version": 1
+}
+""",
+    ('spectrum', '--lambda-o', '1.2', '--mu-o', '9.9', '--zt', '1.004'): """\
+{
+  "gauge": {
+    "E": "epsilon",
+    "convention": "V(+inf) = 0, hbar^2/2m = 1"
+  },
+  "levels": [
+    {
+      "E": -0.02151405209136135,
+      "epsilon": -0.02151405209136135,
+      "lambda0": 36.83540139333158,
+      "lambda1": 0.14667669239303616,
+      "mu": 37.982078085724616,
+      "n": 0
+    },
+    {
+      "E": -0.003097160262619687,
+      "epsilon": -0.003097160262619687,
+      "lambda0": 14.020135295542,
+      "lambda1": 0.05565213619098271,
+      "mu": 17.075787431732984,
+      "n": 1
+    },
+    {
+      "E": -0.0007664605691002883,
+      "epsilon": -0.0007664605691002883,
+      "lambda0": 7.051792843943105,
+      "lambda1": 0.02768502427487266,
+      "mu": 12.079477868217978,
+      "n": 2
+    },
+    {
+      "E": -0.0001577922108713713,
+      "epsilon": -0.0001577922108713713,
+      "lambda0": 3.3735837142580656,
+      "lambda1": 0.012561536962942524,
+      "mu": 10.386145251221008,
+      "n": 3
+    }
+  ],
+  "n0": 4,
+  "params": {
+    "lambda_o": 1.2,
+    "mu_o": 9.9,
+    "z_T": 1.004
+  },
+  "schema_version": 1
+}
+""",
+    ('partner', '--lambda-o', '0.5', '--mu-o', '7.3', '--zt', '2', '--ff', 'd0+t0'): """\
+{
+  "expected_spectral_delta": [
+    -680.1717284857028,
+    -8.707871108637198
+  ],
+  "ff": [
+    {
+      "epsilon": -8.707871108637198,
+      "kind": "d",
+      "lambda0": -5.922962471141345,
+      "lambda1": -2.950910216973264,
+      "mu": -7.873872688114609
+    },
+    {
+      "epsilon": -680.1717284857028,
+      "kind": "a",
+      "lambda0": 52.1626007206582,
+      "lambda1": -26.080102156350975,
+      "mu": 27.082498564307222
+    }
+  ],
+  "outer_pole": 1.661658836735672,
+  "params": {
+    "lambda_o": 0.5,
+    "mu_o": 7.3,
+    "z_T": 2.0
+  },
+  "schema_version": 1,
+  "steps": 2
+}
+""",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+    def test_stdout(self, capsys, argv):
+        assert run(capsys, *argv) == (0, GOLDEN[argv], "")

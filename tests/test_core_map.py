@@ -1,7 +1,10 @@
 """Change of variable, tangent polynomial, Schwarzian and potentials."""
 
+import copy
+import dataclasses
 import logging
 import math
+import pickle
 import re
 import sys
 import threading
@@ -37,6 +40,22 @@ class TestTypes:
         assert tp.x_tilde_T == pytest.approx(-4.0)
         assert tp.gamma == pytest.approx(3.0)
         assert TP2.c0 == 4.0 and TP2.a2 == 1.0 and TP2.gamma == -3.0
+
+    @pytest.mark.parametrize("z_t", [2.0, -0.7, 1.004])
+    def test_tangent_poly_constants_are_not_fields(self, z_t):
+        # reading the derived constants leaves the value semantics alone
+        tp, fresh = TangentPoly(z_t), TangentPoly(z_t)
+        assert (tp.c0, tp.a2, tp.sqrt_c0) == (
+            (z_t / (z_t - 1.0)) ** 2, 1.0 / (1.0 - z_t) ** 2, z_t / (z_t - 1.0))
+        assert tp == fresh and hash(tp) == hash(fresh) == hash((z_t,))
+        assert repr(tp) == repr(fresh) == f"TangentPoly(z_T={z_t!r})"
+        assert dataclasses.fields(tp) == dataclasses.fields(fresh)
+        assert [f.name for f in dataclasses.fields(tp) if f.init] == ["z_T"]
+        for other in (copy.copy(tp), pickle.loads(pickle.dumps(tp)),
+                      dataclasses.replace(tp)):
+            assert other == tp and other.c0 == tp.c0 and other.a2 == tp.a2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tp.c0 = 1.0
 
     @pytest.mark.parametrize("z_t", [0.0, 0.5, 1.0, math.nan])
     def test_tangent_poly_rejects_inner_root(self, z_t):

@@ -1,7 +1,10 @@
 """Characteristic cubics, regions, levelled limit, spectra and basic solutions."""
 
+import copy
+import dataclasses
 import logging
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -15,6 +18,7 @@ from drttp.errors import (
     TransferAmbiguityError,
 )
 from drttp.spectral import (
+    AehSolution,
     CubicVariable,
     Kind,
     Region,
@@ -538,3 +542,51 @@ class TestBasicSolutions:
             make_solution(Kind.B, 0, -1.0, 1e160, ri, tp)
         with pytest.raises(DomainError):
             make_solution(Kind.B, 0, math.nan, 1.0, ri, tp)
+
+    def test_solver_counts_logged_at_debug(self, caplog):
+        ri, tp = RayIdentifiers(0.5, 7.3), TangentPoly(-1.0)
+        basic_solutions(ri, tp)
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="drttp.spectral")
+        basic_solutions(ri, tp)
+        assert [r.name for r in caplog.records] == ["drttp.spectral"]
+        assert caplog.text.count("basic_solutions") == 1
+        assert "Newton steps" in caplog.text and "bisections" in caplog.text
+
+
+class TestAehSolutionValue:
+    """A solution is a frozen value: mu and epsilon are fields derived on
+    construction, and copies, replacements and pickles compare equal."""
+
+    SOL = AehSolution(Kind.D, 2, -3.5, -1.25, merged_tail=True)
+
+    def test_derived_fields_and_repr(self):
+        sol = self.SOL
+        assert (sol.mu, sol.epsilon) == (-3.5 - 1.25 + 5, -(1.25**2))
+        assert [f.name for f in dataclasses.fields(sol)] == [
+            "kind", "m", "lambda0", "lambda1", "mu", "epsilon", "merged_tail"]
+        assert repr(sol) == ("AehSolution(kind=<Kind.D: 'd'>, m=2, lambda0=-3.5, lambda1=-1.25, "
+                             "mu=0.25, epsilon=-1.5625, merged_tail=True)")
+        assert sol.label == "d''"
+
+    def test_frozen(self):
+        for name, value in (("lambda1", 0.0), ("mu", 1.0), ("extra", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(self.SOL, name, value)
+        assert self.SOL.lambda1 == -1.25
+
+    def test_equality_and_hash(self):
+        same = AehSolution(kind=Kind.D, m=2, lambda0=-3.5, lambda1=-1.25, merged_tail=True)
+        assert same == self.SOL and hash(same) == hash(self.SOL)
+        assert AehSolution(Kind.D, 2, -3.5, -1.25) != self.SOL
+        assert AehSolution(Kind.D, 2, -3.5, -1.25).merged_tail is False
+
+    def test_replace_copy_pickle(self):
+        moved = dataclasses.replace(self.SOL, m=3)
+        assert (moved.m, moved.mu, moved.merged_tail) == (3, 2.25, True)
+        with pytest.raises(ValueError):
+            dataclasses.replace(self.SOL, mu=0.0)
+        for other in (copy.copy(self.SOL), copy.deepcopy(self.SOL),
+                      pickle.loads(pickle.dumps(self.SOL))):
+            assert other == self.SOL and hash(other) == hash(self.SOL)
+            assert repr(other) == repr(self.SOL) and vars(other) == vars(self.SOL)

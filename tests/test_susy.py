@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 
 import mpmath
@@ -417,6 +418,23 @@ class TestHeun:
             "coeffs", "degree", "degree_degenerate"]
         again = susy.heun_poly_construct(basics[Kind.C], basics[Kind.A], TP2)
         assert again == poly and hash(again) == hash(poly)
+
+    def test_poly_fields_are_plain_python(self, basics):
+        # numpy.bool and numpy.float64 fields made asdict() unserializable
+        # and printed np.float64(...) in the repr
+        ri, left = RayIdentifiers(0.5, 30.3), TangentPoly(-1.5)
+        for t0, seed, tp in ((basics[Kind.C], basics[Kind.A], TP2),
+                             (basic_solutions(ri, left)[Kind.B], spectrum(ri, left)[-1], left)):
+            poly = susy.heun_poly_construct(t0, seed, tp)
+            assert type(poly.degree_degenerate) is bool and type(poly.degree) is int
+            assert all(type(c) is float for c in poly.coeffs)
+            assert "np." not in repr(poly)
+            doc = json.loads(json.dumps(dataclasses.asdict(poly)))
+            assert doc == {"coeffs": list(poly.coeffs), "degree": poly.degree,
+                           "degree_degenerate": poly.degree_degenerate}
+            boxed = susy.HeunPolynomial(tuple(np.float64(c) for c in poly.coeffs), poly.degree,
+                                        np.bool_(poly.degree_degenerate))
+            assert boxed == poly and hash(boxed) == hash(poly)
 
     def test_poly_residuals(self):
         for r in verify.check_heun(m_max=3):
