@@ -37,12 +37,10 @@ from .spectral import (
     CubicSpec,
     CubicVariable,
     Kind,
-    Region,
     TransferDirection,
     asymptotic_tau,
     basic_solutions,
     bound_state_count,
-    classify_region,
     cubic_coeffs,
     expdiff_transfer,
     nodeless_census,

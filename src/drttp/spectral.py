@@ -36,8 +36,6 @@ _log = logging.getLogger("drttp.spectral")
 _DEGENERATE_C0_TOL = 1e-12
 # relative residual of the defining quadratics that make_solution admits
 _CONSTRAINT_TOL = 1e-10
-# relative distance from a separatrix within which classify_region flags it
-_BOUNDARY_TOL = 1e-12
 # NodelessCensus.hyperbola_residuals holds the degrees m < _CENSUS_DEGREES
 _CENSUS_DEGREES = 6
 _EPS = math.ulp(1.0)
@@ -301,41 +299,6 @@ def wl_solve(m: int, mu_o: float, tp: TangentPoly) -> list[AehSolution]:
     out.append(make_solution(Kind.D, m, s * lam1_dn, lam1_dn, ri, tp,
                              merged_tail=mu_o < u))
     return out
-
-
-class Region(Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
-
-
-def classify_region(m: int, ri: RayIdentifiers) -> tuple[Region, list[str]]:
-    """Locate (lambda_o, mu_o) among the four zero-energy separatrix areas.
-
-    Returns the strict-inequality region and the list of separatrix flags
-    ("A|D", "B|D", "C|D") active at the point; boundary points classify
-    as D with the corresponding flag set.
-    """
-    u = 2.0 * m + 1.0
-    lo, mo = ri.lambda_o, ri.mu_o
-    scale = max(1.0, abs(lo), abs(mo), u)
-    flags = []
-    if abs(mo - (lo + u)) <= _BOUNDARY_TOL * scale:
-        flags.append("A|D")
-    if abs(mo + lo - u) <= _BOUNDARY_TOL * scale:
-        flags.append("B|D")
-    if abs(mo - (lo - u)) <= _BOUNDARY_TOL * scale:
-        flags.append("C|D")
-    if flags:
-        return Region.D, flags
-    if mo > lo + u:
-        return Region.A, flags
-    if mo + lo < u:
-        return Region.B, flags
-    if mo < lo - u:
-        return Region.C, flags
-    return Region.D, flags
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .core import (
     RayIdentifiers,
@@ -26,6 +25,7 @@ from .core import (
 )
 from .errors import (
     AvailabilityError,
+    ConvergenceError,
     DomainError,
     GaugeError,
     PairRejectedError,
@@ -43,6 +43,10 @@ from .spectral import (
 _STRUCTURE_TOL = 1e-8
 # seeded points of [-1.5, 2.5] at which b2_factor_check samples the factorization
 _B2_SAMPLES = 20
+# twice the unit roundoff; halvings after which a Heun root count gives up
+_EPS, _MAX_DEPTH = 2.0**-52, 52
+# relative size below which a Heun polynomial's degree counts as degenerate
+_DEGENERATE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -357,36 +361,61 @@ def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int]
     )
 
 
-def hypergeom_poly_coeffs(n: int, a: float, c: float) -> np.ndarray:
-    """Ascending coefficients of F(-n, a; c; z)."""
-    coef = [1.0]
-    for k in range(n):
-        coef.append(coef[k] * ((-n + k) * (a + k)) / ((c + k) * (k + 1.0)))
-    return np.array(coef)
+def _de_casteljau(coeffs, z):
+    """sum_s b_s C(n, s) z**s (1 - z)**(n - s) at z (0 for no b_s)."""
+    b = np.multiply.outer(coeffs, np.ones_like(z))
+    while len(b) > 1:
+        b = (1.0 - z) * b[:-1] + z * b[1:]
+    return b[0] if len(b) else np.zeros_like(z)
 
 
-def count_roots_in_01(coeffs) -> int:
-    """Real roots of a polynomial strictly inside (0, 1), by ``np.roots``
-    with a 1e-9 cut on the imaginary part."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    coeffs = np.trim_zeros(coeffs, "b")
-    if coeffs.size <= 1:
-        return 0
-    rts = np.roots(coeffs[::-1])
-    scale = max(1.0, float(np.max(np.abs(rts))))
-    count = 0
-    for r in rts:
-        if abs(r.imag) < 1e-9 * scale and 0.0 < r.real < 1.0:
-            count += 1
-    return count
+def _sign_changes(coeffs, bounds):
+    """Sign changes along the coefficients, exact zeros skipped; None where
+    an inner sign is open within its rounding bound (an end one raises)."""
+    changes, last = 0, None
+    for i, (c, e) in enumerate(zip(coeffs, bounds)):
+        if abs(c) > e:
+            changes, last = changes + (last is not None and (c > 0.0) != last), c > 0.0
+        elif c != 0.0 or e != 0.0:  # NaN included
+            if 0 < i < len(coeffs) - 1:
+                return None
+            raise ConvergenceError(f"value {c:.3e} at a split point within its bound {e:.3e}")
+    return changes
+
+
+@functools.lru_cache(maxsize=64)
+def _halving(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """De Casteljau halving of degree n: left[k, j] = C(k, j) / 2**k, right reversed."""
+    left = np.array([[math.comb(k, j) / 2.0**k for j in range(n + 1)] for k in range(n + 1)])
+    return left, left[::-1, ::-1].copy()
+
+
+def _count_roots(coeffs, bounds, depth: int = 0) -> int:
+    """Roots in (0, 1) of a Bernstein form.  Sign changes bound them with
+    the same parity (Descartes' rule), so 0 or 1 is the count; more, or an
+    open sign, are halved (Lane & Riesenfeld 1981).  A row of a halving
+    matrix sums n + 1 products with exact or once-rounded weights: its
+    rounding is within (n + 2) 2**-53 of the weighted magnitudes."""
+    changes = _sign_changes(coeffs, bounds)
+    if changes is not None and changes <= 1:
+        return changes
+    if depth == _MAX_DEPTH:
+        raise ConvergenceError(f"roots closer than 2**-{_MAX_DEPTH}, or multiple")
+    left, right = _halving(len(coeffs) - 1)
+    coeffs = np.array(coeffs)
+    grown = np.array(bounds) + (len(coeffs) + 1) * _EPS * np.abs(coeffs)
+    lb = (left @ coeffs).tolist()
+    # lb[-1] is the value at 1/2: a root where it is an exact 0 with bound 0
+    return (_count_roots(lb, (left @ grown).tolist(), depth + 1) + (lb[-1] == 0.0)
+            + _count_roots((right @ coeffs).tolist(), (right @ grown).tolist(), depth + 1))
 
 
 @dataclass(frozen=True)
 class HeunPolynomial:
-    """Polynomial solution of a partner Heun equation (ascending coeffs).
-
-    ``roots_in_01`` is counted by :func:`count_roots_in_01` the first time
-    it is read and kept; it is not a field.
+    """Polynomial solution of a partner Heun equation in Bernstein form,
+    P(z) = sum_s b_s C(n, s) z**s (1 - z)**(n - s) with ``coeffs`` the b_s;
+    ``degree`` is n, or less where the z**n coefficient vanishes
+    (``degree_degenerate``).  ``roots_in_01`` is counted on first read.
     """
 
     coeffs: tuple[float, ...]
@@ -395,58 +424,68 @@ class HeunPolynomial:
 
     @functools.cached_property
     def roots_in_01(self) -> int:
-        """Real roots in (0, 1).  The float coefficients and ``np.roots``
-        limit it: it agrees with an exact count on all 1 440 polynomials of
-        the appendix-b grid (degree <= 8), but from degree 11 on it can
-        miscount; 155 of 600 whole-domain polynomials up to degree 36 differ."""
-        return count_roots_in_01(self.coeffs)
+        """Roots in (0, 1) of P with exactly these coefficients, from sign
+        changes and de Casteljau halving under a running rounding bound:
+        exact, or ``ConvergenceError`` where the bound leaves the sign at a
+        split point open or 52 halvings leave two roots together."""
+        return _count_roots(self.coeffs, [0.0] * len(self.coeffs))
 
     def __call__(self, z):
-        out = polyval(np.asarray(z, dtype=float), self.coeffs)
+        out = _de_casteljau(self.coeffs, np.asarray(z, dtype=float))
         return out if out.ndim else float(out)
 
-    def deriv_coeffs(self, order: int = 1) -> np.ndarray:
-        return polyder(self.coeffs, order)
+    def jet(self, z) -> tuple:
+        """(P, P', P'') at z: de Casteljau on the coefficients and on their
+        first and second forward differences."""
+        n, z = len(self.coeffs) - 1, np.asarray(z, dtype=float)
+        out = [math.perm(n, k) * _de_casteljau(np.diff(self.coeffs, k), z) for k in range(3)]
+        return tuple([v if v.ndim else float(v) for v in out])
 
 
 def heun_poly_construct(t0: AehSolution, t_prime: AehSolution,
                         tp: TangentPoly) -> HeunPolynomial:
-    """Degree-(m'+1) polynomial solution of the t0-partner Heun equation
-    at the energy of the seed solution t'm'.
-
-    Assembled from the two-term terminating-hypergeometric combination;
-    a vanishing leading coefficient is reported through the
-    ``degree_degenerate`` flag rather than as an error.
+    """Degree-(m'+1) polynomial solution of the t0-partner Heun equation at
+    the energy of the seed t'm', in Bernstein form: y = m'(mu - m') z (1 - z)
+    F1 + (u z + v (1 - z)) F0, F0 = F(-m', mu - m'; lambda0 + 1; z), F1 =
+    F(1 - m', mu - m' + 1; lambda0 + 2; z), u = (lambda0 + 1)(lambda1 -
+    lambda1_t0)/2, v = (lambda0 + 1)(lambda0_t0 - lambda0)/2.  Each F has the
+    Bernstein coefficients (c - a)_s / (c)_s, c - a = -(lambda1 + m'), each
+    factor one rounding from the inputs.  The z**n coefficient (lambda0 +
+    1)/2 (mu - mu_t0) prod_{k<=m'} (k - mu)/(lambda0 + k) vanishing with a
+    factor (to 1e-12 relative) is ``degree_degenerate``, not an error; the
+    degree is then the last z**k coefficient, C(n, k) times the k-th
+    forward difference, above 1e-12 of the largest (-1 for y = 0).
     """
     if t0.m != 0:
         raise DomainError("the factorization function t0 must be basic")
-    mp = t_prime.m
-    lam0, lam1, mu = t_prime.lambda0, t_prime.lambda1, t_prime.mu
-    # each coefficient takes its terms in the order of a loop over k, f1's before
-    # f0's, which fixes its rounding
-    coeffs = np.zeros(mp + 2)
-    if mp > 0:
-        f1 = hypergeom_poly_coeffs(mp - 1, mu - mp + 1.0, lam0 + 2.0)
-        amp_f1 = -mp * (lam0 + lam1 + mp + 1.0) * f1
-        # z(z-1) F' piece: z^(k+2) - z^(k+1)
-        coeffs[2:] += amp_f1
-        coeffs[1:-1] -= amp_f1
-    f0 = hypergeom_poly_coeffs(mp, mu - mp, lam0 + 1.0)
-    b_lin = 0.5 * (lam0 + 1.0) * ((lam0 - t0.lambda0) + (lam1 - t0.lambda1))
-    b_const = 0.5 * (lam0 + 1.0) * (lam0 - t0.lambda0)
-    coeffs[1:] += b_lin * f0
-    coeffs[:-1] -= b_const * f0
-    scale = float(np.max(np.abs(coeffs))) or 1.0
-    degenerate = bool(abs(coeffs[-1]) < 1e-12 * scale)
-    degree = mp + 1
-    if degenerate:
-        degree = len(np.trim_zeros(np.where(np.abs(coeffs) < 1e-12 * scale, 0.0, coeffs), "b")) - 1
-    return HeunPolynomial(coeffs=tuple(coeffs.tolist()), degree=degree,
-                          degree_degenerate=degenerate)
+    mp, lam0, lam1, mu = t_prime.m, t_prime.lambda0, t_prime.lambda1, t_prime.mu
+    n = mp + 1
+    half = 0.5 * (lam0 + 1.0)
+    u = half * (lam1 - t0.lambda1) / n
+    v = half * (t0.lambda0 - lam0) / n
+    w = math.fsum((lam0, lam1, n)) / n
+    # f0[j] and f1[j] hold the coefficient s = j - 1; F1 has degree m' - 1
+    f0, f1 = [0.0, 1.0], [0.0, 1.0] if mp else [0.0]
+    for s in range(mp):
+        r = (s - mp) - lam1
+        f0.append(f0[-1] * r / (lam0 + (s + 1)))
+        if s < mp - 1:
+            f1.append(f1[-1] * r / (lam0 + (s + 2)))
+    # z b_s -> b_(j-1) j/n, (1 - z) b_s -> b_j (n - j)/n, z (1 - z) b_s ->
+    # b_(j-1) j (n - j)/(n m'); tuple() of a generator instead of a list fills
+    # CPython's tuple free lists: megabytes of peak RSS
+    coeffs = tuple([j * (u * p) + (n - j) * (v * q) + j * (n - j) * (w * r)
+                    for j, p, q, r in zip(range(n + 1), f0, f0[1:] + [0.0], f1 + [0.0])])
+    if not (half == 0.0 or abs(mu - t0.mu) <= _DEGENERATE_TOL * max(abs(mu), abs(t0.mu))
+            or 0 < (k := round(mu)) <= mp and abs(mu - k) <= _DEGENERATE_TOL * k):
+        return HeunPolynomial(coeffs, n, False)
+    taylor = [abs(math.comb(n, k) * np.diff(coeffs, k)[0]) for k in range(n)]
+    big = [k for k, t in enumerate(taylor) if t > _DEGENERATE_TOL * max(taylor)]
+    return HeunPolynomial(coeffs, big[-1] if big else -1, True)
 
 
 def heun_poly_residual(op: HeunOperator, poly: HeunPolynomial, z: float) -> float:
-    return op.residual(*(polyval(z, poly.deriv_coeffs(k)) for k in range(3)), z)
+    return op.residual(*poly.jet(z), z)
 
 
 def lambe_ward_eval(z, t0: AehSolution, t_prime: AehSolution,

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from . import core, errors, oracle, spectral, susy, wavefunction
 from .core import RayIdentifiers, TangentPoly
@@ -731,10 +730,9 @@ def check_heun(m_max: int = 5) -> list[CheckResult]:
 def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
                          e0: float, e1: float, z: float, tp: TangentPoly) -> float:
     # z^e0 (1-z)^e1 P(z) and its two exact derivatives, from the Euler jet
-    P = [float(polyval(z, poly.deriv_coeffs(k))) for k in range(3)]
     omz = 1.0 - z
     zo = z * omz
-    f, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, (e0, e1, 0.0), P)
+    f, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, (e0, e1, 0.0), poly.jet(z))
     return op.residual(f, f_D / zo, (f_DD - (omz - z) * f_D) / zo**2, z)
 
 
@@ -786,7 +784,7 @@ def check_appendix_b() -> list[CheckResult]:
                 s.kind: s for s in spectral.wl_solve(0, mu_o, tp)
             }
             reg_kind = Kind.A if tp.c0 > 1.0 else Kind.B
-            for m in range(8):
+            for m in range(30):
                 u = 2 * m + 1
                 branch = "primary" if mu_o > u else "secondary"
                 try:

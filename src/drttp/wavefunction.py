@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .core import RayIdentifiers, TangentPoly, gauge_record, split_at_half, unit_interval
 from .errors import ConvergenceError, DomainError
@@ -38,7 +38,8 @@ def _beta(a: float, b: float) -> float:
     scale = pochhammer(a + b, i) / pochhammer(a, i) * pochhammer(a + i + b, j) / pochhammer(b, j)
     a, b = a + i, b + j
     (p, q), s = sorted((a, b)), a + b
-    tail = polyval(np.array([p, q, s]) ** -2.0, _STIRLING) / (p, q, s)
+    tail = [functools.reduce(lambda acc, c: c + acc * x**-2.0, _STIRLING[::-1]) / x
+            for x in (p, q, s)]
     return scale * math.exp(0.5 * math.log(2.0 * math.pi / q) + (p - 0.5) * math.log(p / s)
                             + q * math.log1p(-p / s) + tail[0] + tail[1] - tail[2])
 

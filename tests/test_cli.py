@@ -141,7 +141,7 @@ class TestPartnerReport:
 
     @pytest.mark.parametrize("mu_o", ["1.0000000000001", "1.000000000001"])
     def test_single_just_above_the_separatrix(self, capsys, mu_o):
-        # spectrum has a level here; partner exited 2 on classify_region's band
+        # spectrum has a level here; partner once exited 2 on a separatrix band
         code, out, _ = run(capsys, "partner", "--lambda-o", "0", "--mu-o", mu_o,
                            "--zt", "2", "--ff", "c0")
         assert code == 0

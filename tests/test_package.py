@@ -22,11 +22,10 @@ EXPORTS = {
                "DegenerateLimitError", "DomainError", "DrttpError", "GaugeError",
                "PairRejectedError", "PoleError", "TransferAmbiguityError"),
     "params": ("RayIdentifiers", "TangentPoly"),
-    "spectral": ("AehSolution", "CubicSpec", "CubicVariable", "Kind", "Region",
+    "spectral": ("AehSolution", "CubicSpec", "CubicVariable", "Kind",
                  "TransferDirection", "asymptotic_tau", "basic_solutions",
-                 "bound_state_count", "classify_region", "cubic_coeffs",
-                 "expdiff_transfer", "nodeless_census", "real_cubic_roots",
-                 "spectrum", "wl_solve"),
+                 "bound_state_count", "cubic_coeffs", "expdiff_transfer",
+                 "nodeless_census", "real_cubic_roots", "spectrum", "wl_solve"),
     "core": ("dkv_inverse", "dkv_map", "dkv_potential_eval", "eta_hat_of_x",
              "map_x_to_z", "potential_eval_x", "potential_eval_z", "schwarzian_eta",
              "schwarzian_eval", "tangent_poly_eval", "x_of_z"),

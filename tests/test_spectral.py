@@ -21,11 +21,9 @@ from drttp.spectral import (
     AehSolution,
     CubicVariable,
     Kind,
-    Region,
     TransferDirection,
     basic_solutions,
     bound_state_count,
-    classify_region,
     cubic_coeffs,
     expdiff_transfer,
     make_solution,
@@ -215,14 +213,6 @@ class TestCountsAndRegions:
         assert bound_state_count(5.2) == 3
         assert bound_state_count(3.0, lambda_o=2.0) == 0
         assert bound_state_count(7.3, lambda_o=2.0) == 3
-
-    def test_regions(self):
-        assert classify_region(0, RayIdentifiers(1.0, 5.0))[0] is Region.A
-        region, flags = classify_region(2, RayIdentifiers(1.0, 6.0))
-        assert flags == ["A|D"]
-        assert classify_region(0, RayIdentifiers(3.0, 1.0))[0] is Region.C
-        assert classify_region(1, RayIdentifiers(0.5, 1.0))[0] is Region.B
-        assert classify_region(0, RayIdentifiers(1.5, 1.2))[0] is Region.D
 
 
 class TestCensus:
@@ -486,7 +476,7 @@ class TestBasicSolutions:
     @pytest.mark.parametrize("above", [1e-13, 1e-12])
     @pytest.mark.parametrize("lo, z_t", [(0.0, 2.0), (0.7, -1.0)])
     def test_just_above_the_separatrix(self, above, lo, z_t):
-        # within 1e-12 of mu_o = lambda_o + 1, classify_region's band put the
+        # within 1e-12 of mu_o = lambda_o + 1, a separatrix band once put the
         # point in Region D: spectrum() had a level and this raised
         ri, tp = RayIdentifiers(lo, (lo + 1.0) * (1.0 + above)), TangentPoly(z_t)
         basics = basic_solutions(ri, tp)

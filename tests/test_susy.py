@@ -13,6 +13,7 @@ from drttp import susy, verify
 from drttp.core import RayIdentifiers, TangentPoly, potential_eval_z
 from drttp.errors import (
     AvailabilityError,
+    ConvergenceError,
     DomainError,
     DrttpError,
     GaugeError,
@@ -22,6 +23,37 @@ from drttp.spectral import AehSolution, Kind, basic_solutions, spectrum
 
 TP2 = TangentPoly(2.0)
 WL5 = RayIdentifiers(0.0, 5.0)
+
+
+def _mp_heun_jet(t0, seed, zs):
+    """(y, y', y'') of heun_poly_construct's polynomial at zs in 60-digit
+    mpmath: the two-term combination of hyp2f1, differentiated by
+    d/dz F(a, b; c; z) = (a b / c) F(a + 1, b + 1; c + 1; z)."""
+    with mpmath.workdps(60):
+        m = seed.m
+        l0, l1 = mpmath.mpf(seed.lambda0), mpmath.mpf(seed.lambda1)
+        a, c = l0 + l1 + m + 1, l0 + 1
+        b_const = c / 2 * (l0 - mpmath.mpf(t0.lambda0))
+        b_lin = b_const + c / 2 * (l1 - mpmath.mpf(t0.lambda1))
+
+        def F(n, a, c, z, k):
+            if k > n:
+                return mpmath.mpf(0)
+            return (mpmath.rf(-n, k) * mpmath.rf(a, k) / mpmath.rf(c, k)
+                    * mpmath.hyp2f1(k - n, a + k, c + k, z))
+
+        out = []
+        for z in map(mpmath.mpf, zs):
+            f0 = [F(m, a, c, z, k) for k in range(3)]
+            f1 = [F(m - 1, a + 1, c + 1, z, k) if m else 0 for k in range(3)]
+            g, dg = z * (1 - z), 1 - 2 * z
+            h = b_lin * z - b_const
+            out.append([float(v) for v in (
+                m * a * g * f1[0] + h * f0[0],
+                m * a * (dg * f1[0] + g * f1[1]) + b_lin * f0[0] + h * f0[1],
+                m * a * (-2 * f1[0] + 2 * dg * f1[1] + g * f1[2]) + 2 * b_lin * f0[1] + h * f0[2],
+            )])
+    return np.array(out)
 
 
 @pytest.fixture(scope="module")
@@ -360,17 +392,22 @@ class TestHeun:
         poly = susy.heun_poly_construct(t, seed, TP2)
         assert poly.degree == 1
         ztt = susy.outer_root_ztt(t, seed)
-        # proportional to z - z_tt'
-        root = -poly.coeffs[0] / poly.coeffs[1]
-        assert root == pytest.approx(ztt, rel=1e-12)
+        # proportional to z - z_tt': b0 (1 - z) + b1 z vanishes at b0 / (b0 - b1)
+        b0, b1 = poly.coeffs
+        assert b0 / (b0 - b1) == pytest.approx(ztt, rel=1e-12)
 
     def test_poly_root_count_whole_domain(self):
         # seeded Area A_0 draws over lambda_o <= 30, mu_o <= 80 and z_T = 2 or
-        # 1e-3..60 (log-uniform) beyond either singular point, each basic FF
-        # against the top level
+        # 1e-3..60 (log-uniform) beyond either singular point; each basic FF
+        # against the top and the middle level n.  The reference is the
+        # oscillation theorem on the partner: y is the polynomial part of
+        # A psi_n, which has n nodes for a regular (a or b) FF, n - 1 for c0,
+        # whose level the partner loses, and n + 1 for d0, whose level it
+        # gains below the ground.  A c FF against level 0 has no reference.
+        # np.roots on monomial coefficients was wrong on 155 of these 600
         rng = np.random.default_rng(17)
-        polys = 0
-        while polys < 300:
+        polys = checked = 0
+        while polys < 600:
             lo, mo, d = rng.uniform(0.0, 30.0), rng.uniform(0.0, 80.0), 10 ** rng.uniform(-3, 1.78)
             tp = TangentPoly((2.0, -d, 1.0 + d)[rng.integers(3)])
             ri = RayIdentifiers(lo, mo)
@@ -381,35 +418,82 @@ class TestHeun:
                 basics = basic_solutions(ri, tp)
             except DrttpError:
                 continue
-            for ff in basics.values():
-                poly = susy.heun_poly_construct(ff, sols[-1], tp)
-                assert poly.roots_in_01 == susy.count_roots_in_01(poly.coeffs)
-                polys += 1
+            for n in (len(sols) - 1, (len(sols) - 1) // 2):
+                for ff in basics.values():
+                    poly = susy.heun_poly_construct(ff, sols[n], tp)
+                    polys += 1
+                    if ff.kind is Kind.C and n == 0:
+                        continue
+                    want = {Kind.C: n - 1, Kind.D: n + 1}.get(ff.kind, n)
+                    assert poly.roots_in_01 == want, (lo, mo, tp.z_T, ff.kind, n)
+                    checked += 1
+        assert checked >= 590
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="roots_in_01 (np.roots on float monomial coefficients) "
-                       "miscounts from degree 11 on; see the FOUND in CHANGES.md")
     def test_poly_root_count_degree_11(self):
         # a seed-17 draw of test_poly_root_count_whole_domain: FF d0 against
-        # level 10.  The reference 11 is the exact count of the coefficients
-        # rebuilt in Fraction from the same float parameters (Descartes'
-        # rule with bisection); np.roots reads 6
+        # level 10, 11 nodes; np.roots on monomial coefficients read 6
         ri = RayIdentifiers(17.613951083403833, 59.603629145527876)
         tp = TangentPoly(1.0017163530304605)
         poly = susy.heun_poly_construct(basic_solutions(ri, tp)[Kind.D], spectrum(ri, tp)[10], tp)
         assert poly.degree == 11
         assert poly.roots_in_01 == 11
 
+    def test_poly_root_count_exact_or_raises(self):
+        # Bernstein coefficients of (z - 1/4)(z - 1/2)(z - 3/4): the middle
+        # root sits on the first split point
+        cubic = susy.HeunPolynomial((-3 / 32, 13 / 96, -13 / 96, 3 / 32), 3, False)
+        with pytest.raises(ConvergenceError):
+            cubic.roots_in_01
+        # (z - 1/3)**2: no subdivision separates a double root
+        with pytest.raises(ConvergenceError):
+            susy.HeunPolynomial((1 / 9, -2 / 9, 4 / 9), 2, False).roots_in_01
+        with pytest.raises(ConvergenceError):
+            susy.HeunPolynomial((1.0, math.nan, -1.0, 1.0), 3, False).roots_in_01
+
+    def test_poly_degenerate_degree(self, basics):
+        # the zero polynomial: an FF against itself
+        t = basics[Kind.C]
+        zero = susy.heun_poly_construct(t, t, TP2)
+        assert zero.degree_degenerate and zero.degree == -1 and zero.roots_in_01 == 0
+        # a seed with the FF's mu: the z**2 coefficient vanishes
+        seed = AehSolution(Kind.A, 1, 1.5, t.mu - 4.5)
+        poly = susy.heun_poly_construct(t, seed, TP2)
+        assert poly.degree_degenerate and poly.degree == 1
+
+    def test_poly_against_mpmath(self):
+        # value, P' and P'' against the same y in 60-digit mpmath, y =
+        # m'(mu - m') z (1 - z) F1 + (b_lin z - b_const) F0 from hyp2f1, at the
+        # top levels of two deep wells (degrees 39 and 30) and of the
+        # degree-21 point of test_poly_root_count_degree_11, each basic FF.
+        # Gate: the float parameters fix y only to about n 2**-52 times the
+        # Bernstein condition number max sum |b_s| B_s(z) / max |y| (Farouki &
+        # Rajan 1987), 4e10 at degree 39 and 1.5 at degree 21; the errors
+        # stay below 0.2 of that.  The monomial path was off by 6e11 relative
+        # at degree 39
+        zs = np.linspace(0.01, 0.99, 25)
+        for lo, mo, zt in ((0.3, 79.0, 2.0), (0.3, 60.0, 2.0),
+                           (17.613951083403833, 59.603629145527876, 1.0017163530304605)):
+            ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
+            seed = spectrum(ri, tp)[-1]
+            for t0 in basic_solutions(ri, tp).values():
+                poly = susy.heun_poly_construct(t0, seed, tp)
+                want = _mp_heun_jet(t0, seed, zs)
+                got = np.array([poly.jet(z) for z in zs])
+                bound = susy.HeunPolynomial(tuple(map(abs, poly.coeffs)), poly.degree, False)
+                cond = np.max(bound(zs)) / np.max(np.abs(want[:, 0]))
+                err = np.max(np.abs(got - want), axis=0) / np.max(np.abs(want), axis=0)
+                assert np.all(err <= poly.degree * 2.0**-52 * cond), (lo, mo, t0.kind, err, cond)
+
     def test_poly_roots_counted_on_first_read_only(self, basics, monkeypatch):
         calls = []
 
-        count = susy.count_roots_in_01
+        count = susy._count_roots
 
-        def spy(coeffs):
-            calls.append(coeffs)
-            return count(coeffs)
+        def spy(coeffs, bounds, depth=0):
+            calls.append(tuple(coeffs))
+            return count(coeffs, bounds, depth)
 
-        monkeypatch.setattr(susy, "count_roots_in_01", spy)
+        monkeypatch.setattr(susy, "_count_roots", spy)
         poly = susy.heun_poly_construct(basics[Kind.C], basics[Kind.A], TP2)
         assert calls == []
         assert [poly.roots_in_01 for _ in range(3)] == [0, 0, 0]

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from drttp import core, verify, wavefunction
-from drttp.susy import count_roots_in_01, hypergeom_poly_coeffs
+from drttp.susy import HeunPolynomial
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError, DrttpError
 from drttp.spectral import AehSolution, Kind, spectrum, wl_solve
@@ -170,8 +170,9 @@ class TestPolyFactor:
             assert factor_roots_in_01(s) == n   # eigenfunction nodes sit inside (0,1)
 
     def test_roots_outside_not_counted(self):
-        # z^2 - 3z + 2 = (z-1)(z-2): no roots strictly inside (0,1)
-        assert count_roots_in_01([2.0, -3.0, 1.0]) == 0
+        # (z-1)(z-2) = 2 (1-z)^2 + 2 (1/2) z (1-z) + 0 z^2 in the Bernstein
+        # basis: no roots strictly inside (0,1)
+        assert HeunPolynomial((2.0, 0.5, 0.0), 2, False).roots_in_01 == 0
 
     def test_level_n_has_n_roots_whole_domain(self):
         # every level of seeded draws over lambda_o <= 30, mu_o <= 80 and
@@ -191,17 +192,21 @@ class TestPolyFactor:
             levels, top = levels + len(sols), max(top, len(sols) - 1)
         assert levels > 3000 and top >= 30
 
-    def test_census_grid_factors_match_np_roots(self):
-        # below degree 8 the np.roots count of the monomial coefficients is
-        # reliable, so it serves as the reference for all three kinds
+    def test_census_grid_factors_match_bernstein_count(self):
+        # the reference for all three kinds: the exact count, by de Casteljau
+        # subdivision, of the Bernstein coefficients (c - a)_k / (c)_k of
+        # F(-m, a; c; z), with c - a = -(lambda1 + m)
         kinds = set()
         for z_t in list(np.linspace(-3.0, -0.15, 10)) + list(np.linspace(1.15, 4.0, 10)):
             tp = TangentPoly(float(z_t))
             for mu_o in np.linspace(1.41, 9.13, 20):
                 for m in range(8):
                     for s in wl_solve(m, float(mu_o), tp):
-                        coeffs = hypergeom_poly_coeffs(m, s.mu - m, s.lambda0 + 1.0)
-                        assert factor_roots_in_01(s) == count_roots_in_01(coeffs), (
+                        coeffs = [1.0]
+                        for k in range(m):
+                            coeffs.append(coeffs[-1] * (k - m - s.lambda1) / (s.lambda0 + 1 + k))
+                        bernstein = HeunPolynomial(tuple(coeffs), m, False)
+                        assert factor_roots_in_01(s) == bernstein.roots_in_01, (
                             z_t, mu_o, m, s.kind)
                         kinds.add(s.kind)
         assert len(kinds) == 7   # a, b, a', b', c, d', d
