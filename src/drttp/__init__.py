@@ -29,22 +29,14 @@ from .errors import (
     GaugeError,
     PairRejectedError,
     PoleError,
-    TransferAmbiguityError,
 )
 from .params import RayIdentifiers, TangentPoly
 from .spectral import (
     AehSolution,
-    CubicSpec,
-    CubicVariable,
     Kind,
-    TransferDirection,
-    asymptotic_tau,
     basic_solutions,
     bound_state_count,
-    cubic_coeffs,
-    expdiff_transfer,
     nodeless_census,
-    real_cubic_roots,
     spectrum,
     wl_solve,
 )
@@ -75,13 +67,11 @@ _LAZY = {
         "HeunPolynomial",
         "PartnerSpec",
         "StructureConstants",
-        "b2_factor_check",
         "basic_ff_eval",
         "double_partner_spec",
         "double_step_ff_eval",
         "heun_operator",
         "heun_poly_construct",
-        "lambe_ward_eval",
         "nodeless_predicate",
         "outer_root_ztt",
         "partner_correction_z",

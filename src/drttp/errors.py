@@ -17,14 +17,6 @@ class DegenerateLimitError(DomainError):
     """The tangent polynomial degenerates (Rosen-Morse limit, c0 == 1)."""
 
 
-class TransferAmbiguityError(DrttpError):
-    """Exponent-difference transfer hit the a/d-hyperbola pole.
-
-    There the transferred root is ambiguous; the companion characteristic
-    cubic still determines it.
-    """
-
-
 class ClassificationError(DrttpError):
     """A solution's sign pattern is inconsistent with the solver state."""
 

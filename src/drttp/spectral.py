@@ -1,15 +1,23 @@
-"""Characteristic cubics, the discrete spectrum and the basic solutions.
+"""The discrete spectrum, the basic solutions and the levelled limit.
 
-Energies of the polynomial-times-exponents solutions are fixed by the real
-zeros of a characteristic cubic in either signed exponent difference: the
-one at z = 1 (``lambda1``, energy epsilon = -lambda1**2) or the one at
-z = 0 (``lambda0``).  The two cubics carry the same information; roots
-transfer between them through a rational relation that is regular except on
-the a/d double-root hyperbola.  verify's ``cubic.*`` checks test them.
+Each solution is z**((lambda0 + 1)/2) (1 - z)**((lambda1 + 1)/2) times a
+degree-m polynomial (:class:`AehSolution`).  Its signed exponent
+differences at z = 0, z = 1 and infinity obey the defining quadratics
+lambda0**2 = lambda_o**2 + c0 lambda1**2 and mu**2 = mu_o**2 + a2 lambda1**2
+and the radical equation mu = lambda0 + lambda1 + 2m + 1; its energy is
+epsilon = -lambda1**2.  The module computes:
 
-The levels and the three m = 0 basic solutions do not go through a cubic:
-each is the one root of mu = lambda0 + lambda1 + 2m + 1 with the sign
-pattern of (mu, lambda0, lambda1) that names its kind (:func:`_radical_roots`).
+* the levels (:func:`spectrum`) and the three m = 0 basic solutions
+  (:func:`basic_solutions`), each the one root of the radical equation
+  with the sign pattern of (mu, lambda0, lambda1) that names its kind
+  (:func:`_radical_roots`);
+* the asymptotically levelled limit lambda_o = 0 in closed form
+  (:func:`wl_solve`);
+* the number of bound levels and the below-ground census
+  (:func:`bound_state_count`, :func:`nodeless_census`).
+
+The paper's characteristic cubics and large-m slopes take no part in
+these; verify's ``cubic.*`` and ``tau.*`` checks hold them.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from .errors import (
     ConvergenceError,
     DegenerateLimitError,
     DomainError,
-    TransferAmbiguityError,
 )
 from .params import RayIdentifiers, TangentPoly, _two_sum
 
@@ -53,16 +60,6 @@ class Kind(Enum):
     B_PRIME = "b'"
     D_PRIME = "d'"
     D_DOUBLE_PRIME = "d''"
-
-
-class CubicVariable(Enum):
-    LAMBDA1 = "lambda1_cubic"
-    LAMBDA0 = "lambda0_cubic"
-
-
-class TransferDirection(Enum):
-    LAMBDA1_TO_LAMBDA0 = "lambda1_to_lambda0"
-    LAMBDA0_TO_LAMBDA1 = "lambda0_to_lambda1"
 
 
 @dataclass(frozen=True, init=False)
@@ -117,128 +114,9 @@ def make_solution(kind: Kind, m: int, lambda0: float, lambda1: float,
     return AehSolution(kind, m, lambda0, lambda1, merged_tail=merged_tail)
 
 
-@dataclass(frozen=True)
-class CubicSpec:
-    """Characteristic cubic: coeffs[k] multiplies lambda**k (ascending)."""
-
-    variable: CubicVariable
-    coeffs: tuple[float, float, float, float]
-    discriminant: float
-
-    def __call__(self, lam):
-        c0, c1, c2, c3 = self.coeffs
-        return ((c3 * lam + c2) * lam + c1) * lam + c0
-
-    def derivative(self, lam):
-        c0, c1, c2, c3 = self.coeffs
-        return (3.0 * c3 * lam + 2.0 * c2) * lam + c1
-
-
 def _check_not_degenerate(tp: TangentPoly):
     if abs(tp.sqrt_c0 - 1.0) < _DEGENERATE_C0_TOL:
         raise DegenerateLimitError("degenerate (Rosen-Morse) limit: c0 == 1")
-
-
-def cubic_coeffs(m: int, ri: RayIdentifiers, tp: TangentPoly,
-                 variable: CubicVariable = CubicVariable.LAMBDA1) -> CubicSpec:
-    """Coefficients of the characteristic cubic for one exponent difference.
-
-    The lambda1 cubic determines the energy directly; the lambda0 cubic is
-    its companion with the same root information.
-    """
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    _check_not_degenerate(tp)
-    s = tp.sqrt_c0
-    u = 2.0 * m + 1.0
-    L = ri.lambda_o**2
-    M = ri.mu_o**2
-    if variable is CubicVariable.LAMBDA1:
-        c3 = 8.0 * s * (1.0 - s) * u
-        c2 = -4.0 * (s * (M - L - u * u) + L + (s * s - 1.0) * u * u)
-        c1 = -4.0 * u * (M + L - u * u)
-        c0 = (M - (ri.lambda_o - u) ** 2) * (M - (ri.lambda_o + u) ** 2)
-    else:
-        c3 = 8.0 * u * (s - 1.0)
-        c2 = 4.0 * ((s * s + s - 1.0) * u * u + (s - 1.0) * L - s * M)
-        c1 = -4.0 * u * (s * s * (M - u * u) - (s * s - 2.0 * s + 2.0) * L)
-        c0 = (s * (M - u * u) + (2.0 - s) * L) ** 2 + 4.0 * L * u * u
-    coeffs = (float(c0), float(c1), float(c2), float(c3))
-    delta0 = c2 * c2 - 3.0 * c3 * c1
-    delta1 = 2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0
-    big = 4.0 * delta0**3 - delta1**2  # = 27 a^2 * (standard discriminant)
-    disc = big / (27.0 * c3 * c3)
-    return CubicSpec(variable, coeffs, disc)
-
-
-def real_cubic_roots(spec: CubicSpec) -> list[float]:
-    """Real roots of the characteristic cubic, ascending, with multiplicity.
-
-    Three real roots (a discriminant >= 0) come from the trigonometric form
-    -(b + 2 sqrt(delta0) cos((theta - 2 pi k)/3))/(3a), k = 0, 1, 2, which
-    also covers double and triple roots; a negative discriminant yields the
-    single real root by the real Cardano branch.  Each root is polished
-    with two Newton steps.
-    """
-    c0, c1, c2, c3 = spec.coeffs
-    a, b, c, d = c3, c2, c1, c0
-    if a == 0.0:
-        raise DomainError("leading coefficient vanished; cubic expected")
-    delta0 = b * b - 3.0 * a * c
-    delta1 = 2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d
-    big = 4.0 * delta0**3 - delta1**2
-
-    if big >= 0.0:
-        if delta0 <= 0.0:
-            roots = [-b / (3.0 * a)] * 3
-        else:
-            arg = delta1 / (2.0 * delta0**1.5)
-            theta = math.acos(min(1.0, max(-1.0, arg)))
-            roots = [
-                -(b + 2.0 * math.sqrt(delta0) * math.cos((theta - 2.0 * math.pi * k) / 3.0))
-                / (3.0 * a)
-                for k in range(3)
-            ]
-    else:
-        # one real root
-        sq = math.sqrt(-big)
-        t = 0.5 * (delta1 + sq) if delta1 >= 0.0 else 0.5 * (delta1 - sq)
-        Cr = math.copysign(abs(t) ** (1.0 / 3.0), t)
-        roots = [-(b + Cr + delta0 / Cr) / (3.0 * a)] if Cr != 0.0 else [-b / (3.0 * a)]
-
-    polished = []
-    for r in roots:
-        for _ in range(2):
-            dp = spec.derivative(r)
-            if dp == 0.0:
-                break
-            r -= spec(r) / dp
-        polished.append(float(r))
-    return sorted(polished)
-
-
-def expdiff_transfer(known: float, m: int, ri: RayIdentifiers, tp: TangentPoly,
-                     direction: TransferDirection) -> float:
-    """Transfer one signed exponent difference to its companion.
-
-    Raises
-    ------
-    TransferAmbiguityError
-        When the denominator ``known + 2m + 1`` vanishes (the a/d-hyperbola
-        double point); the caller must use the companion cubic instead.
-    """
-    s = tp.sqrt_c0
-    u = 2.0 * m + 1.0
-    den = known + u
-    if abs(den) <= 1e-9 * max(1.0, abs(known), u):
-        raise TransferAmbiguityError(
-            "a/d-hyperbola ambiguity: |lambda + 2m + 1| ~ 0"
-        )
-    if direction is TransferDirection.LAMBDA1_TO_LAMBDA0:
-        num = ri.mu_o**2 - ri.lambda_o**2 + (1.0 - 2.0 * s) * known**2 - den**2
-    else:
-        num = ri.mu_o**2 - den**2 + (1.0 - 2.0 / s) * (known**2 - ri.lambda_o**2)
-    return num / (2.0 * den)
 
 
 def bound_state_count(mu_o: float, lambda_o: float = 0.0) -> int:
@@ -354,52 +232,6 @@ def nodeless_census(ri: RayIdentifiers, tp: TangentPoly) -> NodelessCensus:
         constraint_ok = ri.lambda_o < mo + 2.0 * math.floor(m_plus) + 1.0
     count = max(count, -1)
     return NodelessCensus(m_plus, m_minus, count, constraint_ok, slope, hyper)
-
-
-@dataclass(frozen=True)
-class AsymptoticSlopes:
-    """Large-m slopes tau of lambda ~ (m + 1/2) tau, by sequence."""
-
-    tau1_linear: float      # a'/b' supplementary tail
-    tau1_d: float           # primary d tail
-    tau1_d_tail: float      # relabeled d'' tail
-    tau0_linear: float
-    tau0_d: float
-    tau0_d_tail: float
-
-    def cubic_residual(self, tau: float, tp: TangentPoly) -> float:
-        s = tp.sqrt_c0
-        return (
-            8.0 * s * (1.0 - s) * tau**3
-            + 4.0 * (1.0 + s - s * s) * tau**2
-            + 4.0 * tau
-            + 1.0
-        )
-
-    @staticmethod
-    def tau0_fraction(t1: float, tp: TangentPoly) -> float:
-        """Companion-slope fraction; pole at t1 = -1 is removable."""
-        s = tp.sqrt_c0
-        return (-2.0 * s * t1 * t1 - 2.0 * t1 - 1.0) / (2.0 * (t1 + 1.0))
-
-
-def asymptotic_tau(tp: TangentPoly) -> AsymptoticSlopes:
-    """Closed-form large-m slopes; all are roots of the slope cubic.
-
-    The companion tau0 values use the exact pair relations (-/+ sqrt(c0)
-    times tau1); the rational fraction form is exposed separately for
-    cross-checking away from its removable pole.
-    """
-    _check_not_degenerate(tp)
-    s = tp.sqrt_c0
-    t_lin = 1.0 / (2.0 * (s - 1.0))
-    if tp.c0 > 1.0:
-        t_d, t_tail = -1.0 / (2.0 * s), -0.5
-    else:
-        t_d, t_tail = -0.5, -1.0 / (2.0 * s)
-    return AsymptoticSlopes(
-        t_lin, t_d, t_tail, -s * t_lin, s * t_d, s * t_tail
-    )
 
 
 _LEVEL_MAX_ITER = 100

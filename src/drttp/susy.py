@@ -36,13 +36,10 @@ from .spectral import (
     basic_solutions,
     wl_gm,
     wl_quadratic_roots,
-    wl_solve,
 )
 
 # relative spread of d across the basic kinds that structure_constants admits
 _STRUCTURE_TOL = 1e-8
-# seeded points of [-1.5, 2.5] at which b2_factor_check samples the factorization
-_B2_SAMPLES = 20
 # twice the unit roundoff; halvings after which a Heun root count gives up
 _EPS, _MAX_DEPTH = 2.0**-52, 52
 # relative size below which a Heun polynomial's degree counts as degenerate
@@ -64,10 +61,6 @@ class StructureConstants:
 
     o00: float
     d: float
-
-    @staticmethod
-    def c00(lambda0: float, lambda1: float) -> float:
-        return 0.5 * (lambda0 + 1.0) * (lambda1 + 1.0)
 
 
 def structure_constants(ri: RayIdentifiers, tp: TangentPoly) -> StructureConstants:
@@ -488,17 +481,6 @@ def heun_poly_residual(op: HeunOperator, poly: HeunPolynomial, z: float) -> floa
     return op.residual(*poly.jet(z), z)
 
 
-def lambe_ward_eval(z, t0: AehSolution, t_prime: AehSolution,
-                    sigma: tuple[int, int, int], tp: TangentPoly):
-    """Quasi-algebraic solution of the partner Heun equation in an
-    alternate gauge: flipped exponent prefactors times the polynomial."""
-    poly = heun_poly_construct(t0, t_prime, tp)
-    z = np.asarray(z, dtype=float)
-    e0, e1 = lambe_ward_exponents(t_prime, sigma)
-    out = z**e0 * (1.0 - z) ** e1 * poly(z)
-    return out if out.ndim else float(out)
-
-
 def lambe_ward_exponents(t_prime: AehSolution,
                          sigma: tuple[int, int, int]) -> tuple[float, float]:
     s0, s1, _ = sigma
@@ -508,58 +490,9 @@ def lambe_ward_exponents(t_prime: AehSolution,
     )
 
 
-def suzko_reciprocal_eval(z, t: AehSolution, t_prime: AehSolution,
-                          tp: TangentPoly):
-    """Reciprocal 2z(1-z) / ((z - z_T) phi) of the first-order solution."""
-    z = np.asarray(z, dtype=float)
-    phi = double_step_ff_eval(z, t, t_prime, tp)
-    out = 2.0 * z * (1.0 - z) / ((z - tp.z_T) * phi)
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
-# appendix identities and nodelessness predicates
+# nodelessness predicates
 # ---------------------------------------------------------------------------
-
-def b2_poly_eval(z, sol: AehSolution, tp: TangentPoly):
-    """Quadratic [rho0 (z-1) + rho1 z](z - z_T) - z(z-1) built from one
-    basic solution's exponents."""
-    rho0 = 0.5 * (sol.lambda0 + 1.0)
-    rho1 = 0.5 * (sol.lambda1 + 1.0)
-    z = np.asarray(z, dtype=float)
-    out = (rho0 * (z - 1.0) + rho1 * z) * (z - tp.z_T) - z * (z - 1.0)
-    return out if out.ndim else float(out)
-
-
-def b2_factor_check(t_kind: Kind, tprime_kind: Kind, tdprime_kind: Kind,
-                    ri: RayIdentifiers, tp: TangentPoly, seed: int = 0) -> dict:
-    """Factorization identity of the basic-solution quadratic.
-
-    Returns the max absolute difference between the quadratic built from
-    the t-basic exponents and (mu_t0 - 1)/2 (z - z_tt')(z - z_tt''), the
-    zero-condition value at z_tt', and the exponent/mu consistency
-    residual.
-    """
-    basics = basic_solutions(ri, tp)
-    for k in (t_kind, tprime_kind, tdprime_kind):
-        if k not in basics:
-            raise AvailabilityError(f"basic solution of kind {k.value} not available")
-    t, t1, t2 = basics[t_kind], basics[tprime_kind], basics[tdprime_kind]
-    z_a = outer_root_ztt(t, t1)
-    z_b = outer_root_ztt(t, t2)
-    rng = np.random.RandomState(seed)
-    zs = rng.uniform(-1.5, 2.5, _B2_SAMPLES)
-    lhs = b2_poly_eval(zs, t, tp)
-    rhs = 0.5 * (t.mu - 1.0) * (zs - z_a) * (zs - z_b)
-    factor_residual = float(np.max(np.abs(lhs - rhs)))
-    zero_residual = abs(float(b2_poly_eval(z_a, t1, tp)))
-    mu_sq = tp.z_T**2 * (t1.mu**2 - t.mu**2) - (t1.lambda0**2 - t.lambda0**2)
-    return {
-        "factor_residual": factor_residual,
-        "zero_residual": zero_residual,
-        "mu_lambda_residual": abs(mu_sq),
-    }
-
 
 def _partner_ground_lambda1(kind: Kind, mu_o: float, tp: TangentPoly) -> float:
     """|lambda1| of the ground level of the kind-FF partner potential."""
@@ -601,12 +534,3 @@ def nodeless_predicate(kind: Kind, m: int, mu_o: float, tp: TangentPoly,
     s = tp.sqrt_c0
     lam1_seed = abs(wl_gm(m, mu_o)) / (2.0 * abs(s - 1.0) * u)
     return lam1_seed > _partner_ground_lambda1(kind, mu_o, tp)
-
-
-def wl_seed_solution(m: int, mu_o: float, tp: TangentPoly) -> AehSolution:
-    """Regular levelled-limit seed of the linear branch at degree m."""
-    sols = wl_solve(m, mu_o, tp)
-    for sol in sols:
-        if sol.kind in (Kind.A, Kind.B, Kind.A_PRIME, Kind.B_PRIME):
-            return sol
-    raise AvailabilityError("no linear-branch seed at this degree")

@@ -10,14 +10,14 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, errors, oracle, spectral, susy, wavefunction
 from .core import RayIdentifiers, TangentPoly
-from .errors import AvailabilityError, PairRejectedError, TransferAmbiguityError
-from .spectral import CubicVariable, Kind, TransferDirection
+from .errors import AvailabilityError, PairRejectedError
+from .spectral import Kind
 
 # the acceptance grid: every (lambda_o, mu_o, z_T) of these values
 GRID_POINTS = list(itertools.product((0.0, 0.5, 1.0, 2.0), (3.0, 5.0, 7.3), (2.0, -1.0)))
@@ -167,13 +167,108 @@ def check_gauge() -> list[CheckResult]:
 # cubics
 # ---------------------------------------------------------------------------
 
+def _cubic_coeffs(m: int, ri: RayIdentifiers, tp: TangentPoly,
+                  lambda0: bool = False) -> tuple[float, float, float, float]:
+    """Ascending coefficients of the paper's characteristic cubic in lambda1
+    at degree m, or with ``lambda0`` of its companion in lambda0, which
+    carries the same roots."""
+    spectral._check_not_degenerate(tp)
+    s = tp.sqrt_c0
+    u = 2.0 * m + 1.0
+    L = ri.lambda_o**2
+    M = ri.mu_o**2
+    if not lambda0:
+        c3 = 8.0 * s * (1.0 - s) * u
+        c2 = -4.0 * (s * (M - L - u * u) + L + (s * s - 1.0) * u * u)
+        c1 = -4.0 * u * (M + L - u * u)
+        c0 = (M - (ri.lambda_o - u) ** 2) * (M - (ri.lambda_o + u) ** 2)
+    else:
+        c3 = 8.0 * u * (s - 1.0)
+        c2 = 4.0 * ((s * s + s - 1.0) * u * u + (s - 1.0) * L - s * M)
+        c1 = -4.0 * u * (s * s * (M - u * u) - (s * s - 2.0 * s + 2.0) * L)
+        c0 = (s * (M - u * u) + (2.0 - s) * L) ** 2 + 4.0 * L * u * u
+    return (float(c0), float(c1), float(c2), float(c3))
+
+
+def _cubic_eval(coeffs, lam: float) -> float:
+    c0, c1, c2, c3 = coeffs
+    return ((c3 * lam + c2) * lam + c1) * lam + c0
+
+
+def _cubic_discriminant(coeffs) -> tuple[float, float, float]:
+    """(delta0, delta1, 4 delta0**3 - delta1**2) of a cubic; the last is
+    27 a**2 times its discriminant, a the leading coefficient."""
+    d, c, b, a = coeffs
+    delta0 = b * b - 3.0 * a * c
+    delta1 = 2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d
+    return delta0, delta1, 4.0 * delta0**3 - delta1**2
+
+
+def _real_cubic_roots(coeffs) -> list[float]:
+    """Real roots of a cubic, ascending, with multiplicity.
+
+    Three real roots (a discriminant >= 0) come from the trigonometric form
+    -(b + 2 sqrt(delta0) cos((theta - 2 pi k)/3))/(3a), k = 0, 1, 2, which
+    also covers double and triple roots; a negative discriminant yields the
+    single real root by the real Cardano branch.  Each root is polished
+    with two Newton steps.
+    """
+    d, c, b, a = coeffs
+    delta0, delta1, big = _cubic_discriminant(coeffs)
+    if big >= 0.0:
+        if delta0 <= 0.0:
+            roots = [-b / (3.0 * a)] * 3
+        else:
+            arg = delta1 / (2.0 * delta0**1.5)
+            theta = math.acos(min(1.0, max(-1.0, arg)))
+            roots = [
+                -(b + 2.0 * math.sqrt(delta0) * math.cos((theta - 2.0 * math.pi * k) / 3.0))
+                / (3.0 * a)
+                for k in range(3)
+            ]
+    else:
+        sq = math.sqrt(-big)
+        t = 0.5 * (delta1 + sq) if delta1 >= 0.0 else 0.5 * (delta1 - sq)
+        Cr = math.copysign(abs(t) ** (1.0 / 3.0), t)
+        roots = [-(b + Cr + delta0 / Cr) / (3.0 * a)] if Cr != 0.0 else [-b / (3.0 * a)]
+
+    polished = []
+    for r in roots:
+        for _ in range(2):
+            dp = (3.0 * a * r + 2.0 * b) * r + c
+            if dp == 0.0:
+                break
+            r -= _cubic_eval(coeffs, r) / dp
+        polished.append(float(r))
+    return sorted(polished)
+
+
+def _transfer(known: float, m: int, ri: RayIdentifiers, tp: TangentPoly,
+              lambda0: bool = False) -> float | None:
+    """The companion of one signed exponent difference: lambda0 from
+    lambda1, or with ``lambda0`` lambda1 from lambda0.  None where the
+    denominator known + 2m + 1 vanishes, the a/d-hyperbola double point,
+    where only the companion cubic determines the root."""
+    s = tp.sqrt_c0
+    u = 2.0 * m + 1.0
+    den = known + u
+    if abs(den) <= 1e-9 * max(1.0, abs(known), u):
+        return None
+    if lambda0:
+        num = ri.mu_o**2 - den**2 + (1.0 - 2.0 / s) * (known**2 - ri.lambda_o**2)
+    else:
+        num = ri.mu_o**2 - ri.lambda_o**2 + (1.0 - 2.0 * s) * known**2 - den**2
+    return num / (2.0 * den)
+
+
 def _quartic_residual(lam: float, m: int, ri: RayIdentifiers, tp: TangentPoly,
-                      variable: CubicVariable) -> float:
-    """Relative residual of the defining squared-difference quartic."""
+                      lambda0: bool = False) -> float:
+    """Relative residual of the defining squared-difference quartic in
+    lambda1, or with ``lambda0`` in lambda0."""
     s = tp.sqrt_c0
     u = 2.0 * m + 1.0
     L, M = ri.lambda_o**2, ri.mu_o**2
-    if variable is CubicVariable.LAMBDA0:
+    if lambda0:
         t1 = tp.c0 * (M - (lam + u) ** 2 + (1 - 2 / s) * (lam**2 - L)) ** 2
         t2 = 4.0 * (lam**2 - L) * (lam + u) ** 2
     else:
@@ -193,39 +288,24 @@ def check_cubic(n_draws: int = 1000, fault: str | None = None) -> list[CheckResu
         z_t = float(rng.choice([rng.uniform(-3, -0.2), rng.uniform(1.2, 4.0)]))
         tp = TangentPoly(z_t)
         m = int(rng.randint(0, 4))
-        s1 = spectral.cubic_coeffs(m, ri, tp, CubicVariable.LAMBDA1)
+        s1 = _cubic_coeffs(m, ri, tp)
         if fault == "cubic":
-            scale = max(abs(v) for v in s1.coeffs)
-            s1 = replace(s1, coeffs=(s1.coeffs[0] + 1e-3 * scale,) + s1.coeffs[1:])
-        s0 = spectral.cubic_coeffs(m, ri, tp, CubicVariable.LAMBDA0)
-        if np.sign(s1.discriminant) != np.sign(s0.discriminant):
+            scale = max(abs(v) for v in s1)
+            s1 = (s1[0] + 1e-3 * scale,) + s1[1:]
+        s0 = _cubic_coeffs(m, ri, tp, lambda0=True)
+        if np.sign(_cubic_discriminant(s1)[2]) != np.sign(_cubic_discriminant(s0)[2]):
             sign_bad += 1
-        if s0.coeffs[0] < 0.0:
+        if s0[0] < 0.0:
             freeterm_bad += 1
-        for r in spectral.real_cubic_roots(s1):
-            quartic_worst = max(
-                quartic_worst, _quartic_residual(r, m, ri, tp, CubicVariable.LAMBDA1)
-            )
-            try:
-                l0 = spectral.expdiff_transfer(
-                    r, m, ri, tp, TransferDirection.LAMBDA1_TO_LAMBDA0
-                )
-            except TransferAmbiguityError:
-                continue
-            scale = max(abs(v) for v in s0.coeffs) * max(1.0, abs(l0)) ** 3
-            cross_worst = max(cross_worst, abs(s0(l0)) / scale)
-        for r in spectral.real_cubic_roots(s0):
-            quartic_worst = max(
-                quartic_worst, _quartic_residual(r, m, ri, tp, CubicVariable.LAMBDA0)
-            )
-            try:
-                l1 = spectral.expdiff_transfer(
-                    r, m, ri, tp, TransferDirection.LAMBDA0_TO_LAMBDA1
-                )
-            except TransferAmbiguityError:
-                continue
-            scale = max(abs(v) for v in s1.coeffs) * max(1.0, abs(l1)) ** 3
-            cross_worst = max(cross_worst, abs(s1(l1)) / scale)
+        # each root of one cubic, transferred, is a root of the other
+        for coeffs, other, lambda0 in ((s1, s0, False), (s0, s1, True)):
+            for r in _real_cubic_roots(coeffs):
+                quartic_worst = max(quartic_worst, _quartic_residual(r, m, ri, tp, lambda0))
+                lam = _transfer(r, m, ri, tp, lambda0)
+                if lam is None:
+                    continue
+                scale = max(abs(v) for v in other) * max(1.0, abs(lam)) ** 3
+                cross_worst = max(cross_worst, abs(_cubic_eval(other, lam)) / scale)
     # spectrum() and basic_solutions() solve the radical equation; each level
     # and basic solution must still be a root of the paper's lambda1 cubic,
     # by residual over the sum of its terms
@@ -237,9 +317,9 @@ def check_cubic(n_draws: int = 1000, fault: str | None = None) -> list[CheckResu
         basics = list(spectral.basic_solutions(ri, tp).values()) if sols else []
         n_levels, n_basic = n_levels + len(sols), n_basic + len(basics)
         for sol in sols + basics:
-            s1 = spectral.cubic_coeffs(sol.m, ri, tp, CubicVariable.LAMBDA1)
-            terms = sum(abs(c) * abs(sol.lambda1) ** k for k, c in enumerate(s1.coeffs))
-            level_worst = max(level_worst, abs(s1(sol.lambda1)) / terms)
+            s1 = _cubic_coeffs(sol.m, ri, tp)
+            terms = sum(abs(c) * abs(sol.lambda1) ** k for k, c in enumerate(s1))
+            level_worst = max(level_worst, abs(_cubic_eval(s1, sol.lambda1)) / terms)
     return [
         _result("cubic.cross-consistency", 1e-8, cross_worst,
                 f"{n_draws} draws"),
@@ -267,12 +347,8 @@ def check_separatrix() -> list[CheckResult]:
         if u - lam_o > 0:
             configs.append(RayIdentifiers(lam_o, u - lam_o))
         for ri in configs:
-            spec = spectral.cubic_coeffs(m, ri, tp, CubicVariable.LAMBDA1)
-            roots = spectral.real_cubic_roots(spec)
-            zero_root = min(roots, key=abs)
-            lam0 = spectral.expdiff_transfer(
-                zero_root, m, ri, tp, TransferDirection.LAMBDA1_TO_LAMBDA0
-            )
+            zero_root = min(_real_cubic_roots(_cubic_coeffs(m, ri, tp)), key=abs)
+            lam0 = _transfer(zero_root, m, ri, tp)
             worst = max(worst, abs(zero_root), abs(abs(lam0) - lam_o))
     return [_result("cubic.zfe-separatrix", 1e-9, worst)]
 
@@ -600,9 +676,10 @@ def check_susy_algebra() -> list[CheckResult]:
                         worst_wronsk,
                         abs(wronsk / (sqrt_w * phi_t) - closed) / max(1.0, abs(closed)),
                     )
-                # reciprocal of the first-order solution
+                # reciprocal 2 z (1 - z)/((z - z_T) phi) of the first-order solution
                 for z0 in (0.3, 0.66):
-                    rec = susy.suzko_reciprocal_eval(z0, t, tq, tp)
+                    phi = susy.double_step_ff_eval(z0, t, tq, tp)
+                    rec = 2.0 * z0 * (1.0 - z0) / ((z0 - tp.z_T) * phi)
                     want = (
                         2.0 / (tq.mu - t.mu)
                         * math.sqrt(z0 * (1.0 - z0))
@@ -740,6 +817,36 @@ def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
 # appendices
 # ---------------------------------------------------------------------------
 
+# seeded points of [-1.5, 2.5] at which _b2_factor_check samples the factorization
+_B2_SAMPLES = 20
+
+
+def _b2_poly(z, sol: spectral.AehSolution, tp: TangentPoly):
+    """Quadratic [rho0 (z-1) + rho1 z](z - z_T) - z(z-1) built from one
+    basic solution's exponents."""
+    rho0 = 0.5 * (sol.lambda0 + 1.0)
+    rho1 = 0.5 * (sol.lambda1 + 1.0)
+    return (rho0 * (z - 1.0) + rho1 * z) * (z - tp.z_T) - z * (z - 1.0)
+
+
+def _b2_factor_check(t_kind: Kind, tprime_kind: Kind, tdprime_kind: Kind,
+                     ri: RayIdentifiers, tp: TangentPoly, seed: int = 0
+                     ) -> tuple[float, float, float]:
+    """Factorization identity of the basic-solution quadratic: the max
+    absolute difference between the quadratic built from the t-basic
+    exponents and (mu_t0 - 1)/2 (z - z_tt')(z - z_tt''), the zero-condition
+    value at z_tt', and the exponent/mu consistency residual."""
+    basics = spectral.basic_solutions(ri, tp)
+    t, t1, t2 = basics[t_kind], basics[tprime_kind], basics[tdprime_kind]
+    z_a = susy.outer_root_ztt(t, t1)
+    z_b = susy.outer_root_ztt(t, t2)
+    zs = np.random.RandomState(seed).uniform(-1.5, 2.5, _B2_SAMPLES)
+    rhs = 0.5 * (t.mu - 1.0) * (zs - z_a) * (zs - z_b)
+    mu_sq = tp.z_T**2 * (t1.mu**2 - t.mu**2) - (t1.lambda0**2 - t.lambda0**2)
+    return (float(np.max(np.abs(_b2_poly(zs, t, tp) - rhs))),
+            abs(float(_b2_poly(z_a, t1, tp))), abs(mu_sq))
+
+
 def check_appendix_a(n_draws: int = 100) -> list[CheckResult]:
     rng = np.random.RandomState(5)
     factor_worst = 0.0
@@ -758,12 +865,10 @@ def check_appendix_a(n_draws: int = 100) -> list[CheckResult]:
         mus = sorted(s.mu for s in basics.values())
         if min(b - a for a, b in zip(mus, mus[1:])) < 0.1:
             continue
-        kinds = list(basics)
-        res = susy.b2_factor_check(kinds[0], kinds[1], kinds[2], ri, tp,
-                                   seed=done)
-        factor_worst = max(factor_worst, res["factor_residual"])
-        zero_worst = max(zero_worst, res["zero_residual"])
-        mulam_worst = max(mulam_worst, res["mu_lambda_residual"])
+        factor, zero, mulam = _b2_factor_check(*basics, ri, tp, seed=done)
+        factor_worst = max(factor_worst, factor)
+        zero_worst = max(zero_worst, zero)
+        mulam_worst = max(mulam_worst, mulam)
         done += 1
     return [
         _result("appendix-a.factorization", 1e-10, factor_worst,
@@ -787,10 +892,7 @@ def check_appendix_b() -> list[CheckResult]:
             for m in range(30):
                 u = 2 * m + 1
                 branch = "primary" if mu_o > u else "secondary"
-                try:
-                    seed = susy.wl_seed_solution(m, mu_o, tp)
-                except AvailabilityError:
-                    continue
+                seed = spectral.wl_solve(m, mu_o, tp)[0]  # the linear-branch solution
                 for kind in (reg_kind, Kind.C, Kind.D):
                     try:
                         pred = susy.nodeless_predicate(kind, m, mu_o, tp, branch)
@@ -826,18 +928,18 @@ def check_appendix_b() -> list[CheckResult]:
 # constants, slopes, census
 # ---------------------------------------------------------------------------
 
+def _c00(lambda0: float, lambda1: float) -> float:
+    """The constant (lambda0 + 1)(lambda1 + 1)/2 = 2 rho0 rho1."""
+    return 0.5 * (lambda0 + 1.0) * (lambda1 + 1.0)
+
+
 def check_constants() -> list[CheckResult]:
     out = []
     rng = np.random.RandomState(9)
-    worst = abs(susy.StructureConstants.c00(2.0, 3.0)
-                - susy.StructureConstants.c00(-2.0, -3.0) - 5.0)
+    worst = abs(_c00(2.0, 3.0) - _c00(-2.0, -3.0) - 5.0)
     for _ in range(200):
         l0, l1 = rng.uniform(-4, 4, 2)
-        worst = max(
-            worst,
-            abs(susy.StructureConstants.c00(l0, l1)
-                - susy.StructureConstants.c00(-l0, -l1) - (l0 + l1)),
-        )
+        worst = max(worst, abs(_c00(l0, l1) - _c00(-l0, -l1) - (l0 + l1)))
     out.append(_result("constants.c00-identity", 1e-14, worst))
 
     d_worst = 0.0
@@ -863,17 +965,23 @@ def check_tau() -> list[CheckResult]:
     for zt in (2.0, -1.0, -0.4, 3.3):
         tp = TangentPoly(zt)
         s = tp.sqrt_c0
-        slopes = spectral.asymptotic_tau(tp)
-        triples = (
-            (slopes.tau1_linear, slopes.tau0_linear, -1.0),
-            (slopes.tau1_d, slopes.tau0_d, 1.0),
-            (slopes.tau1_d_tail, slopes.tau0_d_tail, 1.0),
-        )
-        for t1, t0, sign in triples:
-            worst_root = max(worst_root, abs(slopes.cubic_residual(t1, tp)))
+        # large-m slopes lambda ~ (m + 1/2) tau of the a'/b' tail, the primary
+        # d tail and the relabeled d'' tail; tau0 = -/+ sqrt(c0) tau1
+        t_lin = 1.0 / (2.0 * (s - 1.0))
+        if tp.c0 > 1.0:
+            t_d, t_tail = -1.0 / (2.0 * s), -0.5
+        else:
+            t_d, t_tail = -0.5, -1.0 / (2.0 * s)
+        for t1, t0, sign in ((t_lin, -s * t_lin, -1.0), (t_d, s * t_d, 1.0),
+                             (t_tail, s * t_tail, 1.0)):
+            # each tau1 is a root of the slope cubic
+            cubic = (8.0 * s * (1.0 - s) * t1**3 + 4.0 * (1.0 + s - s * s) * t1**2
+                     + 4.0 * t1 + 1.0)
+            worst_root = max(worst_root, abs(cubic))
             worst_pair = max(worst_pair, abs(t0 - sign * s * t1))
+            # the companion-slope fraction, whose pole at t1 = -1 is removable
             if abs(t1 + 1.0) > 1e-6:
-                frac = slopes.tau0_fraction(t1, tp)
+                frac = (-2.0 * s * t1 * t1 - 2.0 * t1 - 1.0) / (2.0 * (t1 + 1.0))
                 worst_pair = max(worst_pair, abs(t0 - frac))
     out = [
         _result("tau.cubic-roots", 1e-12, worst_root),

@@ -20,21 +20,18 @@ SRC = os.path.dirname(os.path.dirname(drttp.__file__))
 EXPORTS = {
     "errors": ("AvailabilityError", "ClassificationError", "ConvergenceError",
                "DegenerateLimitError", "DomainError", "DrttpError", "GaugeError",
-               "PairRejectedError", "PoleError", "TransferAmbiguityError"),
+               "PairRejectedError", "PoleError"),
     "params": ("RayIdentifiers", "TangentPoly"),
-    "spectral": ("AehSolution", "CubicSpec", "CubicVariable", "Kind",
-                 "TransferDirection", "asymptotic_tau", "basic_solutions",
-                 "bound_state_count", "cubic_coeffs", "expdiff_transfer",
-                 "nodeless_census", "real_cubic_roots", "spectrum", "wl_solve"),
+    "spectral": ("AehSolution", "Kind", "basic_solutions", "bound_state_count",
+                 "nodeless_census", "spectrum", "wl_solve"),
     "core": ("dkv_inverse", "dkv_map", "dkv_potential_eval", "eta_hat_of_x",
              "map_x_to_z", "potential_eval_x", "potential_eval_z", "schwarzian_eta",
              "schwarzian_eval", "tangent_poly_eval", "x_of_z"),
     "oracle": ("NumericSpectrum", "compare_spectra", "solve_schrodinger",
                "spectral_symmetric_difference"),
     "susy": ("HeunOperator", "HeunPolynomial", "PartnerSpec", "StructureConstants",
-             "b2_factor_check", "basic_ff_eval", "double_partner_spec",
-             "double_step_ff_eval", "heun_operator", "heun_poly_construct",
-             "lambe_ward_eval", "nodeless_predicate", "outer_root_ztt",
+             "basic_ff_eval", "double_partner_spec", "double_step_ff_eval",
+             "heun_operator", "heun_poly_construct", "nodeless_predicate", "outer_root_ztt",
              "partner_correction_z", "partner_potential_x", "single_partner_spec",
              "structure_constants"),
     "wavefunction": ("aeh_eval", "count_nodes", "eigenfunction_eval_x", "factor_roots_in_01",

@@ -1,4 +1,5 @@
-"""Characteristic cubics, regions, levelled limit, spectra and basic solutions."""
+"""Levelled limit, spectra and basic solutions; the characteristic cubics,
+exponent transfer and large-m slopes that verify's checks hold."""
 
 import copy
 import dataclasses
@@ -10,28 +11,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from drttp import spectral
+from drttp import spectral, verify
 from drttp.core import RayIdentifiers, TangentPoly
-from drttp.errors import (
-    DegenerateLimitError,
-    DomainError,
-    TransferAmbiguityError,
-)
+from drttp.errors import DegenerateLimitError, DomainError
 from drttp.spectral import (
     AehSolution,
-    CubicVariable,
     Kind,
-    TransferDirection,
     basic_solutions,
     bound_state_count,
-    cubic_coeffs,
-    expdiff_transfer,
     make_solution,
     nodeless_census,
-    real_cubic_roots,
     spectrum,
     wl_solve,
 )
+from drttp.verify import _cubic_coeffs, _cubic_eval, _real_cubic_roots, _transfer
 
 TP2 = TangentPoly(2.0)
 WL5 = RayIdentifiers(0.0, 5.0)
@@ -39,15 +32,15 @@ WL5 = RayIdentifiers(0.0, 5.0)
 
 class TestCubicCoeffs:
     def test_lambda1_free_term_levelled(self):
-        spec = cubic_coeffs(0, WL5, TP2, CubicVariable.LAMBDA1)
-        assert spec.coeffs[0] == pytest.approx(576.0)
-        assert spec.coeffs[3] == pytest.approx(8 * 2 * (1 - 2) * 1)
+        coeffs = _cubic_coeffs(0, WL5, TP2)
+        assert coeffs[0] == pytest.approx(576.0)
+        assert coeffs[3] == pytest.approx(8 * 2 * (1 - 2) * 1)
 
     def test_lambda0_free_term_zero_point(self):
-        spec = cubic_coeffs(0, RayIdentifiers(0.0, 1.0), TP2, CubicVariable.LAMBDA0)
-        assert spec.coeffs[0] == pytest.approx(0.0, abs=1e-12)
-        spec2 = cubic_coeffs(1, RayIdentifiers(0.3, 3.0), TP2, CubicVariable.LAMBDA0)
-        assert spec2.coeffs[0] > 0.0
+        coeffs = _cubic_coeffs(0, RayIdentifiers(0.0, 1.0), TP2, lambda0=True)
+        assert coeffs[0] == pytest.approx(0.0, abs=1e-12)
+        coeffs2 = _cubic_coeffs(1, RayIdentifiers(0.3, 3.0), TP2, lambda0=True)
+        assert coeffs2[0] > 0.0
 
     def test_leading_coefficients(self):
         ri = RayIdentifiers(1.0, 7.0)
@@ -56,10 +49,10 @@ class TestCubicCoeffs:
             s = tp.sqrt_c0
             for m in (0, 2):
                 u = 2 * m + 1
-                c1 = cubic_coeffs(m, ri, tp, CubicVariable.LAMBDA1)
-                c0 = cubic_coeffs(m, ri, tp, CubicVariable.LAMBDA0)
-                assert c1.coeffs[3] == pytest.approx(8 * s * (1 - s) * u)
-                assert c0.coeffs[3] == pytest.approx(8 * (s - 1) * u)
+                c1 = _cubic_coeffs(m, ri, tp)
+                c0 = _cubic_coeffs(m, ri, tp, lambda0=True)
+                assert c1[3] == pytest.approx(8 * s * (1 - s) * u)
+                assert c0[3] == pytest.approx(8 * (s - 1) * u)
 
     def test_coeffs_against_quartic_fit(self):
         # all four coefficients recovered by fitting the defining quartic
@@ -78,24 +71,22 @@ class TestCubicCoeffs:
 
         xs = np.linspace(-2.5, 2.5, 5)
         fit = np.polyfit(xs, [reduction(x) for x in xs], 3)[::-1]
-        got = cubic_coeffs(m, ri, tp, CubicVariable.LAMBDA0).coeffs
+        got = _cubic_coeffs(m, ri, tp, lambda0=True)
         assert np.allclose(fit, got, rtol=1e-9, atol=1e-9)
 
     def test_degenerate_limit_rejected(self):
         with pytest.raises(DegenerateLimitError):
-            cubic_coeffs(0, WL5, TangentPoly(1e13), CubicVariable.LAMBDA1)
+            _cubic_coeffs(0, WL5, TangentPoly(1e13))
 
 
 class TestRoots:
     def test_factored_cubic(self):
-        spec = spectral.CubicSpec(
-            CubicVariable.LAMBDA1, (0.0, -1.0, 0.0, 1.0), 4.0
-        )
-        assert real_cubic_roots(spec) == pytest.approx([-1.0, 0.0, 1.0])
+        coeffs = (0.0, -1.0, 0.0, 1.0)
+        assert verify._cubic_discriminant(coeffs)[2] == 27.0 * 4.0
+        assert _real_cubic_roots(coeffs) == pytest.approx([-1.0, 0.0, 1.0])
 
     def test_levelled_root_set(self):
-        spec = cubic_coeffs(0, WL5, TP2, CubicVariable.LAMBDA1)
-        roots = real_cubic_roots(spec)
+        roots = _real_cubic_roots(_cubic_coeffs(0, WL5, TP2))
         want = sorted(
             [-12.0, (-6 + math.sqrt(804)) / 16, (-6 - math.sqrt(804)) / 16]
         )
@@ -103,17 +94,18 @@ class TestRoots:
 
     def test_single_real_root(self):
         # negative discriminant: lambda^3 + lambda + 1
-        spec = spectral.CubicSpec(CubicVariable.LAMBDA1, (1.0, 1.0, 0.0, 1.0),
-                                  -31.0 / 27.0)
-        roots = real_cubic_roots(spec)
+        coeffs = (1.0, 1.0, 0.0, 1.0)
+        # 27 a**2 times the discriminant -31
+        assert verify._cubic_discriminant(coeffs)[2] == -837.0
+        roots = _real_cubic_roots(coeffs)
         assert len(roots) == 1
-        assert spec(roots[0]) == pytest.approx(0.0, abs=1e-12)
+        assert _cubic_eval(coeffs, roots[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_double_root(self):
         # (lambda - 1)^2 (lambda + 2) has a double root
-        spec = spectral.CubicSpec(CubicVariable.LAMBDA1, (2.0, -3.0, 0.0, 1.0),
-                                  0.0)
-        roots = real_cubic_roots(spec)
+        coeffs = (2.0, -3.0, 0.0, 1.0)
+        assert verify._cubic_discriminant(coeffs)[2] == 0.0
+        roots = _real_cubic_roots(coeffs)
         assert len(roots) == 3
         assert sorted(roots) == pytest.approx([-2.0, 1.0, 1.0], abs=1e-7)
 
@@ -122,24 +114,20 @@ class TestRoots:
         for _ in range(200):
             ri = RayIdentifiers(rng.uniform(0, 2), rng.uniform(0.3, 8))
             tp = TangentPoly(float(rng.choice([-2.0, -0.7, 1.5, 3.0])))
-            spec = cubic_coeffs(int(rng.randint(0, 3)), ri, tp,
-                                CubicVariable.LAMBDA1)
-            scale = max(abs(c) for c in spec.coeffs)
-            for r in real_cubic_roots(spec):
-                assert abs(spec(r)) <= 1e-9 * scale * max(1.0, abs(r)) ** 3
+            coeffs = _cubic_coeffs(int(rng.randint(0, 3)), ri, tp)
+            scale = max(abs(c) for c in coeffs)
+            for r in _real_cubic_roots(coeffs):
+                assert abs(_cubic_eval(coeffs, r)) <= 1e-9 * scale * max(1.0, abs(r)) ** 3
 
 
 class TestTransfer:
     def test_levelled_example(self):
-        lam0 = expdiff_transfer(-12.0, 0, WL5, TP2,
-                                TransferDirection.LAMBDA1_TO_LAMBDA0)
+        lam0 = _transfer(-12.0, 0, WL5, TP2)
         assert lam0 == pytest.approx(24.0)
         assert lam0**2 == pytest.approx(0.0 + 4.0 * 144.0)
 
-    def test_pole_raises(self):
-        with pytest.raises(TransferAmbiguityError):
-            expdiff_transfer(-1.0, 0, WL5, TP2,
-                             TransferDirection.LAMBDA1_TO_LAMBDA0)
+    def test_pole_returns_none(self):
+        assert _transfer(-1.0, 0, WL5, TP2) is None
 
     def test_roundtrip(self):
         rng = np.random.RandomState(4)
@@ -148,14 +136,10 @@ class TestTransfer:
             ri = RayIdentifiers(rng.uniform(0, 2), rng.uniform(0.3, 8))
             tp = TangentPoly(float(rng.choice([-2.0, 1.5])))
             m = int(rng.randint(0, 3))
-            spec = cubic_coeffs(m, ri, tp, CubicVariable.LAMBDA1)
-            for r in real_cubic_roots(spec):
-                try:
-                    l0 = expdiff_transfer(r, m, ri, tp,
-                                          TransferDirection.LAMBDA1_TO_LAMBDA0)
-                    back = expdiff_transfer(l0, m, ri, tp,
-                                            TransferDirection.LAMBDA0_TO_LAMBDA1)
-                except TransferAmbiguityError:
+            for r in _real_cubic_roots(_cubic_coeffs(m, ri, tp)):
+                l0 = _transfer(r, m, ri, tp)
+                back = None if l0 is None else _transfer(l0, m, ri, tp, lambda0=True)
+                if back is None:
                     continue
                 assert back == pytest.approx(r, abs=1e-10 * max(1, abs(r)))
                 count += 1
@@ -230,11 +214,10 @@ class TestCensus:
 
 class TestTau:
     def test_closed_forms_c0_4(self):
-        slopes = spectral.asymptotic_tau(TP2)
-        assert slopes.tau1_linear == pytest.approx(0.5)
-        assert {slopes.tau1_d, slopes.tau1_d_tail} == {-0.25, -0.5}
-        for t in (slopes.tau1_linear, slopes.tau1_d, slopes.tau1_d_tail):
-            assert slopes.cubic_residual(t, TP2) == pytest.approx(0.0, abs=1e-12)
+        # check_tau forms the six slopes in closed form, at c0 = 4 (z_T = 2)
+        # among others: each tau1 a root of the slope cubic, each tau0 its pair
+        for r in verify.check_tau():
+            assert r.passed, r.line()
 
     def test_discriminant_limit(self):
         m = 10_000

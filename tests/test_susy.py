@@ -524,28 +524,18 @@ class TestHeun:
         for r in verify.check_heun(m_max=3):
             assert r.passed, r.line()
 
-    def test_lambe_ward_reduces_to_polynomial(self, basics):
-        t = basics[Kind.A]
-        seed = basics[Kind.C]   # both exponent differences positive
-        sigma = (1, 1, -1)
-        poly = susy.heun_poly_construct(t, seed, TP2)
-        for z in (0.3, 0.6):
-            assert susy.lambe_ward_eval(z, t, seed, sigma, TP2) == pytest.approx(
-                poly(z)
-            )
-
 
 class TestAppendixIdentities:
     def test_b2_factorization(self, basics):
-        res = susy.b2_factor_check(Kind.C, Kind.A, Kind.D, WL5, TP2)
-        assert res["factor_residual"] < 1e-10
-        assert res["zero_residual"] < 1e-12
-        assert res["mu_lambda_residual"] < 1e-10
+        factor, zero, mu_lambda = verify._b2_factor_check(Kind.C, Kind.A, Kind.D, WL5, TP2)
+        assert factor < 1e-10
+        assert zero < 1e-12
+        assert mu_lambda < 1e-10
 
     def test_missing_kind(self):
         ri = RayIdentifiers(3.0, 1.0)   # no discrete spectrum here
         with pytest.raises(AvailabilityError):
-            susy.b2_factor_check(Kind.C, Kind.A, Kind.D, ri, TP2)
+            verify._b2_factor_check(Kind.C, Kind.A, Kind.D, ri, TP2)
 
 
 class TestNodelessPredicate:
@@ -592,9 +582,7 @@ class TestStructureConstants:
         sc = susy.structure_constants(WL5, TP2)
         assert sc.o00 == pytest.approx(26.0)
         assert sc.d == pytest.approx(-4.0, abs=1e-10)
-        assert susy.StructureConstants.c00(2.0, 3.0) - susy.StructureConstants.c00(
-            -2.0, -3.0
-        ) == pytest.approx(5.0)
+        assert verify._c00(2.0, 3.0) - verify._c00(-2.0, -3.0) == pytest.approx(5.0)
 
     def test_d_matches_closed_form_other_branch(self):
         tp = TangentPoly(-1.0)
@@ -604,7 +592,7 @@ class TestStructureConstants:
     def test_vanishing_combination_on_basics(self, basics):
         sc = susy.structure_constants(WL5, TP2)
         for sol in basics.values():
-            c0val = 0.25 * (sc.d * sol.epsilon - sc.o00) + sc.c00(
+            c0val = 0.25 * (sc.d * sol.epsilon - sc.o00) + verify._c00(
                 sol.lambda0, sol.lambda1
             )
             assert c0val == pytest.approx(0.0, abs=1e-10)
