@@ -63,36 +63,34 @@ def tangent_poly_eval(z, tp: TangentPoly):
     return out if out.ndim else float(out)
 
 
-def unit_interval(z, closed: bool = True) -> np.ndarray:
-    """z as a float array; DomainError unless every point lies in [0, 1],
-    or in (0, 1) when not ``closed``.  NaN lies in neither."""
-    z = np.asarray(z, dtype=float)
-    inside = (0.0 <= z) & (z <= 1.0) if closed else (0.0 < z) & (z < 1.0)
-    if not np.all(inside):
-        raise DomainError(f"z must lie in {'[0, 1]' if closed else '(0, 1)'}")
-    return z
+def unit_interval(z, omz, closed: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (z, 1 - z) as float arrays; DomainError unless both lie in
+    [0, 1] at every point, and neither is 0 (z in (0, 1)) when not
+    ``closed``.  NaN lies in neither."""
+    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+    for u in (z, omz):
+        inside = ((0.0 <= u) if closed else (0.0 < u)) & (u <= 1.0)
+        if not np.all(inside):
+            raise DomainError(f"z and 1 - z must lie in {'[0, 1]' if closed else '(0, 1)'}")
+    return z, omz
 
 
-def x_of_z(z, tp: TangentPoly):
-    """Closed-form inverse map x(z), strictly increasing on (0, 1); a z
+def x_of_z(z, omz, tp: TangentPoly):
+    """Closed-form inverse map x(z), strictly increasing on (0, 1), from the
+    pair (z, 1 - z), each at its own relative precision; a z or 1 - z
     outside (0, 1) raises DomainError."""
-    z = unit_interval(z, closed=False)
+    z, omz = unit_interval(z, omz, closed=False)
     zT = tp.z_T
-    out = (-zT * np.log(z) - (1.0 - zT) * np.log1p(-z)) / (2.0 * (1.0 - zT)) + X_ORIGIN
+    out = (-zT * np.log(z) - (1.0 - zT) * np.log(omz)) / (2.0 * (1.0 - zT)) + X_ORIGIN
     return out if out.ndim else float(out)
 
 
-def dz_dx(z, tp: TangentPoly):
-    """dz/dx expressed through z; positive on (0, 1).
-
-    Given z alone, 1 - z is formed by subtraction, so the relative error
-    grows like eps / (1 - z) as z -> 1 (on z_T = 2, about 7e-8 at x = 10
-    and 1e-3 at x = 15).  Near the right asymptote take (z, 1 - z) from
-    :func:`map_x_to_z_pair` and form 2 z (1 - z) (1 - z_T) / (z - z_T)
-    from the pair.
-    """
-    z = np.asarray(z, dtype=float)
-    out = 2.0 * z * (1.0 - z) * (1.0 - tp.z_T) / (z - tp.z_T)
+def dz_dx(z, omz, tp: TangentPoly):
+    """dz/dx = 2 z (1 - z) (1 - z_T) / (z - z_T) from the pair (z, 1 - z);
+    positive on (0, 1).  With 1 - z from :func:`map_x_to_z_pair` it keeps
+    its relative precision in both tails."""
+    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+    out = 2.0 * z * omz * (1.0 - tp.z_T) / (z - tp.z_T)
     return out if out.ndim else float(out)
 
 
@@ -122,12 +120,6 @@ def _map_zt2_pair(x):
     if np.any(far):
         u = np.where(far, 2.0 * np.exp(np.minimum(x, _X_FAR_ZT2)), u)
     return _pair_from_small(u, right)
-
-
-def _x_of_w(w, tp: TangentPoly):
-    # inverse map through the right-edge distance w = 1 - z
-    zT = tp.z_T
-    return (-zT * np.log1p(-w) - (1.0 - zT) * np.log(w)) / (2.0 * (1.0 - zT)) + X_ORIGIN
 
 
 # Newton in t = log u for the small coordinate u, so t <= log(1/2); exp(t)
@@ -338,16 +330,13 @@ def map_x_to_z(x, tp: TangentPoly):
     return float(z[0]) if not x.ndim else z.copy()
 
 
-def schwarzian_eval(z, tp: TangentPoly, gauge: str = "xtilde"):
-    """Schwarzian derivative of the map, as a function of z.
-
-    gauge="xtilde" returns the normalized value {z, x~} where x~ carries the
-    scale 2(z_T - 1); gauge="x" returns the physical {z, x}.
-    """
-    z = np.asarray(z, dtype=float)
+def schwarzian_eval(z, omz, tp: TangentPoly):
+    """Schwarzian derivative {z, x} of the map, from the pair (z, 1 - z):
+    x~_T**2 times the normalized {z, x~}, where x~ carries the scale
+    2(z_T - 1)."""
+    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
     if np.any(z == tp.z_T):
         raise PoleError("Schwarzian has a pole at z == z_T")
-    omz = 1.0 - z
     P = z - tp.z_T
     P2 = P * P  # products: NumPy's power is slow on the negative bases of z_T > 1
     base = (
@@ -355,12 +344,7 @@ def schwarzian_eval(z, tp: TangentPoly, gauge: str = "xtilde"):
         + z * omz * (z - omz) / (P2 * P)
         + 1.5 * z**2 * omz**2 / (P2 * P2)
     )
-    if gauge == "xtilde":
-        out = base
-    elif gauge == "x":
-        out = tp.x_tilde_T**2 * base
-    else:
-        raise DomainError(f"unknown gauge {gauge!r}")
+    out = tp.x_tilde_T**2 * base
     return out if out.ndim else float(out)
 
 
@@ -371,17 +355,17 @@ def schwarzian_eta(eta_hat):
     return out if out.ndim else float(out)
 
 
-def potential_eval_z(z, ri: RayIdentifiers, tp: TangentPoly):
-    """Reference z-gauge potential value v[z] on the closed interval [0, 1].
+def potential_eval_z(z, omz, ri: RayIdentifiers, tp: TangentPoly):
+    """Reference z-gauge potential value v[z] on the closed interval [0, 1],
+    from the pair (z, 1 - z).
 
     This is the asymmetric-well form that reduces exactly to the
     asymptotically-levelled (Williams-Levai) potential at lambda_o = 0;
     v[1] = 0 and v[0] = lambda_o**2 / z_T**2.  The physical x-gauge
-    potential is :func:`potential_eval_x`.  A z outside [0, 1], NaN
-    included, raises DomainError.
+    potential is :func:`potential_eval_x`.  A z or 1 - z outside [0, 1],
+    NaN included, raises DomainError.
     """
-    z = unit_interval(z)
-    omz = 1.0 - z
+    z, omz = unit_interval(z, omz)
     P = z - tp.z_T
     P2 = P * P
     lam2 = ri.lambda_o**2

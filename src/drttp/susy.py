@@ -94,20 +94,21 @@ def structure_constants(ri: RayIdentifiers, tp: TangentPoly) -> StructureConstan
 # factorization functions and partner potentials
 # ---------------------------------------------------------------------------
 
-def _log_abs_ff(z, sol: AehSolution):
+def _log_abs_ff(z, omz, sol: AehSolution):
     """log |sqrt(z(1-z)) z^(l0/2) (1-z)^(l1/2)|; no power is formed, so
     neither factor can overflow or underflow on its own."""
-    return 0.5 * ((1.0 + sol.lambda0) * np.log(z) + (1.0 + sol.lambda1) * np.log1p(-z))
+    return 0.5 * ((1.0 + sol.lambda0) * np.log(z) + (1.0 + sol.lambda1) * np.log(omz))
 
 
-def basic_ff_eval(z, sol: AehSolution):
-    """Basic factorization function sqrt(z(1-z)) z^(l0/2) (1-z)^(l1/2)."""
+def basic_ff_eval(z, omz, sol: AehSolution):
+    """Basic factorization function sqrt(z(1-z)) z^(l0/2) (1-z)^(l1/2) from
+    the pair (z, 1 - z)."""
     if sol.m != 0:
         raise DomainError("factorization function must be a basic (m=0) solution")
-    z = np.asarray(z, dtype=float)
+    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
     # 0 and inf only where the value itself is out of double range
     with np.errstate(divide="ignore", over="ignore"):
-        out = np.exp(_log_abs_ff(z, sol))
+        out = np.exp(_log_abs_ff(z, omz, sol))
     return out if out.ndim else float(out)
 
 
@@ -127,17 +128,17 @@ def outer_root_ztt(t: AehSolution, t_prime: AehSolution) -> float:
     return (t_prime.lambda0 - t.lambda0) / dmu
 
 
-def double_step_ff_eval(z, t: AehSolution, t_prime: AehSolution, tp: TangentPoly):
+def double_step_ff_eval(z, omz, t: AehSolution, t_prime: AehSolution, tp: TangentPoly):
     """First-order factorization function of the second Darboux step,
     (mu' - mu) sqrt(z(1-z)) z^(l0'/2) (1-z)^(l1'/2) (z - z_tt') / (z - z_T),
-    summed in log space and exponentiated once."""
+    from the pair (z, 1 - z), summed in log space and exponentiated once."""
     ztt = outer_root_ztt(t, t_prime)
-    z = np.asarray(z, dtype=float)
+    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
     dmu = t_prime.mu - t.mu
     sign = np.sign(dmu) * np.sign(z - ztt) * np.sign(z - tp.z_T)
     with np.errstate(divide="ignore", over="ignore"):
         log_abs = (
-            _log_abs_ff(z, t_prime)
+            _log_abs_ff(z, omz, t_prime)
             + math.log(abs(dmu))
             + np.log(np.abs((z - ztt) / (z - tp.z_T)))
         )
@@ -202,25 +203,21 @@ def double_partner_spec(t: AehSolution, t_prime: AehSolution,
     )
 
 
-def partner_correction_z(z, spec: PartnerSpec, tp: TangentPoly):
+def partner_correction_z(z, omz, spec: PartnerSpec, tp: TangentPoly):
     """z-gauge correction a partner construction adds to the base potential,
 
         8 z^2 (z-1)^2 / (P^2 Q^2) - z (z-1) Delta O1 / (P^2 Q),
 
-    with P = z - z_T, Q = z - spec.outer_pole and Delta O1 = 4 (2z + delta0).
-    One step is the case outer_pole = z_T, where Q = P.
+    from the pair (z, 1 - z), with P = z - z_T, Q = z - spec.outer_pole and
+    Delta O1 = 4 (2z + delta0).  One step is the case outer_pole = z_T,
+    where Q = P.
     """
-    z = np.asarray(z, dtype=float)
-    out = _partner_correction(z, 1.0 - z, spec, tp)
-    return out if out.ndim else float(out)
-
-
-def _partner_correction(z, omz, spec: PartnerSpec, tp: TangentPoly):
-    """:func:`partner_correction_z` on the pair (z, 1 - z)."""
+    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
     zo = z * omz
     P2 = (z - tp.z_T) ** 2
     Q = z - spec.outer_pole
-    return 8.0 * zo**2 / (P2 * Q**2) + 4.0 * zo * (2.0 * z + spec.delta0) / (P2 * Q)
+    out = 8.0 * zo**2 / (P2 * Q**2) + 4.0 * zo * (2.0 * z + spec.delta0) / (P2 * Q)
+    return out if out.ndim else float(out)
 
 
 def partner_potential_x(spec: PartnerSpec, ri: RayIdentifiers, tp: TangentPoly):
@@ -231,7 +228,7 @@ def partner_potential_x(spec: PartnerSpec, ri: RayIdentifiers, tp: TangentPoly):
     def V(x):
         g = gauge_record(x, tp)
         out = (potential_x_of_z(g.z, g.omz, ri, tp)
-               + scale * _partner_correction(g.z, g.omz, spec, tp))
+               + scale * partner_correction_z(g.z, g.omz, spec, tp))
         return float(out[0]) if np.ndim(x) == 0 else out
 
     return V
@@ -354,11 +351,12 @@ def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int]
     )
 
 
-def _de_casteljau(coeffs, z):
-    """sum_s b_s C(n, s) z**s (1 - z)**(n - s) at z (0 for no b_s)."""
+def _de_casteljau(coeffs, z, omz):
+    """sum_s b_s C(n, s) z**s (1 - z)**(n - s) at the pair (z, 1 - z) (0 for
+    no b_s)."""
     b = np.multiply.outer(coeffs, np.ones_like(z))
     while len(b) > 1:
-        b = (1.0 - z) * b[:-1] + z * b[1:]
+        b = omz * b[:-1] + z * b[1:]
     return b[0] if len(b) else np.zeros_like(z)
 
 
@@ -423,15 +421,13 @@ class HeunPolynomial:
         split point open or 52 halvings leave two roots together."""
         return _count_roots(self.coeffs, [0.0] * len(self.coeffs))
 
-    def __call__(self, z):
-        out = _de_casteljau(self.coeffs, np.asarray(z, dtype=float))
-        return out if out.ndim else float(out)
-
-    def jet(self, z) -> tuple:
-        """(P, P', P'') at z: de Casteljau on the coefficients and on their
-        first and second forward differences."""
-        n, z = len(self.coeffs) - 1, np.asarray(z, dtype=float)
-        out = [math.perm(n, k) * _de_casteljau(np.diff(self.coeffs, k), z) for k in range(3)]
+    def jet(self, z, omz) -> tuple:
+        """(P, P', P'') at the pair (z, 1 - z): de Casteljau on the
+        coefficients and on their first and second forward differences."""
+        n = len(self.coeffs) - 1
+        z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+        out = [math.perm(n, k) * _de_casteljau(np.diff(self.coeffs, k), z, omz)
+               for k in range(3)]
         return tuple([v if v.ndim else float(v) for v in out])
 
 
@@ -475,10 +471,6 @@ def heun_poly_construct(t0: AehSolution, t_prime: AehSolution,
     taylor = [abs(math.comb(n, k) * np.diff(coeffs, k)[0]) for k in range(n)]
     big = [k for k, t in enumerate(taylor) if t > _DEGENERATE_TOL * max(taylor)]
     return HeunPolynomial(coeffs, big[-1] if big else -1, True)
-
-
-def heun_poly_residual(op: HeunOperator, poly: HeunPolynomial, z: float) -> float:
-    return op.residual(*poly.jet(z), z)
 
 
 def lambe_ward_exponents(t_prime: AehSolution,

@@ -95,11 +95,11 @@ def _fd_schwarzian(x0: float, tp: TangentPoly, h: float) -> float:
 def check_schwarzian() -> list[CheckResult]:
     out = []
     worst = 0.0
-    for z_t, x0 in ((2.0, core.x_of_z(0.5, TangentPoly(2.0))), (-1.0, 0.3), (-0.5, 0.7)):
+    for z_t, x0 in ((2.0, core.x_of_z(0.5, 0.5, TangentPoly(2.0))), (-1.0, 0.3), (-0.5, 0.7)):
         tp = TangentPoly(z_t)
         h = 4e-3
         fd = (4.0 * _fd_schwarzian(x0, tp, h / 2) - _fd_schwarzian(x0, tp, h)) / 3.0
-        exact = core.schwarzian_eval(core.map_x_to_z(x0, tp), tp, gauge="x")
+        exact = core.schwarzian_eval(*core.map_x_to_z_pair(x0, tp), tp)
         worst = max(worst, abs(fd - exact))
     out.append(_result("schwarzian.fd-agreement", 1e-6, worst))
 
@@ -127,22 +127,20 @@ def check_gauge() -> list[CheckResult]:
 
     ri = RayIdentifiers(0.0, 5.0)
     tp = TangentPoly(2.0)
-    sols = spectral.spectrum(ri, tp)
-    xs = np.linspace(-6.0, 6.0, 41)
-    z = core.map_x_to_z(xs, tp)
-    direct = wavefunction.solution_eval_x(xs, sols[0], ri, tp)
-    composed = core.dz_dx(z, tp) ** (-0.5) * wavefunction.aeh_eval(z, sols[0], ri, tp)
-    rel = np.max(np.abs(direct - composed) / np.max(np.abs(direct)))
-    out.append(_result("gauge.xz-consistency", 1e-12, float(rel)))
+    xq, _ = _gram_nodes()
+    z, omz = core.map_x_to_z_pair(xq, tp)
+    rel = max(_xz_gap(ri, tp, s, xq, z, omz) for s in spectral.spectrum(ri, tp))
+    out.append(_result("gauge.xz-consistency", 1e-12, rel,
+                       "per point on the Gram nodes (|x| <= 200), every level"))
 
     rng = np.random.RandomState(11)
     worst = 0.0
     for _ in range(50):
         ri = RayIdentifiers(rng.uniform(0, 2.0), rng.uniform(0.5, 8.0))
         tp = TangentPoly(float(rng.choice([rng.uniform(-3, -0.2), rng.uniform(1.2, 4)])))
-        worst = max(worst, abs(core.potential_eval_z(1.0, ri, tp)))
+        worst = max(worst, abs(core.potential_eval_z(1.0, 0.0, ri, tp)))
         want0 = ri.lambda_o**2 / tp.z_T**2
-        worst = max(worst, abs(core.potential_eval_z(0.0, ri, tp) - want0))
+        worst = max(worst, abs(core.potential_eval_z(0.0, 1.0, ri, tp) - want0))
     out.append(_result("gauge.potential-endpoints", 1e-13, worst))
 
     # levelled reduction matches the asymmetric closed form after eta = 2z-1
@@ -157,10 +155,21 @@ def check_gauge() -> list[CheckResult]:
         - eta * (1 - eta**2) / (eta + g) ** 3
         - 0.75 * (1 - eta**2) ** 2 / (eta + g) ** 4
     )
-    mine = core.potential_eval_z(zs, RayIdentifiers(0.0, mu_o), tp)
+    mine = core.potential_eval_z(zs, 1.0 - zs, RayIdentifiers(0.0, mu_o), tp)
     out.append(_result("gauge.wl-reduction", 1e-12,
                        float(np.max(np.abs(wl - mine)))))
     return out
+
+
+def _xz_gap(ri: RayIdentifiers, tp: TangentPoly, sol: spectral.AehSolution,
+            xs, z, omz) -> float:
+    """Worst relative gap between solution_eval_x at the points xs and
+    (dz/dx)**(-1/2) aeh_eval composed on their pair (z, 1 - z), over the
+    points where the x-gauge value is a normal float."""
+    direct = wavefunction.solution_eval_x(xs, sol, ri, tp)
+    composed = core.dz_dx(z, omz, tp) ** -0.5 * wavefunction.aeh_eval(z, omz, sol)
+    normal = np.abs(direct) >= np.finfo(float).tiny
+    return float(np.max(np.abs(composed[normal] / direct[normal] - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +181,6 @@ def _cubic_coeffs(m: int, ri: RayIdentifiers, tp: TangentPoly,
     """Ascending coefficients of the paper's characteristic cubic in lambda1
     at degree m, or with ``lambda0`` of its companion in lambda0, which
     carries the same roots."""
-    spectral._check_not_degenerate(tp)
     s = tp.sqrt_c0
     u = 2.0 * m + 1.0
     L = ri.lambda_o**2
@@ -457,7 +465,8 @@ def _schrodinger_residual(ri: RayIdentifiers, tp: TangentPoly, sols, xs) -> floa
         m, a, c = s.m, s.mu - s.m, s.lambda0 + 1.0
         poly, scale = [], 1.0
         for j in range(3):  # scale is 0 from j = m + 1 on
-            poly.append(scale * wavefunction._hypergeom_poly(max(m - j, 0), a + j, c + j, z, omz))
+            poly.append(scale * wavefunction.hypergeom_poly_jacobi(max(m - j, 0), a + j, c + j,
+                                                                   z, omz))
             scale *= -(m - j) * (a + j) / (c + j)
         exps = (0.5 * s.lambda0, 0.5 * s.lambda1, 0.5)
         _, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, exps, poly)
@@ -470,6 +479,14 @@ def _schrodinger_residual(ri: RayIdentifiers, tp: TangentPoly, sols, xs) -> floa
 # ---------------------------------------------------------------------------
 # eigenfunction suite
 # ---------------------------------------------------------------------------
+
+def _gram_nodes():
+    """(x, weights) of the trapezoid rule on x = sinh(u), u uniform, |x| <= 200:
+    geometric convergence for integrands that decay at both ends (Trefethen
+    & Weideman, SIAM Rev. 56, 2014), which vanish at the ends here."""
+    u, du = np.linspace(-math.asinh(200.0), math.asinh(200.0), 1000, retstep=True)
+    return np.sinh(u), du * np.cosh(u)
+
 
 def _gram_checks(ri, tp, sols, xq, wq) -> tuple[float, float, int]:
     """Worst |normalized Gram matrix - I| on the quadrature nodes, the worst
@@ -498,11 +515,7 @@ def _gram_checks(ri, tp, sols, xq, wq) -> tuple[float, float, int]:
 def check_eigenfunctions() -> list[CheckResult]:
     node_bad, gram_worst, norm_worst, resid_worst = 0, 0.0, 0.0, 0.0
     high_gram, high_misses = 0.0, 0
-    # Gram sums by the trapezoid rule on x = sinh(u), u uniform, |x| <= 200:
-    # geometric convergence for integrands that decay at both ends (Trefethen
-    # & Weideman, SIAM Rev. 56, 2014), which vanish at the ends here
-    u, du = np.linspace(-math.asinh(200.0), math.asinh(200.0), 1000, retstep=True)
-    xq, wq = np.sinh(u), du * np.cosh(u)
+    xq, wq = _gram_nodes()
     for pt in GRID_POINTS + HIGH_DEGREE_POINTS:
         lo, mo, zt = pt
         ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
@@ -540,7 +553,8 @@ def check_eigenfunctions() -> list[CheckResult]:
         if sol.m == 0:
             continue
         for z in (0.15, 0.3, 0.62, 0.9):
-            a = wavefunction.hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z)
+            a = wavefunction.hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0,
+                                                   z, 1.0 - z)
             b = wavefunction.hypergeom_flip_eval(z, sol)
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     out.append(_result("eigenfunction.flip-identity", 1e-10, worst))
@@ -571,7 +585,7 @@ def _darboux_gap(spec: susy.PartnerSpec, tp: TangentPoly, xs) -> float:
         d2lp = (omz - z) * dlp - dlp**2
     _, dlw, d2lw = _log_power_jet(z, omz, tp.z_T, exps)
     log_xx = _x_second(z, omz, tp, dlw + dlp, d2lw + d2lp)
-    correction = (1.0 - tp.z_T) ** 2 * susy._partner_correction(z, omz, spec, tp)
+    correction = (1.0 - tp.z_T) ** 2 * susy.partner_correction_z(z, omz, spec, tp)
     return float(np.max(np.abs(correction + 2.0 * log_xx)))
 
 
@@ -663,22 +677,22 @@ def check_susy_algebra() -> list[CheckResult]:
                 )
                 # Wronskian construction vs the closed first-order form
                 for z0 in (0.25, 0.4, 0.77):
-                    phi_t = susy.basic_ff_eval(z0, t)
-                    phi_q = susy.basic_ff_eval(z0, tq)
+                    phi_t = susy.basic_ff_eval(z0, 1.0 - z0, t)
+                    phi_q = susy.basic_ff_eval(z0, 1.0 - z0, tq)
                     dlog = (
                         (tq.lambda0 - t.lambda0) / (2 * z0)
                         - (tq.lambda1 - t.lambda1) / (2 * (1 - z0))
                     )
                     wronsk = phi_t * phi_q * dlog
                     sqrt_w = (tp.z_T - z0) / (2.0 * z0 * (1.0 - z0))
-                    closed = susy.double_step_ff_eval(z0, t, tq, tp)
+                    closed = susy.double_step_ff_eval(z0, 1.0 - z0, t, tq, tp)
                     worst_wronsk = max(
                         worst_wronsk,
                         abs(wronsk / (sqrt_w * phi_t) - closed) / max(1.0, abs(closed)),
                     )
                 # reciprocal 2 z (1 - z)/((z - z_T) phi) of the first-order solution
                 for z0 in (0.3, 0.66):
-                    phi = susy.double_step_ff_eval(z0, t, tq, tp)
+                    phi = susy.double_step_ff_eval(z0, 1.0 - z0, t, tq, tp)
                     rec = 2.0 * z0 * (1.0 - z0) / ((z0 - tp.z_T) * phi)
                     want = (
                         2.0 / (tq.mu - t.mu)
@@ -734,10 +748,8 @@ def check_heun(m_max: int = 5) -> list[CheckResult]:
             op = susy.heun_operator(seed.epsilon, spec, sigma, ri, tp)
             poly = susy.heun_poly_construct(t0, seed, tp)
             n_checked += 1
-            for z in np.linspace(0.12, 0.88, seed.m + 3):
-                resid_worst = max(
-                    resid_worst, susy.heun_poly_residual(op, poly, float(z))
-                )
+            for z in np.linspace(0.12, 0.88, seed.m + 3).tolist():
+                resid_worst = max(resid_worst, op.residual(*poly.jet(z, 1.0 - z), z))
             fuchs_worst = max(
                 fuchs_worst,
                 abs(op.alpha_plus_beta - (2.0 * op.rho0 + 2.0 * op.rho1 - 3.0)),
@@ -809,7 +821,7 @@ def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
     # z^e0 (1-z)^e1 P(z) and its two exact derivatives, from the Euler jet
     omz = 1.0 - z
     zo = z * omz
-    f, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, (e0, e1, 0.0), poly.jet(z))
+    f, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, (e0, e1, 0.0), poly.jet(z, omz))
     return op.residual(f, f_D / zo, (f_DD - (omz - z) * f_D) / zo**2, z)
 
 
@@ -829,15 +841,13 @@ def _b2_poly(z, sol: spectral.AehSolution, tp: TangentPoly):
     return (rho0 * (z - 1.0) + rho1 * z) * (z - tp.z_T) - z * (z - 1.0)
 
 
-def _b2_factor_check(t_kind: Kind, tprime_kind: Kind, tdprime_kind: Kind,
-                     ri: RayIdentifiers, tp: TangentPoly, seed: int = 0
+def _b2_factor_check(t: spectral.AehSolution, t1: spectral.AehSolution,
+                     t2: spectral.AehSolution, tp: TangentPoly, seed: int = 0
                      ) -> tuple[float, float, float]:
     """Factorization identity of the basic-solution quadratic: the max
-    absolute difference between the quadratic built from the t-basic
-    exponents and (mu_t0 - 1)/2 (z - z_tt')(z - z_tt''), the zero-condition
-    value at z_tt', and the exponent/mu consistency residual."""
-    basics = spectral.basic_solutions(ri, tp)
-    t, t1, t2 = basics[t_kind], basics[tprime_kind], basics[tdprime_kind]
+    absolute difference between the quadratic built from the exponents of
+    the basic solution t and (mu_t0 - 1)/2 (z - z_tt')(z - z_tt''), the
+    zero-condition value at z_tt', and the exponent/mu consistency residual."""
     z_a = susy.outer_root_ztt(t, t1)
     z_b = susy.outer_root_ztt(t, t2)
     zs = np.random.RandomState(seed).uniform(-1.5, 2.5, _B2_SAMPLES)
@@ -865,7 +875,7 @@ def check_appendix_a(n_draws: int = 100) -> list[CheckResult]:
         mus = sorted(s.mu for s in basics.values())
         if min(b - a for a, b in zip(mus, mus[1:])) < 0.1:
             continue
-        factor, zero, mulam = _b2_factor_check(*basics, ri, tp, seed=done)
+        factor, zero, mulam = _b2_factor_check(*basics.values(), tp, seed=done)
         factor_worst = max(factor_worst, factor)
         zero_worst = max(zero_worst, zero)
         mulam_worst = max(mulam_worst, mulam)

@@ -69,8 +69,9 @@ def hypergeom_poly_eval(n: int, a: float, c: float, z) -> float:
     return total if total.ndim else float(total)
 
 
-def hypergeom_poly_jacobi(n: int, a: float, c: float, z) -> float:
-    """F(-n, a; c; z) = n!/(c)_n P_n^(alpha, beta)(1 - 2z) with alpha = c - 1
+def hypergeom_poly_jacobi(n: int, a: float, c: float, z, omz):
+    """F(-n, a; c; z) from the pair (z, 1 - z), each at its own relative
+    precision: n!/(c)_n P_n^(alpha, beta)(1 - 2z) with alpha = c - 1
     and beta = a - n - c, by the Jacobi three-term recurrence (DLMF 18.9.1).
 
     The recurrence runs on p_k = F(-k, k + alpha + beta + 1; c; z), from
@@ -91,19 +92,12 @@ def hypergeom_poly_jacobi(n: int, a: float, c: float, z) -> float:
     meets (alpha = lambda0, beta = lambda1); outside that range the
     recurrence can return NaN, so DomainError is raised instead.
     """
-    z = np.asarray(z, dtype=float)
-    out = _hypergeom_poly(n, a, c, z, 1.0 - z)
-    return out if out.ndim else float(out)
-
-
-def _hypergeom_poly(n: int, a: float, c: float, z, omz) -> np.ndarray:
-    """``hypergeom_poly_jacobi`` from arrays z and 1 - z, each at its own
-    relative precision."""
+    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
     alpha, beta = _jacobi_parameters(n, a, c)
     out = np.ones(z.shape)
     if n:
         _times_jacobi(out, n, alpha, beta, split_at_half(z, omz))
-    return out
+    return out if out.ndim else float(out)
 
 
 def _jacobi_parameters(n: int, a: float, c: float) -> tuple[float, float]:
@@ -175,12 +169,6 @@ def factor_roots_in_01(sol: AehSolution) -> int:
     return 2 * ((x + 1) // 2) if minus_signs % 2 == 0 else 2 * (x // 2) + 1
 
 
-def _poly_eval(z, omz, sol: AehSolution) -> np.ndarray:
-    """Polynomial factor F(-m, mu - m; lambda0 + 1; z) of a solution from
-    arrays z and 1 - z."""
-    return _hypergeom_poly(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz)
-
-
 def _endpoint_limit(exponent: float) -> float:
     if exponent > 0.0:
         return 0.0
@@ -189,27 +177,27 @@ def _endpoint_limit(exponent: float) -> float:
     return math.inf
 
 
-def aeh_eval(z, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
-    """Solution value z^((lambda0+1)/2) (1-z)^((lambda1+1)/2) * Pi_m(z).
+def aeh_eval(z, omz, sol: AehSolution):
+    """Solution value z^((lambda0+1)/2) (1-z)^((lambda1+1)/2) * Pi_m(z) from
+    the pair (z, 1 - z), Pi_m(z) = F(-m, mu - m; lambda0 + 1; z).
 
     Endpoints return the limit value (0, finite, or inf by the exponent
     sign); irregular solutions are finite only on the open interval.  A z
-    outside [0, 1], NaN included, raises DomainError.  For m >= 1 both
-    lambdas must exceed -1 (``hypergeom_poly_jacobi``).
+    or 1 - z outside [0, 1], NaN included, raises DomainError.  For m >= 1
+    both lambdas must exceed -1 (``hypergeom_poly_jacobi``).
     """
-    z_arr = unit_interval(z)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    e0 = 0.5 * (sol.lambda0 + 1.0)
-    e1 = 0.5 * (sol.lambda1 + 1.0)
-    out = np.empty_like(z_arr)
-    interior = (z_arr > 0.0) & (z_arr < 1.0)
-    zi = z_arr[interior]
-    omz = 1.0 - zi
-    out[interior] = zi**e0 * omz**e1 * _poly_eval(zi, omz, sol)
-    out[z_arr == 0.0] = _endpoint_limit(e0)
+    z, omz = unit_interval(z, omz)
+    scalar = z.ndim == 0
+    z, omz = np.atleast_1d(z, omz)
+    m, a, c = sol.m, sol.mu - sol.m, sol.lambda0 + 1.0
+    e0, e1 = 0.5 * c, 0.5 * (sol.lambda1 + 1.0)
+    out = np.empty_like(z)
+    interior = (z > 0.0) & (omz > 0.0)
+    zi, omzi = z[interior], omz[interior]
+    out[interior] = zi**e0 * omzi**e1 * hypergeom_poly_jacobi(m, a, c, zi, omzi)
+    out[z == 0.0] = _endpoint_limit(e0)
     lim = _endpoint_limit(e1)
-    out[z_arr == 1.0] = _poly_eval(np.ones(1), np.zeros(1), sol)[0] if lim == 1.0 else lim
+    out[omz == 0.0] = hypergeom_poly_jacobi(m, a, c, 1.0, 0.0) if lim == 1.0 else lim
     return float(out[0]) if scalar else out
 
 
@@ -245,7 +233,7 @@ def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     scalar = np.ndim(x) == 0
     g = gauge_record(x, tp)
     m = sol.m
-    # derived as _poly_eval derives them: alpha = (lambda0 + 1) - 1 can
+    # derived as aeh_eval derives them: alpha = (lambda0 + 1) - 1 can
     # differ from lambda0 in its last bit
     alpha, beta = _jacobi_parameters(m, sol.mu - m, sol.lambda0 + 1.0)
     out = g.weight * g.z ** (0.5 * sol.lambda0)
@@ -277,7 +265,7 @@ def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
                           _sols: list[AehSolution] | None = None) -> float:
     """L2 norm squared over the whole line, in closed form (DLMF 18.3).
 
-    In z (dx = dz / core.dz_dx(z)) the norm N is the integral over (0, 1) of
+    In z (dx = dz / core.dz_dx(z, 1 - z)) the norm N is the integral over (0, 1) of
     z**(l0 - 1) (1 - z)**(l1 - 1) ((z - z_T) Pi_m / (2 (1 - z_T)))**2, with
     l0 = lambda0, l1 = lambda1 and Pi_m = m!/(l0 + 1)_m P_m^(l0, l1)(1 - 2z).
     (z - z_T)**2 = z_T**2 (1 - z) + (1 - z_T)**2 z - z (1 - z) splits it into
@@ -303,29 +291,31 @@ def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
     return out
 
 
-def count_nodes(f, interval: tuple[float, float], initial: int = 4096,
-                cap: int = 2**20) -> int:
+# count_nodes' first grid, in equal cells, and its largest grid, in points
+_NODES_INITIAL = 4096
+_NODES_CAP = 2**20
+
+
+def count_nodes(f, interval: tuple[float, float]) -> int:
     """Strict sign changes of f on the open interval.
 
     ``f`` must map an array of points to an array of the same shape; any
     other result raises DomainError, as does an interval with an end that
     is not finite.  Zeros and NaN values of f are
-    skipped.  The first grid splits the interval into ``initial`` equal
-    cells and holds their ``initial - 1`` interior points.  Each refinement
+    skipped.  The first grid splits the interval into 4096 equal cells and
+    holds their 4095 interior points.  Each refinement
     halves every cell, evaluates f only at the new midpoints and merges
     them in, so the points evaluated so far are exactly the current grid.
     Inserting points never removes a sign change, so the count cannot fall
     as the grid refines.  Grids are refined until two consecutive counts
-    agree; a grid of more than ``cap`` points raises ConvergenceError.
+    agree; a grid of more than 2**20 points raises ConvergenceError.
     """
-    if initial < 1:
-        raise DomainError(f"initial must be at least 1 cell, got {initial}")
     a, b = interval
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"interval must be finite, got {interval}")
     prev = vals = None
-    cells = initial
-    while cells - 1 <= cap:
+    cells = _NODES_INITIAL
+    while cells - 1 <= _NODES_CAP:
         xs = np.linspace(a, b, cells + 1)[1:-1]
         if vals is not None:
             xs = xs[::2]  # the midpoints; the previous grid is xs[1::2]

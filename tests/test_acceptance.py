@@ -68,6 +68,11 @@ def test_criterion_04_eigenfunction_suite():
         "criterion 4: node counts, orthogonality (1e-7), exact Schrodinger "
         "residual (1e-10, degrees <= 29 included), argument-flip identity (1e-10)",
         results,
+        checks=[("eigenfunction.node-counts", 0.5), ("eigenfunction.orthogonality", 1e-7),
+                ("eigenfunction.schrodinger-residual", 1e-10),
+                ("eigenfunction.high-degree-node-counts", 0.5),
+                ("eigenfunction.high-degree-orthogonality", 1e-7),
+                ("eigenfunction.norm-closed-form", 1e-10), ("eigenfunction.flip-identity", 1e-10)],
     )
 
 
@@ -123,6 +128,11 @@ def test_criterion_09_map_and_gauge():
         "criterion 9: map/ODE identity (1e-10), elementary-gauge identity "
         "(1e-10), Schwarzian FD (1e-6), fast path (1e-12)",
         results,
+        checks=[("map.ode-consistency", 1e-10), ("map.fastpath-vs-general", 1e-12),
+                ("map.limits", 1e-12), ("schwarzian.fd-agreement", 1e-6),
+                ("schwarzian.parity", 0.0), ("schwarzian.eta-values", 1e-12),
+                ("gauge.dkv-identity", 1e-10), ("gauge.xz-consistency", 1e-12),
+                ("gauge.potential-endpoints", 1e-13), ("gauge.wl-reduction", 1e-12)],
     )
 
 

@@ -98,9 +98,9 @@ class TestMap:
         # integrate dz/dx from a closed-form anchor and compare the inverse
         tp = TangentPoly(-0.5)
         z0 = 0.5
-        x0 = core.x_of_z(z0, tp)
+        x0 = core.x_of_z(z0, 1 - z0, tp)
         sol = solve_ivp(
-            lambda x, z: core.dz_dx(z, tp), (x0, 1.3), [z0],
+            lambda x, z: core.dz_dx(z, 1 - z, tp), (x0, 1.3), [z0],
             rtol=1e-12, atol=1e-14, dense_output=True,
         )
         assert core.map_x_to_z(1.3, tp) == pytest.approx(
@@ -111,17 +111,14 @@ class TestMap:
         # 1.5 gave NaN with a RuntimeWarning, 0 and 1 gave -inf and inf
         for z in (1.5, -0.2, 0.0, 1.0, math.nan, [0.3, math.nan]):
             with pytest.raises(DomainError):
-                core.x_of_z(z, TP2)
+                core.x_of_z(z, 1 - np.asarray(z), TP2)
 
     def test_roundtrip_precision(self):
         tp = TangentPoly(-1.0)
         xs = np.linspace(-20.0, 20.0, 41)
         z, omz = core.map_x_to_z_pair(xs, tp)
         assert np.max(np.abs(z + omz - 1.0)) < 1e-15
-        left = z < 0.5
-        x_back = np.empty_like(xs)
-        x_back[left] = core.x_of_z(z[left], tp)
-        x_back[~left] = core._x_of_w(omz[~left], tp)
+        x_back = core.x_of_z(z, omz, tp)
         assert np.max(np.abs(x_back - xs)) < 1e-12
 
     def test_nonfinite_rejected(self):
@@ -360,17 +357,17 @@ class TestSchwarzian:
 
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
-            core.schwarzian_eval(2.0, TP2)
+            core.schwarzian_eval(2.0, -1.0, TP2)
 
     def test_eta_matches_x_gauge_at_zt2(self):
         for z in (0.2, 0.5, 2 / 3, 0.9):
             eta = 2.0 / z - 1.0
             assert core.schwarzian_eta(eta) == pytest.approx(
-                core.schwarzian_eval(z, TP2, gauge="x"), rel=1e-13
+                core.schwarzian_eval(z, 1 - z, TP2), rel=1e-13
             )
 
     def test_finite_difference_agreement(self):
-        x0 = core.x_of_z(0.5, TP2)
+        x0 = core.x_of_z(0.5, 0.5, TP2)
         h = 4e-3
 
         def fd(hh):
@@ -383,21 +380,21 @@ class TestSchwarzian:
 
         approx = (4 * fd(h / 2) - fd(h)) / 3.0
         assert approx == pytest.approx(
-            core.schwarzian_eval(0.5, TP2, gauge="x"), abs=1e-6
+            core.schwarzian_eval(0.5, 0.5, TP2), abs=1e-6
         )
 
 
 class TestPotentials:
     def test_z_gauge_endpoints(self):
         ri = RayIdentifiers(1.0, 5.0)
-        assert core.potential_eval_z(1.0, ri, TP2) == 0.0
-        assert core.potential_eval_z(0.0, ri, TP2) == pytest.approx(0.25)
+        assert core.potential_eval_z(1.0, 0.0, ri, TP2) == 0.0
+        assert core.potential_eval_z(0.0, 1.0, ri, TP2) == pytest.approx(0.25)
         with pytest.raises(DomainError):
-            core.potential_eval_z(1.2, ri, TP2)
+            core.potential_eval_z(1.2, -0.2, ri, TP2)
         # NaN passed the old guard and came back as NaN
         for z in (math.nan, [0.3, math.nan]):
             with pytest.raises(DomainError):
-                core.potential_eval_z(z, ri, TP2)
+                core.potential_eval_z(z, 1 - np.asarray(z), ri, TP2)
 
     def test_z_gauge_matches_levelled_form(self):
         # eta = 2z - 1 substitution into the asymmetric closed form
@@ -412,7 +409,7 @@ class TestPotentials:
                 - eta * (1 - eta**2) / (eta + g) ** 3
                 - 0.75 * (1 - eta**2) ** 2 / (eta + g) ** 4
             )
-            assert core.potential_eval_z(z, ri, TP2) == pytest.approx(wl, rel=1e-13)
+            assert core.potential_eval_z(z, 1 - z, ri, TP2) == pytest.approx(wl, rel=1e-13)
 
     def test_x_gauge_asymptotes(self):
         ri = RayIdentifiers(1.0, 5.0)

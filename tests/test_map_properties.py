@@ -41,13 +41,10 @@ def test_map_properties(z_t, xs):
         zs, omzs = core.map_x_to_z_pair(float(x), tp)
         assert abs(zs - zi) <= 4 * EPS * zi and abs(omzs - omzi) <= 4 * EPS * omzi
 
-    # round trip through the closed form, from the small coordinate; x_of_z
-    # takes only points it is checked on, since it rejects z = 0
+    # round trip through the closed form on the pair; x_of_z takes only
+    # points it is checked on, since it rejects z = 0 and 1 - z = 0
     ok = np.minimum(z, omz) > 1e-290
-    left = z < 0.5
-    with np.errstate(divide="ignore"):
-        x_back = np.where(left, core.x_of_z(np.where(left & ok, z, 0.5), tp),
-                          core._x_of_w(np.where(left, 0.5, omz), tp))
+    x_back = core.x_of_z(np.where(ok, z, 0.5), np.where(ok, omz, 0.5), tp)
     err = np.abs(x_back - xs) / np.maximum(1.0, np.abs(xs))
     assert np.all(err[ok] <= 1e-12)
 

@@ -1,6 +1,7 @@
 """The package surface: exported names, lazy submodules, the NumPy-free
 cold path and the checks of the parameter types."""
 
+import ast
 import importlib
 import math
 import os
@@ -79,6 +80,27 @@ class TestLazySurface:
     def test_submodules_reachable_after_bare_import(self):
         out = run_fresh("import drttp; print(drttp.oracle.__name__, drttp.core.__name__)")
         assert out.split() == ["drttp.oracle", "drttp.core"]
+
+
+def test_verify_reads_no_private_name_of_another_module():
+    # verify checks the library through its public names; the one private
+    # read is the general-branch map solver that map.fastpath-vs-general
+    # compares the z_T = 2 closed form against
+    with open(os.path.join(SRC, "drttp", "verify.py")) as fh:
+        tree = ast.parse(fh.read())
+    modules, reads = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules |= {a.asname or a.name for a in node.names}
+            else:
+                reads |= {(node.module, a.name) for a in node.names if a.name.startswith("_")}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            reads.add((node.value.id, node.attr))
+    assert modules >= {"core", "oracle", "spectral", "susy", "wavefunction"}
+    assert reads == {("core", "_map_newton")}
 
 
 COLD_PATH = """

@@ -74,10 +74,6 @@ class TestCubicCoeffs:
         got = _cubic_coeffs(m, ri, tp, lambda0=True)
         assert np.allclose(fit, got, rtol=1e-9, atol=1e-9)
 
-    def test_degenerate_limit_rejected(self):
-        with pytest.raises(DegenerateLimitError):
-            _cubic_coeffs(0, WL5, TangentPoly(1e13))
-
 
 class TestRoots:
     def test_factored_cubic(self):
@@ -238,6 +234,14 @@ class TestSpectrum:
 
     def test_empty(self):
         assert spectrum(RayIdentifiers(0.0, 1.0), TP2) == []
+
+    def test_degenerate_limit_rejected(self):
+        # c0 == 1 to the guard's tolerance: the Rosen-Morse limit
+        tp = TangentPoly(1e13)
+        for solve in (lambda: spectrum(WL5, tp), lambda: basic_solutions(WL5, tp),
+                      lambda: wl_solve(0, 5.0, tp)):
+            with pytest.raises(DegenerateLimitError):
+                solve()
 
     def test_continuity_in_lambda_o(self):
         base = [s.epsilon for s in spectrum(WL5, TP2)]

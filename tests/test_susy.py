@@ -64,17 +64,18 @@ def basics():
 class TestBasicFf:
     def test_symmetric_point(self):
         sol = AehSolution(Kind.C, 0, 0.0, 0.0)
-        assert susy.basic_ff_eval(0.5, sol) == pytest.approx(0.5)
+        assert susy.basic_ff_eval(0.5, 0.5, sol) == pytest.approx(0.5)
 
     def test_vanishes_at_origin_for_regular(self, basics):
-        assert susy.basic_ff_eval(1e-12, basics[Kind.C]) == pytest.approx(0.0, abs=1e-6)
+        assert susy.basic_ff_eval(1e-12, 1.0 - 1e-12, basics[Kind.C]) == pytest.approx(
+            0.0, abs=1e-6)
 
     def test_log_derivative(self, basics):
         ff = basics[Kind.C]
         z0, h = 0.3, 1e-6
         fd = (
-            math.log(susy.basic_ff_eval(z0 + h, ff))
-            - math.log(susy.basic_ff_eval(z0 - h, ff))
+            math.log(susy.basic_ff_eval(z0 + h, 1 - (z0 + h), ff))
+            - math.log(susy.basic_ff_eval(z0 - h, 1 - (z0 - h), ff))
         ) / (2 * h)
         want = (ff.lambda0 + 1) / (2 * z0) - (ff.lambda1 + 1) / (2 * (1 - z0))
         assert fd == pytest.approx(want, rel=1e-8)
@@ -82,7 +83,7 @@ class TestBasicFf:
     def test_requires_basic(self):
         sol = AehSolution(Kind.C, 1, 1.0, 1.0)
         with pytest.raises(DomainError):
-            susy.basic_ff_eval(0.5, sol)
+            susy.basic_ff_eval(0.5, 0.5, sol)
 
     def test_log_space_against_mpmath(self):
         # lambda0' = 1627 and lambda1' = -737: z**(l0'/2) underflows at
@@ -99,8 +100,8 @@ class TestBasicFf:
                 zm = mpmath.mpf(z)
                 ff = mpmath.sqrt(zm * (1 - zm)) * zm ** (lq / 2) * (1 - zm) ** (l1q / 2)
                 double = (mq - mu) * ff * (zm - ztt) / (zm - zt)
-                assert susy.basic_ff_eval(z, tq) == pytest.approx(float(ff), rel=1e-12)
-                assert susy.double_step_ff_eval(z, t, tq, tp) == pytest.approx(
+                assert susy.basic_ff_eval(z, 1 - z, tq) == pytest.approx(float(ff), rel=1e-12)
+                assert susy.double_step_ff_eval(z, 1 - z, t, tq, tp) == pytest.approx(
                     float(double), rel=1e-12)
 
 
@@ -108,7 +109,7 @@ class TestSinglePartner:
     def test_correction_vanishes_at_one(self, basics):
         for ff in basics.values():
             spec = susy.single_partner_spec(ff, TP2)
-            assert susy.partner_correction_z(1.0, spec, TP2) == 0.0
+            assert susy.partner_correction_z(1.0, 0.0, spec, TP2) == 0.0
 
     def test_darboux_identity(self):
         for r in verify.check_darboux():
@@ -131,13 +132,13 @@ class TestSinglePartner:
             assert verify._darboux_gap(bad, TP2, xs) > 1e-12
 
     def test_x_gauge_matches_z_gauge_scaling(self, basics):
-        from drttp.core import map_x_to_z, potential_eval_x
+        from drttp.core import map_x_to_z_pair, potential_eval_x
 
         spec = susy.single_partner_spec(basics[Kind.C], TP2)
         x0 = 0.7
-        z0 = map_x_to_z(x0, TP2)
+        z0, omz0 = map_x_to_z_pair(x0, TP2)
         want = potential_eval_x(x0, WL5, TP2) + (
-            (1 - TP2.z_T) ** 2 * susy.partner_correction_z(z0, spec, TP2)
+            (1 - TP2.z_T) ** 2 * susy.partner_correction_z(z0, omz0, spec, TP2)
         )
         assert susy.partner_potential_x(spec, WL5, TP2)(x0) == pytest.approx(want)
 
@@ -196,7 +197,7 @@ class TestPartnerCorrection:
                         pass
                 for spec in specs:
                     exact = self._paper_forms(zs, spec, tp)
-                    got = susy.partner_correction_z(zs, spec, tp)
+                    got = susy.partner_correction_z(zs, 1 - zs, spec, tp)
                     err = np.max(np.abs(got - exact)) / np.max(np.abs(exact))
                     worst[spec.steps] = max(worst[spec.steps], float(err))
                     counts[spec.steps] += 1
@@ -253,10 +254,10 @@ class TestPairs:
         ztt = susy.outer_root_ztt(t, tq)
         # explicit zero of the first-order factor, evaluated just inside
         zs = np.linspace(0.05, 0.95, 11)
-        vals = susy.double_step_ff_eval(zs, t, tq, TP2)
+        vals = susy.double_step_ff_eval(zs, 1 - zs, t, tq, TP2)
         assert np.all(vals != 0.0)
         if 0 < ztt < 1:
-            assert susy.double_step_ff_eval(ztt, t, tq, TP2) == pytest.approx(0.0)
+            assert susy.double_step_ff_eval(ztt, 1 - ztt, t, tq, TP2) == pytest.approx(0.0)
 
     def test_admissibility_gate(self, basics):
         spec = susy.double_partner_spec(basics[Kind.C], basics[Kind.A], TP2)
@@ -305,7 +306,7 @@ class TestPairs:
                 # the log form is the FF wherever the direct value and its
                 # power factors are far from overflow and from subnormals
                 with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                    direct = susy.double_step_ff_eval(zs, t, tq, tp)
+                    direct = susy.double_step_ff_eval(zs, 1 - zs, t, tq, tp)
                 ok = np.max(np.abs([log_z, log_1mz, log_abs]), axis=0) < 600.0
                 assert np.all(np.sign(direct[ok]) == sign[ok])
                 np.testing.assert_allclose(np.log(np.abs(direct[ok])), log_abs[ok],
@@ -315,7 +316,8 @@ class TestPairs:
     def test_double_partner_finite_on_interval(self, basics):
         spec = susy.double_partner_spec(basics[Kind.C], basics[Kind.A], TP2)
         zs = np.linspace(1e-3, 1 - 1e-3, 2001)
-        vals = potential_eval_z(zs, WL5, TP2) + susy.partner_correction_z(zs, spec, TP2)
+        vals = (potential_eval_z(zs, 1 - zs, WL5, TP2)
+                + susy.partner_correction_z(zs, 1 - zs, spec, TP2))
         assert np.all(np.isfinite(vals))
 
     def test_delta_o1_forms_agree(self, basics):
@@ -478,9 +480,9 @@ class TestHeun:
             for t0 in basic_solutions(ri, tp).values():
                 poly = susy.heun_poly_construct(t0, seed, tp)
                 want = _mp_heun_jet(t0, seed, zs)
-                got = np.array([poly.jet(z) for z in zs])
+                got = np.array([poly.jet(z, 1 - z) for z in zs])
                 bound = susy.HeunPolynomial(tuple(map(abs, poly.coeffs)), poly.degree, False)
-                cond = np.max(bound(zs)) / np.max(np.abs(want[:, 0]))
+                cond = np.max(bound.jet(zs, 1 - zs)[0]) / np.max(np.abs(want[:, 0]))
                 err = np.max(np.abs(got - want), axis=0) / np.max(np.abs(want), axis=0)
                 assert np.all(err <= poly.degree * 2.0**-52 * cond), (lo, mo, t0.kind, err, cond)
 
@@ -527,7 +529,8 @@ class TestHeun:
 
 class TestAppendixIdentities:
     def test_b2_factorization(self, basics):
-        factor, zero, mu_lambda = verify._b2_factor_check(Kind.C, Kind.A, Kind.D, WL5, TP2)
+        factor, zero, mu_lambda = verify._b2_factor_check(
+            basics[Kind.C], basics[Kind.A], basics[Kind.D], TP2)
         assert factor < 1e-10
         assert zero < 1e-12
         assert mu_lambda < 1e-10
@@ -535,7 +538,7 @@ class TestAppendixIdentities:
     def test_missing_kind(self):
         ri = RayIdentifiers(3.0, 1.0)   # no discrete spectrum here
         with pytest.raises(AvailabilityError):
-            verify._b2_factor_check(Kind.C, Kind.A, Kind.D, ri, TP2)
+            verify._b2_factor_check(*basic_solutions(ri, TP2).values(), TP2)
 
 
 class TestNodelessPredicate:

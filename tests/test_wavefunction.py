@@ -77,14 +77,14 @@ class TestHypergeom:
         for n, a, c, z in ((3, 4.7, 1.2, 0.4), (7, 7.5, 0.8, 0.63)):
             want = _mp_hypergeom(n, a, c, [z])[0]
             assert hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
-            assert hypergeom_poly_jacobi(n, a, c, z) == pytest.approx(want, rel=1e-12)
+            assert hypergeom_poly_jacobi(n, a, c, z, 1 - z) == pytest.approx(want, rel=1e-12)
         # large exponents (alpha = 1745, beta = 25) near both ends of [0, 1],
         # the recurrence only, relative to the column maximum
         n, a, c = 29, 1800.0, 1746.0
         zs = np.logspace(-12.0, -1.0, 23)
         zs = np.concatenate([zs, 1.0 - zs])
         want = _mp_hypergeom(n, a, c, zs)
-        got = hypergeom_poly_jacobi(n, a, c, zs)
+        got = hypergeom_poly_jacobi(n, a, c, zs, 1.0 - zs)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # general parameters: the power sum only
         for n, a, c, z in ((3, 2.5, 1.2, 0.4), (7, -1.7, 0.8, 0.63)):
@@ -94,7 +94,7 @@ class TestHypergeom:
     def test_jacobi_rejects_parameters_below_minus_one(self):
         # alpha = 12, beta = -24: the recurrence would return NaN here
         with pytest.raises(DomainError):
-            hypergeom_poly_jacobi(12, 1.0, 13.0, 0.5)
+            hypergeom_poly_jacobi(12, 1.0, 13.0, 0.5, 0.5)
         assert hypergeom_poly_eval(12, 1.0, 13.0, 0.5) == pytest.approx(
             0.673008509954359, rel=1e-12)
 
@@ -109,7 +109,7 @@ class TestHypergeom:
                 continue
             for z in (0.2, 0.3, 0.77):
                 direct = hypergeom_poly_jacobi(
-                    sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z
+                    sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, 1 - z
                 )
                 assert hypergeom_flip_eval(z, sol) == pytest.approx(
                     direct, abs=1e-10 * max(1, abs(direct))
@@ -125,19 +125,19 @@ class TestAehEval:
                 * z ** (sol.lambda0 / 2)
                 * (1 - z) ** (sol.lambda1 / 2)
             )
-            assert aeh_eval(z, sol, WL5, TP2) == pytest.approx(want, rel=1e-14)
+            assert aeh_eval(z, 1 - z, sol) == pytest.approx(want, rel=1e-14)
 
     def test_ground_state_positive(self):
         sol = spectrum(WL5, TP2)[0]
         zs = np.linspace(1e-4, 1 - 1e-4, 10_000)
-        assert np.all(aeh_eval(zs, sol, WL5, TP2) > 0)
+        assert np.all(aeh_eval(zs, 1 - zs, sol) > 0)
 
     def test_endpoint_limits(self):
         sol = spectrum(WL5, TP2)[0]
-        assert aeh_eval(0.0, sol, WL5, TP2) == 0.0
-        assert aeh_eval(1.0, sol, WL5, TP2) == 0.0
+        assert aeh_eval(0.0, 1.0, sol) == 0.0
+        assert aeh_eval(1.0, 0.0, sol) == 0.0
         irregular = {s.kind: s for s in wl_solve(0, 5.0, TP2)}[Kind.D]
-        assert aeh_eval(0.0, irregular, WL5, TP2) == math.inf
+        assert aeh_eval(0.0, 1.0, irregular) == math.inf
 
     def test_outside_closed_interval_rejected(self):
         # NaN passed the old guard: [0.3, nan] returned uninitialised memory
@@ -145,7 +145,7 @@ class TestAehEval:
         sol = spectrum(WL5, TP2)[0]
         for z in (math.nan, [0.3, math.nan], -0.1, 1.1, [0.5, math.inf]):
             with pytest.raises(DomainError):
-                aeh_eval(z, sol, WL5, TP2)
+                aeh_eval(z, 1 - np.asarray(z), sol)
 
     @pytest.mark.parametrize("params", [(0.0, 60.0, -1.0), (0.5, 80.0, 2.0)])
     def test_high_degree_polynomial_factor(self, params):
@@ -155,9 +155,32 @@ class TestAehEval:
         for sol in spectrum(ri, tp):
             prefactor = zs ** (0.5 * (sol.lambda0 + 1.0)) * (1.0 - zs) ** (
                 0.5 * (sol.lambda1 + 1.0))
-            got = aeh_eval(zs, sol, ri, tp) / prefactor
+            got = aeh_eval(zs, 1.0 - zs, sol) / prefactor
             want = _mp_hypergeom(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, zs)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), sol.m
+
+    def test_composes_with_dz_dx_in_the_right_tail(self):
+        # (dz/dx)**(-1/2) Phi on the map's pair is the x-gauge value; with
+        # 1 - z formed by subtraction the composition was 5.1e-8, 9.4e-4 and
+        # 2.5e-2 off at x = 10, 15 and 17, and divided by zero at x = 25
+        for sol in spectrum(WL5, TP2):
+            for x in (10.0, 15.0, 17.0, 25.0):
+                z, omz = core.map_x_to_z_pair(x, TP2)
+                composed = core.dz_dx(z, omz, TP2) ** -0.5 * aeh_eval(z, omz, sol)
+                assert composed == pytest.approx(solution_eval_x(x, sol, WL5, TP2),
+                                                 rel=1e-14, abs=0.0), (sol.m, x)
+
+    def test_xz_consistency_needs_the_pair(self):
+        # verify's gauge.xz-consistency on the Gram nodes reads within its
+        # 1e-12 gate from the map's pair, and above it from (z, 1 - z) formed
+        # by subtraction, on the nodes up to x = 17 where that 1 - z is not 0
+        xq, _ = verify._gram_nodes()
+        z, omz = core.map_x_to_z_pair(xq, TP2)
+        near = xq <= 17.0
+        z_only = core.map_x_to_z(xq[near], TP2)
+        for sol in spectrum(WL5, TP2):
+            assert verify._xz_gap(WL5, TP2, sol, xq, z, omz) <= 1e-12
+            assert verify._xz_gap(WL5, TP2, sol, xq[near], z_only, 1.0 - z_only) > 1e-12
 
 
 class TestPolyFactor:
@@ -224,7 +247,7 @@ def _solution_reference(x, sol, tp):
     z, omz = np.atleast_1d(*core.map_x_to_z_pair(x, TangentPoly(tp.z_T)))
     w = np.sqrt((z - tp.z_T) / (2.0 * (1.0 - tp.z_T)))
     return (w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1)
-            * wavefunction._poly_eval(z, omz, sol))
+            * hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz))
 
 
 class TestGaugeRecord:
@@ -524,7 +547,7 @@ class TestCountNodes:
         np.testing.assert_allclose(np.sort(np.concatenate(seen)),
                                    np.linspace(0.0, 1.0, 8193)[1:-1], rtol=0.0, atol=1e-15)
 
-    def test_cap_bounds_the_points_evaluated(self):
+    def test_cap_bounds_the_points_evaluated(self, monkeypatch):
         # sin(1/z) shows more nodes on every finer grid: grids of 15, 31 and
         # 63 points, and the next, 127, is over the cap
         seen = []
@@ -533,14 +556,16 @@ class TestCountNodes:
             seen.append(z.size)
             return np.sin(1.0 / z)
 
-        with pytest.raises(ConvergenceError):
-            count_nodes(f, (0.0, 1.0), initial=16, cap=100)
-        assert seen == [15, 16, 32]
         # the default cap admits the grid of 2**20 cells
-        seen.clear()
         with pytest.raises(ConvergenceError):
             count_nodes(f, (0.0, 1.0))
         assert sum(seen) == 2**20 - 1
+        seen.clear()
+        monkeypatch.setattr(wavefunction, "_NODES_INITIAL", 16)
+        monkeypatch.setattr(wavefunction, "_NODES_CAP", 100)
+        with pytest.raises(ConvergenceError):
+            count_nodes(f, (0.0, 1.0))
+        assert seen == [15, 16, 32]
 
     def test_nan_values_skipped(self):
         # a band of NaN around the node at 0.3 must not hide its sign change
@@ -548,10 +573,6 @@ class TestCountNodes:
             return np.where(np.abs(z - 0.3) < 1e-3, np.nan, (z - 0.3) * (z - 0.7))
 
         assert count_nodes(f, (0.0, 1.0)) == 2
-
-    def test_initial_below_one_cell_rejected(self):
-        with pytest.raises(DomainError):
-            count_nodes(lambda x: x, (0.0, 1.0), initial=0)
 
     def test_scalar_result_rejected(self):
         with pytest.raises(DomainError):
