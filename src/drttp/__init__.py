@@ -82,10 +82,10 @@ _LAZY = {
     "wavefunction": (
         "aeh_eval",
         "count_nodes",
-        "eigenfunction_eval_x",
         "factor_roots_in_01",
         "hypergeom_poly_eval",
         "solution_eval_x",
+        "solution_norm_sq",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

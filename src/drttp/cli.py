@@ -194,10 +194,7 @@ def cmd_tabulate(args) -> int:
             n = int(tok)
             if not 0 <= n < len(sols):
                 raise DomainError(f"--psi level {n} out of range [0, {len(sols)})")
-            columns.append(
-                (f"psi{n}", wavefunction.eigenfunction_eval_x(
-                    xs, n, ri, tp, _sols=sols))
-            )
+            columns.append((f"psi{n}", wavefunction.solution_eval_x(xs, sols[n], ri, tp)))
     if args.partner:
         spec = _parse_partner_request(args.partner, ri, tp)
         V = susy.partner_potential_x(spec, ri, tp)
@@ -284,9 +281,8 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    fault = "cubic" if args.inject_fault else None
     timings = {} if args.timings else None
-    results = verify.run_verification(only=args.only, fault=fault, timings=timings)
+    results = verify.run_verification(only=args.only, timings=timings)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "checks": [
@@ -363,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--timings", action="store_true",
                    help="print each group's wall seconds to stderr")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return ap
 

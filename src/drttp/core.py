@@ -63,15 +63,22 @@ def tangent_poly_eval(z, tp: TangentPoly):
     return out if out.ndim else float(out)
 
 
+# a pair (z, 1 - z) whose sum is further than this from 1 is not a pair
+_PAIR_TOL = 4.0 * np.finfo(float).eps
+
+
 def unit_interval(z, omz, closed: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (z, 1 - z) as float arrays; DomainError unless both lie in
-    [0, 1] at every point, and neither is 0 (z in (0, 1)) when not
-    ``closed``.  NaN lies in neither."""
+    """The pair (z, 1 - z) as float arrays.  DomainError unless, at every
+    point, both lie in [0, 1] (neither is 0, z in (0, 1), when not
+    ``closed``) and they sum to 1 within 4 eps, as a pair from
+    :func:`map_x_to_z_pair` or from z and 1 - z does.  NaN lies in neither."""
     z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
     for u in (z, omz):
         inside = ((0.0 <= u) if closed else (0.0 < u)) & (u <= 1.0)
         if not np.all(inside):
             raise DomainError(f"z and 1 - z must lie in {'[0, 1]' if closed else '(0, 1)'}")
+    if not np.all(np.abs(z + omz - 1.0) <= _PAIR_TOL):
+        raise DomainError("z and 1 - z must sum to 1")
     return z, omz
 
 

@@ -37,8 +37,8 @@ class NumericSpectrum:
     """Oracle output: levels below the continuum threshold."""
 
     eigenvalues: np.ndarray        # ascending, from the 2n-node solve
-    eigenvectors: np.ndarray       # columns, psi at grid["x"], unit L2
-    grid: dict                     # x: the collocation nodes of the 2n solve
+    eigenvectors: np.ndarray       # columns, psi at x, unit L2
+    x: np.ndarray                  # the collocation nodes of the 2n solve
     node_counts: list[int]
     convergence: np.ndarray        # per level |E(2n) - E(n)|
     threshold: float
@@ -108,8 +108,7 @@ def _solve_sinc(V, n: int, threshold: float, eigvals_only: bool = False):
     return xs, w, u / np.sqrt(g * ds)[:, None]
 
 
-def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
-                      method=None) -> NumericSpectrum:
+def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum:
     """Bound states of -psi'' + V psi = E psi on the whole line.
 
     Sinc collocation (sinc-DVR, Colbert & Miller 1992) in s, where
@@ -124,9 +123,8 @@ def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
     ``diagnostics``.  Node counts are the sign changes of the collocation
     vector.  ``V`` must map an array of x to a finite array of the same
     shape; an edge where V still falls outward over its last unit of x
-    raises ConvergenceError.  At most ``max_levels`` levels are returned;
-    it must be an int >= 0, else DomainError.  The solve is logged at
-    DEBUG under ``drttp.oracle``.
+    raises ConvergenceError.  The solve is logged at DEBUG under
+    ``drttp.oracle``.
 
     The part of each solve that does not depend on V (nodes and kinetic
     block) is built once per node count per process and reused by every
@@ -136,13 +134,11 @@ def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
     Limit: a potential that grows without bound is resolved only as far
     as the two solves agree.  ``x**2`` gives 47 levels (1 to 93); its
     other eigenvalues below the threshold V(5000) = 2.5e7 are listed as
-    rejected, so ``max_levels`` may not be reached.
+    rejected.
 
     ``domain``, ``h`` and ``method`` are accepted and ignored: they
     configured the finite-difference solver this one replaced.
     """
-    if not isinstance(max_levels, (int, np.integer)) or max_levels < 0:
-        raise DomainError(f"max_levels must be an int >= 0, got {max_levels!r}")
     edges = np.array([-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX])
     v_edge = _eval_potential(V, edges)
     if (v_edge[1] - v_edge[0] > _FLATNESS_TOL
@@ -162,8 +158,7 @@ def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
     # on is not trusted even if they happen to agree on it
     keep = np.cumprod(conv <= _AGREE_TOL * np.abs(w_f)).astype(bool)
     rejected = w_f[~keep].tolist()
-    w, conv = w_f[keep][:max_levels], conv[keep][:max_levels]
-    vecs = vecs[:, keep][:, :max_levels]
+    w, conv, vecs = w_f[keep], conv[keep], vecs[:, keep]
     # sign convention: first significant excursion positive
     for j in range(vecs.shape[1]):
         nz = np.nonzero(np.abs(vecs[:, j]) > 1e-6 * np.max(np.abs(vecs[:, j])))[0]
@@ -175,7 +170,7 @@ def solve_schrodinger(V, max_levels: int = 64, *, domain=None, h=None,
     return NumericSpectrum(
         eigenvalues=w,
         eigenvectors=vecs,
-        grid={"x": xs},
+        x=xs,
         node_counts=[_count_sign_changes(vecs[:, j]) for j in range(vecs.shape[1])],
         convergence=conv,
         threshold=threshold,

@@ -253,31 +253,20 @@ def gauge_for_solution(sol: AehSolution) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class HeunOperator:
-    """Heun-form operator  z(z-1)(z-p) D^2 + 2 B2(z) D + (alpha beta z - q).
+    """Heun-form operator  z(z-1)(z-p) D^2 + 2 B2(z) D + (alpha beta z - q),
+    with singular points {0, 1, p, inf}.
 
-    ``rho0``/``rho1`` are the energy-dependent characteristic exponents
-    selected by the gauge signs; ``q`` is the accessory parameter.
+    ``p`` is the outer pole (z_T or z_tt'); ``rho0``/``rho1`` are the
+    energy-dependent characteristic exponents selected by the gauge signs;
+    ``q`` is the accessory parameter.
     """
 
-    singular_points: tuple[float, float, float, float]
+    p: float
     rho0: float
     rho1: float
     alpha: float
     beta: float
     q: float
-    sigma: tuple[int, int, int]
-
-    @property
-    def p(self) -> float:
-        return self.singular_points[2]
-
-    @property
-    def alpha_plus_beta(self) -> float:
-        return self.alpha + self.beta
-
-    @property
-    def alpha_times_beta(self) -> float:
-        return self.alpha * self.beta
 
     def b2(self, z):
         z = np.asarray(z, dtype=float)
@@ -290,7 +279,7 @@ class HeunOperator:
 
     def c1(self, z):
         z = np.asarray(z, dtype=float)
-        out = self.alpha_times_beta * z - self.q
+        out = self.alpha * self.beta * z - self.q
         return out if out.ndim else float(out)
 
     def apply(self, f, df, d2f, z):
@@ -340,15 +329,7 @@ def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int]
     root = math.sqrt(ri.mu_o**2 - epsilon * (tp.sqrt_c0 - 1.0) ** 2)
     alpha = 0.5 * (ab_sum - root)
     beta = 0.5 * (ab_sum + root)
-    return HeunOperator(
-        singular_points=(0.0, 1.0, p, math.inf),
-        rho0=rho0,
-        rho1=rho1,
-        alpha=alpha,
-        beta=beta,
-        q=q,
-        sigma=tuple(sigma),
-    )
+    return HeunOperator(p=p, rho0=rho0, rho1=rho1, alpha=alpha, beta=beta, q=q)
 
 
 def _de_casteljau(coeffs, z, omz):

@@ -285,21 +285,22 @@ def _quartic_residual(lam: float, m: int, ri: RayIdentifiers, tp: TangentPoly,
     return abs(t1 - t2) / max(abs(t1), abs(t2), 1.0)
 
 
-def check_cubic(n_draws: int = 1000, fault: str | None = None) -> list[CheckResult]:
+# random parameter draws of check_cubic
+_CUBIC_DRAWS = 1000
+
+
+def check_cubic() -> list[CheckResult]:
     rng = np.random.RandomState(42)
     sign_bad = 0
     cross_worst = 0.0
     quartic_worst = 0.0
     freeterm_bad = 0
-    for _ in range(n_draws):
+    for _ in range(_CUBIC_DRAWS):
         ri = RayIdentifiers(rng.uniform(0, 2.5), rng.uniform(0.3, 9.0))
         z_t = float(rng.choice([rng.uniform(-3, -0.2), rng.uniform(1.2, 4.0)]))
         tp = TangentPoly(z_t)
         m = int(rng.randint(0, 4))
         s1 = _cubic_coeffs(m, ri, tp)
-        if fault == "cubic":
-            scale = max(abs(v) for v in s1)
-            s1 = (s1[0] + 1e-3 * scale,) + s1[1:]
         s0 = _cubic_coeffs(m, ri, tp, lambda0=True)
         if np.sign(_cubic_discriminant(s1)[2]) != np.sign(_cubic_discriminant(s0)[2]):
             sign_bad += 1
@@ -330,7 +331,7 @@ def check_cubic(n_draws: int = 1000, fault: str | None = None) -> list[CheckResu
             level_worst = max(level_worst, abs(_cubic_eval(s1, sol.lambda1)) / terms)
     return [
         _result("cubic.cross-consistency", 1e-8, cross_worst,
-                f"{n_draws} draws"),
+                f"{_CUBIC_DRAWS} draws"),
         _result("cubic.discriminant-sign", 0.5, float(sign_bad),
                 "violation count"),
         _result("cubic.quartic-containment", 1e-8, quartic_worst),
@@ -490,12 +491,12 @@ def _gram_nodes():
 
 def _gram_checks(ri, tp, sols, xq, wq) -> tuple[float, float, int]:
     """Worst |normalized Gram matrix - I| on the quadrature nodes, the worst
-    relative gap between its diagonal and ``eigenfunction_norm_sq``, and the
+    relative gap between its diagonal and ``solution_norm_sq``, and the
     number of levels whose node count is not their index (an unconverged
     count is a miss)."""
     psis = np.stack([wavefunction.solution_eval_x(xq, s, ri, tp) for s in sols])
     gram = (psis * wq) @ psis.T
-    closed = [wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols) for n in range(len(sols))]
+    closed = [wavefunction.solution_norm_sq(s, tp) for s in sols]
     norm_gap = float(np.max(np.abs(np.diag(gram) / closed - 1.0)))
     norm = np.sqrt(np.diag(gram))
     gram = gram / norm[:, None] / norm[None, :]
@@ -715,11 +716,15 @@ def check_susy_algebra() -> list[CheckResult]:
 # Heun operators and polynomials
 # ---------------------------------------------------------------------------
 
-def _heun_seed_pairs(ri: RayIdentifiers, tp: TangentPoly, m_max: int):
+# the (FF, seed) pairs of check_heun take seeds of degree <= this
+_HEUN_M_MAX = 5
+
+
+def _heun_seed_pairs(ri: RayIdentifiers, tp: TangentPoly):
     basics = spectral.basic_solutions(ri, tp)
     gauges = susy.admissible_gauges(tp)
     for t0 in basics.values():
-        for mp in range(m_max + 1):
+        for mp in range(_HEUN_M_MAX + 1):
             for seed in spectral.wl_solve(mp, ri.mu_o, tp):
                 if mp == 0 and seed.kind == t0.kind:
                     continue
@@ -729,7 +734,7 @@ def _heun_seed_pairs(ri: RayIdentifiers, tp: TangentPoly, m_max: int):
                 yield t0, seed
 
 
-def check_heun(m_max: int = 5) -> list[CheckResult]:
+def check_heun() -> list[CheckResult]:
     ri = RayIdentifiers(0.0, 5.0)
     resid_worst = 0.0
     fuchs_worst = 0.0
@@ -742,7 +747,7 @@ def check_heun(m_max: int = 5) -> list[CheckResult]:
     for zt in (2.0, -1.0):
         tp = TangentPoly(zt)
         basics = spectral.basic_solutions(ri, tp)
-        for t0, seed in _heun_seed_pairs(ri, tp, m_max):
+        for t0, seed in _heun_seed_pairs(ri, tp):
             spec = susy.single_partner_spec(t0, tp)
             sigma = susy.gauge_for_solution(seed)
             op = susy.heun_operator(seed.epsilon, spec, sigma, ri, tp)
@@ -752,7 +757,7 @@ def check_heun(m_max: int = 5) -> list[CheckResult]:
                 resid_worst = max(resid_worst, op.residual(*poly.jet(z, 1.0 - z), z))
             fuchs_worst = max(
                 fuchs_worst,
-                abs(op.alpha_plus_beta - (2.0 * op.rho0 + 2.0 * op.rho1 - 3.0)),
+                abs(op.alpha + op.beta - (2.0 * op.rho0 + 2.0 * op.rho1 - 3.0)),
             )
             class_worst = max(
                 class_worst,
@@ -804,7 +809,7 @@ def check_heun(m_max: int = 5) -> list[CheckResult]:
         q0_worst = max(q0_worst, abs(op0.q - q_want))
     return [
         _result("heun.polynomial-residual", 1e-9, resid_worst,
-                f"{n_checked} (FF, seed) pairs, degrees <= {m_max + 1}"),
+                f"{n_checked} (FF, seed) pairs, degrees <= {_HEUN_M_MAX + 1}"),
         _result("heun.fuchs-sum", 1e-12, fuchs_worst,
                 "alpha+beta vs 2(rho0+rho1)-3"),
         _result("heun.class-bookkeeping", 1e-9, class_worst,
@@ -857,13 +862,17 @@ def _b2_factor_check(t: spectral.AehSolution, t1: spectral.AehSolution,
             abs(float(_b2_poly(z_a, t1, tp))), abs(mu_sq))
 
 
-def check_appendix_a(n_draws: int = 100) -> list[CheckResult]:
+# random parameter draws of check_appendix_a
+_APPENDIX_A_DRAWS = 100
+
+
+def check_appendix_a() -> list[CheckResult]:
     rng = np.random.RandomState(5)
     factor_worst = 0.0
     zero_worst = 0.0
     mulam_worst = 0.0
     done = 0
-    while done < n_draws:
+    while done < _APPENDIX_A_DRAWS:
         lam_o = rng.uniform(0.05, 2.2)
         mu_o = lam_o + 1.0 + rng.uniform(0.3, 5.0)
         z_t = float(rng.choice([rng.uniform(-2.5, -0.3), rng.uniform(1.3, 3.5)]))
@@ -882,7 +891,7 @@ def check_appendix_a(n_draws: int = 100) -> list[CheckResult]:
         done += 1
     return [
         _result("appendix-a.factorization", 1e-10, factor_worst,
-                f"{n_draws} draws in the m=0 discrete-spectrum area"),
+                f"{_APPENDIX_A_DRAWS} draws in the m=0 discrete-spectrum area"),
         _result("appendix-a.zero-condition", 1e-12, zero_worst),
         _result("appendix-a.mu-lambda-consistency", 1e-10, mulam_worst),
     ]
@@ -1056,17 +1065,15 @@ CHECK_GROUPS = {
 }
 
 
-def run_verification(only: str | None = None, fault: str | None = None,
-                     timings: dict | None = None) -> list[CheckResult]:
-    """Run the (optionally filtered) verification battery; ``fault`` is
-    handed to the cubic group, and ``timings``, if given, receives each
-    group's wall seconds by name."""
+def run_verification(only: str | None = None, timings: dict | None = None) -> list[CheckResult]:
+    """Run the (optionally filtered) verification battery; ``timings``, if
+    given, receives each group's wall seconds by name."""
     results = []
     for name, fn in CHECK_GROUPS.items():
         if only and not name.startswith(only):
             continue
         t0 = time.perf_counter()
-        results.extend(fn(fault=fault) if name == "cubic" else fn())
+        results.extend(fn())
         if timings is not None:
             timings[name] = time.perf_counter() - t0
     return results

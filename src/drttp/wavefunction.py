@@ -249,21 +249,15 @@ def _level(sols: list[AehSolution], n: int) -> AehSolution:
     return sols[n]
 
 
-def eigenfunction_eval_x(x, n: int, ri: RayIdentifiers, tp: TangentPoly,
-                         normalize: bool = False,
-                         _sols: list[AehSolution] | None = None):
-    """n-th bound eigenfunction in the x gauge, (z')**(-1/2) times the
-    z-gauge solution; unnormalized unless requested."""
-    sols = spectrum(ri, tp) if _sols is None else _sols
-    val = solution_eval_x(x, _level(sols, n), ri, tp)
-    if normalize:
-        val = val / math.sqrt(eigenfunction_norm_sq(n, ri, tp, _sols=sols))
-    return val
+def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly) -> float:
+    """L2 norm squared over the whole line of level n of ``spectrum(ri, tp)``
+    (:func:`solution_norm_sq`); IndexError for a level that does not exist."""
+    return solution_norm_sq(_level(spectrum(ri, tp), n), tp)
 
 
-def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
-                          _sols: list[AehSolution] | None = None) -> float:
-    """L2 norm squared over the whole line, in closed form (DLMF 18.3).
+def solution_norm_sq(sol: AehSolution, tp: TangentPoly) -> float:
+    """L2 norm squared over the whole line of the x-gauge solution of
+    :func:`solution_eval_x`, in closed form (DLMF 18.3).
 
     In z (dx = dz / core.dz_dx(z, 1 - z)) the norm N is the integral over (0, 1) of
     z**(l0 - 1) (1 - z)**(l1 - 1) ((z - z_T) Pi_m / (2 (1 - z_T)))**2, with
@@ -280,14 +274,14 @@ def eigenfunction_norm_sq(n: int, ri: RayIdentifiers, tp: TangentPoly,
     [0, 1] no term cancels.  Raises DomainError if N is not a finite
     positive float (it underflows when both exponents reach the thousands).
     """
-    sol = _level(spectrum(ri, tp) if _sols is None else _sols, n)
     m, l0, l1, zt = sol.m, sol.lambda0, sol.lambda1, tp.z_T
     c = ((m + l0 + 1.0) * (m + l0 + l1 + 1.0)
          * _beta(m + 1.0, l0 + 1.0) * _beta(l0 + 1.0, m + l1 + 1.0))
     out = c * (zt * zt * (2 * m + l1 + 1.0) / l0 + (1.0 - zt) ** 2 * (2 * m + l0 + 1.0) / l1
                + 2.0 * zt * (zt - 1.0)) / (4.0 * sol.mu * (1.0 - zt) ** 2)
     if not 0.0 < out < math.inf:
-        raise DomainError(f"norm of level {n} is {out}: lambda0 = {l0:.6g}, lambda1 = {l1:.6g}")
+        raise DomainError(f"norm of the degree-{m} solution is {out}: "
+                          f"lambda0 = {l0:.6g}, lambda1 = {l1:.6g}")
     return out
 
 

@@ -51,7 +51,7 @@ def test_criterion_02_oracle_agreement_grid():
 
 
 def test_criterion_03_cross_cubic_consistency():
-    results = verify.check_cubic(n_draws=1000)
+    results = verify.check_cubic()
     _report(
         "criterion 3: cross-cubic consistency and discriminant-sign "
         "agreement on 1000 draws",
@@ -86,7 +86,7 @@ def test_criterion_05_susy_spectral_surgery():
 
 
 def test_criterion_06_heun_residuals():
-    results = verify.check_heun(m_max=5)
+    results = verify.check_heun()
     _report(
         "criterion 6: Heun polynomials and quasi-algebraic kernels "
         "annihilated (1e-9); exponent-sum identity (1e-12)",
@@ -99,7 +99,7 @@ def test_criterion_06_heun_residuals():
 
 
 def test_criterion_07_appendix_a():
-    results = verify.check_appendix_a(n_draws=100)
+    results = verify.check_appendix_a()
     _report(
         "criterion 7: basic-pair factorization identity (1e-10) and zero "
         "condition (1e-12) on 100 draws",

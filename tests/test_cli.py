@@ -232,9 +232,20 @@ class TestVerify:
         assert all(c["name"].startswith("constants") for c in doc["checks"])
         assert all("tolerance" in c for c in doc["checks"])
 
-    def test_fault_injection_detected(self, capsys):
-        code, out, _ = run(capsys, "verify", "--only", "cubic",
-                           "--inject-fault")
+    def test_fault_injection_detected(self, capsys, monkeypatch):
+        # a free term of the lambda1 cubic off by 1e-3 of its largest
+        # coefficient fails the cubic group
+        from drttp import verify
+        cubic_coeffs = verify._cubic_coeffs
+
+        def faulty(m, ri, tp, lambda0=False):
+            coeffs = cubic_coeffs(m, ri, tp, lambda0)
+            if lambda0:
+                return coeffs
+            return (coeffs[0] + 1e-3 * max(abs(v) for v in coeffs),) + coeffs[1:]
+
+        monkeypatch.setattr(verify, "_cubic_coeffs", faulty)
+        code, out, _ = run(capsys, "verify", "--only", "cubic")
         assert code == 1
         assert not json.loads(out)["all_passed"]
 

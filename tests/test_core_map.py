@@ -18,7 +18,7 @@ from drttp import core, susy
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError, PoleError
 from drttp.spectral import Kind, basic_solutions, spectrum
-from drttp.wavefunction import solution_eval_x
+from drttp.wavefunction import aeh_eval, solution_eval_x
 
 TP2 = TangentPoly(2.0)
 
@@ -112,6 +112,20 @@ class TestMap:
         for z in (1.5, -0.2, 0.0, 1.0, math.nan, [0.3, math.nan]):
             with pytest.raises(DomainError):
                 core.x_of_z(z, 1 - np.asarray(z), TP2)
+
+    def test_mismatched_pair_rejected(self):
+        # (0.3, 0.3) passed for the pair of z = 0.3: x_of_z returned -1.295
+        # (the pair gives -1.719), and the potential and a level's value
+        # were as far off, without complaint
+        ri = RayIdentifiers(0.5, 7.3)
+        sol = spectrum(ri, TP2)[1]
+        for call in (lambda z, omz: core.x_of_z(z, omz, TP2),
+                     lambda z, omz: core.potential_eval_z(z, omz, ri, TP2),
+                     lambda z, omz: aeh_eval(z, omz, sol)):
+            call(0.3, 1 - 0.3)
+            for z, omz in ((0.3, 0.3), ([0.3, 0.5], [0.7, 0.7])):
+                with pytest.raises(DomainError):
+                    call(z, omz)
 
     def test_roundtrip_precision(self):
         tp = TangentPoly(-1.0)

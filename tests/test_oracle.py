@@ -36,7 +36,7 @@ def collocation_residual(ns, j, E, V):
     """max |-psi'' + (V - E) psi| / max |psi| at the oracle's nodes, with
     psi'' from the exact second derivative of the sinc interpolant in
     s = asinh(x / L) rather than the D1 weak form the oracle solves."""
-    x = ns.grid["x"]
+    x = ns.x
     s = np.arcsinh(x / oracle._MAP_SCALE)
     ds = s[1] - s[0]
     k = np.subtract.outer(np.arange(len(x)), np.arange(len(x)))
@@ -153,8 +153,8 @@ class TestDiagnostics:
         assert d["map_scale"] == oracle._MAP_SCALE
         assert d["n_points"] == (oracle._N_NODES, 2 * oracle._N_NODES)
         assert len(d["seconds"]) == 2 and all(t > 0.0 for t in d["seconds"])
-        assert len(ns.grid["x"]) == 2 * oracle._N_NODES
-        assert ns.grid["x"][0] == pytest.approx(-oracle._BOX)
+        assert len(ns.x) == 2 * oracle._N_NODES
+        assert ns.x[0] == pytest.approx(-oracle._BOX)
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         solve_schrodinger(sech2)
         assert [r.name for r in caplog.records] == ["drttp.oracle"]
@@ -211,16 +211,6 @@ class TestInputs:
         with pytest.raises(DomainError):
             solve_schrodinger(lambda x: 1.0)
 
-    @pytest.mark.parametrize("max_levels", [-1, -3, 2.5, "2", None])
-    def test_bad_max_levels_rejected(self, max_levels):
-        # a negative value used to drop levels from the top as a slice end
-        with pytest.raises(DomainError):
-            solve_schrodinger(sech2, max_levels)
-
-    def test_max_levels_caps_levels(self):
-        assert solve_schrodinger(sech2, 1).eigenvalues == pytest.approx([-4.0])
-        assert len(solve_schrodinger(sech2, np.int64(0))) == 0
-
     def test_nonfinite_potential_rejected(self):
         # finite at the box edges, NaN inside
         with pytest.raises(DomainError):
@@ -229,12 +219,12 @@ class TestInputs:
     def test_cold_start_leaves_scipy_out(self):
         # the closed-form paths need only numpy: a fresh process that imports
         # drttp, runs spectrum(), solution_eval_x, eigenfunction_norm_sq,
-        # normalize=True and the spectrum, partner and tabulate --psi
+        # solution_norm_sq and the spectrum, partner and tabulate --psi
         # commands loads no scipy module; the deferred imports of the oracle
         # then still work
         src = os.path.dirname(os.path.dirname(drttp.__file__))
         code = """
-import contextlib, io, json, sys
+import contextlib, io, json, math, sys
 import numpy as np
 import drttp
 from drttp import cli, oracle, wavefunction
@@ -243,7 +233,7 @@ sols = drttp.spectrum(ri, tp)
 params = ["--lambda-o", "0.5", "--mu-o", "7", "--zt", "2"]
 psi = wavefunction.solution_eval_x(np.array([-3.0, 0.0, 2.5]), sols[2], ri, tp)
 norm_sq = wavefunction.eigenfunction_norm_sq(2, ri, tp)
-unit = wavefunction.eigenfunction_eval_x(np.array([-3.0, 0.0, 2.5]), 2, ri, tp, normalize=True)
+unit = psi / math.sqrt(wavefunction.solution_norm_sq(sols[2], tp))
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["spectrum", *params]),
              cli.main(["partner", *params, "--ff", "c0"]),

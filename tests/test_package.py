@@ -35,8 +35,8 @@ EXPORTS = {
              "heun_operator", "heun_poly_construct", "nodeless_predicate", "outer_root_ztt",
              "partner_correction_z", "partner_potential_x", "single_partner_spec",
              "structure_constants"),
-    "wavefunction": ("aeh_eval", "count_nodes", "eigenfunction_eval_x", "factor_roots_in_01",
-                     "hypergeom_poly_eval", "solution_eval_x"),
+    "wavefunction": ("aeh_eval", "count_nodes", "factor_roots_in_01", "hypergeom_poly_eval",
+                     "solution_eval_x", "solution_norm_sq"),
 }
 NAMES = sorted({n for names in EXPORTS.values() for n in names} | set(EXPORTS))
 
@@ -82,25 +82,48 @@ class TestLazySurface:
         assert out.split() == ["drttp.oracle", "drttp.core"]
 
 
-def test_verify_reads_no_private_name_of_another_module():
-    # verify checks the library through its public names; the one private
-    # read is the general-branch map solver that map.fastpath-vs-general
-    # compares the z_T = 2 closed form against
-    with open(os.path.join(SRC, "drttp", "verify.py")) as fh:
+def _private_uses(filename: str) -> tuple[set, set]:
+    """The drttp modules that ``filename`` imports by name, and its uses of
+    their private parts: (module, name) for each private name it reads and
+    (module, function, keyword) for each private keyword it passes."""
+    with open(os.path.join(SRC, "drttp", filename)) as fh:
         tree = ast.parse(fh.read())
-    modules, reads = set(), set()
+    modules, imported, uses = set(), {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:
                 modules |= {a.asname or a.name for a in node.names}
             else:
-                reads |= {(node.module, a.name) for a in node.names if a.name.startswith("_")}
+                imported |= {a.asname or a.name: (node.module, a.name) for a in node.names}
+                uses |= {(node.module, a.name) for a in node.names if a.name.startswith("_")}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")):
-            reads.add((node.value.id, node.attr))
+            uses.add((node.value.id, node.attr))
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id in modules):
+                callee = (f.value.id, f.attr)
+            elif isinstance(f, ast.Name) and f.id in imported:
+                callee = imported[f.id]
+            else:
+                continue
+            uses |= {callee + (k.arg,) for k in node.keywords
+                     if k.arg is not None and k.arg.startswith("_")}
+    return modules, uses
+
+
+def test_verify_reads_no_private_name_of_another_module():
+    # verify and the CLI use the library through its public names and
+    # keywords; the one private read is the general-branch map solver that
+    # map.fastpath-vs-general compares the z_T = 2 closed form against
+    modules, uses = _private_uses("verify.py")
     assert modules >= {"core", "oracle", "spectral", "susy", "wavefunction"}
-    assert reads == {("core", "_map_newton")}
+    assert uses == {("core", "_map_newton")}
+    modules, uses = _private_uses("cli.py")
+    assert modules >= {"core", "spectral", "susy", "wavefunction"}
+    assert uses == set()
 
 
 COLD_PATH = """

@@ -377,7 +377,7 @@ class TestHeun:
         assert op.rho0 == pytest.approx((seed.lambda0 + 1) / 2)
         assert op.rho1 == pytest.approx((seed.lambda1 + 1) / 2)
         assert op.alpha + op.beta == pytest.approx(2 * (op.rho0 + op.rho1) - 3.0)
-        assert op.singular_points[2] == TP2.z_T
+        assert op.p == TP2.z_T
 
     def test_degree_one_annihilation(self, basics):
         t, seed = basics[Kind.C], basics[Kind.A]
@@ -523,7 +523,7 @@ class TestHeun:
             assert boxed == poly and hash(boxed) == hash(poly)
 
     def test_poly_residuals(self):
-        for r in verify.check_heun(m_max=3):
+        for r in verify.check_heun():
             assert r.passed, r.line()
 
 

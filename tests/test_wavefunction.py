@@ -18,12 +18,12 @@ from drttp.spectral import AehSolution, Kind, spectrum, wl_solve
 from drttp.wavefunction import (
     aeh_eval,
     count_nodes,
-    eigenfunction_eval_x,
     factor_roots_in_01,
     hypergeom_flip_eval,
     hypergeom_poly_eval,
     hypergeom_poly_jacobi,
     solution_eval_x,
+    solution_norm_sq,
 )
 
 TP2 = TangentPoly(2.0)
@@ -278,12 +278,10 @@ class TestGaugeRecord:
                 solution_eval_x(other, sols[-1], ri, tp)
             got = [solution_eval_x(xs, s, ri, tp).tobytes() for s in sols]
             assert got == want, name
-            norm = [math.sqrt(wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols))
-                    for n in range(len(sols))]
-            for n in range(len(sols)):
-                psi = eigenfunction_eval_x(xs, n, ri, tp, normalize=True, _sols=sols)
-                assert psi.tobytes() == (np.frombuffer(want[n]).reshape(xs.shape)
-                                         / norm[n]).tobytes()
+            for n, s in enumerate(sols):
+                norm = math.sqrt(solution_norm_sq(s, tp))
+                psi = solution_eval_x(xs, s, ri, tp) / norm
+                assert psi.tobytes() == (np.frombuffer(want[n]).reshape(xs.shape) / norm).tobytes()
         for x in (-29.3, -1.5 * math.log(2.0), 0.0, 7.25):
             for s in sols:
                 got = solution_eval_x(x, s, ri, tp)
@@ -350,10 +348,10 @@ class TestGaugeRecord:
 class TestEigenfunctions:
     def test_decay(self):
         # slowest level decays like exp(-0.68 |x|) here
-        for n in range(2):
-            assert abs(eigenfunction_eval_x(35.0, n, WL5, TP2)) < 1e-9
-            assert abs(eigenfunction_eval_x(-35.0, n, WL5, TP2)) < 1e-9
-            assert abs(eigenfunction_eval_x(60.0, n, WL5, TP2)) < 1e-16
+        for s in spectrum(WL5, TP2):
+            assert abs(solution_eval_x(35.0, s, WL5, TP2)) < 1e-9
+            assert abs(solution_eval_x(-35.0, s, WL5, TP2)) < 1e-9
+            assert abs(solution_eval_x(60.0, s, WL5, TP2)) < 1e-16
 
     def test_node_counts(self):
         ri = RayIdentifiers(0.0, 7.4)
@@ -372,8 +370,8 @@ class TestEigenfunctions:
             * solution_eval_x(x, sols[1], ri, TP2),
             -40.0, 40.0, limit=300,
         )
-        n0 = math.sqrt(wavefunction.eigenfunction_norm_sq(0, ri, TP2, _sols=sols))
-        n1 = math.sqrt(wavefunction.eigenfunction_norm_sq(1, ri, TP2, _sols=sols))
+        n0 = math.sqrt(solution_norm_sq(sols[0], TP2))
+        n1 = math.sqrt(solution_norm_sq(sols[1], TP2))
         assert abs(val / (n0 * n1)) < 1e-8
 
     def test_values_near_both_ends_against_mpmath(self):
@@ -405,7 +403,8 @@ class TestEigenfunctions:
 
     def test_normalized_unit_norm(self):
         xs = np.linspace(-30, 30, 120_001)
-        psi = eigenfunction_eval_x(xs, 0, WL5, TP2, normalize=True)
+        sol = spectrum(WL5, TP2)[0]
+        psi = solution_eval_x(xs, sol, WL5, TP2) / math.sqrt(solution_norm_sq(sol, TP2))
         sq = psi**2
         norm = (xs[1] - xs[0]) * (sq.sum() - 0.5 * (sq[0] + sq[-1]))  # trapezoid rule
         assert norm == pytest.approx(1.0, rel=1e-7)
@@ -421,7 +420,7 @@ class TestEigenfunctions:
         ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
         sols = spectrum(ri, tp)
         n %= len(sols)
-        got = wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols)
+        got = solution_norm_sq(sols[n], tp)
         assert got == pytest.approx(_mp_norm_sq(sols[n], tp), rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("params", [
@@ -432,10 +431,9 @@ class TestEigenfunctions:
         lo, mo, zt = params
         ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
         sols = spectrum(ri, tp)
-        got = wavefunction.eigenfunction_norm_sq(0, ri, tp, _sols=sols)
+        got = solution_norm_sq(sols[0], tp)
         assert got == pytest.approx(_mp_norm_sq(sols[0], tp), rel=1e-11, abs=0.0)
-        psi = eigenfunction_eval_x(np.linspace(-5.0, 5.0, 11), 0, ri, tp,
-                                   normalize=True, _sols=sols)
+        psi = solution_eval_x(np.linspace(-5.0, 5.0, 11), sols[0], ri, tp) / math.sqrt(got)
         assert np.all(np.isfinite(psi)) and np.any(psi > 0.0)
 
     def test_norm_whole_domain(self):
@@ -453,7 +451,7 @@ class TestEigenfunctions:
                 continue
             if sols:
                 n = int(rng.integers(len(sols)))
-                got = wavefunction.eigenfunction_norm_sq(n, ri, tp, _sols=sols)
+                got = solution_norm_sq(sols[n], tp)
                 worst = max(worst, abs(got / _mp_norm_sq(sols[n], tp) - 1.0))
                 levels += 1
         assert worst <= 1e-12
@@ -462,7 +460,7 @@ class TestEigenfunctions:
         # both exponents in the thousands: the norm is below the smallest float
         sol = AehSolution(Kind.C, 0, 2000.0, 2000.0)
         with pytest.raises(DomainError):
-            wavefunction.eigenfunction_norm_sq(0, WL5, TP2, _sols=[sol])
+            solution_norm_sq(sol, TP2)
 
     def test_beta_against_mpmath(self):
         # arguments 1..3e4, skewed and balanced, down to where B underflows
@@ -480,12 +478,10 @@ class TestEigenfunctions:
 
     def test_index_error(self):
         with pytest.raises(IndexError):
-            eigenfunction_eval_x(0.0, 5, WL5, TP2)
+            wavefunction.eigenfunction_norm_sq(5, WL5, TP2)
         # a negative n must not wrap around to the top level
         ri, tp = RayIdentifiers(0.5, 12.0), TangentPoly(-1.0)
         for n in (-1, len(spectrum(ri, tp))):
-            with pytest.raises(IndexError):
-                eigenfunction_eval_x(0.0, n, ri, tp)
             with pytest.raises(IndexError):
                 wavefunction.eigenfunction_norm_sq(n, ri, tp)
 
