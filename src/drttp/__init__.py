@@ -44,14 +44,12 @@ from .spectral import (
 # the names each array-backed submodule exports, imported on first access
 _LAZY = {
     "core": (
-        "dkv_inverse",
         "dkv_map",
         "dkv_potential_eval",
         "eta_hat_of_x",
         "map_x_to_z",
         "potential_eval_x",
         "potential_eval_z",
-        "schwarzian_eta",
         "schwarzian_eval",
         "tangent_poly_eval",
         "x_of_z",
@@ -66,7 +64,6 @@ _LAZY = {
         "HeunOperator",
         "HeunPolynomial",
         "PartnerSpec",
-        "StructureConstants",
         "basic_ff_eval",
         "double_partner_spec",
         "double_step_ff_eval",
@@ -77,13 +74,11 @@ _LAZY = {
         "partner_correction_z",
         "partner_potential_x",
         "single_partner_spec",
-        "structure_constants",
     ),
     "wavefunction": (
         "aeh_eval",
         "count_nodes",
         "factor_roots_in_01",
-        "hypergeom_poly_eval",
         "solution_eval_x",
         "solution_norm_sq",
     ),

@@ -355,13 +355,6 @@ def schwarzian_eval(z, omz, tp: TangentPoly):
     return out if out.ndim else float(out)
 
 
-def schwarzian_eta(eta_hat):
-    """Schwarzian {eta^, x} on the z_T = 2 branch; even in eta^."""
-    eta_hat = np.asarray(eta_hat, dtype=float)
-    out = -0.5 - 3.0 / eta_hat**2 + 1.5 / eta_hat**4
-    return out if out.ndim else float(out)
-
-
 def potential_eval_z(z, omz, ri: RayIdentifiers, tp: TangentPoly):
     """Reference z-gauge potential value v[z] on the closed interval [0, 1],
     from the pair (z, 1 - z).
@@ -427,17 +420,6 @@ def dkv_map(ri: RayIdentifiers) -> tuple[float, float, float]:
     A = (2.0 * ri.mu_o**2 - ri.lambda_o**2 + 3.0) / 4.0
     B = ri.mu_o**2 / 2.0
     return A, B, -(ri.lambda_o**2) / 4.0
-
-
-def dkv_inverse(A: float, B: float) -> RayIdentifiers:
-    """Inverse of :func:`dkv_map`; raises if (A, B) is outside the family."""
-    if B <= 0.0:
-        raise DomainError("B must be positive")
-    mu_o = math.sqrt(2.0 * B)
-    radicand = 2.0 * mu_o**2 + 3.0 - 4.0 * A
-    if radicand < 0.0:
-        raise DomainError("(A, B) not in the DRtTP(z_T=2) family: 4B + 3 - 4A < 0")
-    return RayIdentifiers(lambda_o=math.sqrt(radicand), mu_o=mu_o)
 
 
 def dkv_potential_eval(eta_hat, A: float, B: float):

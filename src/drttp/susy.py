@@ -33,61 +33,14 @@ from .errors import (
 from .spectral import (
     AehSolution,
     Kind,
-    basic_solutions,
     wl_gm,
     wl_quadratic_roots,
 )
 
-# relative spread of d across the basic kinds that structure_constants admits
-_STRUCTURE_TOL = 1e-8
 # twice the unit roundoff; halvings after which a Heun root count gives up
 _EPS, _MAX_DEPTH = 2.0**-52, 52
 # relative size below which a Heun polynomial's degree counts as degenerate
 _DEGENERATE_TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# structure constants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """Constants tying energies to characteristic exponents.
-
-    ``o00`` is the first-order-pole numerator of the reference fraction,
-    ``d`` the unique constant making  8 rho0 rho1 + d epsilon = o00  an
-    identity on the basic solutions.
-    """
-
-    o00: float
-    d: float
-
-
-def structure_constants(ri: RayIdentifiers, tp: TangentPoly) -> StructureConstants:
-    """Derive the constants from the basic solutions and freeze them.
-
-    The derivation solves  8 rho0 rho1 + d epsilon = o00  for d on each
-    basic solution; inconsistency across the three kinds beyond a relative
-    1e-8 signals a convention bug upstream and raises.
-    """
-    o00 = ri.mu_o**2 - ri.lambda_o**2 + 1.0
-    basics = basic_solutions(ri, tp)
-    ds = []
-    for sol in basics.values():
-        rho0 = 0.5 * (sol.lambda0 + 1.0)
-        rho1 = 0.5 * (sol.lambda1 + 1.0)
-        if sol.epsilon == 0.0:
-            continue
-        ds.append((o00 - 8.0 * rho0 * rho1) / sol.epsilon)
-    if not ds:
-        raise AvailabilityError("no basic solution with nonzero energy")
-    spread = max(ds) - min(ds)
-    if spread > _STRUCTURE_TOL * max(1.0, abs(ds[0])):
-        raise DomainError(
-            f"structure-constant derivation inconsistent across kinds "
-            f"(spread {spread:.3e})"
-        )
-    return StructureConstants(o00=o00, d=float(np.mean(ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +101,22 @@ def double_step_ff_eval(z, omz, t: AehSolution, t_prime: AehSolution, tp: Tangen
 
 @dataclass(frozen=True)
 class PartnerSpec:
-    """Descriptor of a one- or two-step partner construction."""
+    """Descriptor of a one- or two-step partner construction: its basic
+    FFs and its outer pole (z_T for one step, z_tt' for two)."""
 
-    steps: int
     ff_kinds: tuple[AehSolution, ...]
     outer_pole: float
-    expected_spectral_delta: frozenset[float]
+
+    @property
+    def steps(self) -> int:
+        """Darboux steps, one per FF."""
+        return len(self.ff_kinds)
+
+    @property
+    def expected_spectral_delta(self) -> frozenset[float]:
+        """The FF energies: each one is the level the construction removes
+        from or adds to the base spectrum."""
+        return frozenset(ff.epsilon for ff in self.ff_kinds)
 
     @property
     def delta0(self) -> float:
@@ -171,7 +134,7 @@ class PartnerSpec:
 def single_partner_spec(ff: AehSolution, tp: TangentPoly) -> PartnerSpec:
     if ff.m != 0:
         raise DomainError("factorization function must be basic (m = 0)")
-    return PartnerSpec(1, (ff,), tp.z_T, frozenset([ff.epsilon]))
+    return PartnerSpec((ff,), tp.z_T)
 
 
 def double_partner_spec(t: AehSolution, t_prime: AehSolution,
@@ -198,9 +161,7 @@ def double_partner_spec(t: AehSolution, t_prime: AehSolution,
                 "d-pair rejected: the regular basic solution does not lie "
                 "below the irregular one at these parameters"
             )
-    return PartnerSpec(
-        2, (t, t_prime), ztt, frozenset([t.epsilon, t_prime.epsilon])
-    )
+    return PartnerSpec((t, t_prime), ztt)
 
 
 def partner_correction_z(z, omz, spec: PartnerSpec, tp: TangentPoly):
@@ -454,15 +415,6 @@ def heun_poly_construct(t0: AehSolution, t_prime: AehSolution,
     return HeunPolynomial(coeffs, big[-1] if big else -1, True)
 
 
-def lambe_ward_exponents(t_prime: AehSolution,
-                         sigma: tuple[int, int, int]) -> tuple[float, float]:
-    s0, s1, _ = sigma
-    return (
-        0.5 * (t_prime.lambda0 - s0 * abs(t_prime.lambda0)),
-        0.5 * (t_prime.lambda1 - s1 * abs(t_prime.lambda1)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # nodelessness predicates
 # ---------------------------------------------------------------------------
@@ -478,26 +430,21 @@ def _partner_ground_lambda1(kind: Kind, mu_o: float, tp: TangentPoly) -> float:
     return -dn if kind is Kind.D else up
 
 
-def nodeless_predicate(kind: Kind, m: int, mu_o: float, tp: TangentPoly,
-                       branch: str = "primary") -> bool:
+def nodeless_predicate(kind: Kind, m: int, mu_o: float, tp: TangentPoly) -> bool:
     """Below-partner-ground criterion for the levelled-limit seed solutions.
 
     ``kind`` selects which basic-FF partner the regular seed (primary
-    linear-branch solution for 2m+1 < mu_o, supplementary one otherwise)
-    is compared against.  The criterion is equivalent to nodelessness of
-    the transformed seed inside (0, 1).
+    linear-branch solution for 2m+1 < mu_o, supplementary one for
+    2m+1 > mu_o) is compared against.  The criterion is equivalent to
+    nodelessness of the transformed seed inside (0, 1).
     """
     if kind not in (Kind.A, Kind.B, Kind.C, Kind.D):
         raise DomainError("kind must be one of the basic types")
     if kind in (Kind.A, Kind.B):
         kind = Kind.A  # both mean "the regular basic FF" branch selector
-    if branch not in ("primary", "secondary"):
-        raise DomainError("branch must be 'primary' or 'secondary'")
     u = 2 * m + 1
-    if branch == "primary" and mu_o <= u:
-        raise AvailabilityError("primary seed requires mu_o > 2m + 1")
-    if branch == "secondary" and mu_o >= u:
-        raise AvailabilityError("secondary seed requires mu_o < 2m + 1")
+    if mu_o == u:
+        raise AvailabilityError("no regular seed at mu_o = 2m + 1")
     if mu_o <= 1.0:
         raise AvailabilityError("partner ground requires a nonempty spectrum")
     if kind is Kind.C and mu_o <= 3.0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import core, errors, oracle, spectral, susy, wavefunction
 from .core import RayIdentifiers, TangentPoly
-from .errors import AvailabilityError, PairRejectedError
+from .errors import AvailabilityError, DomainError, PairRejectedError
 from .spectral import Kind
 
 # the acceptance grid: every (lambda_o, mu_o, z_T) of these values
@@ -92,6 +92,13 @@ def _fd_schwarzian(x0: float, tp: TangentPoly, h: float) -> float:
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
 
+def _schwarzian_eta(eta_hat):
+    """Schwarzian {eta^, x} on the z_T = 2 branch; even in eta^."""
+    eta_hat = np.asarray(eta_hat, dtype=float)
+    out = -0.5 - 3.0 / eta_hat**2 + 1.5 / eta_hat**4
+    return out if out.ndim else float(out)
+
+
 def check_schwarzian() -> list[CheckResult]:
     out = []
     worst = 0.0
@@ -104,9 +111,9 @@ def check_schwarzian() -> list[CheckResult]:
     out.append(_result("schwarzian.fd-agreement", 1e-6, worst))
 
     etas = np.linspace(1.0, 9.0, 33)
-    parity = float(np.max(np.abs(core.schwarzian_eta(etas) - core.schwarzian_eta(-etas))))
+    parity = float(np.max(np.abs(_schwarzian_eta(etas) - _schwarzian_eta(-etas))))
     out.append(_result("schwarzian.parity", 0.0, parity))
-    vals = abs(core.schwarzian_eta(1.0) + 2.0) + abs(core.schwarzian_eta(1e8) + 0.5)
+    vals = abs(_schwarzian_eta(1.0) + 2.0) + abs(_schwarzian_eta(1e8) + 0.5)
     out.append(_result("schwarzian.eta-values", 1e-12, vals))
     return out
 
@@ -513,6 +520,50 @@ def _gram_checks(ri, tp, sols, xq, wq) -> tuple[float, float, int]:
     return float(np.max(np.abs(gram - np.eye(len(sols))))), norm_gap, misses
 
 
+def _hypergeom_poly_eval(n: int, a: float, c: float, z) -> float:
+    """Terminating hypergeometric sum F(-n, a; c; z), Kahan-compensated.
+
+    Any parameters, but it cancels catastrophically at high degree: bound
+    states use ``wavefunction.hypergeom_poly_jacobi``, checked against this
+    sum in the flip form.  ``c`` may not be a nonpositive integer
+    >= -(n-1): such values put a pole inside the truncated series.
+    """
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    if c <= 0.0 and abs(c - round(c)) < 1e-12 and round(c) >= -(n - 1):
+        raise DomainError(f"c = {c} hits a Pochhammer pole within the sum")
+    z = np.asarray(z, dtype=float)
+    total = np.ones_like(z)
+    comp = np.zeros_like(z)
+    term = np.ones_like(z)
+    for k in range(n):
+        term = term * ((-n + k) * (a + k)) / ((c + k) * (k + 1.0)) * z
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total if total.ndim else float(total)
+
+
+def _hypergeom_flip_eval(z, sol: spectral.AehSolution):
+    """Companion representation of the polynomial factor in 1/z.
+
+    Equals F(-m, mu - m; lambda0 + 1; z) wherever both series are defined
+    (terminating-series argument inversion), so it cross-checks the
+    Jacobi recurrence.  The second parameter lambda1 - mu + m + 1 equals
+    -lambda0 - m.
+    """
+    z = np.asarray(z, dtype=float)
+    n = sol.m
+    mu, lam0, lam1 = sol.mu, sol.lambda0, sol.lambda1
+    ratio = wavefunction.pochhammer(1.0 - mu, n) / wavefunction.pochhammer(-lam0 - n, n)
+    zhat = 1.0 / z
+    out = (-z) ** n * ratio * _hypergeom_poly_eval(
+        n, lam1 - mu + n + 1.0, 1.0 - mu, zhat
+    )
+    return out if out.ndim else float(out)
+
+
 def check_eigenfunctions() -> list[CheckResult]:
     node_bad, gram_worst, norm_worst, resid_worst = 0, 0.0, 0.0, 0.0
     high_gram, high_misses = 0.0, 0
@@ -556,7 +607,7 @@ def check_eigenfunctions() -> list[CheckResult]:
         for z in (0.15, 0.3, 0.62, 0.9):
             a = wavefunction.hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0,
                                                    z, 1.0 - z)
-            b = wavefunction.hypergeom_flip_eval(z, sol)
+            b = _hypergeom_flip_eval(z, sol)
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     out.append(_result("eigenfunction.flip-identity", 1e-10, worst))
     return out
@@ -667,7 +718,7 @@ def check_susy_algebra() -> list[CheckResult]:
                 zs = np.linspace(0.08, 0.92, 7)
                 # an algebraic identity, so the spec is built directly: the
                 # admissibility gate of double_partner_spec does not apply
-                spec = susy.PartnerSpec(2, (t, tq), ztt, frozenset())
+                spec = susy.PartnerSpec((t, tq), ztt)
                 f1 = 4.0 * (2.0 * zs + spec.delta0)
                 f2 = 4.0 * (2.0 * zs - (tq.mu - 1.0) * ztt + tq.lambda0 - 1.0)
                 f3 = 4.0 * (2.0 * zs - (t.mu - 1.0) * ztt + t.lambda0 - 1.0)
@@ -768,7 +819,7 @@ def check_heun() -> list[CheckResult]:
                 if sigma2 == sigma:
                     continue
                 op2 = susy.heun_operator(seed.epsilon, spec, sigma2, ri, tp)
-                e0, e1 = susy.lambe_ward_exponents(seed, sigma2)
+                e0, e1 = _lambe_ward_exponents(seed, sigma2)
                 for z in (0.22, 0.58, 0.84):
                     lw_worst = max(
                         lw_worst, _lambe_ward_residual(op2, poly, e0, e1, z, tp)
@@ -821,6 +872,17 @@ def check_heun() -> list[CheckResult]:
     ]
 
 
+def _lambe_ward_exponents(t_prime: spectral.AehSolution,
+                          sigma: tuple[int, int, int]) -> tuple[float, float]:
+    """Exponents (e0, e1) of the quasi-algebraic kernel z^e0 (1-z)^e1 P(z)
+    of the seed t' in the gauge sigma."""
+    s0, s1, _ = sigma
+    return (
+        0.5 * (t_prime.lambda0 - s0 * abs(t_prime.lambda0)),
+        0.5 * (t_prime.lambda1 - s1 * abs(t_prime.lambda1)),
+    )
+
+
 def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
                          e0: float, e1: float, z: float, tp: TangentPoly) -> float:
     # z^e0 (1-z)^e1 P(z) and its two exact derivatives, from the Euler jet
@@ -847,7 +909,7 @@ def _b2_poly(z, sol: spectral.AehSolution, tp: TangentPoly):
 
 
 def _b2_factor_check(t: spectral.AehSolution, t1: spectral.AehSolution,
-                     t2: spectral.AehSolution, tp: TangentPoly, seed: int = 0
+                     t2: spectral.AehSolution, tp: TangentPoly, seed: int
                      ) -> tuple[float, float, float]:
     """Factorization identity of the basic-solution quadratic: the max
     absolute difference between the quadratic built from the exponents of
@@ -909,12 +971,10 @@ def check_appendix_b() -> list[CheckResult]:
             }
             reg_kind = Kind.A if tp.c0 > 1.0 else Kind.B
             for m in range(30):
-                u = 2 * m + 1
-                branch = "primary" if mu_o > u else "secondary"
                 seed = spectral.wl_solve(m, mu_o, tp)[0]  # the linear-branch solution
                 for kind in (reg_kind, Kind.C, Kind.D):
                     try:
-                        pred = susy.nodeless_predicate(kind, m, mu_o, tp, branch)
+                        pred = susy.nodeless_predicate(kind, m, mu_o, tp)
                     except AvailabilityError:
                         continue
                     ff = basics[Kind.C if kind is Kind.C else
@@ -934,7 +994,7 @@ def check_appendix_b() -> list[CheckResult]:
         vals = []
         for m in range(3, 40):
             try:
-                vals.append(susy.nodeless_predicate(kind, m, 5.0, tp, "secondary"))
+                vals.append(susy.nodeless_predicate(kind, m, 5.0, tp))
             except AvailabilityError:
                 continue
         if not vals or not all(vals[len(vals) // 2:]):
@@ -952,6 +1012,39 @@ def _c00(lambda0: float, lambda1: float) -> float:
     return 0.5 * (lambda0 + 1.0) * (lambda1 + 1.0)
 
 
+# relative spread of d across the basic kinds that _structure_constants admits
+_STRUCTURE_TOL = 1e-8
+
+
+def _structure_constants(ri: RayIdentifiers, tp: TangentPoly) -> tuple[float, float]:
+    """(o00, d): o00 is the first-order-pole numerator of the reference
+    fraction, d the unique constant making  8 rho0 rho1 + d epsilon = o00
+    an identity on the basic solutions.
+
+    The derivation solves that identity for d on each basic solution;
+    inconsistency across the three kinds beyond a relative 1e-8 signals a
+    convention bug upstream and raises.
+    """
+    o00 = ri.mu_o**2 - ri.lambda_o**2 + 1.0
+    basics = spectral.basic_solutions(ri, tp)
+    ds = []
+    for sol in basics.values():
+        rho0 = 0.5 * (sol.lambda0 + 1.0)
+        rho1 = 0.5 * (sol.lambda1 + 1.0)
+        if sol.epsilon == 0.0:
+            continue
+        ds.append((o00 - 8.0 * rho0 * rho1) / sol.epsilon)
+    if not ds:
+        raise AvailabilityError("no basic solution with nonzero energy")
+    spread = max(ds) - min(ds)
+    if spread > _STRUCTURE_TOL * max(1.0, abs(ds[0])):
+        raise DomainError(
+            f"structure-constant derivation inconsistent across kinds "
+            f"(spread {spread:.3e})"
+        )
+    return o00, float(np.mean(ds))
+
+
 def check_constants() -> list[CheckResult]:
     out = []
     rng = np.random.RandomState(9)
@@ -966,15 +1059,15 @@ def check_constants() -> list[CheckResult]:
     for (lo, mo, zt) in ((0.0, 5.0, 2.0), (0.8, 4.5, -1.0), (1.5, 7.3, 3.0)):
         ri = RayIdentifiers(lo, mo)
         tp = TangentPoly(zt)
-        sc = susy.structure_constants(ri, tp)
-        d_worst = max(d_worst, abs(sc.d - (tp.a2 - tp.c0 - 1.0)))
-        o00_chk = max(o00_chk, abs(sc.o00 - (mo**2 - lo**2 + 1.0)))
+        o00, d = _structure_constants(ri, tp)
+        d_worst = max(d_worst, abs(d - (tp.a2 - tp.c0 - 1.0)))
+        o00_chk = max(o00_chk, abs(o00 - (mo**2 - lo**2 + 1.0)))
     out.append(_result("constants.d-closed-form", 1e-8, d_worst,
                        "d = a2 - c0 - 1 from the basic-solution identity"))
-    sc2 = susy.structure_constants(RayIdentifiers(0.0, 5.0), TangentPoly(2.0))
-    out.append(_result("constants.d-at-zt2", 1e-8, abs(sc2.d + 4.0)))
+    o00, d = _structure_constants(RayIdentifiers(0.0, 5.0), TangentPoly(2.0))
+    out.append(_result("constants.d-at-zt2", 1e-8, abs(d + 4.0)))
     out.append(_result("constants.o00-value", 1e-12,
-                       max(o00_chk, abs(sc2.o00 - 26.0))))
+                       max(o00_chk, abs(o00 - 26.0))))
     return out
 
 

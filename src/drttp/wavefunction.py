@@ -44,31 +44,6 @@ def _beta(a: float, b: float) -> float:
                             + q * math.log1p(-p / s) + tail[0] + tail[1] - tail[2])
 
 
-def hypergeom_poly_eval(n: int, a: float, c: float, z) -> float:
-    """Terminating hypergeometric sum F(-n, a; c; z), Kahan-compensated.
-
-    Any parameters, but it cancels catastrophically at high degree: bound
-    states use ``hypergeom_poly_jacobi``, checked against this sum.
-    ``c`` may not be a nonpositive integer >= -(n-1): such values put a
-    pole inside the truncated series.
-    """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if c <= 0.0 and abs(c - round(c)) < 1e-12 and round(c) >= -(n - 1):
-        raise DomainError(f"c = {c} hits a Pochhammer pole within the sum")
-    z = np.asarray(z, dtype=float)
-    total = np.ones_like(z)
-    comp = np.zeros_like(z)
-    term = np.ones_like(z)
-    for k in range(n):
-        term = term * ((-n + k) * (a + k)) / ((c + k) * (k + 1.0)) * z
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total if total.ndim else float(total)
-
-
 def hypergeom_poly_jacobi(n: int, a: float, c: float, z, omz):
     """F(-n, a; c; z) from the pair (z, 1 - z), each at its own relative
     precision: n!/(c)_n P_n^(alpha, beta)(1 - 2z) with alpha = c - 1
@@ -199,25 +174,6 @@ def aeh_eval(z, omz, sol: AehSolution):
     lim = _endpoint_limit(e1)
     out[omz == 0.0] = hypergeom_poly_jacobi(m, a, c, 1.0, 0.0) if lim == 1.0 else lim
     return float(out[0]) if scalar else out
-
-
-def hypergeom_flip_eval(z, sol: AehSolution):
-    """Companion representation of the polynomial factor in 1/z.
-
-    Equals F(-m, mu - m; lambda0 + 1; z) wherever both series are defined
-    (terminating-series argument inversion); used as a cross-check of the
-    primary evaluation.  The second parameter lambda1 - mu + m + 1 equals
-    -lambda0 - m.
-    """
-    z = np.asarray(z, dtype=float)
-    n = sol.m
-    mu, lam0, lam1 = sol.mu, sol.lambda0, sol.lambda1
-    ratio = pochhammer(1.0 - mu, n) / pochhammer(-lam0 - n, n)
-    zhat = 1.0 / z
-    out = (-z) ** n * ratio * hypergeom_poly_eval(
-        n, lam1 - mu + n + 1.0, 1.0 - mu, zhat
-    )
-    return out if out.ndim else float(out)
 
 
 def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):

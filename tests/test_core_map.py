@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from drttp import core, susy
+from drttp import core, susy, verify
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError, PoleError
 from drttp.spectral import Kind, basic_solutions, spectrum
@@ -366,8 +366,8 @@ class TestMapMemo:
 
 class TestSchwarzian:
     def test_eta_mode_values(self):
-        assert core.schwarzian_eta(1.0) == pytest.approx(-2.0)
-        assert core.schwarzian_eta(1e9) == pytest.approx(-0.5)
+        assert verify._schwarzian_eta(1.0) == pytest.approx(-2.0)
+        assert verify._schwarzian_eta(1e9) == pytest.approx(-0.5)
 
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
@@ -376,7 +376,7 @@ class TestSchwarzian:
     def test_eta_matches_x_gauge_at_zt2(self):
         for z in (0.2, 0.5, 2 / 3, 0.9):
             eta = 2.0 / z - 1.0
-            assert core.schwarzian_eta(eta) == pytest.approx(
+            assert verify._schwarzian_eta(eta) == pytest.approx(
                 core.schwarzian_eval(z, 1 - z, TP2), rel=1e-13
             )
 
@@ -502,19 +502,6 @@ class TestDkv:
         assert core.dkv_map(RayIdentifiers(2.0, 2.0)) == pytest.approx(
             (7.0 / 4.0, 2.0, -1.0)
         )
-
-    def test_roundtrip(self):
-        rng = np.random.RandomState(0)
-        for _ in range(100):
-            ri = RayIdentifiers(rng.uniform(0.5, 3), rng.uniform(0.5, 9))
-            A, B, _ = core.dkv_map(ri)
-            back = core.dkv_inverse(A, B)
-            assert back.lambda_o == pytest.approx(ri.lambda_o, abs=1e-14)
-            assert back.mu_o == pytest.approx(ri.mu_o, abs=1e-14)
-
-    def test_inverse_domain_error(self):
-        with pytest.raises(DomainError):
-            core.dkv_inverse(10.0, 1.0)
 
     def test_potential_values(self):
         assert core.dkv_potential_eval(1.0, 2.5, 1.5) == pytest.approx(

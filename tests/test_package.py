@@ -25,18 +25,17 @@ EXPORTS = {
     "params": ("RayIdentifiers", "TangentPoly"),
     "spectral": ("AehSolution", "Kind", "basic_solutions", "bound_state_count",
                  "nodeless_census", "spectrum", "wl_solve"),
-    "core": ("dkv_inverse", "dkv_map", "dkv_potential_eval", "eta_hat_of_x",
-             "map_x_to_z", "potential_eval_x", "potential_eval_z", "schwarzian_eta",
-             "schwarzian_eval", "tangent_poly_eval", "x_of_z"),
+    "core": ("dkv_map", "dkv_potential_eval", "eta_hat_of_x", "map_x_to_z",
+             "potential_eval_x", "potential_eval_z", "schwarzian_eval", "tangent_poly_eval",
+             "x_of_z"),
     "oracle": ("NumericSpectrum", "compare_spectra", "solve_schrodinger",
                "spectral_symmetric_difference"),
-    "susy": ("HeunOperator", "HeunPolynomial", "PartnerSpec", "StructureConstants",
-             "basic_ff_eval", "double_partner_spec", "double_step_ff_eval",
-             "heun_operator", "heun_poly_construct", "nodeless_predicate", "outer_root_ztt",
-             "partner_correction_z", "partner_potential_x", "single_partner_spec",
-             "structure_constants"),
-    "wavefunction": ("aeh_eval", "count_nodes", "factor_roots_in_01", "hypergeom_poly_eval",
-                     "solution_eval_x", "solution_norm_sq"),
+    "susy": ("HeunOperator", "HeunPolynomial", "PartnerSpec", "basic_ff_eval",
+             "double_partner_spec", "double_step_ff_eval", "heun_operator",
+             "heun_poly_construct", "nodeless_predicate", "outer_root_ztt",
+             "partner_correction_z", "partner_potential_x", "single_partner_spec"),
+    "wavefunction": ("aeh_eval", "count_nodes", "factor_roots_in_01", "solution_eval_x",
+                     "solution_norm_sq"),
 }
 NAMES = sorted({n for names in EXPORTS.values() for n in names} | set(EXPORTS))
 
@@ -124,6 +123,37 @@ def test_verify_reads_no_private_name_of_another_module():
     modules, uses = _private_uses("cli.py")
     assert modules >= {"core", "spectral", "susy", "wavefunction"}
     assert uses == set()
+
+
+def _reads(node, enclosing=frozenset()):
+    """The names read under ``node``: the ids of Name loads, the attrs of
+    Attribute loads and the modules of ``from .module import`` statements,
+    leaving out those of a function or class inside its own definition."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        name = node.attr
+    elif isinstance(node, ast.ImportFrom) and node.level == 1:
+        name = node.module
+    else:
+        name = None
+    if name is not None and name not in enclosing:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, enclosing)
+
+
+def test_every_exported_name_has_a_reader_in_the_library():
+    # a name the library exports but never reads itself is surface that the
+    # computation does not use
+    read = set()
+    for filename in os.listdir(os.path.join(SRC, "drttp")):
+        if filename.endswith(".py"):
+            with open(os.path.join(SRC, "drttp", filename)) as fh:
+                read |= set(_reads(ast.parse(fh.read())))
+    assert sorted(set(drttp.__all__) - read) == []
 
 
 COLD_PATH = """

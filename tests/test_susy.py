@@ -127,8 +127,7 @@ class TestSinglePartner:
         specs.append(susy.double_partner_spec(basics[Kind.C], basics[Kind.A], TP2))
         for spec in specs:
             assert verify._darboux_gap(spec, TP2, xs) <= 1e-12
-            bad = Shifted(spec.steps, spec.ff_kinds, spec.outer_pole,
-                          spec.expected_spectral_delta)
+            bad = Shifted(spec.ff_kinds, spec.outer_pole)
             assert verify._darboux_gap(bad, TP2, xs) > 1e-12
 
     def test_x_gauge_matches_z_gauge_scaling(self, basics):
@@ -268,6 +267,16 @@ class TestPairs:
         )
         with pytest.raises(PairRejectedError):
             susy.double_partner_spec(basics[Kind.C], basics[Kind.D], TP2)
+
+    def test_spec_holds_only_its_ffs_and_pole(self, basics):
+        # steps and the spectral delta are read off the FFs, never stored
+        assert [f.name for f in dataclasses.fields(susy.PartnerSpec)] == ["ff_kinds",
+                                                                          "outer_pole"]
+        c, a = basics[Kind.C], basics[Kind.A]
+        for ffs in ((c,), (c, a)):
+            spec = susy.PartnerSpec(ffs, TP2.z_T)
+            assert spec.steps == len(ffs)
+            assert spec.expected_spectral_delta == frozenset(ff.epsilon for ff in ffs)
 
     def test_admitted_pair_ff_keeps_its_sign(self):
         # on (0, 1) the first-order FF is (mu' - mu) sqrt(z(1-z))
@@ -530,7 +539,7 @@ class TestHeun:
 class TestAppendixIdentities:
     def test_b2_factorization(self, basics):
         factor, zero, mu_lambda = verify._b2_factor_check(
-            basics[Kind.C], basics[Kind.A], basics[Kind.D], TP2)
+            basics[Kind.C], basics[Kind.A], basics[Kind.D], TP2, seed=0)
         assert factor < 1e-10
         assert zero < 1e-12
         assert mu_lambda < 1e-10
@@ -538,7 +547,7 @@ class TestAppendixIdentities:
     def test_missing_kind(self):
         ri = RayIdentifiers(3.0, 1.0)   # no discrete spectrum here
         with pytest.raises(AvailabilityError):
-            verify._b2_factor_check(*basic_solutions(ri, TP2).values(), TP2)
+            verify._b2_factor_check(*basic_solutions(ri, TP2).values(), TP2, seed=0)
 
 
 class TestNodelessPredicate:
@@ -551,11 +560,11 @@ class TestNodelessPredicate:
             n0 = math.ceil((mu_o - 1) / 2)
             for m in range(1, n0):
                 want = census.primary_nodeless(m)
-                got = susy.nodeless_predicate(Kind.A, m, mu_o, TP2, "primary")
+                got = susy.nodeless_predicate(Kind.A, m, mu_o, TP2)
                 assert got == want
 
     def test_c_partner_at_m0(self):
-        assert susy.nodeless_predicate(Kind.C, 0, 5.0, TP2, "primary")
+        assert susy.nodeless_predicate(Kind.C, 0, 5.0, TP2)
 
     def test_d_pair_threshold(self):
         # the m = 0 (d0, regular-basic) pair turns admissible where the
@@ -564,38 +573,38 @@ class TestNodelessPredicate:
         s = TP2.sqrt_c0
         thr = math.sqrt(2.0 * max(s, 1.0 / s) - 1.0)
         assert 1.0 < thr < 2.0
-        assert susy.nodeless_predicate(Kind.D, 0, thr + 0.05, TP2, "primary")
-        assert not susy.nodeless_predicate(Kind.D, 0, max(1.01, thr - 0.05),
-                                           TP2, "primary")
+        assert susy.nodeless_predicate(Kind.D, 0, thr + 0.05, TP2)
+        assert not susy.nodeless_predicate(Kind.D, 0, max(1.01, thr - 0.05), TP2)
 
     def test_large_m_secondary_tail(self):
-        vals = [susy.nodeless_predicate(Kind.D, m, 5.0, TP2, "secondary")
+        vals = [susy.nodeless_predicate(Kind.D, m, 5.0, TP2)
                 for m in range(3, 40)]
         assert all(vals[20:])
 
     def test_guards(self):
-        with pytest.raises(AvailabilityError):
-            susy.nodeless_predicate(Kind.A, 0, 5.0, TP2, "primary")
-        with pytest.raises(AvailabilityError):
-            susy.nodeless_predicate(Kind.C, 1, 2.5, TP2, "primary")
+        # the seed is the FF; one base level; mu_o = 2m + 1, where there is
+        # neither a primary nor a supplementary seed
+        for kind, m, mu_o in ((Kind.A, 0, 5.0), (Kind.C, 1, 2.5), (Kind.D, 2, 5.0)):
+            with pytest.raises(AvailabilityError):
+                susy.nodeless_predicate(kind, m, mu_o, TP2)
 
 
 class TestStructureConstants:
     def test_values(self):
-        sc = susy.structure_constants(WL5, TP2)
-        assert sc.o00 == pytest.approx(26.0)
-        assert sc.d == pytest.approx(-4.0, abs=1e-10)
+        o00, d = verify._structure_constants(WL5, TP2)
+        assert o00 == pytest.approx(26.0)
+        assert d == pytest.approx(-4.0, abs=1e-10)
         assert verify._c00(2.0, 3.0) - verify._c00(-2.0, -3.0) == pytest.approx(5.0)
 
     def test_d_matches_closed_form_other_branch(self):
         tp = TangentPoly(-1.0)
-        sc = susy.structure_constants(RayIdentifiers(0.3, 4.0), tp)
-        assert sc.d == pytest.approx(tp.a2 - tp.c0 - 1.0, abs=1e-10)
+        _, d = verify._structure_constants(RayIdentifiers(0.3, 4.0), tp)
+        assert d == pytest.approx(tp.a2 - tp.c0 - 1.0, abs=1e-10)
 
     def test_vanishing_combination_on_basics(self, basics):
-        sc = susy.structure_constants(WL5, TP2)
+        o00, d = verify._structure_constants(WL5, TP2)
         for sol in basics.values():
-            c0val = 0.25 * (sc.d * sol.epsilon - sc.o00) + verify._c00(
+            c0val = 0.25 * (d * sol.epsilon - o00) + verify._c00(
                 sol.lambda0, sol.lambda1
             )
             assert c0val == pytest.approx(0.0, abs=1e-10)

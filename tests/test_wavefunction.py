@@ -19,8 +19,6 @@ from drttp.wavefunction import (
     aeh_eval,
     count_nodes,
     factor_roots_in_01,
-    hypergeom_flip_eval,
-    hypergeom_poly_eval,
     hypergeom_poly_jacobi,
     solution_eval_x,
     solution_norm_sq,
@@ -66,17 +64,17 @@ def _mp_norm_sq(sol, tp):
 
 class TestHypergeom:
     def test_degree_zero(self):
-        assert hypergeom_poly_eval(0, 3.7, 1.1, 0.9) == 1.0
+        assert verify._hypergeom_poly_eval(0, 3.7, 1.1, 0.9) == 1.0
 
     def test_degree_one(self):
         a, c, z = 2.5, 1.2, 0.4
-        assert hypergeom_poly_eval(1, a, c, z) == pytest.approx(1 - a / c * z)
+        assert verify._hypergeom_poly_eval(1, a, c, z) == pytest.approx(1 - a / c * z)
 
     def test_matches_jacobi_recurrence(self):
         # both evaluators against an exact sum, Jacobi parameters in (-1, inf)
         for n, a, c, z in ((3, 4.7, 1.2, 0.4), (7, 7.5, 0.8, 0.63)):
             want = _mp_hypergeom(n, a, c, [z])[0]
-            assert hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
+            assert verify._hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
             assert hypergeom_poly_jacobi(n, a, c, z, 1 - z) == pytest.approx(want, rel=1e-12)
         # large exponents (alpha = 1745, beta = 25) near both ends of [0, 1],
         # the recurrence only, relative to the column maximum
@@ -89,18 +87,18 @@ class TestHypergeom:
         # general parameters: the power sum only
         for n, a, c, z in ((3, 2.5, 1.2, 0.4), (7, -1.7, 0.8, 0.63)):
             want = _mp_hypergeom(n, a, c, [z])[0]
-            assert hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
+            assert verify._hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
 
     def test_jacobi_rejects_parameters_below_minus_one(self):
         # alpha = 12, beta = -24: the recurrence would return NaN here
         with pytest.raises(DomainError):
             hypergeom_poly_jacobi(12, 1.0, 13.0, 0.5, 0.5)
-        assert hypergeom_poly_eval(12, 1.0, 13.0, 0.5) == pytest.approx(
+        assert verify._hypergeom_poly_eval(12, 1.0, 13.0, 0.5) == pytest.approx(
             0.673008509954359, rel=1e-12)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
-            hypergeom_poly_eval(3, 1.5, -1.0, 0.2)
+            verify._hypergeom_poly_eval(3, 1.5, -1.0, 0.2)
 
     def test_flip_identity(self):
         ri = RayIdentifiers(1.0, 7.0)
@@ -111,7 +109,7 @@ class TestHypergeom:
                 direct = hypergeom_poly_jacobi(
                     sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, 1 - z
                 )
-                assert hypergeom_flip_eval(z, sol) == pytest.approx(
+                assert verify._hypergeom_flip_eval(z, sol) == pytest.approx(
                     direct, abs=1e-10 * max(1, abs(direct))
                 )
 
