@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import threading
 
 import numpy as np
 
@@ -200,30 +199,22 @@ def _map_newton(x, tp: TangentPoly):
 
 
 class GaugeRecord:
-    """z(x) and 1 - z(x) on one grid, as the map memo of a TangentPoly keeps
-    them, and two things derived from them alone, each made on first read
-    and then kept: the Liouville ``weight`` and the ``halves`` split at
-    z = 1/2.  The arrays are at least 1-d, C-contiguous (the split indexes
+    """The map of one grid x of finite values: ``z`` and ``omz``, z(x) and
+    1 - z(x), the Liouville ``weight`` sqrt((z - z_T)/(2 (1 - z_T))), the
+    factor (z')**(-1/2) less its z**(-1/2) (1 - z)**(-1/2), which solution
+    prefactors absorb, and the ``halves``, :func:`split_at_half` of the
+    grid.  The arrays are at least 1-d, C-contiguous (the split indexes
     them flattened in C order, and products of them are multiplied in place
-    through such a view) and read-only, since a memoized record is shared by
-    every later call on its grid and by every thread.
+    through such a view) and read-only, since a memoized record is shared
+    by every later call on its grid and by every thread.
     """
 
-    def __init__(self, z, omz, z_T: float):
+    def __init__(self, x, tp: TangentPoly):
+        z, omz = _map_zt2_pair(x) if tp.z_T == 2.0 else _map_newton(x, tp)
         self.z = _read_only(np.ascontiguousarray(z))
         self.omz = _read_only(np.ascontiguousarray(omz))
-        self.z_T = z_T
-
-    @functools.cached_property
-    def weight(self) -> np.ndarray:
-        """sqrt((z - z_T)/(2 (1 - z_T))): the Liouville factor (z')**(-1/2)
-        less its z**(-1/2) (1 - z)**(-1/2), which solution prefactors absorb."""
-        return _read_only(np.sqrt((self.z - self.z_T) / (2.0 * (1.0 - self.z_T))))
-
-    @functools.cached_property
-    def halves(self) -> tuple:
-        """:func:`split_at_half` of the grid, its arrays read-only."""
-        return tuple(_read_only(h) for h in split_at_half(self.z, self.omz))
+        self.weight = _read_only(np.sqrt((self.z - tp.z_T) / (2.0 * (1.0 - tp.z_T))))
+        self.halves = tuple(_read_only(h) for h in split_at_half(self.z, self.omz))
 
 
 def split_at_half(z, omz) -> tuple:
@@ -241,63 +232,37 @@ def _read_only(a):
     return a
 
 
-# The memo of each TangentPoly keeps the records of this many most recently
-# used grids of at most _MEMO_MAX_POINTS points: callers evaluate every
-# level, the potential, the partner and node counts on the same few grids.
+# The memo keeps the records of this many most recently used grids of at
+# most _MEMO_MAX_POINTS points: callers evaluate every level, the potential,
+# the partner and node counts on the same few grids.
 _MEMO_GRIDS = 4
 _MEMO_MAX_POINTS = 65536
-# guards each memo's read-modify-write when threads share a TangentPoly
-_MEMO_LOCK = threading.Lock()
 
 
-def _map_pair_uncached(x, tp: TangentPoly):
-    return _map_zt2_pair(x) if tp.z_T == 2.0 else _map_newton(x, tp)
-
-
-def _finite(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("x must be finite")
-    return x
-
-
-def _memo_lookup(x, tp: TangentPoly):
-    """(key, record): the memo key of grid x, None for a scalar or a grid
-    above the point cap, and its record, now the most recently used, or
-    None on a miss."""
-    if not x.ndim or x.size > _MEMO_MAX_POINTS:
-        return None, None
-    key = (x.shape, x.tobytes())
-    with _MEMO_LOCK:
-        rec = tp._map_memo.pop(key, None)
-        if rec is not None:
-            tp._map_memo[key] = rec
-    if rec is not None:
-        _log.debug("inverse map z_T=%r: %d point(s) reused, 0 Newton iterations",
-                   tp.z_T, x.size)
-    return key, rec
-
-
-def _map_record(x, tp: TangentPoly) -> GaugeRecord:
-    """The record of finite x: the memo's, or a new one, stored when the
-    memo keeps grids like x."""
-    key, rec = _memo_lookup(x, tp)
-    if rec is None:
-        rec = GaugeRecord(*_map_pair_uncached(x, tp), tp.z_T)
-        if key is not None:
-            with _MEMO_LOCK:
-                memo = tp._map_memo
-                memo[key] = rec
-                if len(memo) > _MEMO_GRIDS:
-                    del memo[next(iter(memo))]  # the least recently used grid
-    return rec
+@functools.lru_cache(maxsize=_MEMO_GRIDS)
+def _memo(tp: TangentPoly, shape: tuple, data: bytes) -> GaugeRecord:
+    # TangentPoly hashes and compares by z_T: equal instances share records
+    return GaugeRecord(np.frombuffer(data).reshape(shape), tp)
 
 
 def gauge_record(x, tp: TangentPoly) -> GaugeRecord:
     """The memoized :class:`GaugeRecord` of x; a scalar or a grid the memo
-    does not keep gets a record of its own, dropped after use.  Treat the
-    record as read-only."""
-    return _map_record(_finite(x), tp)
+    does not keep gets a record of its own, dropped after use.  DomainError
+    unless x is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x must be finite")
+    if not x.ndim or x.size > _MEMO_MAX_POINTS:
+        return GaugeRecord(x, tp)
+    if not _log.isEnabledFor(logging.DEBUG):
+        return _memo(tp, x.shape, x.tobytes())
+    # a hit of another thread between the two reads also logs a reuse
+    hits = _memo.cache_info().hits
+    rec = _memo(tp, x.shape, x.tobytes())
+    if _memo.cache_info().hits > hits:
+        _log.debug("inverse map z_T=%r: %d point(s) reused, 0 Newton iterations",
+                   tp.z_T, x.size)
+    return rec
 
 
 def map_x_to_z_pair(x, tp: TangentPoly):
@@ -305,19 +270,15 @@ def map_x_to_z_pair(x, tp: TangentPoly):
     scale; use this instead of forming 1 - z by subtraction near the
     right asymptote.
 
-    ``tp`` keeps one :class:`GaugeRecord` for each of its 4 most recently
-    mapped grids of at most 65 536 points for as long as it lives, so a grid
-    mapped again (every level of a spectrum on one grid, say) costs a copy.
-    A record holds z and 1 - z; the weight and the z = 1/2 split that
-    eigenfunctions read are added the first time they are asked for, so a
-    grid that is only mapped (the oracle's, the potential's) pays for
-    neither.  Scalars and larger grids are mapped each time.  The returned
-    arrays are always fresh: a caller may change them without affecting
-    later calls.
+    The :class:`GaugeRecord` of each of the 4 most recently mapped grids of
+    at most 65 536 points is kept for the whole process, shared by equal
+    TangentPolys, so a grid mapped again (every level of a spectrum on one
+    grid, say) costs a copy.  Scalars and larger grids are mapped each time.
+    The returned arrays are always fresh: a caller may change them without
+    affecting later calls.
     """
-    x = _finite(x)
-    rec = _map_record(x, tp)
-    if not x.ndim:
+    rec = gauge_record(x, tp)
+    if not np.ndim(x):
         return float(rec.z[0]), float(rec.omz[0])
     return rec.z.copy(), rec.omz.copy()
 
@@ -332,9 +293,8 @@ def map_x_to_z(x, tp: TangentPoly):
     the returned array is always fresh.  Where z is near 1, take 1 - z from
     :func:`map_x_to_z_pair`, not by subtraction.
     """
-    x = _finite(x)
-    z = _map_record(x, tp).z
-    return float(z[0]) if not x.ndim else z.copy()
+    z = gauge_record(x, tp).z
+    return float(z[0]) if not np.ndim(x) else z.copy()
 
 
 def schwarzian_eval(z, omz, tp: TangentPoly):

@@ -10,7 +10,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -51,14 +51,11 @@ class TangentPoly:
 
     ``sqrt_c0`` = z_T/(z_T - 1) (the positive square root of ``c0`` by the
     sign convention of the family), ``c0`` and ``a2`` = 1/(1 - z_T)**2 are
-    computed once, on construction.  Neither they nor the inverse map of the
-    last few grids an instance mapped (see
-    :func:`drttp.core.map_x_to_z_pair`) are fields: they take no part in the
-    constructor, equality, hash or repr.
+    computed once, on construction.  They are not fields: they take no part
+    in the constructor, equality, hash or repr.
     """
 
     z_T: float
-    _map_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.z_T) or (0.0 <= self.z_T <= 1.0):

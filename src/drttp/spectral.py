@@ -59,7 +59,6 @@ class Kind(Enum):
     A_PRIME = "a'"
     B_PRIME = "b'"
     D_PRIME = "d'"
-    D_DOUBLE_PRIME = "d''"
 
 
 @dataclass(frozen=True, init=False)
@@ -77,26 +76,15 @@ class AehSolution:
     lambda1: float
     mu: float = field(init=False)
     epsilon: float = field(init=False)
-    merged_tail: bool = False  # d-sequence member relabeled from the d'' tail
 
-    def __init__(self, kind: Kind, m: int, lambda0: float, lambda1: float,
-                 merged_tail: bool = False):
+    def __init__(self, kind: Kind, m: int, lambda0: float, lambda1: float):
         # frozen: the instance dict is filled in one call, not one setattr per field
         self.__dict__.update(kind=kind, m=m, lambda0=lambda0, lambda1=lambda1,
-                             merged_tail=merged_tail, mu=lambda0 + lambda1 + 2 * m + 1,
-                             epsilon=-lambda1**2)
-
-    @property
-    def label(self) -> str:
-        """Type tag; the merged d-tail keeps its provenance mark."""
-        if self.kind is Kind.D and self.merged_tail:
-            return Kind.D_DOUBLE_PRIME.value
-        return self.kind.value
+                             mu=lambda0 + lambda1 + 2 * m + 1, epsilon=-lambda1**2)
 
 
 def make_solution(kind: Kind, m: int, lambda0: float, lambda1: float,
-                  ri: RayIdentifiers, tp: TangentPoly, *,
-                  merged_tail: bool = False) -> AehSolution:
+                  ri: RayIdentifiers, tp: TangentPoly) -> AehSolution:
     """Build a solution and enforce the defining quadratic constraints;
     DomainError where mu**2 or epsilon would not be finite."""
     mu = lambda0 + lambda1 + 2 * m + 1
@@ -111,7 +99,7 @@ def make_solution(kind: Kind, m: int, lambda0: float, lambda1: float,
             f"exponent differences violate the defining constraints: "
             f"residuals {r1:.3e}, {r2:.3e}"
         )
-    return AehSolution(kind, m, lambda0, lambda1, merged_tail=merged_tail)
+    return AehSolution(kind, m, lambda0, lambda1)
 
 
 def _check_not_degenerate(tp: TangentPoly):
@@ -140,12 +128,14 @@ def wl_quadratic_discriminant(m: int, mu_o: float, tp: TangentPoly) -> float:
 
 
 def wl_quadratic_roots(m: int, mu_o: float, tp: TangentPoly) -> tuple[float, float]:
-    """lambda1 roots (up, dn) of the levelled-limit quadratic branch."""
+    """lambda1 roots (up, dn) of the levelled-limit quadratic branch.  Their
+    product is (u**2 - mu_o**2)/(4 s), u = 2m + 1, so the up root, which
+    vanishes as mu_o -> u, is taken from it: (b + rt)/(8 s) would cancel."""
     s = tp.sqrt_c0
     u = 2.0 * m + 1.0
     rt = math.sqrt(wl_quadratic_discriminant(m, mu_o, tp))
     b = -2.0 * (s + 1.0) * u
-    return (b + rt) / (8.0 * s), (b - rt) / (8.0 * s)
+    return 2.0 * (mu_o - u) * (mu_o + u) / (rt - b), (b - rt) / (8.0 * s)
 
 
 def wl_solve(m: int, mu_o: float, tp: TangentPoly) -> list[AehSolution]:
@@ -153,7 +143,8 @@ def wl_solve(m: int, mu_o: float, tp: TangentPoly) -> list[AehSolution]:
 
     Returns the linear-branch solution (type a/b or a'/b' by the sign of
     mu_o - 2m - 1 and the c0 branch) plus the two quadratic-branch roots
-    (types c/d' and d).  Energies are epsilon = -lambda1**2.
+    (types c/d' and d; a d with mu_o < 2m + 1 is the d'' tail).  Energies
+    are epsilon = -lambda1**2.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
@@ -174,8 +165,7 @@ def wl_solve(m: int, mu_o: float, tp: TangentPoly) -> list[AehSolution]:
     lam1_up, lam1_dn = wl_quadratic_roots(m, mu_o, tp)
     kind_up = Kind.C if mu_o > u else Kind.D_PRIME
     out.append(make_solution(kind_up, m, s * lam1_up, lam1_up, ri, tp))
-    out.append(make_solution(Kind.D, m, s * lam1_dn, lam1_dn, ri, tp,
-                             merged_tail=mu_o < u))
+    out.append(make_solution(Kind.D, m, s * lam1_dn, lam1_dn, ri, tp))
     return out
 
 

@@ -391,7 +391,7 @@ def check_wl_point() -> list[CheckResult]:
         _result("wl.level-count", 0.5, abs(len(sols) - 2)),
     ]
     ns = _oracle_for(ri, tp)
-    rep = oracle.compare_spectra([s.epsilon for s in sols], ns, tol)
+    rep = oracle.compare_spectra([s.epsilon for s in sols], ns)
     ok = rep.count_match and len(rep.abs_errors)
     measured = float(np.max(rep.abs_errors)) if ok else math.inf
     out.append(_result("wl.oracle-agreement", tol, measured,
@@ -409,8 +409,7 @@ def check_oracle_grid() -> list[CheckResult]:
         sols = spectral.spectrum(ri, tp)
         want = spectral.bound_state_count(mo, lo)
         ns = _oracle_for(ri, tp)
-        rep = oracle.compare_spectra([s.epsilon for s in sols], ns, tol,
-                                     relative=True)
+        rep = oracle.compare_spectra([s.epsilon for s in sols], ns)
         count_ok = len(sols) == want == len(ns)
         rel = float(np.max(rep.rel_errors)) if len(rep.rel_errors) else 0.0
         return count_ok and rep.node_match, rel

@@ -213,26 +213,32 @@ class TestMapMemo:
         monkeypatch.setattr(core, "_map_newton", counted)
         return calls
 
+    @staticmethod
+    def hits_misses():
+        info = core._memo.cache_info()
+        return info.hits, info.misses
+
     @pytest.mark.parametrize("zt", [2.0, -0.7, 3.5])
     def test_hit_is_bit_identical_to_a_fresh_map(self, zt):
         tp = TangentPoly(zt)
         first = core.map_x_to_z_pair(self.GRID, tp)
         again = core.map_x_to_z_pair(self.GRID.copy(), tp)
-        fresh = core.map_x_to_z_pair(self.GRID, TangentPoly(zt))
-        for a, b, c in zip(first, again, fresh):
+        assert self.hits_misses() == (1, 1)
+        fresh = core.GaugeRecord(self.GRID, tp)
+        for a, b, c in zip(first, again, (fresh.z, fresh.omz)):
             assert a.tobytes() == b.tobytes() == c.tobytes()
-        assert core.map_x_to_z(self.GRID, tp).tobytes() == fresh[0].tobytes()
+        assert core.map_x_to_z(self.GRID, tp).tobytes() == fresh.z.tobytes()
 
     @pytest.mark.parametrize("zt", [2.0, -0.7])
     def test_returned_arrays_are_fresh(self, zt):
         tp = TangentPoly(zt)
-        want = core.map_x_to_z_pair(self.GRID, TangentPoly(zt))
+        want = core.GaugeRecord(self.GRID, tp)
         core.map_x_to_z(self.GRID, tp)[:] = -1.0
         z, w = core.map_x_to_z_pair(self.GRID, tp)
         z[:], w[:] = -1.0, -1.0
-        assert core.map_x_to_z(self.GRID, tp).tobytes() == want[0].tobytes()
+        assert core.map_x_to_z(self.GRID, tp).tobytes() == want.z.tobytes()
         z, w = core.map_x_to_z_pair(self.GRID, tp)
-        assert z.tobytes() == want[0].tobytes() and w.tobytes() == want[1].tobytes()
+        assert z.tobytes() == want.z.tobytes() and w.tobytes() == want.omz.tobytes()
 
     def test_same_bytes_other_shape_misses(self, monkeypatch):
         calls = self.count_newton(monkeypatch)
@@ -241,29 +247,44 @@ class TestMapMemo:
         assert core.map_x_to_z(xs, tp).shape == (12,)
         assert core.map_x_to_z(xs.reshape(3, 4), tp).shape == (3, 4)
         assert calls == [12, 12]
-        assert len(tp._map_memo) == 2
+        assert self.hits_misses() == (0, 2)
+
+    def test_equal_tangent_polys_map_a_grid_once(self, monkeypatch):
+        calls = self.count_newton(monkeypatch)
+        rec = core.gauge_record(self.GRID, TangentPoly(-0.7))
+        z = core.map_x_to_z(self.GRID, TangentPoly(-0.7))
+        assert core.gauge_record(self.GRID, TangentPoly(-0.7)) is rec
+        assert calls == [self.GRID.size]
+        assert z.tobytes() == rec.z.tobytes()
+        # an unequal one has records of its own
+        assert core.gauge_record(self.GRID, TangentPoly(-0.8)) is not rec
+        assert calls == [self.GRID.size] * 2
 
     def test_bounded_to_four_recent_grids(self, monkeypatch):
         tp = TangentPoly(-0.7)
         grids = [np.linspace(-3.0, 3.0, n) for n in range(5, 11)]
         for xs in grids:
             core.map_x_to_z(xs, tp)
-        assert len(tp._map_memo) == core._MEMO_GRIDS == 4
+        assert core._memo.cache_info().currsize == core._MEMO_GRIDS == 4
         # a hit makes a grid the most recent: grid 2 outlives grid 3
         core.map_x_to_z(grids[2], tp)
         core.map_x_to_z(grids[0], tp)
-        assert sorted(shape[0] for shape, _ in tp._map_memo) == [5, 7, 9, 10]
         calls = self.count_newton(monkeypatch)
+        hits, _ = self.hits_misses()
+        for j in (0, 2, 4, 5):
+            core.map_x_to_z(grids[j], tp)
+        assert calls == [] and self.hits_misses()[0] == hits + 4
         core.map_x_to_z(grids[3], tp)
         assert calls == [8]
         # above the point cap and 0-d inputs are mapped and not stored
+        core._memo.cache_clear()
         tp = TangentPoly(2.0)
         big = np.linspace(-5.0, 5.0, core._MEMO_MAX_POINTS + 1)
         core.map_x_to_z_pair(big, tp)
         core.map_x_to_z(0.25, tp)
-        assert not tp._map_memo
+        assert core._memo.cache_info().currsize == 0
         core.map_x_to_z_pair(big[:-1], tp)
-        assert len(tp._map_memo) == 1
+        assert core._memo.cache_info().currsize == 1
 
     def test_levels_on_one_grid_map_it_once(self, monkeypatch):
         calls = self.count_newton(monkeypatch)
@@ -272,13 +293,26 @@ class TestMapMemo:
         assert len(sols) == 6
         values = [solution_eval_x(self.GRID, s, ri, tp) for s in sols]
         assert calls == [self.GRID.size]
-        fresh = [solution_eval_x(self.GRID, s, ri, TangentPoly(-1.0)) for s in sols]
+        core._memo.cache_clear()
+        fresh = [solution_eval_x(self.GRID, s, ri, tp) for s in sols]
+        assert calls == [self.GRID.size] * 2
         assert all(a.tobytes() == b.tobytes() for a, b in zip(values, fresh))
+
+    def test_warm_grid_logs_reuse_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="drttp.core")
+        tp = TangentPoly(-0.7)
+        core.map_x_to_z(self.GRID, tp)
+        core.gauge_record(self.GRID, tp)
+        first, again = [r.getMessage() for r in caplog.records]
+        assert "301 point(s)," in first and "reused" not in first
+        assert again == "inverse map z_T=-0.7: 301 point(s) reused, 0 Newton iterations"
 
     def test_memo_leaves_equality_hash_and_repr(self):
         tp = TangentPoly(-1.0)
         core.map_x_to_z(self.GRID, tp)
-        assert tp._map_memo
+        assert core._memo.cache_info().currsize == 1
+        # a plain value: what it stores is z_T and three constants of it
+        assert sorted(vars(tp)) == ["a2", "c0", "sqrt_c0", "z_T"]
         assert tp == TangentPoly(-1.0) and tp != TangentPoly(-2.0)
         assert hash(tp) == hash(TangentPoly(-1.0)) == hash((-1.0,))
         assert repr(tp) == "TangentPoly(z_T=-1.0)"
@@ -286,11 +320,11 @@ class TestMapMemo:
             TangentPoly(-1.0, {})
 
     def test_threads_sharing_a_tangent_poly(self):
-        # more threads and grids than the memo holds, switching often; without
-        # its lock, eviction raced ("dictionary changed size during iteration")
+        # more threads and grids than the memo holds, switching often: each
+        # thread reads its grid's values whatever the others evict
         tp = TangentPoly(-0.7)
         grids = [np.linspace(-4.0, 4.0, n) for n in range(5, 13)]
-        want = [core.map_x_to_z(xs, TangentPoly(-0.7)).tobytes() for xs in grids]
+        want = [core.GaugeRecord(xs, tp).z.tobytes() for xs in grids]
         errors = []
 
         def work(k):
@@ -314,17 +348,15 @@ class TestMapMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(tp._map_memo) == core._MEMO_GRIDS
+        assert core._memo.cache_info().currsize == core._MEMO_GRIDS
 
     def test_one_gauge_record_per_grid(self):
         tp = TangentPoly(-0.7)
         core.map_x_to_z(self.GRID, tp)
-        (rec,) = tp._map_memo.values()
-        # a grid that is only mapped computes no eigenfunction extras
-        assert "weight" not in vars(rec) and "halves" not in vars(rec)
-        assert core.gauge_record(self.GRID.copy(), tp) is rec
-        assert rec.weight is rec.weight and rec.halves is rec.halves
-        for a in (rec.z, rec.omz, rec.weight, *rec.halves[2:]):
+        rec = core.gauge_record(self.GRID.copy(), tp)
+        assert self.hits_misses() == (1, 1)
+        assert core.gauge_record(self.GRID, tp) is rec
+        for a in (rec.z, rec.omz, rec.weight, *rec.halves):
             assert not a.flags.writeable
         assert core.map_x_to_z(self.GRID, tp).flags.writeable
 
@@ -332,24 +364,25 @@ class TestMapMemo:
         tp = TangentPoly(-0.7)
         rec = core.gauge_record(self.GRID, tp)
         assert core.gauge_record(self.GRID, tp) is rec
-        assert list(tp._map_memo.values()) == [rec]
         big = np.linspace(-5.0, 5.0, core._MEMO_MAX_POINTS + 1)
         for x in (0.25, 0.25, big):
             got = core.gauge_record(x, tp)
             assert got.z.shape == np.atleast_1d(x).shape
             assert got is not core.gauge_record(x, tp)
-        assert list(tp._map_memo.values()) == [rec]
+        assert self.hits_misses() == (1, 1)
+        assert core._memo.cache_info().currsize == 1
 
     def test_gauge_record_c_contiguous(self):
-        # a Fortran-ordered grid maps to Fortran-ordered arrays; the record
+        # a Fortran-ordered grid maps to Fortran-ordered arrays; a record
         # keeps C-ordered ones, which its split and callers index flattened
         xs = np.asfortranarray(self.GRID[:300].reshape(15, 20))
         tp = TangentPoly(-0.7)
         rec = core.gauge_record(xs, tp)
-        z, omz = core.map_x_to_z_pair(np.ascontiguousarray(xs), TangentPoly(-0.7))
-        for got, want in ((rec.z, z), (rec.omz, omz)):
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+        fresh = core.GaugeRecord(np.ascontiguousarray(xs), tp)
+        for got in (rec, core.GaugeRecord(xs, tp)):
+            for a, want in ((got.z, fresh.z), (got.omz, fresh.omz)):
+                assert a.flags.c_contiguous
+                assert a.tobytes() == want.tobytes()
         assert core.gauge_record(np.ascontiguousarray(xs), tp) is rec
 
     @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])

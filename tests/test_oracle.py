@@ -102,8 +102,8 @@ class TestDkvOracle:
         ri, tp, ns = wl5
         assert len(ns) == 2
         sols = spectrum(ri, tp)
-        rep = compare_spectra([s.epsilon for s in sols], ns, 1e-6)
-        assert rep.passed
+        rep = compare_spectra([s.epsilon for s in sols], ns)
+        assert rep.count_match and rep.node_match and np.max(rep.abs_errors) <= 1e-6
 
     @pytest.mark.parametrize("lam, mu, zt, levels", [
         # top level at E = -2.8e-4: lost by a +-40 box
@@ -119,9 +119,8 @@ class TestDkvOracle:
         ri, tp = RayIdentifiers(lam, mu), TangentPoly(zt)
         ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
         assert ns.node_counts == list(range(levels))
-        rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns, 1e-6,
-                              relative=True)
-        assert rep.passed
+        rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns)
+        assert rep.count_match and rep.node_match and np.max(rep.rel_errors) <= 1e-6
 
     def test_fractional_count(self):
         ri = RayIdentifiers(0.0, 5.2)
@@ -187,13 +186,15 @@ class TestSincGridCache:
 class TestComparisons:
     def test_identical(self, harmonic_ns):
         ns = harmonic_ns
-        rep = compare_spectra(list(ns.eigenvalues), ns, 1e-12)
-        assert rep.passed and np.max(rep.abs_errors) == 0.0
+        rep = compare_spectra(list(ns.eigenvalues), ns)
+        assert rep.count_match and rep.node_match
+        assert np.max(rep.abs_errors) == np.max(rep.rel_errors) == 0.0
 
     def test_count_mismatch(self, harmonic_ns):
         ns = harmonic_ns
-        rep = compare_spectra(list(ns.eigenvalues[:-1]), ns, 1e-12)
-        assert not rep.count_match and not rep.passed
+        rep = compare_spectra(list(ns.eigenvalues[:-1]), ns)
+        assert not rep.count_match and rep.node_match
+        assert len(rep.abs_errors) == len(rep.rel_errors) == len(ns) - 1
 
     def test_symmetric_difference(self):
         only_a, only_b = spectral_symmetric_difference(

@@ -163,9 +163,24 @@ class TestWlSolve:
     def test_supplementary_kinds(self):
         sols = {s.kind: s for s in wl_solve(3, 5.0, TP2)}
         assert Kind.B_PRIME in sols      # c0 > 1, 2m+1 > mu_o
-        assert Kind.D_PRIME in sols
-        d = sols[Kind.D]
-        assert d.merged_tail and d.label == "d''"
+        assert Kind.D_PRIME in sols and Kind.D in sols
+
+    def test_c_root_near_threshold_matches_spectrum(self):
+        # (b + rt)/(8 s) cancelled as mu_o -> 2m + 1: up to 1.2 relative off
+        # on these draws, 8.8e-2 at (m, mu_o, z_T) = (15, 31 + 1e-12, 1.001)
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            m = int(rng.integers(0, 30))
+            mu_o = (2 * m + 1) + 10.0 ** rng.uniform(-12.0, 0.0)
+            d = 10.0 ** rng.uniform(-3.0, -1.0)
+            tp = TangentPoly((2.0, -d, 1.0 + d)[rng.integers(3)])
+            (c,) = [s for s in wl_solve(m, mu_o, tp) if s.kind is Kind.C]
+            want = spectrum(RayIdentifiers(0.0, mu_o), tp)[m].lambda1
+            assert c.lambda1 == pytest.approx(want, rel=1e-14, abs=0.0), (m, mu_o, tp.z_T)
+        # at mu_o = 2m + 1 the root is +0.0
+        for zt in (2.0, -0.5, 1.001):
+            (up,) = [s for s in wl_solve(15, 31.0, TangentPoly(zt)) if s.kind is Kind.D_PRIME]
+            assert up.lambda1 == 0.0 and not math.copysign(1.0, up.lambda1) < 0.0
 
     def test_negative_m_rejected(self):
         # m = -1 used to return three "solutions" of degree -1
@@ -535,16 +550,15 @@ class TestAehSolutionValue:
     """A solution is a frozen value: mu and epsilon are fields derived on
     construction, and copies, replacements and pickles compare equal."""
 
-    SOL = AehSolution(Kind.D, 2, -3.5, -1.25, merged_tail=True)
+    SOL = AehSolution(Kind.D, 2, -3.5, -1.25)
 
     def test_derived_fields_and_repr(self):
         sol = self.SOL
         assert (sol.mu, sol.epsilon) == (-3.5 - 1.25 + 5, -(1.25**2))
         assert [f.name for f in dataclasses.fields(sol)] == [
-            "kind", "m", "lambda0", "lambda1", "mu", "epsilon", "merged_tail"]
+            "kind", "m", "lambda0", "lambda1", "mu", "epsilon"]
         assert repr(sol) == ("AehSolution(kind=<Kind.D: 'd'>, m=2, lambda0=-3.5, lambda1=-1.25, "
-                             "mu=0.25, epsilon=-1.5625, merged_tail=True)")
-        assert sol.label == "d''"
+                             "mu=0.25, epsilon=-1.5625)")
 
     def test_frozen(self):
         for name, value in (("lambda1", 0.0), ("mu", 1.0), ("extra", 1)):
@@ -553,14 +567,14 @@ class TestAehSolutionValue:
         assert self.SOL.lambda1 == -1.25
 
     def test_equality_and_hash(self):
-        same = AehSolution(kind=Kind.D, m=2, lambda0=-3.5, lambda1=-1.25, merged_tail=True)
+        same = AehSolution(kind=Kind.D, m=2, lambda0=-3.5, lambda1=-1.25)
         assert same == self.SOL and hash(same) == hash(self.SOL)
-        assert AehSolution(Kind.D, 2, -3.5, -1.25) != self.SOL
-        assert AehSolution(Kind.D, 2, -3.5, -1.25).merged_tail is False
+        assert AehSolution(Kind.C, 2, -3.5, -1.25) != self.SOL
+        assert AehSolution(Kind.D, 2, -3.5, -1.0) != self.SOL
 
     def test_replace_copy_pickle(self):
         moved = dataclasses.replace(self.SOL, m=3)
-        assert (moved.m, moved.mu, moved.merged_tail) == (3, 2.25, True)
+        assert (moved.m, moved.mu) == (3, 2.25)
         with pytest.raises(ValueError):
             dataclasses.replace(self.SOL, mu=0.0)
         for other in (copy.copy(self.SOL), copy.deepcopy(self.SOL),

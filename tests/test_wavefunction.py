@@ -240,9 +240,10 @@ class TestPolyFactor:
 
 
 def _solution_reference(x, sol, tp):
-    """solution_eval_x without the gauge record: a fresh map, the weight and
-    the polynomial factor over the whole grid, one product."""
-    z, omz = np.atleast_1d(*core.map_x_to_z_pair(x, TangentPoly(tp.z_T)))
+    """solution_eval_x without the memo and the split: a fresh map, the
+    weight and the polynomial factor over the whole grid, one product."""
+    g = core.GaugeRecord(np.asarray(x, dtype=float), tp)
+    z, omz = g.z, g.omz
     w = np.sqrt((z - tp.z_T) / (2.0 * (1.0 - tp.z_T)))
     return (w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1)
             * hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz))
