@@ -18,15 +18,18 @@ from .errors import ConvergenceError, DomainError
 
 _FLATNESS_TOL = 1e-10
 _BOUND_MARGIN = 1e-8
-# x = _MAP_SCALE sinh(s), s uniform, |x| <= _BOX; each solve is repeated on
-# 2 _N_NODES nodes and a level is kept only where both agree to _AGREE_TOL.
-# A +-500 box shifts the weakly bound top level of (0, 3.04, 2) by 5e-6
-# relative, a map scale of 4 under-resolves the narrow wells of z_T in
-# -0.3..-10 such as (0, 10.44, -0.775), and 200 nodes lose a level of
-# (0, 10.3, -0.5); tests/test_oracle.py holds these values.
+# x = _MAP_SCALE sinh(s), s uniform, |x| <= _BOX, on the node ladder
+# _N_NODES: each rung is solved on twice the nodes of the one below it, and a
+# level is kept only where two successive rungs agree to _AGREE_TOL.  The
+# ladder stops at the first rung that keeps every level below threshold with
+# node counts 0..k-1; the last rung is the cap.  A +-500 box shifts the weakly
+# bound top level of (0, 3.04, 2) by 5e-6 relative, a map scale of 4
+# under-resolves the narrow wells of z_T in -0.3..-10 such as
+# (0, 10.44, -0.775), and 200 nodes lose a level of (0, 10.3, -0.5), so that
+# point climbs to the cap; tests/test_oracle.py holds these values.
 _MAP_SCALE = 1.0
 _BOX = 5000.0
-_N_NODES = 400
+_N_NODES = (200, 400, 800)
 _AGREE_TOL = 1e-6
 
 _log = logging.getLogger("drttp.oracle")
@@ -36,13 +39,13 @@ _log = logging.getLogger("drttp.oracle")
 class NumericSpectrum:
     """Oracle output: levels below the continuum threshold."""
 
-    eigenvalues: np.ndarray        # ascending, from the 2n-node solve
+    eigenvalues: np.ndarray        # ascending, from the last rung solved
     eigenvectors: np.ndarray       # columns, psi at x, unit L2
-    x: np.ndarray                  # the collocation nodes of the 2n solve
+    x: np.ndarray                  # the collocation nodes of the last rung
     node_counts: list[int]
-    convergence: np.ndarray        # per level |E(2n) - E(n)|
+    convergence: np.ndarray        # per level |E(2n) - E(n)| of the last two rungs
     threshold: float
-    diagnostics: dict              # map scale, nodes, seconds per solve, rejected
+    diagnostics: dict              # map scale, nodes and seconds per solve, rejected
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -67,8 +70,9 @@ def _count_sign_changes(psi: np.ndarray) -> int:
 def _sinc_grid(n: int):
     """The V-independent part of the n-node solve, built once per n: the
     nodes x = L sinh(s), g = dx/ds, the step ds and the kinetic block
-    G^-1/2 D1^T G^-1 D1 G^-1/2, G = diag(g).  The arrays are read-only
-    because every solve of that n shares them."""
+    G^-1/2 D1^T G^-1 D1 G^-1/2, G = diag(g), in Fortran order, the layout
+    LAPACK works in.  The arrays are read-only because every solve of that
+    n shares them."""
     # deferred import: keeps scipy.linalg out of the cold start of `import drttp`
     from scipy.linalg import toeplitz
 
@@ -80,7 +84,7 @@ def _sinc_grid(n: int):
     m = np.arange(1, n)
     col = np.concatenate(([0.0], np.where(m % 2, -1.0, 1.0) / (m * ds)))
     a = toeplitz(col, -col) / np.sqrt(g)[None, :]
-    kinetic = a.T @ (a / g[:, None])
+    kinetic = np.asfortranarray(a.T @ (a / g[:, None]))
     for arr in (xs, g, kinetic):
         arr.flags.writeable = False
     return xs, g, ds, kinetic
@@ -96,10 +100,11 @@ def _solve_sinc(V, n: int, threshold: float, eigvals_only: bool = False):
 
     xs, g, ds, kinetic = _sinc_grid(n)
     vals = _eval_potential(V, xs)
-    h = kinetic.copy()
+    h = kinetic.copy(order="F")
     h[np.diag_indices(n)] += vals
     lo = float(vals.min()) - 1.0
-    # h is this call's own copy and finite (V is checked by _eval_potential)
+    # h is this call's own copy, finite (V is checked by _eval_potential) and
+    # in Fortran order, so eigh overwrites it instead of copying it first
     res = eigh(h, subset_by_value=(lo, threshold), driver="evr",
                eigvals_only=eigvals_only, overwrite_a=True, check_finite=False)
     if eigvals_only:
@@ -113,26 +118,32 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
 
     Sinc collocation (sinc-DVR, Colbert & Miller 1992) in s, where
     x = _MAP_SCALE sinh(s) with s uniform, so that |x| <= _BOX is covered
-    by _N_NODES nodes that crowd near the origin (Boyd 2001, ch. 17).
-    The symmetric weak form is solved densely for the eigenvalues below
-    the threshold min(V(-_BOX), V(_BOX)) minus a small safety margin,
-    once on _N_NODES and once on 2 _N_NODES nodes.  Levels are kept from
-    the bottom up to the first that the two solves do not agree on to
-    _AGREE_TOL relative; the difference is each kept level's convergence
-    estimate, and the levels not kept are reported as rejected in
-    ``diagnostics``.  Node counts are the sign changes of the collocation
-    vector.  ``V`` must map an array of x to a finite array of the same
-    shape; an edge where V still falls outward over its last unit of x
-    raises ConvergenceError.  The solve is logged at DEBUG under
-    ``drttp.oracle``.
+    by nodes that crowd near the origin (Boyd 2001, ch. 17).  The
+    symmetric weak form is solved densely for the eigenvalues below the
+    threshold min(V(-_BOX), V(_BOX)) minus a small safety margin, on the
+    node ladder _N_NODES = (200, 400, 800).  Each rung above the first is
+    compared with the rung below it: levels are kept from the bottom up to
+    the first that the two solves do not agree on to _AGREE_TOL relative;
+    the difference is each kept level's convergence estimate, and the
+    levels not kept are reported as rejected in ``diagnostics``.  The
+    ladder stops at the 400-node rung when it keeps every level below
+    threshold and their node counts are 0..k-1, as the oscillation
+    theorem requires; otherwise it climbs to the 800-node cap, whose
+    result is the 400/800 comparison whatever it keeps.  Node counts are
+    the sign changes of the collocation vector.  ``V`` must map an array
+    of x to a finite array of the same shape; an edge where V still falls
+    outward over its last unit of x raises ConvergenceError.  Each rung
+    and the result are logged at DEBUG under ``drttp.oracle``.
 
-    The part of each solve that does not depend on V (nodes and kinetic
-    block) is built once per node count per process and reused by every
-    later solve; the ``diagnostics["seconds"]`` of the first solve of a
-    process include that build.
+    ``diagnostics["n_points"]`` and ``diagnostics["seconds"]`` list every
+    solve that ran, for example (200, 400) or (200, 400, 800).  The part
+    of each solve that does not depend on V (nodes and kinetic block) is
+    built once per node count per process and reused by every later
+    solve; the seconds of the first solve of each node count in a process
+    include that build.
 
     Limit: a potential that grows without bound is resolved only as far
-    as the two solves agree.  ``x**2`` gives 47 levels (1 to 93); its
+    as the last two rungs agree.  ``x**2`` gives 47 levels (1 to 93); its
     other eigenvalues below the threshold V(5000) = 2.5e7 are listed as
     rejected.
 
@@ -146,32 +157,49 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
         raise ConvergenceError("potential not confining at requested tolerance")
     threshold = float(min(v_edge[0], v_edge[3])) - _BOUND_MARGIN
 
-    solves, seconds = [], []
-    # the coarse solve only tests agreement: it needs no eigenvectors
-    for n, coarse in ((_N_NODES, True), (2 * _N_NODES, False)):
+    n_points, seconds = [], []
+
+    def solve(n, eigvals_only):
         t0 = time.perf_counter()
-        solves.append(_solve_sinc(V, n, threshold, eigvals_only=coarse))
+        out = _solve_sinc(V, n, threshold, eigvals_only=eigvals_only)
+        n_points.append(n)
         seconds.append(time.perf_counter() - t0)
-    (_, w_c, _), (xs, w_f, vecs) = solves
-    conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
-    # resolution only degrades upward: a level above one the grids disagree
-    # on is not trusted even if they happen to agree on it
-    keep = np.cumprod(conv <= _AGREE_TOL * np.abs(w_f)).astype(bool)
-    rejected = w_f[~keep].tolist()
+        return out
+
+    # the first rung only tests agreement: it needs no eigenvectors
+    _, w_c, _ = solve(_N_NODES[0], True)
+    for n in _N_NODES[1:]:
+        xs, w_f, vecs = solve(n, False)
+        conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
+        # resolution only degrades upward: a level above one the rungs
+        # disagree on is not trusted even if they happen to agree on it
+        keep = np.cumprod(conv <= _AGREE_TOL * np.abs(w_f)).astype(bool)
+        counts = [_count_sign_changes(vecs[:, j]) for j in np.flatnonzero(keep)]
+        rejected = w_f[~keep].tolist()
+        accepted = not rejected and counts == list(range(len(counts)))
+        _log.debug("sinc rung %d against %d: %s", n, n_points[-2],
+                   "accepted" if accepted else
+                   f"rejected levels {rejected}" if rejected else
+                   f"node counts {counts}, not 0..{len(counts) - 1}")
+        if accepted:
+            break
+        # evr returns the same eigenvalues with and without vectors, so this
+        # rung is the next one's coarse solve as an eigenvalues-only one would be
+        w_c = w_f
     w, conv, vecs = w_f[keep], conv[keep], vecs[:, keep]
     # sign convention: first significant excursion positive
     for j in range(vecs.shape[1]):
         nz = np.nonzero(np.abs(vecs[:, j]) > 1e-6 * np.max(np.abs(vecs[:, j])))[0]
         if len(nz) and vecs[nz[0], j] < 0:
             vecs[:, j] = -vecs[:, j]
-    diagnostics = {"map_scale": _MAP_SCALE, "n_points": (_N_NODES, 2 * _N_NODES),
+    diagnostics = {"map_scale": _MAP_SCALE, "n_points": tuple(n_points),
                    "seconds": tuple(seconds), "rejected": rejected}
     _log.debug("sinc solve: %d levels kept, %s", len(w), diagnostics)
     return NumericSpectrum(
         eigenvalues=w,
         eigenvectors=vecs,
         x=xs,
-        node_counts=[_count_sign_changes(vecs[:, j]) for j in range(vecs.shape[1])],
+        node_counts=counts,
         convergence=conv,
         threshold=threshold,
         diagnostics=diagnostics,

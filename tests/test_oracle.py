@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import drttp
-from drttp import core, oracle
+from drttp import core, oracle, verify
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError
 from drttp.oracle import (
@@ -144,20 +144,115 @@ class TestDkvOracle:
         assert bad > 100 * good
 
 
+def dkv(lam, mu, zt):
+    ri, tp = RayIdentifiers(lam, mu), TangentPoly(zt)
+    return lambda x: core.potential_eval_x(x, ri, tp)
+
+
+def cap_pair(V, threshold):
+    """The 400/800-node comparison written out as one procedure: eigenvalues
+    only on 400 nodes, vectors on 800, levels kept from the bottom up while
+    the two agree, first significant excursion positive."""
+    _, w_c, _ = oracle._solve_sinc(V, 400, threshold, eigvals_only=True)
+    _, w_f, vecs = oracle._solve_sinc(V, 800, threshold)
+    conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
+    keep = np.cumprod(conv <= oracle._AGREE_TOL * np.abs(w_f)).astype(bool)
+    vecs = vecs[:, keep]
+    for j in range(vecs.shape[1]):
+        nz = np.nonzero(np.abs(vecs[:, j]) > 1e-6 * np.max(np.abs(vecs[:, j])))[0]
+        if len(nz) and vecs[nz[0], j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    counts = [oracle._count_sign_changes(vecs[:, j]) for j in range(vecs.shape[1])]
+    return w_f[keep], vecs, counts, conv[keep], w_f[~keep].tolist()
+
+
+class TestLadder:
+    @pytest.mark.parametrize("pt", [(0.5, 7.3, -1.0), (1.0, 6.13, 2.0)])
+    def test_stops_at_400_nodes(self, pt):
+        # every level below threshold agrees between 200 and 400 nodes and
+        # the node counts are 0..k-1: the 400-node solve is the answer, as
+        # accurate as a direct 800-node solve
+        V = dkv(*pt)
+        ns = solve_schrodinger(V)
+        assert ns.diagnostics["n_points"] == (200, 400)
+        assert len(ns.diagnostics["seconds"]) == 2
+        assert len(ns.x) == 400 and ns.diagnostics["rejected"] == []
+        _, w, vecs = oracle._solve_sinc(V, 800, ns.threshold)
+        assert len(w) == len(ns) == 3
+        assert ns.eigenvalues == pytest.approx(w, rel=1e-9, abs=0.0)
+        counts = [oracle._count_sign_changes(vecs[:, j]) for j in range(len(w))]
+        assert ns.node_counts == counts == [0, 1, 2]
+
+    @pytest.mark.parametrize("name, V", [
+        # the zero-energy half-bound state is rejected on every rung
+        ("sech2", sech2),
+        # 200 nodes lose a level
+        ("(0, 10.3, -0.5)", dkv(0.0, 10.3, -0.5)),
+        # a box state just below threshold, rejected on every rung
+        ("(0, 5, 2)", dkv(0.0, 5.0, 2.0)),
+    ])
+    def test_escalation_is_the_cap_pair(self, name, V):
+        ns = solve_schrodinger(V)
+        assert ns.diagnostics["n_points"] == (200, 400, 800)
+        assert len(ns.x) == 800
+        w, vecs, counts, conv, rejected = cap_pair(V, ns.threshold)
+        assert ns.eigenvalues.tobytes() == w.tobytes()
+        assert ns.eigenvectors.tobytes() == vecs.tobytes()
+        assert ns.node_counts == counts
+        assert ns.convergence.tobytes() == conv.tobytes()
+        assert ns.diagnostics["rejected"] == rejected
+
+    def test_node_count_mismatch_climbs(self, monkeypatch, caplog):
+        # agreeing eigenvalues with node counts other than 0..k-1 do not stop
+        # the ladder
+        monkeypatch.setattr(oracle, "_count_sign_changes", lambda psi: 0)
+        caplog.set_level(logging.DEBUG, logger="drttp.oracle")
+        ns = solve_schrodinger(dkv(1.0, 6.13, 2.0))
+        assert ns.diagnostics["n_points"] == (200, 400, 800)
+        assert "sinc rung 400 against 200: node counts [0, 0, 0], not 0..2" in caplog.text
+
+
 class TestDiagnostics:
     def test_fields_and_debug_log(self, caplog):
         ns = solve_schrodinger(sech2)
         assert not caplog.records
         d = ns.diagnostics
         assert d["map_scale"] == oracle._MAP_SCALE
-        assert d["n_points"] == (oracle._N_NODES, 2 * oracle._N_NODES)
-        assert len(d["seconds"]) == 2 and all(t > 0.0 for t in d["seconds"])
-        assert len(ns.x) == 2 * oracle._N_NODES
+        assert d["n_points"] == oracle._N_NODES == (200, 400, 800)
+        assert len(d["seconds"]) == 3 and all(t > 0.0 for t in d["seconds"])
+        assert len(ns.x) == oracle._N_NODES[-1]
         assert ns.x[0] == pytest.approx(-oracle._BOX)
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         solve_schrodinger(sech2)
-        assert [r.name for r in caplog.records] == ["drttp.oracle"]
-        assert "2 levels kept" in caplog.text and "rejected" in caplog.text
+        assert [r.name for r in caplog.records] == ["drttp.oracle"] * 3
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[0].startswith("sinc rung 400 against 200: rejected levels [-")
+        assert messages[1].startswith("sinc rung 800 against 400: rejected levels [-")
+        assert "2 levels kept" in messages[2] and "rejected" in messages[2]
+
+    def test_silent_by_default(self, caplog):
+        # a solve that stops at 400 nodes and one that climbs to the cap log
+        # nothing unless DEBUG is enabled for drttp.oracle
+        solve_schrodinger(dkv(1.0, 6.13, 2.0))
+        solve_schrodinger(sech2)
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="drttp.oracle")
+        solve_schrodinger(dkv(1.0, 6.13, 2.0))
+        assert [r.getMessage() for r in caplog.records][0] == "sinc rung 400 against 200: accepted"
+
+
+class TestVerifyMemo:
+    def test_base_point_solved_once(self, monkeypatch):
+        # wl.oracle-agreement and the susy.spectral-surgery base both solve
+        # (0, 5, 2); the five partners are solved once each
+        verify._oracle_for.cache_clear()
+        solved = []
+        solve = oracle.solve_schrodinger
+        monkeypatch.setattr(oracle, "solve_schrodinger", lambda V: solved.append(V) or solve(V))
+        results = verify.check_wl_point() + verify.check_susy_surgery()
+        assert all(r.passed for r in results)
+        assert len(solved) == 1 + 5
+        assert verify._oracle_for.cache_info().hits == 1
 
 
 class TestSincGridCache:
