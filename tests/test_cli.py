@@ -223,6 +223,39 @@ class TestFormats:
         assert code == 2 and out == "" and "tabulate" in err
 
 
+class TestBadInput:
+    # each exits 2 with nothing on stdout and one error line; a parameter
+    # from the config file is checked as one from a flag
+    PARAMS = ("--lambda-o", "0", "--mu-o", "5", "--zt", "2")
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (("spectrum", "--lambda-o", "0", "--zt", "2"), None,
+         "missing required parameter mu-o"),
+        (("spectrum", "--lambda-o", "-1", "--mu-o", "5", "--zt", "2"), None,
+         "lambda_o must be finite and >= 0"),
+        (("census", "--lambda-o", "0", "--mu-o", "0", "--zt", "2"), None, "mu_o must be"),
+        (("spectrum",), "lambda_o = -1\nmu_o = 5\nzt = 2\n",
+         "lambda_o must be finite and >= 0"),
+        (("partner", "--ff", "c0"), "lambda_o = 0\nmu_o = -2\nzt = 2\n", "mu_o must be"),
+        (("wl", "--lambda-o", "0.5", "--mu-o", "5", "--zt", "2"), None,
+         "the levelled-limit solver requires lambda-o = 0"),
+        (("wl", "--lambda-o", "0", "--mu-o", "0", "--zt", "2"), None, "mu_o must be"),
+        (("partner", *PARAMS, "--ff", "c0+x0"), None, "unknown factorization function 'x0'"),
+        (("spectrum",), "lambda_o = 0\nmu_o 5\nzt = 2\n", "bad config line: 'mu_o 5'"),
+        (("spectrum", "--lambda-o", "0", "--mu-o", "5", "--zt", "0.5"), None,
+         "z_T must lie outside [0, 1]"),
+    ], ids=["missing", "lambda-flag", "mu-flag", "lambda-config", "mu-config", "wl-lambda",
+            "wl-mu", "unknown-ff", "config-line", "zt"])
+    def test_rejected(self, capsys, tmp_path, argv, config, message):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv += ("--config", str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_filtered_group_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "constants")
@@ -292,8 +325,9 @@ class TestInProcess:
 
 
 # exact stdout of one spectrum with a few levels, one with 20, one with
-# z_T - 1 <= 1e-2 and one two-step partner: every closed-form float the CLI
-# prints is pinned to its last bit
+# z_T - 1 <= 1e-2, one two-step and one one-step partner, the levelled-limit
+# solutions of every bound degree, a census and a CSV spectrum: every
+# closed-form float the CLI prints is pinned to its last bit
 GOLDEN = {
     ('spectrum', '--lambda-o', '0.5', '--mu-o', '7.3', '--zt', '2'): """\
 {
@@ -594,6 +628,120 @@ GOLDEN = {
   "steps": 2
 }
 """,
+    ('wl', '--lambda-o', '0', '--mu-o', '5', '--zt', '2'): """\
+{
+  "n0": 2,
+  "params": {
+    "lambda_o": 0.0,
+    "mu_o": 5.0,
+    "z_T": 2.0
+  },
+  "schema_version": 1,
+  "solutions": [
+    {
+      "epsilon": -144.0,
+      "kind": "a",
+      "lambda0": 24.0,
+      "lambda1": -12.0,
+      "m": 0,
+      "mu": 13.0
+    },
+    {
+      "epsilon": -1.9521143551164533,
+      "kind": "c",
+      "lambda0": 2.794361719689456,
+      "lambda1": 1.397180859844728,
+      "m": 0,
+      "mu": 5.191542579534184
+    },
+    {
+      "epsilon": -4.610385644883547,
+      "kind": "d",
+      "lambda0": -4.294361719689457,
+      "lambda1": -2.1471808598447284,
+      "m": 0,
+      "mu": -5.441542579534185
+    },
+    {
+      "epsilon": -7.111111111111111,
+      "kind": "a",
+      "lambda0": 5.333333333333333,
+      "lambda1": -2.6666666666666665,
+      "m": 1,
+      "mu": 5.666666666666666
+    },
+    {
+      "epsilon": -0.46526591708722986,
+      "kind": "c",
+      "lambda0": 1.36420807370024,
+      "lambda1": 0.68210403685012,
+      "m": 1,
+      "mu": 5.04631211055036
+    },
+    {
+      "epsilon": -8.59723408291277,
+      "kind": "d",
+      "lambda0": -5.86420807370024,
+      "lambda1": -2.93210403685012,
+      "m": 1,
+      "mu": -5.79631211055036
+    }
+  ]
+}
+""",
+    ('census', '--lambda-o', '0.5', '--mu-o', '7.3', '--zt', '2'): """\
+{
+  "constraint_secondary_ok": null,
+  "count_primary_nodeless": 2,
+  "hyperbola_residuals": [
+    50.04,
+    26.04,
+    -21.96,
+    -93.96000000000001,
+    -189.96,
+    -309.96
+  ],
+  "m_minus_c0": 4.417929953085665,
+  "m_plus_c0": 2.2089649765428323,
+  "mu_cross_slope": 1.7320508075688772,
+  "params": {
+    "lambda_o": 0.5,
+    "mu_o": 7.3,
+    "z_T": 2.0
+  },
+  "schema_version": 1
+}
+""",
+    ('spectrum', '--lambda-o', '0.5', '--mu-o', '7.3', '--zt', '2', '--format', 'csv'): """\
+n,lambda0,lambda1,mu,epsilon,E
+0,4.4253617504831402,2.198512373324244,7.6238741238073846,-4.8334566556598002,-4.8334566556598002
+1,2.9781789056525136,1.4679534728724888,7.446132378525002,-2.1548873985184005,-2.1548873985184005
+2,1.5860861477309904,0.75260701365721627,7.3386931613882069,-0.56641731700603337,-0.56641731700603337
+""",
+    ('partner', '--lambda-o', '0.5', '--mu-o', '7.3', '--zt', '2', '--ff', 'c0'): """\
+{
+  "expected_spectral_delta": [
+    -4.8334566556598
+  ],
+  "ff": [
+    {
+      "epsilon": -4.8334566556598,
+      "kind": "c",
+      "lambda0": 4.42536175048314,
+      "lambda1": 2.198512373324244,
+      "mu": 7.623874123807385
+    }
+  ],
+  "outer_pole": 2.0,
+  "params": {
+    "lambda_o": 0.5,
+    "mu_o": 7.3,
+    "z_T": 2.0
+  },
+  "schema_version": 1,
+  "steps": 1
+}
+""",
 }
 
 
@@ -601,3 +749,18 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
     def test_stdout(self, capsys, argv):
         assert run(capsys, *argv) == (0, GOLDEN[argv], "")
+
+    def test_tabulate_header(self, capsys):
+        # the table's values come from NumPy and may move with its version;
+        # the comment lines and the column header do not
+        code, out, err = run(capsys, "tabulate", "--lambda-o", "0.5", "--mu-o", "7.3",
+                             "--zt", "2", "--psi", "0,1", "--partner", "c0", "--points", "5")
+        assert (code, err) == (0, "")
+        lines = out.split("\n")
+        assert lines[:4] == [
+            "# schema_version=1",
+            "# lambda_o=0.5 mu_o=7.2999999999999998 z_T=2",
+            "# x_min=-15 x_max=15 points=5",
+            "x,V,psi0,psi1,Vpartner_c0",
+        ]
+        assert len(lines) == 4 + 5 + 1 and lines[-1] == ""
