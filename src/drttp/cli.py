@@ -5,6 +5,11 @@ Exit codes: 0 ok, 1 verification failure, 2 bad parameters, 3 rejected
 construction.  ``spectrum`` writes JSON (versioned schema) or CSV,
 ``tabulate`` CSV and the others JSON; a format a command cannot write is
 a bad parameter.  Identical configurations produce identical bytes.
+
+One parameter path: :func:`_resolve_params` turns flags over the config file
+into a :class:`RayIdentifiers` and a :class:`TangentPoly` once, and those
+types check the values.  One emitter per format: every JSON document goes
+through :func:`_emit_json`, every CSV table through :func:`_emit_csv`.
 Only ``tabulate``, ``partner`` and ``verify`` import the array modules, so
 ``spectrum``, ``wl`` and ``census`` start without NumPy.
 """
@@ -16,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from . import spectral
 from .errors import DomainError, DrttpError, PairRejectedError
@@ -35,20 +40,12 @@ _KIND_BY_NAME = {
     "d0": Kind.D,
     "a0": Kind.A,
     "b0": Kind.B,
-    "t0": None,  # regular basic solution of either a or b type
+    "t0": None,  # the regular basic solution, spectral.regular_kind
 }
 
 
-@dataclass
-class RunConfig:
-    lambda_o: float
-    mu_o: float
-    z_t: float
-    fmt: str = "json"
-    out: str | None = None
-
-
 def _fmt_float(x) -> str:
+    # an int (spectrum's n) prints as str prints it
     return format(float(x), ".17g")
 
 
@@ -66,9 +63,10 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve_params(args, formats=("json",)) -> RunConfig:
-    """The run's parameters from flags over the config file; ``formats`` are
-    the output formats the command writes, its default first."""
+def _resolve_params(args, formats=("json",)) -> tuple[RayIdentifiers, TangentPoly, str]:
+    """The run's parameter types and output format, from flags over the
+    config file; ``formats`` are the formats the command writes, its
+    default first."""
     file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
 
     def pick(name, cast, default=None):
@@ -81,18 +79,12 @@ def _resolve_params(args, formats=("json",)) -> RunConfig:
             return default
         raise DrttpError(f"missing required parameter {name.replace('_', '-')}")
 
-    cfg = RunConfig(
-        lambda_o=pick("lambda_o", float),
-        mu_o=pick("mu_o", float),
-        z_t=pick("zt", float),
-        fmt=pick("format", str, formats[0]),
-        out=getattr(args, "out", None),
-    )
-    if not (cfg.z_t < 0.0 or cfg.z_t > 1.0):
-        raise DrttpError("z_T must lie outside [0, 1]")
-    if cfg.fmt not in formats:
-        raise DrttpError(f"{args.command} writes {' or '.join(formats)}, not {cfg.fmt}")
-    return cfg
+    ri = RayIdentifiers(pick("lambda_o", float), pick("mu_o", float))
+    tp = TangentPoly(pick("zt", float))
+    fmt = pick("format", str, formats[0])
+    if fmt not in formats:
+        raise DrttpError(f"{args.command} writes {' or '.join(formats)}, not {fmt}")
+    return ri, tp, fmt
 
 
 def _emit(text: str, out: str | None):
@@ -103,49 +95,43 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _params_dict(cfg: RunConfig) -> dict:
-    return {"lambda_o": cfg.lambda_o, "mu_o": cfg.mu_o, "z_T": cfg.z_t}
+def _params(ri: RayIdentifiers, tp: TangentPoly) -> dict:
+    return {"lambda_o": ri.lambda_o, "mu_o": ri.mu_o, "z_T": tp.z_T}
+
+
+def _emit_json(args, ri, tp, **body):
+    """Write ``body`` as a JSON document with the schema version and, when
+    the run has parameters (``ri`` is not None), its ``params``."""
+    doc = {"schema_version": SCHEMA_VERSION, **body}
+    if ri is not None:
+        doc["params"] = _params(ri, tp)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+
+
+def _emit_csv(args, comments, names, rows):
+    """Write the ``comments`` lines, the column ``names`` and one line of
+    numbers per row."""
+    lines = [*comments, ",".join(names)]
+    lines += [",".join(map(_fmt_float, row)) for row in rows]
+    _emit("\n".join(lines) + "\n", args.out)
+
+
+def _solution_row(s, **extra) -> dict:
+    return {"lambda0": s.lambda0, "lambda1": s.lambda1, "mu": s.mu,
+            "epsilon": s.epsilon, **extra}
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _resolve_params(args, ("json", "csv"))
-    ri = RayIdentifiers(cfg.lambda_o, cfg.mu_o)
-    tp = TangentPoly(cfg.z_t)
+    ri, tp, fmt = _resolve_params(args, ("json", "csv"))
     if args.n is not None and args.n < 0:
         raise DomainError(f"--n must be >= 0, got {args.n}")
-    sols = spectral.spectrum(ri, tp)
-    if args.n is not None:
-        sols = sols[: args.n]
-    levels = [
-        {
-            "n": s.m,
-            "lambda0": s.lambda0,
-            "lambda1": s.lambda1,
-            "mu": s.mu,
-            "epsilon": s.epsilon,
-            "E": s.epsilon,
-        }
-        for s in sols
-    ]
-    if cfg.fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "params": _params_dict(cfg),
-            "gauge": {"convention": "V(+inf) = 0, hbar^2/2m = 1", "E": "epsilon"},
-            "n0": len(sols),
-            "levels": levels,
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    levels = [_solution_row(s, n=s.m, E=s.epsilon) for s in spectral.spectrum(ri, tp)[: args.n]]
+    if fmt == "csv":
+        names = ("n", "lambda0", "lambda1", "mu", "epsilon", "E")
+        _emit_csv(args, (), names, ([lv[k] for k in names] for lv in levels))
     else:
-        lines = ["n,lambda0,lambda1,mu,epsilon,E"]
-        for lv in levels:
-            lines.append(
-                ",".join(
-                    [str(lv["n"])] + [_fmt_float(lv[k]) for k in
-                                      ("lambda0", "lambda1", "mu", "epsilon", "E")]
-                )
-            )
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit_json(args, ri, tp, n0=len(levels), levels=levels,
+                   gauge={"convention": "V(+inf) = 0, hbar^2/2m = 1", "E": "epsilon"})
     return EXIT_OK
 
 
@@ -154,13 +140,12 @@ def _parse_partner_request(spec_str: str, ri, tp):
     from . import susy
 
     basics = spectral.basic_solutions(ri, tp)
-    reg = Kind.A if tp.c0 > 1.0 else Kind.B
 
     def lookup(token):
         token = token.strip().lower()
         if token not in _KIND_BY_NAME:
             raise DrttpError(f"unknown factorization function {token!r}")
-        kind = _KIND_BY_NAME[token] or reg
+        kind = _KIND_BY_NAME[token] or spectral.regular_kind(tp)
         if kind not in basics:
             raise DrttpError(f"basic solution {token!r} not available here")
         return basics[kind]
@@ -178,9 +163,7 @@ def cmd_tabulate(args) -> int:
 
     from . import core, susy, wavefunction
 
-    cfg = _resolve_params(args, ("csv",))
-    ri = RayIdentifiers(cfg.lambda_o, cfg.mu_o)
-    tp = TangentPoly(cfg.z_t)
+    ri, tp, _ = _resolve_params(args, ("csv",))
     if not (math.isfinite(args.x_min) and math.isfinite(args.x_max)):
         raise DomainError(
             f"--x-min and --x-max must be finite, got {args.x_min} and {args.x_max}")
@@ -200,81 +183,41 @@ def cmd_tabulate(args) -> int:
         V = susy.partner_potential_x(spec, ri, tp)
         label = "Vpartner_" + args.partner.replace(",", "+").replace(" ", "")
         columns.append((label, V(xs)))
-    header = [
+    comments = (
         f"# schema_version={SCHEMA_VERSION}",
-        f"# lambda_o={_fmt_float(cfg.lambda_o)} mu_o={_fmt_float(cfg.mu_o)} "
-        f"z_T={_fmt_float(cfg.z_t)}",
+        "# " + " ".join(f"{k}={_fmt_float(v)}" for k, v in _params(ri, tp).items()),
         f"# x_min={_fmt_float(args.x_min)} x_max={_fmt_float(args.x_max)} "
         f"points={args.points}",
-    ]
-    lines = header + [",".join(name for name, _ in columns)]
-    for i in range(len(xs)):
-        lines.append(",".join(_fmt_float(col[i]) for _, col in columns))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    )
+    names, values = zip(*columns)
+    _emit_csv(args, comments, names, zip(*values))
     return EXIT_OK
 
 
 def cmd_partner(args) -> int:
-    cfg = _resolve_params(args)
-    ri = RayIdentifiers(cfg.lambda_o, cfg.mu_o)
-    tp = TangentPoly(cfg.z_t)
+    ri, tp, _ = _resolve_params(args)
     spec = _parse_partner_request(args.ff, ri, tp)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_dict(cfg),
-        "steps": spec.steps,
-        "ff": [
-            {"kind": s.kind.value, "lambda0": s.lambda0, "lambda1": s.lambda1,
-             "mu": s.mu, "epsilon": s.epsilon}
-            for s in spec.ff_kinds
-        ],
-        "outer_pole": spec.outer_pole,
-        "expected_spectral_delta": sorted(spec.expected_spectral_delta),
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    _emit_json(args, ri, tp, steps=spec.steps, outer_pole=spec.outer_pole,
+               ff=[_solution_row(s, kind=s.kind.value) for s in spec.ff_kinds],
+               expected_spectral_delta=sorted(spec.expected_spectral_delta))
     return EXIT_OK
 
 
 def cmd_wl(args) -> int:
-    cfg = _resolve_params(args)
-    if cfg.lambda_o != 0.0:
+    ri, tp, _ = _resolve_params(args)
+    if ri.lambda_o != 0.0:
         raise DrttpError("the levelled-limit solver requires lambda-o = 0")
-    tp = TangentPoly(cfg.z_t)
-    n0 = spectral.bound_state_count(cfg.mu_o)
-    m_values = [args.m] if args.m is not None else list(range(max(n0, 1)))
-    rows = []
-    for m in m_values:
-        for s in spectral.wl_solve(m, cfg.mu_o, tp):
-            rows.append(
-                {"m": m, "kind": s.kind.value, "lambda0": s.lambda0,
-                 "lambda1": s.lambda1, "mu": s.mu, "epsilon": s.epsilon}
-            )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_dict(cfg),
-        "n0": n0,
-        "solutions": rows,
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    n0 = spectral.bound_state_count(ri.mu_o)
+    degrees = [args.m] if args.m is not None else range(max(n0, 1))
+    rows = [_solution_row(s, m=s.m, kind=s.kind.value)
+            for m in degrees for s in spectral.wl_solve(m, ri.mu_o, tp)]
+    _emit_json(args, ri, tp, n0=n0, solutions=rows)
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
-    cfg = _resolve_params(args)
-    ri = RayIdentifiers(cfg.lambda_o, cfg.mu_o)
-    tp = TangentPoly(cfg.z_t)
-    census = spectral.nodeless_census(ri, tp)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_dict(cfg),
-        "m_plus_c0": census.m_plus_c0,
-        "m_minus_c0": census.m_minus_c0,
-        "count_primary_nodeless": census.count_primary_nodeless,
-        "constraint_secondary_ok": census.constraint_secondary_ok,
-        "mu_cross_slope": census.mu_cross_slope,
-        "hyperbola_residuals": list(census.hyperbola_residuals),
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    ri, tp, _ = _resolve_params(args)
+    _emit_json(args, ri, tp, **asdict(spectral.nodeless_census(ri, tp)))
     return EXIT_OK
 
 
@@ -283,26 +226,13 @@ def cmd_verify(args) -> int:
 
     timings = {} if args.timings else None
     results = verify.run_verification(only=args.only, timings=timings)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "checks": [
-            {
-                "name": r.name,
-                "tolerance": r.tolerance,
-                "measured": r.measured,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    all_passed = all(r.passed for r in results)
+    _emit_json(args, None, None, checks=[asdict(r) for r in results], all_passed=all_passed)
     for r in results:
         print(r.line(), file=sys.stderr)
     for name, seconds in (timings or {}).items():
         print(f"[TIME] {name}: {seconds:.3f} s", file=sys.stderr)
-    return EXIT_OK if doc["all_passed"] else EXIT_VERIFICATION
+    return EXIT_OK if all_passed else EXIT_VERIFICATION
 
 
 def _add_param_flags(p: argparse.ArgumentParser):

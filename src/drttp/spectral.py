@@ -107,6 +107,11 @@ def _check_not_degenerate(tp: TangentPoly):
         raise DegenerateLimitError("degenerate (Rosen-Morse) limit: c0 == 1")
 
 
+def regular_kind(tp: TangentPoly) -> Kind:
+    """Kind of the regular m = 0 basic solution t0: a for z_T > 1, b for z_T < 0."""
+    return Kind.A if tp.z_T > 1.0 else Kind.B
+
+
 def bound_state_count(mu_o: float, lambda_o: float = 0.0) -> int:
     """Number of bound levels, ceil((mu_o - lambda_o - 1)/2), floored at 0."""
     if mu_o <= 0.0:
@@ -157,7 +162,7 @@ def wl_solve(m: int, mu_o: float, tp: TangentPoly) -> list[AehSolution]:
 
     lam1_lin = g / (2.0 * (s - 1.0) * u)
     if mu_o > u:
-        kind_lin = Kind.A if s > 1.0 else Kind.B
+        kind_lin = regular_kind(tp)
     else:
         kind_lin = Kind.A_PRIME if s < 1.0 else Kind.B_PRIME
     out.append(make_solution(kind_lin, m, -s * lam1_lin, lam1_lin, ri, tp))
@@ -404,7 +409,7 @@ def basic_solutions(ri: RayIdentifiers, tp: TangentPoly) -> dict[Kind, AehSoluti
     _check_not_degenerate(tp)
     sols = []
     steps = halvings = 0
-    for kind in (Kind.C, Kind.D, Kind.A if tp.z_T > 1.0 else Kind.B):
+    for kind in (Kind.C, Kind.D, regular_kind(tp)):
         (lam0, lam1, k, h), = _radical_roots(_SIGNS[kind], (0,), ri, tp)
         steps += k
         halvings += h

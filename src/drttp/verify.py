@@ -842,7 +842,7 @@ def check_heun() -> list[CheckResult]:
                     scale = max(abs(2.0 * op.b2(z)), abs(op.c1(z) * (z - ztt)), 1.0)
                     deg1_worst = max(deg1_worst, num / scale)
         # two-step operator keeps (alpha, beta) of the one-step problem
-        t, tq = basics[Kind.C], basics[Kind.A if zt > 1 else Kind.B]
+        t, tq = basics[Kind.C], basics[spectral.regular_kind(tp)]
         dspec = susy.double_partner_spec(t, tq, tp)
         sspec = susy.single_partner_spec(t, tp)
         for eps in (-0.3, -1.7, -4.2):
@@ -972,7 +972,7 @@ def check_appendix_b() -> list[CheckResult]:
             basics = {
                 s.kind: s for s in spectral.wl_solve(0, mu_o, tp)
             }
-            reg_kind = Kind.A if tp.c0 > 1.0 else Kind.B
+            reg_kind = spectral.regular_kind(tp)
             for m in range(30):
                 seed = spectral.wl_solve(m, mu_o, tp)[0]  # the linear-branch solution
                 for kind in (reg_kind, Kind.C, Kind.D):

@@ -240,12 +240,14 @@ class TestBadInput:
         (("wl", "--lambda-o", "0.5", "--mu-o", "5", "--zt", "2"), None,
          "the levelled-limit solver requires lambda-o = 0"),
         (("wl", "--lambda-o", "0", "--mu-o", "0", "--zt", "2"), None, "mu_o must be"),
+        # an infinite mu_o once raised OverflowError out of bound_state_count
+        (("wl", "--lambda-o", "0", "--mu-o", "inf", "--zt", "2"), None, "mu_o must be"),
         (("partner", *PARAMS, "--ff", "c0+x0"), None, "unknown factorization function 'x0'"),
         (("spectrum",), "lambda_o = 0\nmu_o 5\nzt = 2\n", "bad config line: 'mu_o 5'"),
         (("spectrum", "--lambda-o", "0", "--mu-o", "5", "--zt", "0.5"), None,
          "z_T must lie outside [0, 1]"),
     ], ids=["missing", "lambda-flag", "mu-flag", "lambda-config", "mu-config", "wl-lambda",
-            "wl-mu", "unknown-ff", "config-line", "zt"])
+            "wl-mu", "wl-mu-inf", "unknown-ff", "config-line", "zt"])
     def test_rejected(self, capsys, tmp_path, argv, config, message):
         if config is not None:
             path = tmp_path / "run.cfg"

@@ -468,6 +468,16 @@ class TestBasicSolutions:
         for sol in basics.values():
             assert _mp_error(sol, lo, mo, z_t) < 1e-13
 
+    @pytest.mark.parametrize("z_t", [1.0 + 1e-6, 2.0, 1e6, -1e-6, -1.0, -1e6])
+    def test_regular_kind_names_the_third_solution(self, z_t):
+        # the basic triple and the levelled limit's linear branch at
+        # mu_o > 2m + 1 read one rule, up to the edges of both sides
+        tp = TangentPoly(z_t)
+        kind = spectral.regular_kind(tp)
+        assert kind is (Kind.A if z_t > 1 else Kind.B)
+        assert kind in basic_solutions(WL5, tp)
+        assert wl_solve(0, 5.0, tp)[0].kind is kind
+
     def test_edge_rows_never_raise(self):
         rng = np.random.default_rng(22)
         for row in ("right-edge", "right", "left-edge"):
