@@ -28,7 +28,6 @@ from .errors import (
     DrttpError,
     GaugeError,
     PairRejectedError,
-    PoleError,
 )
 from .params import RayIdentifiers, TangentPoly
 from .spectral import (

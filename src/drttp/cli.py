@@ -207,7 +207,7 @@ def cmd_wl(args) -> int:
     ri, tp, _ = _resolve_params(args)
     if ri.lambda_o != 0.0:
         raise DrttpError("the levelled-limit solver requires lambda-o = 0")
-    n0 = spectral.bound_state_count(ri.mu_o)
+    n0 = spectral.bound_state_count(ri)
     degrees = [args.m] if args.m is not None else range(max(n0, 1))
     rows = [_solution_row(s, m=s.m, kind=s.kind.value)
             for m in degrees for s in spectral.wl_solve(m, ri.mu_o, tp)]

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError
 from .params import RayIdentifiers, TangentPoly, _two_sum
 
 _log = logging.getLogger("drttp.core")
@@ -95,7 +95,7 @@ def dz_dx(z, omz, tp: TangentPoly):
     """dz/dx = 2 z (1 - z) (1 - z_T) / (z - z_T) from the pair (z, 1 - z);
     positive on (0, 1).  With 1 - z from :func:`map_x_to_z_pair` it keeps
     its relative precision in both tails."""
-    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+    z, omz = unit_interval(z, omz)
     out = 2.0 * z * omz * (1.0 - tp.z_T) / (z - tp.z_T)
     return out if out.ndim else float(out)
 
@@ -301,9 +301,7 @@ def schwarzian_eval(z, omz, tp: TangentPoly):
     """Schwarzian derivative {z, x} of the map, from the pair (z, 1 - z):
     x~_T**2 times the normalized {z, x~}, where x~ carries the scale
     2(z_T - 1)."""
-    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
-    if np.any(z == tp.z_T):
-        raise PoleError("Schwarzian has a pole at z == z_T")
+    z, omz = unit_interval(z, omz)
     P = z - tp.z_T
     P2 = P * P  # products: NumPy's power is slow on the negative bases of z_T > 1
     base = (
@@ -383,16 +381,19 @@ def dkv_map(ri: RayIdentifiers) -> tuple[float, float, float]:
 
 
 def dkv_potential_eval(eta_hat, A: float, B: float):
-    """DKV potential -B/e + A/e**2 - (3/4)/e**4 for eta^ >= 1."""
+    """DKV potential -B/e + A/e**2 - (3/4)/e**4 for finite eta^ >= 1."""
     eta_hat = np.asarray(eta_hat, dtype=float)
-    if np.any(eta_hat < 1.0):
-        raise DomainError("eta_hat must be >= 1")
+    if not np.all((1.0 <= eta_hat) & (eta_hat < math.inf)):
+        raise DomainError("eta_hat must be finite and >= 1")
     out = -B / eta_hat + A / eta_hat**2 - 0.75 / eta_hat**4
     return out if out.ndim else float(out)
 
 
 def eta_hat_of_x(x):
-    """Elementary variable eta^(x) = sqrt(1 + exp(-2x)) of the z_T = 2 branch."""
+    """Elementary variable eta^(x) = sqrt(1 + exp(-2x)) of the z_T = 2 branch,
+    for finite x, as :func:`gauge_record` checks it."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x must be finite")
     out = np.sqrt(1.0 + np.exp(-2.0 * x))
     return out if out.ndim else float(out)

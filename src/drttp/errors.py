@@ -9,10 +9,6 @@ class DomainError(DrttpError):
     """A parameter or evaluation point lies outside the admissible domain."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at a pole of the expression."""
-
-
 class DegenerateLimitError(DomainError):
     """The tangent polynomial degenerates (Rosen-Morse limit, c0 == 1)."""
 

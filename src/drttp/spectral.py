@@ -112,11 +112,9 @@ def regular_kind(tp: TangentPoly) -> Kind:
     return Kind.A if tp.z_T > 1.0 else Kind.B
 
 
-def bound_state_count(mu_o: float, lambda_o: float = 0.0) -> int:
+def bound_state_count(ri: RayIdentifiers) -> int:
     """Number of bound levels, ceil((mu_o - lambda_o - 1)/2), floored at 0."""
-    if mu_o <= 0.0:
-        raise DomainError("mu_o must be positive")
-    n = math.ceil((mu_o - lambda_o - 1.0) / 2.0)
+    n = math.ceil((ri.mu_o - ri.lambda_o - 1.0) / 2.0)
     return max(0, n)
 
 
@@ -381,7 +379,7 @@ def spectrum(ri: RayIdentifiers, tp: TangentPoly) -> list[AehSolution]:
     _check_not_degenerate(tp)
     out = []
     steps = halvings = 0
-    roots = _radical_roots(_SIGNS[Kind.C], range(bound_state_count(ri.mu_o, ri.lambda_o)), ri, tp)
+    roots = _radical_roots(_SIGNS[Kind.C], range(bound_state_count(ri)), ri, tp)
     for n, (lam0, lam1, k, h) in enumerate(roots):
         steps += k
         halvings += h
@@ -404,7 +402,7 @@ def basic_solutions(ri: RayIdentifiers, tp: TangentPoly) -> dict[Kind, AehSoluti
     (z_T > 1) or b (z_T < 0), each the one root of its sign pattern.
     Newton steps and bisections are logged per call at DEBUG under
     ``drttp.spectral``."""
-    if not bound_state_count(ri.mu_o, ri.lambda_o):  # the Area A_0 test of spectrum()
+    if not bound_state_count(ri):  # the Area A_0 test of spectrum()
         raise AvailabilityError("basic-solution triple requires mu_o > lambda_o + 1 (Area A_0)")
     _check_not_degenerate(tp)
     sols = []

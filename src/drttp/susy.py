@@ -22,6 +22,7 @@ from .core import (
     _dot2,
     gauge_record,
     potential_x_of_z,
+    unit_interval,
 )
 from .errors import (
     AvailabilityError,
@@ -58,7 +59,7 @@ def basic_ff_eval(z, omz, sol: AehSolution):
     the pair (z, 1 - z)."""
     if sol.m != 0:
         raise DomainError("factorization function must be a basic (m=0) solution")
-    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+    z, omz = unit_interval(z, omz)
     # 0 and inf only where the value itself is out of double range
     with np.errstate(divide="ignore", over="ignore"):
         out = np.exp(_log_abs_ff(z, omz, sol))
@@ -86,7 +87,7 @@ def double_step_ff_eval(z, omz, t: AehSolution, t_prime: AehSolution, tp: Tangen
     (mu' - mu) sqrt(z(1-z)) z^(l0'/2) (1-z)^(l1'/2) (z - z_tt') / (z - z_T),
     from the pair (z, 1 - z), summed in log space and exponentiated once."""
     ztt = outer_root_ztt(t, t_prime)
-    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+    z, omz = unit_interval(z, omz)
     dmu = t_prime.mu - t.mu
     sign = np.sign(dmu) * np.sign(z - ztt) * np.sign(z - tp.z_T)
     with np.errstate(divide="ignore", over="ignore"):
@@ -173,7 +174,7 @@ def partner_correction_z(z, omz, spec: PartnerSpec, tp: TangentPoly):
     Delta O1 = 4 (2z + delta0).  One step is the case outer_pole = z_T,
     where Q = P.
     """
-    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+    z, omz = unit_interval(z, omz)
     zo = z * omz
     P2 = (z - tp.z_T) ** 2
     Q = z - spec.outer_pole
@@ -257,12 +258,12 @@ class HeunOperator:
         """Relative annihilation residual at z."""
         z = float(z)
         terms = (
-            abs(z * (z - 1.0) * (z - self.p) * d2f),
-            abs(2.0 * self.b2(z) * df),
-            abs(self.c1(z) * f),
+            z * (z - 1.0) * (z - self.p) * d2f,
+            2.0 * self.b2(z) * df,
+            self.c1(z) * f,
         )
-        scale = max(max(terms), 1e-30)
-        return abs(self.apply(f, df, d2f, z)) / scale
+        scale = max(max(map(abs, terms)), 1e-30)
+        return abs(terms[0] + terms[1] + terms[2]) / scale
 
 
 def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int],
@@ -273,8 +274,8 @@ def heun_operator(epsilon: float, spec: PartnerSpec, sigma: tuple[int, int, int]
     must be one of the admissible Gauss-seed gauges (the third sign, at
     the outer pole, is always -1).
     """
-    if epsilon > 0.0:
-        raise DomainError("epsilon must be <= 0 for real exponents")
+    if not -math.inf < epsilon <= 0.0:
+        raise DomainError("epsilon must be finite and <= 0 for real exponents")
     if tuple(sigma) not in admissible_gauges(tp):
         raise GaugeError(f"sign triple {sigma} is not an admissible gauge")
     s0, s1, _ = sigma
@@ -367,7 +368,7 @@ class HeunPolynomial:
         """(P, P', P'') at the pair (z, 1 - z): de Casteljau on the
         coefficients and on their first and second forward differences."""
         n = len(self.coeffs) - 1
-        z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+        z, omz = unit_interval(z, omz)
         out = [math.perm(n, k) * _de_casteljau(np.diff(self.coeffs, k), z, omz)
                for k in range(3)]
         return tuple([v if v.ndim else float(v) for v in out])
@@ -440,6 +441,9 @@ def nodeless_predicate(kind: Kind, m: int, mu_o: float, tp: TangentPoly) -> bool
     """
     if kind not in (Kind.A, Kind.B, Kind.C, Kind.D):
         raise DomainError("kind must be one of the basic types")
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    mu_o = RayIdentifiers(0.0, mu_o).mu_o  # finite and > 0, as wl_solve checks it
     if kind in (Kind.A, Kind.B):
         kind = Kind.A  # both mean "the regular basic FF" branch selector
     u = 2 * m + 1

@@ -411,7 +411,7 @@ def check_oracle_grid() -> list[CheckResult]:
         ri = RayIdentifiers(lo, mo)
         tp = TangentPoly(zt)
         sols = spectral.spectrum(ri, tp)
-        want = spectral.bound_state_count(mo, lo)
+        want = spectral.bound_state_count(ri)
         ns = _oracle_for(ri, tp)
         rep = oracle.compare_spectra([s.epsilon for s in sols], ns)
         count_ok = len(sols) == want == len(ns)
@@ -1119,7 +1119,7 @@ def check_census() -> list[CheckResult]:
         for mu_o in np.linspace(1.41, 9.13, 20):
             ri = RayIdentifiers(0.0, float(mu_o))
             census = spectral.nodeless_census(ri, tp)
-            n0 = spectral.bound_state_count(ri.mu_o)
+            n0 = spectral.bound_state_count(ri)
             for m in range(30):
                 if 2 * m + 1 == ri.mu_o:
                     continue

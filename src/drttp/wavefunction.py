@@ -67,7 +67,7 @@ def hypergeom_poly_jacobi(n: int, a: float, c: float, z, omz):
     meets (alpha = lambda0, beta = lambda1); outside that range the
     recurrence can return NaN, so DomainError is raised instead.
     """
-    z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
+    z, omz = unit_interval(z, omz)
     alpha, beta = _jacobi_parameters(n, a, c)
     out = np.ones(z.shape)
     if n:
@@ -250,14 +250,13 @@ def count_nodes(f, interval: tuple[float, float]) -> int:
     """Strict sign changes of f on the open interval.
 
     ``f`` must map an array of points to an array of the same shape; any
-    other result raises DomainError, as does an interval with an end that
-    is not finite.  Zeros and NaN values of f are
-    skipped.  The first grid splits the interval into 4096 equal cells and
-    holds their 4095 interior points.  Each refinement
-    halves every cell, evaluates f only at the new midpoints and merges
-    them in, so the points evaluated so far are exactly the current grid.
-    Inserting points never removes a sign change, so the count cannot fall
-    as the grid refines.  Grids are refined until two consecutive counts
+    other result raises DomainError, as do a NaN value of f and an interval
+    with an end that is not finite.  Zeros of f are skipped.  The first
+    grid splits the interval into 4096 equal cells and holds their 4095
+    interior points.  Each refinement halves every cell, evaluates f only
+    at the new midpoints and merges them in, so the points evaluated so far
+    are exactly the current grid.  Inserting points never removes a sign
+    change, so the count cannot fall as the grid refines.  Grids are refined until two consecutive counts
     agree; a grid of more than 2**20 points raises ConvergenceError.
     """
     a, b = interval
@@ -272,6 +271,8 @@ def count_nodes(f, interval: tuple[float, float]) -> int:
         fx = np.asarray(f(xs), dtype=float)
         if fx.shape != xs.shape:
             raise DomainError("f must map an array of points to one of the same shape")
+        if np.any(np.isnan(fx)):
+            raise DomainError("f returned NaN")
         if vals is not None:
             merged = np.empty(cells - 1)
             merged[::2] = fx
@@ -279,7 +280,7 @@ def count_nodes(f, interval: tuple[float, float]) -> int:
             fx = merged
         vals = fx
         sgn = np.sign(vals)
-        sgn = sgn[np.abs(sgn) == 1.0]
+        sgn = sgn[sgn != 0.0]
         count = int(np.sum(sgn[:-1] * sgn[1:] < 0))
         if prev == count:
             return count

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 from drttp import core, susy, verify
 from drttp.core import RayIdentifiers, TangentPoly
-from drttp.errors import ConvergenceError, DomainError, PoleError
+from drttp.errors import ConvergenceError, DomainError
 from drttp.spectral import Kind, basic_solutions, spectrum
 from drttp.wavefunction import aeh_eval, solution_eval_x
 
@@ -403,7 +403,8 @@ class TestSchwarzian:
         assert verify._schwarzian_eta(1e9) == pytest.approx(-0.5)
 
     def test_pole_rejected(self):
-        with pytest.raises(PoleError):
+        # z_T lies outside [0, 1], so the pair check rejects z = z_T
+        with pytest.raises(DomainError):
             core.schwarzian_eval(2.0, -1.0, TP2)
 
     def test_eta_matches_x_gauge_at_zt2(self):

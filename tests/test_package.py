@@ -1,7 +1,9 @@
 """The package surface: exported names, lazy submodules, the NumPy-free
-cold path and the checks of the parameter types."""
+cold path, the checks of the parameter types and the input guards of the
+public functions."""
 
 import ast
+import functools
 import importlib
 import math
 import os
@@ -14,6 +16,7 @@ import pytest
 import drttp
 from drttp import core, params
 from drttp.errors import DomainError
+from drttp.spectral import Kind
 
 SRC = os.path.dirname(os.path.dirname(drttp.__file__))
 
@@ -21,7 +24,7 @@ SRC = os.path.dirname(os.path.dirname(drttp.__file__))
 EXPORTS = {
     "errors": ("AvailabilityError", "ClassificationError", "ConvergenceError",
                "DegenerateLimitError", "DomainError", "DrttpError", "GaugeError",
-               "PairRejectedError", "PoleError"),
+               "PairRejectedError"),
     "params": ("RayIdentifiers", "TangentPoly"),
     "spectral": ("AehSolution", "Kind", "basic_solutions", "bound_state_count",
                  "nodeless_census", "spectrum", "wl_solve"),
@@ -145,15 +148,35 @@ def _reads(node, enclosing=frozenset()):
         yield from _reads(child, enclosing)
 
 
+def _library_trees():
+    """The parsed source of every module of the library."""
+    for filename in sorted(os.listdir(os.path.join(SRC, "drttp"))):
+        if filename.endswith(".py"):
+            with open(os.path.join(SRC, "drttp", filename)) as fh:
+                yield ast.parse(fh.read())
+
+
 def test_every_exported_name_has_a_reader_in_the_library():
     # a name the library exports but never reads itself is surface that the
     # computation does not use
     read = set()
-    for filename in os.listdir(os.path.join(SRC, "drttp")):
-        if filename.endswith(".py"):
-            with open(os.path.join(SRC, "drttp", filename)) as fh:
-                read |= set(_reads(ast.parse(fh.read())))
+    for tree in _library_trees():
+        read |= set(_reads(tree))
     assert sorted(set(drttp.__all__) - read) == []
+
+
+def test_every_exported_exception_type_has_a_raise_site():
+    # an exported exception type that no statement of the library raises is
+    # a type no caller can meet
+    raised = set()
+    for tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    types = {name for name in drttp.__all__ if isinstance(getattr(drttp, name), type)
+             and issubclass(getattr(drttp, name), BaseException)}
+    assert types and sorted(types - raised) == []
 
 
 COLD_PATH = """
@@ -217,3 +240,50 @@ class TestParameterChecks:
     def test_bad_double_root_raises(self, z_T):
         with pytest.raises(DomainError):
             drttp.TangentPoly(z_T)
+
+
+def _bad_inputs():
+    """(id, call) for each bad input of each function with an input guard:
+    the pair (z, 1 - z) outside [0, 1], NaN or unpaired, a negative degree
+    or a non-finite mu_o, energy, eta^ or x."""
+    tp, ri = drttp.TangentPoly(2.0), drttp.RayIdentifiers(0.0, 5.0)
+    basics = drttp.basic_solutions(ri, tp)
+    spec = drttp.single_partner_spec(basics[Kind.C], tp)
+    pair_functions = {
+        "schwarzian_eval": functools.partial(drttp.schwarzian_eval, tp=tp),
+        "dz_dx": functools.partial(core.dz_dx, tp=tp),
+        "partner_correction_z": functools.partial(drttp.partner_correction_z,
+                                                  spec=spec, tp=tp),
+        "basic_ff_eval": functools.partial(drttp.basic_ff_eval, sol=basics[Kind.C]),
+        "double_step_ff_eval": functools.partial(drttp.double_step_ff_eval, t=basics[Kind.C],
+                                                 t_prime=basics[Kind.A], tp=tp),
+        "HeunPolynomial.jet": drttp.HeunPolynomial((1.0, -2.0, 0.5), 2, False).jet,
+        "hypergeom_poly_jacobi": functools.partial(drttp.wavefunction.hypergeom_poly_jacobi,
+                                                   2, 6.0, 2.0),
+    }
+    pairs = [(math.nan, math.nan), (math.inf, -math.inf), (-math.inf, math.inf),
+             (1.5, -0.5), (0.3, 0.9)]
+    cases = [(f"{name}-{z}-{omz}", functools.partial(f, z, omz))
+             for name, f in pair_functions.items() for z, omz in pairs]
+    cases += [(f"nodeless_predicate-{kind.value}-{m}-{mu_o}",
+               functools.partial(drttp.nodeless_predicate, kind, m, mu_o, tp))
+              for kind, m, mu_o in ((Kind.A, -1, 5.0), (Kind.C, 1, math.nan),
+                                    (Kind.C, 1, math.inf))]
+    cases += [(f"heun_operator-{eps}",
+               functools.partial(drttp.heun_operator, eps, spec, (1, 1, -1), ri, tp))
+              for eps in (math.nan, -math.inf)]
+    cases += [(f"{f.__name__}-{v}", functools.partial(f, v, *args))
+              for f, args in ((drttp.dkv_potential_eval, (2.5, 1.5)), (drttp.eta_hat_of_x, ()))
+              for v in (math.nan, math.inf, -math.inf)]
+    return cases
+
+
+BAD_INPUTS = _bad_inputs()
+
+
+@pytest.mark.parametrize("call", [c for _, c in BAD_INPUTS], ids=[i for i, _ in BAD_INPUTS])
+def test_bad_input_raises_domain_error(call):
+    # RuntimeWarning is an error (pyproject.toml), so an input that gets past
+    # its guard fails here whether the formula warns or returns a value
+    with pytest.raises(DomainError):
+        call()

@@ -203,18 +203,18 @@ class TestWlSolve:
 
 class TestCountsAndRegions:
     def test_bound_state_count(self):
-        assert bound_state_count(5.0) == 2
-        assert bound_state_count(1.0) == 0
-        assert bound_state_count(5.2) == 3
-        assert bound_state_count(3.0, lambda_o=2.0) == 0
-        assert bound_state_count(7.3, lambda_o=2.0) == 3
+        assert bound_state_count(WL5) == 2
+        assert bound_state_count(RayIdentifiers(0.0, 1.0)) == 0
+        assert bound_state_count(RayIdentifiers(0.0, 5.2)) == 3
+        assert bound_state_count(RayIdentifiers(2.0, 3.0)) == 0
+        assert bound_state_count(RayIdentifiers(2.0, 7.3)) == 3
 
 
 class TestCensus:
     def test_levelled_bounds(self):
         census = nodeless_census(WL5, TP2)
         assert census.m_plus_c0 is not None and census.m_plus_c0 < 2.0
-        assert census.m_plus_c0 < bound_state_count(5.0)
+        assert census.m_plus_c0 < bound_state_count(WL5)
         assert census.mu_cross_slope == pytest.approx(math.sqrt(3.0))
 
     def test_empty_spectrum_marker(self):
@@ -323,8 +323,9 @@ def _mp_level(lo, mo, z_t, n):
 def _worst_level_error(points, top_only=False):
     worst = 0.0
     for lo, mo, z_t in points:
-        sols = spectrum(RayIdentifiers(lo, mo), TangentPoly(z_t))
-        assert len(sols) == bound_state_count(mo, lo), (lo, mo, z_t)
+        ri = RayIdentifiers(lo, mo)
+        sols = spectrum(ri, TangentPoly(z_t))
+        assert len(sols) == bound_state_count(ri), (lo, mo, z_t)
         for s in sols[-1:] if top_only else sols:
             ref = _mp_level(lo, mo, z_t, s.m)
             worst = max(worst, float(abs((s.lambda1 - ref) / ref)))

@@ -562,12 +562,14 @@ class TestCountNodes:
             count_nodes(f, (0.0, 1.0))
         assert seen == [15, 16, 32]
 
-    def test_nan_values_skipped(self):
-        # a band of NaN around the node at 0.3 must not hide its sign change
+    def test_nan_values_rejected(self):
+        # f has no sign where it is NaN: a band of NaN around the node at 0.3
+        # raises instead of being skipped
         def f(z):
             return np.where(np.abs(z - 0.3) < 1e-3, np.nan, (z - 0.3) * (z - 0.7))
 
-        assert count_nodes(f, (0.0, 1.0)) == 2
+        with pytest.raises(DomainError):
+            count_nodes(f, (0.0, 1.0))
 
     def test_scalar_result_rejected(self):
         with pytest.raises(DomainError):
