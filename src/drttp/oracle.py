@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -18,19 +19,19 @@ from .errors import ConvergenceError, DomainError
 
 _FLATNESS_TOL = 1e-10
 _BOUND_MARGIN = 1e-8
-# x = _MAP_SCALE sinh(s), s uniform, |x| <= _BOX, on the node ladder
+# x = x0 + L sinh(s), s uniform, |x - x0| <= _BOX, on the node ladder
 # _N_NODES: each rung is solved on twice the nodes of the one below it, and a
 # level is kept only where two successive rungs agree to _AGREE_TOL.  The
 # ladder stops at the first rung that keeps every level below threshold with
 # node counts 0..k-1; the last rung is the cap.  A +-500 box shifts the weakly
-# bound top level of (0, 3.04, 2) by 5e-6 relative, a map scale of 4
-# under-resolves the narrow wells of z_T in -0.3..-10 such as
-# (0, 10.44, -0.775), and 200 nodes lose a level of (0, 10.3, -0.5), so that
-# point climbs to the cap; tests/test_oracle.py holds these values.
-_MAP_SCALE = 1.0
+# bound top level of (0, 3.04, 2) by 5e-6 relative, and 200 nodes do not
+# resolve the upper levels of the deep wells of 26 to 39 levels, such as
+# (0.441, 69.16, 2), so those climb to the cap; tests/test_oracle.py holds
+# these values.  x0 and L come from V on _PROBE_NODES points (_map_for).
 _BOX = 5000.0
 _N_NODES = (200, 400, 800)
 _AGREE_TOL = 1e-6
+_PROBE_NODES = 4001
 
 _log = logging.getLogger("drttp.oracle")
 
@@ -45,7 +46,7 @@ class NumericSpectrum:
     node_counts: list[int]
     convergence: np.ndarray        # per level |E(2n) - E(n)| of the last two rungs
     threshold: float
-    diagnostics: dict              # map scale, nodes and seconds per solve, rejected
+    diagnostics: dict              # map, nodes and seconds per solve, rejected, sawtooth
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -66,39 +67,66 @@ def _count_sign_changes(psi: np.ndarray) -> int:
     return int(np.sum(sgn[:-1] * sgn[1:] < 0))
 
 
-@functools.lru_cache(maxsize=4)
-def _sinc_grid(n: int):
-    """The V-independent part of the n-node solve, built once per n: the
-    nodes x = L sinh(s), g = dx/ds, the step ds and the kinetic block
-    G^-1/2 D1^T G^-1 D1 G^-1/2, G = diag(g), in Fortran order, the layout
-    LAPACK works in.  The arrays are read-only because every solve of that
-    n shares them."""
+def _map_for(V) -> tuple[float, float]:
+    """The centre x0 and scale L of the map x = x0 + L sinh(s), from V on
+    _PROBE_NODES points of x = sinh(s), |x| <= _BOX: x0 is the probe point
+    where V is least, and L the harmonic length a**-1/4 of the parabola
+    a (x - x0)**2 + b (x - x0) + c fitted to V at the 5 probe points around
+    x0, capped at 1 and rounded to a power of 2, so that wells of similar
+    curvature share a kinetic block (L = 1 where a <= 0)."""
+    s_max = np.arcsinh(_BOX)
+    xs = np.sinh(np.linspace(-s_max, s_max, _PROBE_NODES))
+    vals = _eval_potential(V, xs)
+    i = int(np.argmin(vals))
+    x0 = float(xs[i])
+    lo = min(max(i - 2, 0), _PROBE_NODES - 5)
+    a = float(np.polyfit(xs[lo:lo + 5] - x0, vals[lo:lo + 5], 2)[0])
+    width = min(1.0, a ** -0.25) if a > 0.0 else 1.0
+    return x0, 2.0 ** round(math.log2(width))
+
+
+# kinetic blocks kept: 6 cover the 200- and 400-node rungs at three map
+# scales; one 800-node block is 5.1 MB
+@functools.lru_cache(maxsize=6)
+def _sinc_grid(n: int, scale: float):
+    """The V-independent part of the n-node solve at map scale L, built once
+    per (n, L): the node offsets x - x0 = L sinh(s), g = dx/ds, the step ds
+    and the kinetic block G^-1 (-D2 - 1/2 diag({x, s})) G^-1, G = diag(g),
+    in Fortran order, the layout LAPACK works in.  Nothing in it depends on
+    x0.  The arrays are read-only because every solve of that (n, L) shares
+    them."""
     # deferred import: keeps scipy.linalg out of the cold start of `import drttp`
     from scipy.linalg import toeplitz
 
-    s_max = np.arcsinh(_BOX / _MAP_SCALE)
+    s_max = np.arcsinh(_BOX / scale)
     s, ds = np.linspace(-s_max, s_max, n, retstep=True)
-    xs = _MAP_SCALE * np.sinh(s)
-    g = _MAP_SCALE * np.cosh(s)
-    # sinc derivative at the nodes: D1[i, j] = (-1)**(i-j) / ((i-j) ds)
+    offsets = scale * np.sinh(s)
+    g = scale * np.cosh(s)
+    # -D2, the exact sinc second derivative (Colbert & Miller 1992):
+    # pi**2 / (3 ds**2) on the diagonal, 2 (-1)**k / (k ds)**2 at distance k
     m = np.arange(1, n)
-    col = np.concatenate(([0.0], np.where(m % 2, -1.0, 1.0) / (m * ds)))
-    a = toeplitz(col, -col) / np.sqrt(g)[None, :]
-    kinetic = np.asfortranarray(a.T @ (a / g[:, None]))
-    for arr in (xs, g, kinetic):
+    col = np.concatenate(([np.pi**2 / 3.0], np.where(m % 2, -2.0, 2.0) / m**2)) / ds**2
+    kinetic = toeplitz(col)
+    # the Schwarzian of the map, {x, s} = 1 - 3/2 tanh(s)**2
+    kinetic[np.diag_indices(n)] -= 0.5 * (1.0 - 1.5 * np.tanh(s) ** 2)
+    kinetic = np.asfortranarray(kinetic / np.outer(g, g))
+    for arr in (offsets, g, kinetic):
         arr.flags.writeable = False
-    return xs, g, ds, kinetic
+    return offsets, g, ds, kinetic
 
 
-def _solve_sinc(V, n: int, threshold: float, eigvals_only: bool = False):
-    """Sinc collocation on n nodes of s, x = L sinh(s): the weak form
-    (D1^T G^-1 D1 + diag(V g)) c = E G c, G = diag(g), g = dx/ds, in the
-    symmetric variable u = G^1/2 c.  Returns the nodes, the eigenvalues
-    below threshold and the collocation vectors c = psi(x_j), unit L2
+def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float,
+                eigvals_only: bool = False):
+    """Sinc collocation on n nodes of s, x = x0 + L sinh(s), g = dx/ds, in
+    the Liouville form of -psi'' + V psi = E psi: psi = g^-1/2 w turns it
+    into the symmetric (G^-1 (-D2 - 1/2 diag({x, s})) G^-1 + diag(V)) w
+    = E w, G = diag(g).  Returns the nodes, the eigenvalues below threshold
+    and the collocation vectors psi(x_j) = w_j / sqrt(g_j ds), unit L2
     (None with ``eigvals_only``)."""
     from scipy.linalg import eigh
 
-    xs, g, ds, kinetic = _sinc_grid(n)
+    offsets, g, ds, kinetic = _sinc_grid(n, scale)
+    xs = x0 + offsets
     vals = _eval_potential(V, xs)
     h = kinetic.copy(order="F")
     h[np.diag_indices(n)] += vals
@@ -117,33 +145,51 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     """Bound states of -psi'' + V psi = E psi on the whole line.
 
     Sinc collocation (sinc-DVR, Colbert & Miller 1992) in s, where
-    x = _MAP_SCALE sinh(s) with s uniform, so that |x| <= _BOX is covered
-    by nodes that crowd near the origin (Boyd 2001, ch. 17).  The
-    symmetric weak form is solved densely for the eigenvalues below the
-    threshold min(V(-_BOX), V(_BOX)) minus a small safety margin, on the
-    node ladder _N_NODES = (200, 400, 800).  Each rung above the first is
-    compared with the rung below it: levels are kept from the bottom up to
-    the first that the two solves do not agree on to _AGREE_TOL relative;
-    the difference is each kept level's convergence estimate, and the
-    levels not kept are reported as rejected in ``diagnostics``.  The
-    ladder stops at the 400-node rung when it keeps every level below
-    threshold and their node counts are 0..k-1, as the oscillation
-    theorem requires; otherwise it climbs to the 800-node cap, whose
-    result is the 400/800 comparison whatever it keeps.  Node counts are
-    the sign changes of the collocation vector.  ``V`` must map an array
-    of x to a finite array of the same shape; an edge where V still falls
-    outward over its last unit of x raises ConvergenceError.  Each rung
-    and the result are logged at DEBUG under ``drttp.oracle``.
+    x = x0 + L sinh(s) with s uniform, so that |x - x0| <= _BOX is covered
+    by nodes that crowd near x0 (Boyd 2001, ch. 17).  The problem is solved
+    in its Liouville form: with g = dx/ds and psi = g^-1/2 w it is the
+    symmetric eigenproblem of G^-1 (-D2 - 1/2 diag({x, s})) G^-1 + diag(V),
+    G = diag(g), where D2 is the exact sinc second derivative and
+    {x, s} = 1 - 3/2 tanh(s)**2 the Schwarzian of the map.  (The product
+    form G^-1/2 D1^T G^-1 D1 G^-1/2 of the sinc first derivative D1 has a
+    spurious eigenvalue with a sign change at every node, the "ghost"
+    levels of mapped grids, Willner, Dulieu & Masnou-Seeuws 2004; this
+    form has none.)  The map comes from V (``_map_for``): x0 is where V is
+    least on a 4 001-point probe of |x| <= _BOX, and L is the length
+    a**-1/4 of the well's curvature a there, capped at 1 and rounded to a
+    power of 2.
 
-    ``diagnostics["n_points"]`` and ``diagnostics["seconds"]`` list every
-    solve that ran, for example (200, 400) or (200, 400, 800).  The part
-    of each solve that does not depend on V (nodes and kinetic block) is
-    built once per node count per process and reused by every later
-    solve; the seconds of the first solve of each node count in a process
-    include that build.
+    The eigenvalues below the threshold min(V(-_BOX), V(_BOX)) minus a
+    small safety margin are solved densely on the node ladder
+    _N_NODES = (200, 400, 800).  Each rung above the first is compared
+    with the rung below it: levels are kept from the bottom up to the first
+    that the two solves do not agree on to _AGREE_TOL relative; the
+    difference is each kept level's convergence estimate, and the levels
+    not kept are reported as rejected in ``diagnostics``.  The ladder stops
+    at the 400-node rung when it keeps every level below threshold and
+    their node counts are 0..k-1, as the oscillation theorem requires;
+    otherwise it climbs to the 800-node cap, whose result is the 400/800
+    comparison whatever it keeps.  The cap is for deep wells: 200 nodes do
+    not resolve the upper levels of a well of 26 to 39 levels, such as
+    (0.441, 69.16, 2), so its 400-node levels are confirmed on 800 nodes
+    instead.  Node counts are the sign changes of the
+    collocation vector.  ``V`` must map an array of x to a finite array of
+    the same shape; an edge where V still falls outward over its last unit
+    of x raises ConvergenceError.  Each rung and the result are logged at
+    DEBUG under ``drttp.oracle``.
 
-    Limit: a potential that grows without bound is resolved only as far
-    as the last two rungs agree.  ``x**2`` gives 47 levels (1 to 93); its
+    ``diagnostics`` holds the map centre ``x0`` and scale ``map_scale``,
+    the node count and seconds of every solve that ran (``n_points``, for
+    example (200, 400) or (200, 400, 800), and ``seconds``), the
+    ``rejected`` eigenvalues and ``sawtooth``, the number of kept
+    eigenvectors with more than n/2 sign changes: a spurious grid mode,
+    which this form should never show.  The part of each solve that does
+    not depend on V (node offsets and kinetic block) is built once per
+    (node count, map scale) and reused while it is among the last few
+    built; the seconds of a solve that builds it include the build.
+
+    Limit: a potential that grows without bound is resolved only as far as
+    the last two rungs agree.  ``x**2`` gives 50 levels (1 to 99); its
     other eigenvalues below the threshold V(5000) = 2.5e7 are listed as
     rejected.
 
@@ -156,12 +202,13 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
             or v_edge[2] - v_edge[3] > _FLATNESS_TOL):
         raise ConvergenceError("potential not confining at requested tolerance")
     threshold = float(min(v_edge[0], v_edge[3])) - _BOUND_MARGIN
+    x0, scale = _map_for(V)
 
     n_points, seconds = [], []
 
     def solve(n, eigvals_only):
         t0 = time.perf_counter()
-        out = _solve_sinc(V, n, threshold, eigvals_only=eigvals_only)
+        out = _solve_sinc(V, n, threshold, x0, scale, eigvals_only=eigvals_only)
         n_points.append(n)
         seconds.append(time.perf_counter() - t0)
         return out
@@ -192,8 +239,9 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
         nz = np.nonzero(np.abs(vecs[:, j]) > 1e-6 * np.max(np.abs(vecs[:, j])))[0]
         if len(nz) and vecs[nz[0], j] < 0:
             vecs[:, j] = -vecs[:, j]
-    diagnostics = {"map_scale": _MAP_SCALE, "n_points": tuple(n_points),
-                   "seconds": tuple(seconds), "rejected": rejected}
+    diagnostics = {"x0": x0, "map_scale": scale, "n_points": tuple(n_points),
+                   "seconds": tuple(seconds), "rejected": rejected,
+                   "sawtooth": sum(c > n_points[-1] // 2 for c in counts)}
     _log.debug("sinc solve: %d levels kept, %s", len(w), diagnostics)
     return NumericSpectrum(
         eigenvalues=w,

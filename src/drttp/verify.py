@@ -374,9 +374,10 @@ def check_separatrix() -> list[CheckResult]:
 # spectra vs the numerical oracle
 # ---------------------------------------------------------------------------
 
-# the wl, oracle and susy groups all solve (0, 5, 2): each point is solved once
-# while it is among the last len(GRID_POINTS); callers only read the spectrum
-@functools.lru_cache(maxsize=len(GRID_POINTS))
+# the wl, oracle and susy groups all solve (0, 5, 2): the cache holds every
+# point of the oracle group, so each is solved once per battery; callers only
+# read the spectrum
+@functools.lru_cache(maxsize=len(GRID_POINTS) + len(HIGH_DEGREE_POINTS))
 def _oracle_for(ri: RayIdentifiers, tp: TangentPoly):
     return oracle.solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
 
@@ -418,12 +419,13 @@ def check_oracle_grid() -> list[CheckResult]:
         rel = float(np.max(rep.rel_errors)) if len(rep.rel_errors) else 0.0
         return count_ok and rep.node_match, rel
 
-    results = [run(pt) for pt in GRID_POINTS]
+    points = GRID_POINTS + HIGH_DEGREE_POINTS
+    results = [run(pt) for pt in points]
     worst = max(r[1] for r in results)
     count_bad = sum(0 if r[0] else 1 for r in results)
     return [
         _result("oracle.grid-counts", 0.5, float(count_bad),
-                f"{len(GRID_POINTS)} grid points, violation count"),
+                f"{len(points)} grid points, violation count"),
         _result("oracle.grid-levels", tol, worst, "max relative error"),
     ]
 

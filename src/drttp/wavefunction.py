@@ -67,12 +67,17 @@ def hypergeom_poly_jacobi(n: int, a: float, c: float, z, omz):
     meets (alpha = lambda0, beta = lambda1); outside that range the
     recurrence can return NaN, so DomainError is raised instead.
     """
-    z, omz = unit_interval(z, omz)
+    out = _hypergeom_poly(n, a, c, *unit_interval(z, omz))
+    return out if out.ndim else float(out)
+
+
+def _hypergeom_poly(n: int, a: float, c: float, z: np.ndarray, omz: np.ndarray) -> np.ndarray:
+    """``hypergeom_poly_jacobi`` on a pair that has passed ``unit_interval``."""
     alpha, beta = _jacobi_parameters(n, a, c)
     out = np.ones(z.shape)
     if n:
         _times_jacobi(out, n, alpha, beta, split_at_half(z, omz))
-    return out if out.ndim else float(out)
+    return out
 
 
 def _jacobi_parameters(n: int, a: float, c: float) -> tuple[float, float]:
@@ -169,10 +174,10 @@ def aeh_eval(z, omz, sol: AehSolution):
     out = np.empty_like(z)
     interior = (z > 0.0) & (omz > 0.0)
     zi, omzi = z[interior], omz[interior]
-    out[interior] = zi**e0 * omzi**e1 * hypergeom_poly_jacobi(m, a, c, zi, omzi)
+    out[interior] = zi**e0 * omzi**e1 * _hypergeom_poly(m, a, c, zi, omzi)
     out[z == 0.0] = _endpoint_limit(e0)
     lim = _endpoint_limit(e1)
-    out[omz == 0.0] = hypergeom_poly_jacobi(m, a, c, 1.0, 0.0) if lim == 1.0 else lim
+    out[omz == 0.0] = _hypergeom_poly(m, a, c, np.array(1.0), np.array(0.0)) if lim == 1.0 else lim
     return float(out[0]) if scalar else out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import drttp
-from drttp import core, oracle, verify
+from drttp import core, oracle, spectral, verify
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError
 from drttp.oracle import (
@@ -34,10 +34,12 @@ def sech2(x):
 
 def collocation_residual(ns, j, E, V):
     """max |-psi'' + (V - E) psi| / max |psi| at the oracle's nodes, with
-    psi'' from the exact second derivative of the sinc interpolant in
-    s = asinh(x / L) rather than the D1 weak form the oracle solves."""
+    psi'' from the exact first and second derivatives of the sinc
+    interpolant of psi in s = asinh((x - x0) / L), x0 and L from the
+    solve's diagnostics, rather than the Liouville form the oracle solves."""
     x = ns.x
-    s = np.arcsinh(x / oracle._MAP_SCALE)
+    x0, scale = ns.diagnostics["x0"], ns.diagnostics["map_scale"]
+    s = np.arcsinh((x - x0) / scale)
     ds = s[1] - s[0]
     k = np.subtract.outer(np.arange(len(x)), np.arange(len(x)))
     sgn = np.where(k % 2, -1.0, 1.0)
@@ -45,7 +47,7 @@ def collocation_residual(ns, j, E, V):
     d1 = np.where(k == 0, 0.0, sgn / (kk * ds))
     d2 = np.where(k == 0, -np.pi**2 / 3.0, -2.0 * sgn / kk**2) / ds**2
     psi = ns.eigenvectors[:, j]
-    psi_xx = (d2 @ psi - np.tanh(s) * (d1 @ psi)) / (oracle._MAP_SCALE * np.cosh(s)) ** 2
+    psi_xx = (d2 @ psi - np.tanh(s) * (d1 @ psi)) / (scale * np.cosh(s)) ** 2
     res = -psi_xx + (V(x) - E) * psi
     return float(np.max(np.abs(res)) / np.max(np.abs(psi)))
 
@@ -62,18 +64,27 @@ class TestBenchmarks:
         assert np.allclose(ns.eigenvalues[:5], [1, 3, 5, 7, 9], atol=1e-7)
         assert ns.node_counts[:5] == [0, 1, 2, 3, 4]
 
+    def test_harmonic_level_count(self, harmonic_ns):
+        # a potential that grows without bound is resolved as far as the
+        # 400- and 800-node solves agree: 50 levels here, each within 1e-8 of
+        # 2n + 1, and never fewer than the 47 of the product form D1^T G^-1 D1
+        ns = harmonic_ns
+        assert len(ns) >= 47
+        assert ns.node_counts == list(range(len(ns)))
+        assert ns.eigenvalues == pytest.approx(2.0 * np.arange(len(ns)) + 1.0, rel=0.0, abs=1e-8)
+        assert (ns.diagnostics["x0"], ns.diagnostics["map_scale"]) == (0.0, 1.0)
+
     def test_sech2_levels_exact(self):
-        # -6 sech^2 has exactly -4 and -1; its zero-energy half-bound state
-        # gives an eigenvalue just below threshold on each grid, which the
-        # n-versus-2n filter rejects.  The error falls from 1e-6 at n = 50
+        # -6 sech^2 has exactly -4 and -1, and nothing else lies below
+        # threshold to reject (the product form D1^T G^-1 D1 had a grid mode
+        # just below it on every grid).  The error falls from 1e-6 at n = 50
         # to rounding at n = 100.
         ns = solve_schrodinger(sech2)
         assert ns.eigenvalues == pytest.approx([-4.0, -1.0], rel=1e-11)
         assert ns.node_counts == [0, 1]
         assert np.all(ns.convergence < 1e-10)
-        assert len(ns.diagnostics["rejected"]) == 1
-        assert -1e-4 < ns.diagnostics["rejected"][0] < 0.0
-        errs = [np.max(np.abs(oracle._solve_sinc(sech2, n, -1e-8)[1][:2]
+        assert ns.diagnostics["rejected"] == []
+        errs = [np.max(np.abs(oracle._solve_sinc(sech2, n, -1e-8, *oracle._map_for(sech2))[1][:2]
                               - [-4.0, -1.0])) for n in (50, 100)]
         assert errs[1] < errs[0] / 100.0
 
@@ -84,7 +95,7 @@ class TestBenchmarks:
         exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
         errs = []
         for n in (50, 100, 200):
-            _, w, _ = oracle._solve_sinc(harmonic, n, 30.0)
+            _, w, _ = oracle._solve_sinc(harmonic, n, 30.0, *oracle._map_for(harmonic))
             errs.append(np.max(np.abs(w[:5] - exact)))
         assert errs[1] < errs[0] / 100.0 and errs[2] < errs[1] / 100.0
 
@@ -122,6 +133,25 @@ class TestDkvOracle:
         rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns)
         assert rep.count_match and rep.node_match and np.max(rep.rel_errors) <= 1e-6
 
+    @pytest.mark.parametrize("pt, levels", [
+        # the product form D1^T G^-1 D1 on x = sinh(s) kept 33 of 34, 38 of
+        # 39, 29 of 30, 17 of 26 and 26 of 37 levels of these deep wells and
+        # miscounted the nodes of level 15 of (1.561, 32.66, 1.00273)
+        ((0.441, 69.16, 2.0), 34),
+        ((0.3, 79.0, 2.0), 39),
+        *zip(verify.HIGH_DEGREE_POINTS, (30, 26)),
+        ((0.5743, 74.927, -55.277), 37),
+        ((1.561, 32.66, 1.00273), 16),
+    ])
+    def test_deep_wells_complete(self, pt, levels):
+        ri, tp = RayIdentifiers(pt[0], pt[1]), TangentPoly(pt[2])
+        ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
+        assert spectral.bound_state_count(ri) == len(ns) == levels
+        assert ns.node_counts == list(range(levels))
+        assert ns.diagnostics["sawtooth"] == 0
+        rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns)
+        assert rep.count_match and rep.node_match and np.max(rep.rel_errors) <= 1e-6
+
     def test_fractional_count(self):
         ri = RayIdentifiers(0.0, 5.2)
         tp = TangentPoly(2.0)
@@ -153,8 +183,9 @@ def cap_pair(V, threshold):
     """The 400/800-node comparison written out as one procedure: eigenvalues
     only on 400 nodes, vectors on 800, levels kept from the bottom up while
     the two agree, first significant excursion positive."""
-    _, w_c, _ = oracle._solve_sinc(V, 400, threshold, eigvals_only=True)
-    _, w_f, vecs = oracle._solve_sinc(V, 800, threshold)
+    x0, scale = oracle._map_for(V)
+    _, w_c, _ = oracle._solve_sinc(V, 400, threshold, x0, scale, eigvals_only=True)
+    _, w_f, vecs = oracle._solve_sinc(V, 800, threshold, x0, scale)
     conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
     keep = np.cumprod(conv <= oracle._AGREE_TOL * np.abs(w_f)).astype(bool)
     vecs = vecs[:, keep]
@@ -177,19 +208,17 @@ class TestLadder:
         assert ns.diagnostics["n_points"] == (200, 400)
         assert len(ns.diagnostics["seconds"]) == 2
         assert len(ns.x) == 400 and ns.diagnostics["rejected"] == []
-        _, w, vecs = oracle._solve_sinc(V, 800, ns.threshold)
+        _, w, vecs = oracle._solve_sinc(V, 800, ns.threshold, *oracle._map_for(V))
         assert len(w) == len(ns) == 3
         assert ns.eigenvalues == pytest.approx(w, rel=1e-9, abs=0.0)
         counts = [oracle._count_sign_changes(vecs[:, j]) for j in range(len(w))]
         assert ns.node_counts == counts == [0, 1, 2]
 
     @pytest.mark.parametrize("name, V", [
-        # the zero-energy half-bound state is rejected on every rung
-        ("sech2", sech2),
-        # 200 nodes lose a level
-        ("(0, 10.3, -0.5)", dkv(0.0, 10.3, -0.5)),
-        # a box state just below threshold, rejected on every rung
-        ("(0, 5, 2)", dkv(0.0, 5.0, 2.0)),
+        # deep wells: 200 nodes do not resolve their upper levels
+        ("(0.441, 69.16, 2)", dkv(0.441, 69.16, 2.0)),
+        ("(0, 52, -1)", dkv(0.0, 52.0, -1.0)),
+        ("(0.5743, 74.927, -55.277)", dkv(0.5743, 74.927, -55.277)),
     ])
     def test_escalation_is_the_cap_pair(self, name, V):
         ns = solve_schrodinger(V)
@@ -214,27 +243,55 @@ class TestLadder:
 
 class TestDiagnostics:
     def test_fields_and_debug_log(self, caplog):
-        ns = solve_schrodinger(sech2)
+        V = dkv(0.441, 69.16, 2.0)
+        ns = solve_schrodinger(V)
         assert not caplog.records
         d = ns.diagnostics
-        assert d["map_scale"] == oracle._MAP_SCALE
+        assert (d["x0"], d["map_scale"]) == oracle._map_for(V)
+        assert d["map_scale"] == 0.25 and -1.0 < d["x0"] < 0.0
         assert d["n_points"] == oracle._N_NODES == (200, 400, 800)
         assert len(d["seconds"]) == 3 and all(t > 0.0 for t in d["seconds"])
+        assert d["rejected"] == [] and d["sawtooth"] == 0
         assert len(ns.x) == oracle._N_NODES[-1]
-        assert ns.x[0] == pytest.approx(-oracle._BOX)
+        assert ns.x[0] == pytest.approx(d["x0"] - oracle._BOX)
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
-        solve_schrodinger(sech2)
+        solve_schrodinger(V)
         assert [r.name for r in caplog.records] == ["drttp.oracle"] * 3
         messages = [r.getMessage() for r in caplog.records]
         assert messages[0].startswith("sinc rung 400 against 200: rejected levels [-")
-        assert messages[1].startswith("sinc rung 800 against 400: rejected levels [-")
-        assert "2 levels kept" in messages[2] and "rejected" in messages[2]
+        assert messages[1] == "sinc rung 800 against 400: accepted"
+        assert messages[2].startswith("sinc solve: 34 levels kept, ")
+        for key in ("x0", "map_scale", "n_points", "seconds", "rejected", "sawtooth"):
+            assert f"'{key}': " in messages[2]
+
+    def test_sawtooth_counted_and_logged(self, monkeypatch, caplog):
+        # a kept eigenvector that changes sign at more than half the nodes,
+        # a grid mode, is counted and shown in the DEBUG log
+        monkeypatch.setattr(oracle, "_count_sign_changes", lambda psi: len(psi) - 1)
+        caplog.set_level(logging.DEBUG, logger="drttp.oracle")
+        ns = solve_schrodinger(sech2)
+        assert ns.diagnostics["sawtooth"] == len(ns) == 2
+        assert "'sawtooth': 2" in caplog.records[-1].getMessage()
+
+    def test_map_centred_and_scaled_from_the_well(self):
+        # x0 is the probe point at the bottom of the well and L its harmonic
+        # length a**-1/4, capped at 1 and rounded to a power of 2: -6 sech^2
+        # has a = 6, -600 sech^2(x - 3) has a = 600 and levels -(24 - n)**2
+        def deep(x):
+            return 100.0 * sech2(np.asarray(x, dtype=float) - 3.0)
+
+        assert oracle._map_for(sech2) == (0.0, 0.5)
+        x0, scale = oracle._map_for(deep)
+        assert x0 == pytest.approx(3.0, abs=0.01) and scale == 0.25
+        ns = solve_schrodinger(deep)
+        assert ns.eigenvalues == pytest.approx(-(24.0 - np.arange(24)) ** 2, rel=1e-9)
+        assert ns.node_counts == list(range(24))
 
     def test_silent_by_default(self, caplog):
         # a solve that stops at 400 nodes and one that climbs to the cap log
         # nothing unless DEBUG is enabled for drttp.oracle
         solve_schrodinger(dkv(1.0, 6.13, 2.0))
-        solve_schrodinger(sech2)
+        solve_schrodinger(dkv(0.441, 69.16, 2.0))
         assert not caplog.records
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         solve_schrodinger(dkv(1.0, 6.13, 2.0))
@@ -258,24 +315,27 @@ class TestVerifyMemo:
 class TestSincGridCache:
     def test_solve_independent_of_order(self):
         # a solve that wrote into the shared kinetic block would change
-        # every later solve of the same node count
-        ri, tp = RayIdentifiers(0.0, 5.0), TangentPoly(2.0)
+        # every later solve of the same node count and map scale
+        V = dkv(0.5, 7.3, -1.0)
+        assert oracle._map_for(V)[1] == oracle._map_for(sech2)[1] == 0.5
         oracle._sinc_grid.cache_clear()
         ref = solve_schrodinger(sech2)
-        solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
+        solve_schrodinger(V)
         got = solve_schrodinger(sech2)
         for field in ("eigenvalues", "eigenvectors", "convergence"):
             assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
 
     def test_arrays_read_only(self):
-        xs, g, _, kinetic = oracle._sinc_grid(50)
-        for arr in (xs, g, kinetic):
+        offsets, g, _, kinetic = oracle._sinc_grid(50, 1.0)
+        for arr in (offsets, g, kinetic):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_built_once_per_node_count(self):
-        first = oracle._sinc_grid(50)
-        assert all(a is b for a, b in zip(oracle._sinc_grid(50), first))
+        # one block per (n, L): the map centre x0 does not enter it
+        first = oracle._sinc_grid(50, 0.5)
+        assert all(a is b for a, b in zip(oracle._sinc_grid(50, 0.5), first))
+        assert oracle._sinc_grid(50, 1.0)[3] is not first[3]
 
 
 class TestComparisons:

@@ -137,6 +137,21 @@ class TestAehEval:
         irregular = {s.kind: s for s in wl_solve(0, 5.0, TP2)}[Kind.D]
         assert aeh_eval(0.0, 1.0, irregular) == math.inf
 
+    def test_one_guard_same_bits(self):
+        # the pair is checked once; the interior values are those of the
+        # checked polynomial, bit for bit, and so is the finite limit at
+        # z = 1 of a solution with lambda1 = -1 (degree 0, as the Jacobi
+        # recurrence requires)
+        sol = spectrum(RayIdentifiers(0.5, 7.3), TP2)[2]
+        z, omz = core.map_x_to_z_pair(np.linspace(-20.0, 20.0, 4001), TP2)
+        e0, e1 = 0.5 * (sol.lambda0 + 1.0), 0.5 * (sol.lambda1 + 1.0)
+        want = z**e0 * omz**e1 * hypergeom_poly_jacobi(
+            sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz)
+        assert aeh_eval(z, omz, sol).tobytes() == want.tobytes()
+        edge = AehSolution(Kind.A, 0, 1.5, -1.0)
+        assert aeh_eval(np.array([0.5, 1.0]), np.array([0.5, 0.0]), edge)[1] == \
+            hypergeom_poly_jacobi(0, edge.mu, 2.5, 1.0, 0.0) == 1.0
+
     def test_outside_closed_interval_rejected(self):
         # NaN passed the old guard: [0.3, nan] returned uninitialised memory
         # in its second slot, a scalar NaN returned 1.0
