@@ -381,19 +381,29 @@ def dkv_map(ri: RayIdentifiers) -> tuple[float, float, float]:
 
 
 def dkv_potential_eval(eta_hat, A: float, B: float):
-    """DKV potential -B/e + A/e**2 - (3/4)/e**4 for finite eta^ >= 1."""
+    """DKV potential -B/e + A/e**2 - (3/4)/e**4 for finite eta^ >= 1, by
+    Horner's rule in 1/eta^, so that no power of eta^ overflows."""
     eta_hat = np.asarray(eta_hat, dtype=float)
     if not np.all((1.0 <= eta_hat) & (eta_hat < math.inf)):
         raise DomainError("eta_hat must be finite and >= 1")
-    out = -B / eta_hat + A / eta_hat**2 - 0.75 / eta_hat**4
+    r = 1.0 / eta_hat
+    out = r * (-B + r * (A - 0.75 * r * r))
     return out if out.ndim else float(out)
+
+
+# below this x, eta^(x) > exp(-x) leaves the double range
+_ETA_X_MIN = -math.log(np.finfo(float).max)
 
 
 def eta_hat_of_x(x):
     """Elementary variable eta^(x) = sqrt(1 + exp(-2x)) of the z_T = 2 branch,
-    for finite x, as :func:`gauge_record` checks it."""
+    for finite x, as :func:`gauge_record` checks it, and x >= -709.78, where
+    eta^ is a double.  For x < 0 it is formed as exp(-x) sqrt(1 + exp(2x)),
+    so that no intermediate overflows."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
-    out = np.sqrt(1.0 + np.exp(-2.0 * x))
+    if np.any(x < _ETA_X_MIN):
+        raise DomainError(f"eta_hat overflows for x < {_ETA_X_MIN!r}")
+    out = np.sqrt(1.0 + np.exp(-2.0 * np.abs(x))) * np.exp(np.maximum(-x, 0.0))
     return out if out.ndim else float(out)

@@ -23,13 +23,18 @@ _BOUND_MARGIN = 1e-8
 # _N_NODES: each rung is solved on twice the nodes of the one below it, and a
 # level is kept only where two successive rungs agree to _AGREE_TOL.  The
 # ladder stops at the first rung that keeps every level below threshold with
-# node counts 0..k-1; the last rung is the cap.  A +-500 box shifts the weakly
-# bound top level of (0, 3.04, 2) by 5e-6 relative, and 200 nodes do not
-# resolve the upper levels of the deep wells of 26 to 39 levels, such as
-# (0.441, 69.16, 2), so those climb to the cap; tests/test_oracle.py holds
-# these values.  x0 and L come from V on _PROBE_NODES points (_map_for).
+# node counts 0..k-1; the last rung is the cap.  The ladder starts at 100
+# nodes: on the DKV wells the sinc error reaches rounding below 140 nodes,
+# and above that the rounding error grows with the matrix norm (n**2), so a
+# finer rung that is not needed only adds rounding.  The 400-node rung is
+# for wells such as (1.561, 32.66, 1.00273) whose upper levels 100 nodes do
+# not resolve; the 800-node cap for the deep wells of 26 to 39 levels, such
+# as (0.441, 69.16, 2), which 200 nodes do not resolve.  A +-500 box shifts
+# the weakly bound top level of (0, 3.04, 2) by 5e-6 relative;
+# tests/test_oracle.py holds these values.  x0 and L come from V on
+# _PROBE_NODES points (_map_for).
 _BOX = 5000.0
-_N_NODES = (200, 400, 800)
+_N_NODES = (100, 200, 400, 800)
 _AGREE_TOL = 1e-6
 _PROBE_NODES = 4001
 
@@ -85,7 +90,7 @@ def _map_for(V) -> tuple[float, float]:
     return x0, 2.0 ** round(math.log2(width))
 
 
-# kinetic blocks kept: 6 cover the 200- and 400-node rungs at three map
+# kinetic blocks kept: 6 cover the 100- and 200-node rungs at three map
 # scales; one 800-node block is 5.1 MB
 @functools.lru_cache(maxsize=6)
 def _sinc_grid(n: int, scale: float):
@@ -161,26 +166,30 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
 
     The eigenvalues below the threshold min(V(-_BOX), V(_BOX)) minus a
     small safety margin are solved densely on the node ladder
-    _N_NODES = (200, 400, 800).  Each rung above the first is compared
+    _N_NODES = (100, 200, 400, 800).  Each rung above the first is compared
     with the rung below it: levels are kept from the bottom up to the first
     that the two solves do not agree on to _AGREE_TOL relative; the
     difference is each kept level's convergence estimate, and the levels
     not kept are reported as rejected in ``diagnostics``.  The ladder stops
-    at the 400-node rung when it keeps every level below threshold and
-    their node counts are 0..k-1, as the oscillation theorem requires;
-    otherwise it climbs to the 800-node cap, whose result is the 400/800
-    comparison whatever it keeps.  The cap is for deep wells: 200 nodes do
-    not resolve the upper levels of a well of 26 to 39 levels, such as
-    (0.441, 69.16, 2), so its 400-node levels are confirmed on 800 nodes
-    instead.  Node counts are the sign changes of the
+    at the first rung that keeps every level below threshold with node
+    counts 0..k-1, as the oscillation theorem requires; otherwise it climbs
+    to the 800-node cap, whose result is the 400/800 comparison whatever it
+    keeps.  Most wells stop at 200 nodes: the sinc error has reached
+    rounding there, and a finer solve only adds rounding, which grows with
+    the matrix norm, as n**2.  The 400-node rung is for wells whose upper
+    levels 100 nodes do not resolve, such as (1.561, 32.66, 1.00273); the
+    cap for deep wells of 26 to 39 levels, such as (0.441, 69.16, 2), whose
+    upper levels 200 nodes do not resolve, so that their 400-node levels
+    are confirmed on 800 nodes.  Node counts are the sign changes of the
     collocation vector.  ``V`` must map an array of x to a finite array of
     the same shape; an edge where V still falls outward over its last unit
     of x raises ConvergenceError.  Each rung and the result are logged at
     DEBUG under ``drttp.oracle``.
 
     ``diagnostics`` holds the map centre ``x0`` and scale ``map_scale``,
+    the seconds of the edge check and the map probe (``map_seconds``),
     the node count and seconds of every solve that ran (``n_points``, for
-    example (200, 400) or (200, 400, 800), and ``seconds``), the
+    example (100, 200) or (100, 200, 400, 800), and ``seconds``), the
     ``rejected`` eigenvalues and ``sawtooth``, the number of kept
     eigenvectors with more than n/2 sign changes: a spurious grid mode,
     which this form should never show.  The part of each solve that does
@@ -196,6 +205,7 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     ``domain``, ``h`` and ``method`` are accepted and ignored: they
     configured the finite-difference solver this one replaced.
     """
+    t_map = time.perf_counter()
     edges = np.array([-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX])
     v_edge = _eval_potential(V, edges)
     if (v_edge[1] - v_edge[0] > _FLATNESS_TOL
@@ -203,6 +213,7 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
         raise ConvergenceError("potential not confining at requested tolerance")
     threshold = float(min(v_edge[0], v_edge[3])) - _BOUND_MARGIN
     x0, scale = _map_for(V)
+    map_seconds = time.perf_counter() - t_map
 
     n_points, seconds = [], []
 
@@ -239,7 +250,8 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
         nz = np.nonzero(np.abs(vecs[:, j]) > 1e-6 * np.max(np.abs(vecs[:, j])))[0]
         if len(nz) and vecs[nz[0], j] < 0:
             vecs[:, j] = -vecs[:, j]
-    diagnostics = {"x0": x0, "map_scale": scale, "n_points": tuple(n_points),
+    diagnostics = {"x0": x0, "map_scale": scale, "map_seconds": map_seconds,
+                   "n_points": tuple(n_points),
                    "seconds": tuple(seconds), "rejected": rejected,
                    "sawtooth": sum(c > n_points[-1] // 2 for c in counts)}
     _log.debug("sinc solve: %d levels kept, %s", len(w), diagnostics)

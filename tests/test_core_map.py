@@ -549,6 +549,28 @@ class TestDkv:
         with pytest.raises(DomainError):
             core.dkv_potential_eval(0.5, 1.0, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [-300.0, -400.0, -700.0, 700.0])
+    def test_tail_without_overflow(self, x):
+        # eta^ = exp(-x) sqrt(1 + exp(2x)) for x < 0 and the potential by
+        # Horner in 1/eta^: finite, and the gauge identity holds in the tails,
+        # where exp(-2x) (from x = -355) and eta^**4 (from x = -178) overflowed
+        eh = core.eta_hat_of_x(x)
+        want = mpmath.sqrt(1 + mpmath.exp(-2 * mpmath.mpf(x)))
+        assert eh == pytest.approx(float(want), rel=1e-15, abs=0.0)
+        ri = RayIdentifiers(1.3, 4.2)
+        A, B, _ = core.dkv_map(ri)
+        lhs = core.dkv_potential_eval(eh, A, B) - (A - B - 0.75)
+        assert lhs == pytest.approx(core.potential_eval_x(x, ri, TP2), rel=0.0, abs=1e-14)
+        xs = np.array([x, -x])
+        assert np.all(np.isfinite(core.eta_hat_of_x(xs)))
+
+    def test_eta_hat_out_of_range(self):
+        # eta^ > exp(-x) is not a double below x = -log(DBL_MAX) = -709.78
+        assert math.isfinite(core.eta_hat_of_x(-math.log(sys.float_info.max)))
+        with pytest.raises(DomainError):
+            core.eta_hat_of_x(np.array([0.0, -710.0]))
+
     def test_gauge_identity(self):
         ri = RayIdentifiers(1.3, 4.2)
         A, B, shift = core.dkv_map(ri)

@@ -179,13 +179,13 @@ def dkv(lam, mu, zt):
     return lambda x: core.potential_eval_x(x, ri, tp)
 
 
-def cap_pair(V, threshold):
-    """The 400/800-node comparison written out as one procedure: eigenvalues
-    only on 400 nodes, vectors on 800, levels kept from the bottom up while
-    the two agree, first significant excursion positive."""
+def rung_pair(V, threshold, n_coarse, n_fine):
+    """The comparison of two rungs written out as one procedure: eigenvalues
+    only on n_coarse nodes, vectors on n_fine, levels kept from the bottom
+    up while the two agree, first significant excursion positive."""
     x0, scale = oracle._map_for(V)
-    _, w_c, _ = oracle._solve_sinc(V, 400, threshold, x0, scale, eigvals_only=True)
-    _, w_f, vecs = oracle._solve_sinc(V, 800, threshold, x0, scale)
+    _, w_c, _ = oracle._solve_sinc(V, n_coarse, threshold, x0, scale, eigvals_only=True)
+    _, w_f, vecs = oracle._solve_sinc(V, n_fine, threshold, x0, scale)
     conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
     keep = np.cumprod(conv <= oracle._AGREE_TOL * np.abs(w_f)).astype(bool)
     vecs = vecs[:, keep]
@@ -197,22 +197,42 @@ def cap_pair(V, threshold):
     return w_f[keep], vecs, counts, conv[keep], w_f[~keep].tolist()
 
 
+def assert_is_rung_pair(ns, V, n_coarse, n_fine):
+    w, vecs, counts, conv, rejected = rung_pair(V, ns.threshold, n_coarse, n_fine)
+    assert ns.eigenvalues.tobytes() == w.tobytes()
+    assert ns.eigenvectors.tobytes() == vecs.tobytes()
+    assert ns.node_counts == counts
+    assert ns.convergence.tobytes() == conv.tobytes()
+    assert ns.diagnostics["rejected"] == rejected
+
+
 class TestLadder:
     @pytest.mark.parametrize("pt", [(0.5, 7.3, -1.0), (1.0, 6.13, 2.0)])
-    def test_stops_at_400_nodes(self, pt):
-        # every level below threshold agrees between 200 and 400 nodes and
-        # the node counts are 0..k-1: the 400-node solve is the answer, as
-        # accurate as a direct 800-node solve
+    def test_stops_at_200_nodes(self, pt):
+        # every level below threshold agrees between 100 and 200 nodes and
+        # the node counts are 0..k-1: the 200-node solve is the answer, as
+        # accurate as a direct 800-node solve and the closed form
         V = dkv(*pt)
         ns = solve_schrodinger(V)
-        assert ns.diagnostics["n_points"] == (200, 400)
+        assert ns.diagnostics["n_points"] == (100, 200)
         assert len(ns.diagnostics["seconds"]) == 2
-        assert len(ns.x) == 400 and ns.diagnostics["rejected"] == []
+        assert len(ns.x) == 200 and ns.diagnostics["rejected"] == []
         _, w, vecs = oracle._solve_sinc(V, 800, ns.threshold, *oracle._map_for(V))
         assert len(w) == len(ns) == 3
         assert ns.eigenvalues == pytest.approx(w, rel=1e-9, abs=0.0)
         counts = [oracle._count_sign_changes(vecs[:, j]) for j in range(len(w))]
         assert ns.node_counts == counts == [0, 1, 2]
+        levels = [s.epsilon for s in spectrum(RayIdentifiers(*pt[:2]), TangentPoly(pt[2]))]
+        assert ns.eigenvalues == pytest.approx(levels, rel=1e-9, abs=0.0)
+
+    def test_middle_rung_is_the_200_400_pair(self):
+        # 100 nodes do not resolve the upper levels of this well, which 200
+        # and 400 nodes agree on: the answer is the 200/400 comparison
+        V = dkv(1.561, 32.66, 1.00273)
+        ns = solve_schrodinger(V)
+        assert ns.diagnostics["n_points"] == (100, 200, 400)
+        assert len(ns.x) == 400 and len(ns) == 16
+        assert_is_rung_pair(ns, V, 200, 400)
 
     @pytest.mark.parametrize("name, V", [
         # deep wells: 200 nodes do not resolve their upper levels
@@ -222,14 +242,9 @@ class TestLadder:
     ])
     def test_escalation_is_the_cap_pair(self, name, V):
         ns = solve_schrodinger(V)
-        assert ns.diagnostics["n_points"] == (200, 400, 800)
+        assert ns.diagnostics["n_points"] == (100, 200, 400, 800)
         assert len(ns.x) == 800
-        w, vecs, counts, conv, rejected = cap_pair(V, ns.threshold)
-        assert ns.eigenvalues.tobytes() == w.tobytes()
-        assert ns.eigenvectors.tobytes() == vecs.tobytes()
-        assert ns.node_counts == counts
-        assert ns.convergence.tobytes() == conv.tobytes()
-        assert ns.diagnostics["rejected"] == rejected
+        assert_is_rung_pair(ns, V, 400, 800)
 
     def test_node_count_mismatch_climbs(self, monkeypatch, caplog):
         # agreeing eigenvalues with node counts other than 0..k-1 do not stop
@@ -237,8 +252,8 @@ class TestLadder:
         monkeypatch.setattr(oracle, "_count_sign_changes", lambda psi: 0)
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         ns = solve_schrodinger(dkv(1.0, 6.13, 2.0))
-        assert ns.diagnostics["n_points"] == (200, 400, 800)
-        assert "sinc rung 400 against 200: node counts [0, 0, 0], not 0..2" in caplog.text
+        assert ns.diagnostics["n_points"] == (100, 200, 400, 800)
+        assert "sinc rung 200 against 100: node counts [0, 0, 0], not 0..2" in caplog.text
 
 
 class TestDiagnostics:
@@ -249,20 +264,23 @@ class TestDiagnostics:
         d = ns.diagnostics
         assert (d["x0"], d["map_scale"]) == oracle._map_for(V)
         assert d["map_scale"] == 0.25 and -1.0 < d["x0"] < 0.0
-        assert d["n_points"] == oracle._N_NODES == (200, 400, 800)
-        assert len(d["seconds"]) == 3 and all(t > 0.0 for t in d["seconds"])
+        assert d["n_points"] == oracle._N_NODES == (100, 200, 400, 800)
+        assert len(d["seconds"]) == 4 and all(t > 0.0 for t in d["seconds"])
+        assert d["map_seconds"] > 0.0
         assert d["rejected"] == [] and d["sawtooth"] == 0
         assert len(ns.x) == oracle._N_NODES[-1]
         assert ns.x[0] == pytest.approx(d["x0"] - oracle._BOX)
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         solve_schrodinger(V)
-        assert [r.name for r in caplog.records] == ["drttp.oracle"] * 3
+        assert [r.name for r in caplog.records] == ["drttp.oracle"] * 4
         messages = [r.getMessage() for r in caplog.records]
-        assert messages[0].startswith("sinc rung 400 against 200: rejected levels [-")
-        assert messages[1] == "sinc rung 800 against 400: accepted"
-        assert messages[2].startswith("sinc solve: 34 levels kept, ")
-        for key in ("x0", "map_scale", "n_points", "seconds", "rejected", "sawtooth"):
-            assert f"'{key}': " in messages[2]
+        assert messages[0].startswith("sinc rung 200 against 100: rejected levels [-")
+        assert messages[1].startswith("sinc rung 400 against 200: rejected levels [-")
+        assert messages[2] == "sinc rung 800 against 400: accepted"
+        assert messages[3].startswith("sinc solve: 34 levels kept, ")
+        for key in ("x0", "map_scale", "map_seconds", "n_points", "seconds", "rejected",
+                    "sawtooth"):
+            assert f"'{key}': " in messages[3]
 
     def test_sawtooth_counted_and_logged(self, monkeypatch, caplog):
         # a kept eigenvector that changes sign at more than half the nodes,
@@ -288,14 +306,14 @@ class TestDiagnostics:
         assert ns.node_counts == list(range(24))
 
     def test_silent_by_default(self, caplog):
-        # a solve that stops at 400 nodes and one that climbs to the cap log
+        # a solve that stops at 200 nodes and one that climbs to the cap log
         # nothing unless DEBUG is enabled for drttp.oracle
         solve_schrodinger(dkv(1.0, 6.13, 2.0))
         solve_schrodinger(dkv(0.441, 69.16, 2.0))
         assert not caplog.records
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         solve_schrodinger(dkv(1.0, 6.13, 2.0))
-        assert [r.getMessage() for r in caplog.records][0] == "sinc rung 400 against 200: accepted"
+        assert [r.getMessage() for r in caplog.records][0] == "sinc rung 200 against 100: accepted"
 
 
 class TestVerifyMemo:
