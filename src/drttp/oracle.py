@@ -31,8 +31,9 @@ _BOUND_MARGIN = 1e-8
 # not resolve; the 800-node cap for the deep wells of 26 to 39 levels, such
 # as (0.441, 69.16, 2), which 200 nodes do not resolve.  A +-500 box shifts
 # the weakly bound top level of (0, 3.04, 2) by 5e-6 relative;
-# tests/test_oracle.py holds these values.  x0 and L come from V on
-# _PROBE_NODES points (_map_for).
+# tests/test_oracle.py holds these values.  The threshold, x0 and L come
+# from one call of V on the _PROBE_NODES points and the four edge points
+# (_map_for); each rung calls V once more and returns vectors.
 _BOX = 5000.0
 _N_NODES = (100, 200, 400, 800)
 _AGREE_TOL = 1e-6
@@ -72,22 +73,34 @@ def _count_sign_changes(psi: np.ndarray) -> int:
     return int(np.sum(sgn[:-1] * sgn[1:] < 0))
 
 
-def _map_for(V) -> tuple[float, float]:
-    """The centre x0 and scale L of the map x = x0 + L sinh(s), from V on
-    _PROBE_NODES points of x = sinh(s), |x| <= _BOX: x0 is the probe point
-    where V is least, and L the harmonic length a**-1/4 of the parabola
-    a (x - x0)**2 + b (x - x0) + c fitted to V at the 5 probe points around
-    x0, capped at 1 and rounded to a power of 2, so that wells of similar
-    curvature share a kinetic block (L = 1 where a <= 0)."""
+def _map_for(V) -> tuple[float, float, float]:
+    """The one evaluation of V before the ladder, on the _PROBE_NODES points
+    of x = sinh(s), |x| <= _BOX, and the edge points -_BOX, 1 - _BOX,
+    _BOX - 1, _BOX.  Returns the threshold min(V(-_BOX), V(_BOX)) minus
+    _BOUND_MARGIN and the centre x0 and scale L of the map
+    x = x0 + L sinh(s): x0 is the probe point where V is least, and L the
+    harmonic length a**-1/4 of the parabola a (x - x0)**2 + b (x - x0) + c
+    fitted to V at the 5 probe points around x0, capped at 1 and rounded to
+    a power of 2, so that wells of similar curvature share a kinetic block
+    (L = 1 where a <= 0).  Raises ConvergenceError, naming the edge and the
+    drop, where V still falls outward over the last unit of x."""
     s_max = np.arcsinh(_BOX)
-    xs = np.sinh(np.linspace(-s_max, s_max, _PROBE_NODES))
-    vals = _eval_potential(V, xs)
+    probe = np.sinh(np.linspace(-s_max, s_max, _PROBE_NODES))
+    edges = [-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX]
+    vals = _eval_potential(V, np.concatenate((probe, edges)))
+    v_edge, vals = vals[_PROBE_NODES:], vals[:_PROBE_NODES]
+    drops = (("left", v_edge[1] - v_edge[0]), ("right", v_edge[2] - v_edge[3]))
+    falling = " and ".join(f"by {d:.3g} at the {side} edge" for side, d in drops
+                           if d > _FLATNESS_TOL)
+    if falling:
+        raise ConvergenceError(f"potential not confining: V falls outward {falling}")
+    threshold = float(min(v_edge[0], v_edge[3])) - _BOUND_MARGIN
     i = int(np.argmin(vals))
-    x0 = float(xs[i])
+    x0 = float(probe[i])
     lo = min(max(i - 2, 0), _PROBE_NODES - 5)
-    a = float(np.polyfit(xs[lo:lo + 5] - x0, vals[lo:lo + 5], 2)[0])
+    a = float(np.polyfit(probe[lo:lo + 5] - x0, vals[lo:lo + 5], 2)[0])
     width = min(1.0, a ** -0.25) if a > 0.0 else 1.0
-    return x0, 2.0 ** round(math.log2(width))
+    return threshold, x0, 2.0 ** round(math.log2(width))
 
 
 # kinetic blocks kept: 6 cover the 100- and 200-node rungs at three map
@@ -120,14 +133,12 @@ def _sinc_grid(n: int, scale: float):
     return offsets, g, ds, kinetic
 
 
-def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float,
-                eigvals_only: bool = False):
+def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float):
     """Sinc collocation on n nodes of s, x = x0 + L sinh(s), g = dx/ds, in
     the Liouville form of -psi'' + V psi = E psi: psi = g^-1/2 w turns it
     into the symmetric (G^-1 (-D2 - 1/2 diag({x, s})) G^-1 + diag(V)) w
     = E w, G = diag(g).  Returns the nodes, the eigenvalues below threshold
-    and the collocation vectors psi(x_j) = w_j / sqrt(g_j ds), unit L2
-    (None with ``eigvals_only``)."""
+    and the collocation vectors psi(x_j) = w_j / sqrt(g_j ds), unit L2."""
     from scipy.linalg import eigh
 
     offsets, g, ds, kinetic = _sinc_grid(n, scale)
@@ -138,11 +149,8 @@ def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float,
     lo = float(vals.min()) - 1.0
     # h is this call's own copy, finite (V is checked by _eval_potential) and
     # in Fortran order, so eigh overwrites it instead of copying it first
-    res = eigh(h, subset_by_value=(lo, threshold), driver="evr",
-               eigvals_only=eigvals_only, overwrite_a=True, check_finite=False)
-    if eigvals_only:
-        return xs, res, None
-    w, u = res
+    w, u = eigh(h, subset_by_value=(lo, threshold), driver="evr",
+                overwrite_a=True, check_finite=False)
     return xs, w, u / np.sqrt(g * ds)[:, None]
 
 
@@ -159,10 +167,11 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     form G^-1/2 D1^T G^-1 D1 G^-1/2 of the sinc first derivative D1 has a
     spurious eigenvalue with a sign change at every node, the "ghost"
     levels of mapped grids, Willner, Dulieu & Masnou-Seeuws 2004; this
-    form has none.)  The map comes from V (``_map_for``): x0 is where V is
-    least on a 4 001-point probe of |x| <= _BOX, and L is the length
-    a**-1/4 of the well's curvature a there, capped at 1 and rounded to a
-    power of 2.
+    form has none.)  V is called once before the ladder (``_map_for``), on
+    a 4 001-point probe of |x| <= _BOX and the edge points +-_BOX,
+    +-(_BOX - 1), and once per rung.  The map comes from that first call:
+    x0 is where V is least on the probe, and L is the length a**-1/4 of
+    the well's curvature a there, capped at 1 and rounded to a power of 2.
 
     The eigenvalues below the threshold min(V(-_BOX), V(_BOX)) minus a
     small safety margin are solved densely on the node ladder
@@ -183,11 +192,11 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     are confirmed on 800 nodes.  Node counts are the sign changes of the
     collocation vector.  ``V`` must map an array of x to a finite array of
     the same shape; an edge where V still falls outward over its last unit
-    of x raises ConvergenceError.  Each rung and the result are logged at
-    DEBUG under ``drttp.oracle``.
+    of x raises ConvergenceError, which names the edge and the drop.  Each
+    rung and the result are logged at DEBUG under ``drttp.oracle``.
 
     ``diagnostics`` holds the map centre ``x0`` and scale ``map_scale``,
-    the seconds of the edge check and the map probe (``map_seconds``),
+    the seconds of the first call of V and the map fit (``map_seconds``),
     the node count and seconds of every solve that ran (``n_points``, for
     example (100, 200) or (100, 200, 400, 800), and ``seconds``), the
     ``rejected`` eigenvalues and ``sawtooth``, the number of kept
@@ -197,37 +206,27 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     (node count, map scale) and reused while it is among the last few
     built; the seconds of a solve that builds it include the build.
 
-    Limit: a potential that grows without bound is resolved only as far as
-    the last two rungs agree.  ``x**2`` gives 50 levels (1 to 99); its
-    other eigenvalues below the threshold V(5000) = 2.5e7 are listed as
-    rejected.
+    Reaching the cap raises nothing: the result holds fewer levels than lie
+    below threshold, and lists the rest as rejected.  ``x**2`` climbs to
+    the cap and gives 50 levels (1 to 99); its other eigenvalues below the
+    threshold V(5000) = 2.5e7 are rejected.
 
     ``domain``, ``h`` and ``method`` are accepted and ignored: they
     configured the finite-difference solver this one replaced.
     """
     t_map = time.perf_counter()
-    edges = np.array([-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX])
-    v_edge = _eval_potential(V, edges)
-    if (v_edge[1] - v_edge[0] > _FLATNESS_TOL
-            or v_edge[2] - v_edge[3] > _FLATNESS_TOL):
-        raise ConvergenceError("potential not confining at requested tolerance")
-    threshold = float(min(v_edge[0], v_edge[3])) - _BOUND_MARGIN
-    x0, scale = _map_for(V)
+    threshold, x0, scale = _map_for(V)
     map_seconds = time.perf_counter() - t_map
 
-    n_points, seconds = [], []
-
-    def solve(n, eigvals_only):
+    n_points, seconds, w_f = [], [], None
+    for n in _N_NODES:
+        w_c = w_f
         t0 = time.perf_counter()
-        out = _solve_sinc(V, n, threshold, x0, scale, eigvals_only=eigvals_only)
+        xs, w_f, vecs = _solve_sinc(V, n, threshold, x0, scale)
         n_points.append(n)
         seconds.append(time.perf_counter() - t0)
-        return out
-
-    # the first rung only tests agreement: it needs no eigenvectors
-    _, w_c, _ = solve(_N_NODES[0], True)
-    for n in _N_NODES[1:]:
-        xs, w_f, vecs = solve(n, False)
+        if w_c is None:
+            continue
         conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
         # resolution only degrades upward: a level above one the rungs
         # disagree on is not trusted even if they happen to agree on it
@@ -241,9 +240,6 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
                    f"node counts {counts}, not 0..{len(counts) - 1}")
         if accepted:
             break
-        # evr returns the same eigenvalues with and without vectors, so this
-        # rung is the next one's coarse solve as an eigenvalues-only one would be
-        w_c = w_f
     w, conv, vecs = w_f[keep], conv[keep], vecs[:, keep]
     # sign convention: first significant excursion positive
     for j in range(vecs.shape[1]):

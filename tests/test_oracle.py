@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -67,8 +68,12 @@ class TestBenchmarks:
     def test_harmonic_level_count(self, harmonic_ns):
         # a potential that grows without bound is resolved as far as the
         # 400- and 800-node solves agree: 50 levels here, each within 1e-8 of
-        # 2n + 1, and never fewer than the 47 of the product form D1^T G^-1 D1
+        # 2n + 1, and never fewer than the 47 of the product form D1^T G^-1 D1.
+        # Reaching the cap raises nothing: the levels above those the cap
+        # pair keeps are listed as rejected
         ns = harmonic_ns
+        assert ns.diagnostics["n_points"] == (100, 200, 400, 800)
+        assert ns.diagnostics["rejected"] and min(ns.diagnostics["rejected"]) > ns.eigenvalues[-1]
         assert len(ns) >= 47
         assert ns.node_counts == list(range(len(ns)))
         assert ns.eigenvalues == pytest.approx(2.0 * np.arange(len(ns)) + 1.0, rel=0.0, abs=1e-8)
@@ -84,7 +89,7 @@ class TestBenchmarks:
         assert ns.node_counts == [0, 1]
         assert np.all(ns.convergence < 1e-10)
         assert ns.diagnostics["rejected"] == []
-        errs = [np.max(np.abs(oracle._solve_sinc(sech2, n, -1e-8, *oracle._map_for(sech2))[1][:2]
+        errs = [np.max(np.abs(oracle._solve_sinc(sech2, n, -1e-8, *oracle._map_for(sech2)[1:])[1][:2]
                               - [-4.0, -1.0])) for n in (50, 100)]
         assert errs[1] < errs[0] / 100.0
 
@@ -95,7 +100,7 @@ class TestBenchmarks:
         exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
         errs = []
         for n in (50, 100, 200):
-            _, w, _ = oracle._solve_sinc(harmonic, n, 30.0, *oracle._map_for(harmonic))
+            _, w, _ = oracle._solve_sinc(harmonic, n, 30.0, *oracle._map_for(harmonic)[1:])
             errs.append(np.max(np.abs(w[:5] - exact)))
         assert errs[1] < errs[0] / 100.0 and errs[2] < errs[1] / 100.0
 
@@ -180,11 +185,11 @@ def dkv(lam, mu, zt):
 
 
 def rung_pair(V, threshold, n_coarse, n_fine):
-    """The comparison of two rungs written out as one procedure: eigenvalues
-    only on n_coarse nodes, vectors on n_fine, levels kept from the bottom
-    up while the two agree, first significant excursion positive."""
-    x0, scale = oracle._map_for(V)
-    _, w_c, _ = oracle._solve_sinc(V, n_coarse, threshold, x0, scale, eigvals_only=True)
+    """The comparison of two rungs written out as one procedure: the
+    n_coarse and n_fine solves, levels kept from the bottom up while the two
+    agree, first significant excursion positive."""
+    _, x0, scale = oracle._map_for(V)
+    _, w_c, _ = oracle._solve_sinc(V, n_coarse, threshold, x0, scale)
     _, w_f, vecs = oracle._solve_sinc(V, n_fine, threshold, x0, scale)
     conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
     keep = np.cumprod(conv <= oracle._AGREE_TOL * np.abs(w_f)).astype(bool)
@@ -217,7 +222,7 @@ class TestLadder:
         assert ns.diagnostics["n_points"] == (100, 200)
         assert len(ns.diagnostics["seconds"]) == 2
         assert len(ns.x) == 200 and ns.diagnostics["rejected"] == []
-        _, w, vecs = oracle._solve_sinc(V, 800, ns.threshold, *oracle._map_for(V))
+        _, w, vecs = oracle._solve_sinc(V, 800, ns.threshold, *oracle._map_for(V)[1:])
         assert len(w) == len(ns) == 3
         assert ns.eigenvalues == pytest.approx(w, rel=1e-9, abs=0.0)
         counts = [oracle._count_sign_changes(vecs[:, j]) for j in range(len(w))]
@@ -262,7 +267,7 @@ class TestDiagnostics:
         ns = solve_schrodinger(V)
         assert not caplog.records
         d = ns.diagnostics
-        assert (d["x0"], d["map_scale"]) == oracle._map_for(V)
+        assert (ns.threshold, d["x0"], d["map_scale"]) == oracle._map_for(V)
         assert d["map_scale"] == 0.25 and -1.0 < d["x0"] < 0.0
         assert d["n_points"] == oracle._N_NODES == (100, 200, 400, 800)
         assert len(d["seconds"]) == 4 and all(t > 0.0 for t in d["seconds"])
@@ -282,6 +287,23 @@ class TestDiagnostics:
                     "sawtooth"):
             assert f"'{key}': " in messages[3]
 
+    @pytest.mark.parametrize("V", [sech2, dkv(1.561, 32.66, 1.00273)],
+                             ids=["sech2", "(1.561, 32.66, 1.00273)"])
+    def test_one_call_of_v_before_the_ladder(self, V):
+        # the edge check, the threshold and the map read one call of V on
+        # the probe and the edge points; each rung then calls V once
+        calls = []
+        ns = solve_schrodinger(lambda x: calls.append(np.array(x)) or V(x))
+        n_points = ns.diagnostics["n_points"]
+        assert len(calls) == len(n_points) + 1
+        s_max = np.arcsinh(oracle._BOX)
+        probe = np.sinh(np.linspace(-s_max, s_max, oracle._PROBE_NODES))
+        edges = [-5000.0, -4999.0, 4999.0, 5000.0]
+        assert len(calls[0]) == oracle._PROBE_NODES + 4
+        assert np.all(np.isin(probe, calls[0])) and np.all(np.isin(edges, calls[0]))
+        assert [len(c) for c in calls[1:]] == list(n_points)
+        assert calls[-1].tobytes() == ns.x.tobytes()
+
     def test_sawtooth_counted_and_logged(self, monkeypatch, caplog):
         # a kept eigenvector that changes sign at more than half the nodes,
         # a grid mode, is counted and shown in the DEBUG log
@@ -298,8 +320,8 @@ class TestDiagnostics:
         def deep(x):
             return 100.0 * sech2(np.asarray(x, dtype=float) - 3.0)
 
-        assert oracle._map_for(sech2) == (0.0, 0.5)
-        x0, scale = oracle._map_for(deep)
+        assert oracle._map_for(sech2)[1:] == (0.0, 0.5)
+        _, x0, scale = oracle._map_for(deep)
         assert x0 == pytest.approx(3.0, abs=0.01) and scale == 0.25
         ns = solve_schrodinger(deep)
         assert ns.eigenvalues == pytest.approx(-(24.0 - np.arange(24)) ** 2, rel=1e-9)
@@ -335,7 +357,7 @@ class TestSincGridCache:
         # a solve that wrote into the shared kinetic block would change
         # every later solve of the same node count and map scale
         V = dkv(0.5, 7.3, -1.0)
-        assert oracle._map_for(V)[1] == oracle._map_for(sech2)[1] == 0.5
+        assert oracle._map_for(V)[2] == oracle._map_for(sech2)[2] == 0.5
         oracle._sinc_grid.cache_clear()
         ref = solve_schrodinger(sech2)
         solve_schrodinger(V)
@@ -375,9 +397,16 @@ class TestComparisons:
         )
         assert only_a == [2.0] and only_b == [2.5]
 
-    def test_not_confining(self):
-        with pytest.raises(ConvergenceError):
-            solve_schrodinger(lambda x: -np.abs(np.asarray(x)) * 1e-3)
+    @pytest.mark.parametrize("V, where", [
+        (lambda x: np.minimum(x, 0.0) * 1e-3, "by 0.001 at the left edge"),
+        (lambda x: -np.maximum(x, 0.0) * 1e-3, "by 0.001 at the right edge"),
+        (lambda x: -np.abs(x) * 1e-3, "by 0.001 at the left edge and by 0.001 at the right edge"),
+    ], ids=["left", "right", "both"])
+    def test_not_confining(self, V, where):
+        # V falls outward by 1e-3 over the last unit of x at either edge
+        with pytest.raises(ConvergenceError,
+                           match=re.escape(f"potential not confining: V falls outward {where}") + "$"):
+            solve_schrodinger(V)
 
 
 class TestInputs:
