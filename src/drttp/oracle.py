@@ -20,22 +20,24 @@ from .errors import ConvergenceError, DomainError
 _FLATNESS_TOL = 1e-10
 _BOUND_MARGIN = 1e-8
 # x = x0 + L sinh(s), s uniform, |x - x0| <= _BOX, on the node ladder
-# _N_NODES: each rung is solved on twice the nodes of the one below it, and a
-# level is kept only where two successive rungs agree to _AGREE_TOL.  The
-# ladder stops at the first rung that keeps every level below threshold with
-# node counts 0..k-1; the last rung is the cap.  The ladder starts at 100
-# nodes: on the DKV wells the sinc error reaches rounding below 140 nodes,
-# and above that the rounding error grows with the matrix norm (n**2), so a
-# finer rung that is not needed only adds rounding.  The 400-node rung is
-# for wells such as (1.561, 32.66, 1.00273) whose upper levels 100 nodes do
-# not resolve; the 800-node cap for the deep wells of 26 to 39 levels, such
-# as (0.441, 69.16, 2), which 200 nodes do not resolve.  A +-500 box shifts
-# the weakly bound top level of (0, 3.04, 2) by 5e-6 relative;
-# tests/test_oracle.py holds these values.  The threshold, x0 and L come
-# from one call of V on the _PROBE_NODES points and the four edge points
-# (_map_for); each rung calls V once more and returns vectors.
+# _N_NODES: each rung is solved on about sqrt(2) times the nodes of the one
+# below it, and a level is kept only where two successive rungs agree to
+# _AGREE_TOL.  The ladder stops at the first rung that keeps every level
+# below threshold with node counts 0..k-1; the last rung is the cap.  On the
+# DKV wells the sinc error reaches rounding below 140 nodes, and above that
+# the rounding error grows with the matrix norm (n**2), so a finer rung that
+# is not needed only adds rounding, and eigensolve time as n**3: a ratio of
+# sqrt(2) overshoots the grid a well needs by at most sqrt(2) in n, 2.8 in
+# time.  Most wells stop at 140 nodes; wells such as (1.561, 32.66, 1.00273),
+# whose upper levels 100 nodes do not resolve, at 200 or 280; the deep wells
+# of 26 to 37 levels, such as (0.441, 69.16, 2), at 400; (0.3, 79, 2), of 39
+# levels, at 560; the 800-node cap is for potentials that never stop, such
+# as x**2.  A +-500 box shifts the weakly bound top level of (0, 3.04, 2) by
+# 5e-6 relative; tests/test_oracle.py holds these values.  The threshold, x0
+# and L come from one call of V on the _PROBE_NODES points and the four edge
+# points (_map_for); each rung calls V once more and returns vectors.
 _BOX = 5000.0
-_N_NODES = (100, 200, 400, 800)
+_N_NODES = (100, 140, 200, 280, 400, 560, 800)
 _AGREE_TOL = 1e-6
 _PROBE_NODES = 4001
 
@@ -103,7 +105,7 @@ def _map_for(V) -> tuple[float, float, float]:
     return threshold, x0, 2.0 ** round(math.log2(width))
 
 
-# kinetic blocks kept: 6 cover the 100- and 200-node rungs at three map
+# kinetic blocks kept: 6 cover the 100- and 140-node rungs at three map
 # scales; one 800-node block is 5.1 MB
 @functools.lru_cache(maxsize=6)
 def _sinc_grid(n: int, scale: float):
@@ -175,30 +177,33 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
 
     The eigenvalues below the threshold min(V(-_BOX), V(_BOX)) minus a
     small safety margin are solved densely on the node ladder
-    _N_NODES = (100, 200, 400, 800).  Each rung above the first is compared
-    with the rung below it: levels are kept from the bottom up to the first
-    that the two solves do not agree on to _AGREE_TOL relative; the
+    _N_NODES = (100, 140, 200, 280, 400, 560, 800), about sqrt(2) times
+    the nodes from rung to rung.  Each rung above the first is compared with
+    the rung below it: levels are kept from the bottom up to the first that
+    the two solves do not agree on to _AGREE_TOL relative; the
     difference is each kept level's convergence estimate, and the levels
     not kept are reported as rejected in ``diagnostics``.  The ladder stops
     at the first rung that keeps every level below threshold with node
     counts 0..k-1, as the oscillation theorem requires; otherwise it climbs
-    to the 800-node cap, whose result is the 400/800 comparison whatever it
-    keeps.  Most wells stop at 200 nodes: the sinc error has reached
-    rounding there, and a finer solve only adds rounding, which grows with
-    the matrix norm, as n**2.  The 400-node rung is for wells whose upper
-    levels 100 nodes do not resolve, such as (1.561, 32.66, 1.00273); the
-    cap for deep wells of 26 to 39 levels, such as (0.441, 69.16, 2), whose
-    upper levels 200 nodes do not resolve, so that their 400-node levels
-    are confirmed on 800 nodes.  Node counts are the sign changes of the
-    collocation vector.  ``V`` must map an array of x to a finite array of
-    the same shape; an edge where V still falls outward over its last unit
-    of x raises ConvergenceError, which names the edge and the drop.  Each
-    rung and the result are logged at DEBUG under ``drttp.oracle``.
+    to the 800-node cap, whose result is the 560/800 comparison whatever it
+    keeps.  Each well stops one rung above the smallest grid that resolves
+    it, and most stop at 140 nodes: the sinc error has reached rounding
+    there, and a finer solve only adds rounding, which grows with the
+    matrix norm, as n**2, and eigensolve time, as n**3.  Wells whose upper
+    levels 100 nodes do not resolve, such as (1.561, 32.66, 1.00273), stop
+    at 200 or 280 nodes; deep wells of 26 to 37 levels, such as
+    (0.441, 69.16, 2), whose upper levels 200 nodes do not resolve, stop at
+    400, the rung that confirms the 280-node levels.  Node counts are the
+    sign changes of the collocation vector.  ``V`` must map an array of x
+    to a finite array of the same shape; an edge where V still falls
+    outward over its last unit of x raises ConvergenceError, which names
+    the edge and the drop.  Each rung and the result are logged at DEBUG
+    under ``drttp.oracle``.
 
     ``diagnostics`` holds the map centre ``x0`` and scale ``map_scale``,
     the seconds of the first call of V and the map fit (``map_seconds``),
     the node count and seconds of every solve that ran (``n_points``, for
-    example (100, 200) or (100, 200, 400, 800), and ``seconds``), the
+    example (100, 140) or (100, 140, 200, 280, 400), and ``seconds``), the
     ``rejected`` eigenvalues and ``sawtooth``, the number of kept
     eigenvectors with more than n/2 sign changes: a spurious grid mode,
     which this form should never show.  The part of each solve that does
@@ -208,7 +213,7 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
 
     Reaching the cap raises nothing: the result holds fewer levels than lie
     below threshold, and lists the rest as rejected.  ``x**2`` climbs to
-    the cap and gives 50 levels (1 to 99); its other eigenvalues below the
+    the cap and gives 76 levels (1 to 151); its other eigenvalues below the
     threshold V(5000) = 2.5e7 are rejected.
 
     ``domain``, ``h`` and ``method`` are accepted and ignored: they

@@ -67,14 +67,13 @@ class TestBenchmarks:
 
     def test_harmonic_level_count(self, harmonic_ns):
         # a potential that grows without bound is resolved as far as the
-        # 400- and 800-node solves agree: 50 levels here, each within 1e-8 of
-        # 2n + 1, and never fewer than the 47 of the product form D1^T G^-1 D1.
-        # Reaching the cap raises nothing: the levels above those the cap
-        # pair keeps are listed as rejected
+        # 560- and 800-node solves agree: 76 levels here, each within 1e-8 of
+        # 2n + 1.  Reaching the cap raises nothing: the levels above those the
+        # cap pair keeps are listed as rejected
         ns = harmonic_ns
-        assert ns.diagnostics["n_points"] == (100, 200, 400, 800)
+        assert ns.diagnostics["n_points"] == oracle._N_NODES == (100, 140, 200, 280, 400, 560, 800)
         assert ns.diagnostics["rejected"] and min(ns.diagnostics["rejected"]) > ns.eigenvalues[-1]
-        assert len(ns) >= 47
+        assert len(ns) >= 76
         assert ns.node_counts == list(range(len(ns)))
         assert ns.eigenvalues == pytest.approx(2.0 * np.arange(len(ns)) + 1.0, rel=0.0, abs=1e-8)
         assert (ns.diagnostics["x0"], ns.diagnostics["map_scale"]) == (0.0, 1.0)
@@ -137,6 +136,17 @@ class TestDkvOracle:
         assert ns.node_counts == list(range(levels))
         rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns)
         assert rep.count_match and rep.node_match and np.max(rep.rel_errors) <= 1e-6
+
+    @pytest.mark.parametrize("pt", [(0.3, 59.7, 2.0), (0.0, 52.0, -1.0), (0.441, 69.16, 2.0)], ids=str)
+    def test_deep_wells_to_1e_10(self, pt):
+        # these wells stop at the 280/400 pair, one rung above the grid that
+        # resolves them: within 1e-10 relative of the closed form (the 800
+        # nodes the doubling ladder climbed to read 2.3e-10, 1.3e-10 and
+        # 3.1e-11, their rounding growing with the matrix norm, as n**2)
+        ri, tp = RayIdentifiers(pt[0], pt[1]), TangentPoly(pt[2])
+        ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
+        rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns)
+        assert rep.count_match and rep.node_match and np.max(rep.rel_errors) <= 1e-10
 
     @pytest.mark.parametrize("pt, levels", [
         # the product form D1^T G^-1 D1 on x = sinh(s) kept 33 of 34, 38 of
@@ -213,15 +223,16 @@ def assert_is_rung_pair(ns, V, n_coarse, n_fine):
 
 class TestLadder:
     @pytest.mark.parametrize("pt", [(0.5, 7.3, -1.0), (1.0, 6.13, 2.0)])
-    def test_stops_at_200_nodes(self, pt):
-        # every level below threshold agrees between 100 and 200 nodes and
-        # the node counts are 0..k-1: the 200-node solve is the answer, as
+    def test_stops_at_140_nodes(self, pt):
+        # every level below threshold agrees between 100 and 140 nodes and
+        # the node counts are 0..k-1: the 140-node solve is the answer, as
         # accurate as a direct 800-node solve and the closed form
         V = dkv(*pt)
         ns = solve_schrodinger(V)
-        assert ns.diagnostics["n_points"] == (100, 200)
+        assert ns.diagnostics["n_points"] == (100, 140)
         assert len(ns.diagnostics["seconds"]) == 2
-        assert len(ns.x) == 200 and ns.diagnostics["rejected"] == []
+        assert len(ns.x) == 140 and ns.diagnostics["rejected"] == []
+        assert_is_rung_pair(ns, V, 100, 140)
         _, w, vecs = oracle._solve_sinc(V, 800, ns.threshold, *oracle._map_for(V)[1:])
         assert len(w) == len(ns) == 3
         assert ns.eigenvalues == pytest.approx(w, rel=1e-9, abs=0.0)
@@ -230,26 +241,33 @@ class TestLadder:
         levels = [s.epsilon for s in spectrum(RayIdentifiers(*pt[:2]), TangentPoly(pt[2]))]
         assert ns.eigenvalues == pytest.approx(levels, rel=1e-9, abs=0.0)
 
-    def test_middle_rung_is_the_200_400_pair(self):
-        # 100 nodes do not resolve the upper levels of this well, which 200
-        # and 400 nodes agree on: the answer is the 200/400 comparison
-        V = dkv(1.561, 32.66, 1.00273)
+    @pytest.mark.parametrize("pt, levels, n_coarse, n_fine", [
+        # 100 nodes do not resolve the upper levels of these wells, which
+        # 140 and 200 nodes agree on
+        pytest.param((1.561, 32.66, 1.00273), 16, 140, 200, id="(1.561, 32.66, 1.00273)"),
+        pytest.param((0.0, 20.3, 2.0), 10, 140, 200, id="(0, 20.3, 2)"),
+        # nor do 140 nodes those of this one, which 200 and 280 agree on
+        pytest.param((0.0, 32.66, 2.0), 16, 200, 280, id="(0, 32.66, 2)"),
+    ])
+    def test_middle_rung_pair(self, pt, levels, n_coarse, n_fine):
+        V = dkv(*pt)
         ns = solve_schrodinger(V)
-        assert ns.diagnostics["n_points"] == (100, 200, 400)
-        assert len(ns.x) == 400 and len(ns) == 16
-        assert_is_rung_pair(ns, V, 200, 400)
+        assert ns.diagnostics["n_points"] == oracle._N_NODES[:oracle._N_NODES.index(n_fine) + 1]
+        assert len(ns.x) == n_fine and len(ns) == levels
+        assert_is_rung_pair(ns, V, n_coarse, n_fine)
 
     @pytest.mark.parametrize("name, V", [
-        # deep wells: 200 nodes do not resolve their upper levels
+        # deep wells of 26 to 37 levels: 200 nodes do not resolve their
+        # upper levels, and the answer is the 280/400 comparison
         ("(0.441, 69.16, 2)", dkv(0.441, 69.16, 2.0)),
         ("(0, 52, -1)", dkv(0.0, 52.0, -1.0)),
         ("(0.5743, 74.927, -55.277)", dkv(0.5743, 74.927, -55.277)),
     ])
-    def test_escalation_is_the_cap_pair(self, name, V):
+    def test_escalation_is_the_last_pair(self, name, V):
         ns = solve_schrodinger(V)
-        assert ns.diagnostics["n_points"] == (100, 200, 400, 800)
-        assert len(ns.x) == 800
-        assert_is_rung_pair(ns, V, 400, 800)
+        assert ns.diagnostics["n_points"] == (100, 140, 200, 280, 400)
+        assert len(ns.x) == 400
+        assert_is_rung_pair(ns, V, 280, 400)
 
     def test_node_count_mismatch_climbs(self, monkeypatch, caplog):
         # agreeing eigenvalues with node counts other than 0..k-1 do not stop
@@ -257,8 +275,8 @@ class TestLadder:
         monkeypatch.setattr(oracle, "_count_sign_changes", lambda psi: 0)
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         ns = solve_schrodinger(dkv(1.0, 6.13, 2.0))
-        assert ns.diagnostics["n_points"] == (100, 200, 400, 800)
-        assert "sinc rung 200 against 100: node counts [0, 0, 0], not 0..2" in caplog.text
+        assert ns.diagnostics["n_points"] == oracle._N_NODES
+        assert "sinc rung 140 against 100: node counts [0, 0, 0], not 0..2" in caplog.text
 
 
 class TestDiagnostics:
@@ -269,23 +287,24 @@ class TestDiagnostics:
         d = ns.diagnostics
         assert (ns.threshold, d["x0"], d["map_scale"]) == oracle._map_for(V)
         assert d["map_scale"] == 0.25 and -1.0 < d["x0"] < 0.0
-        assert d["n_points"] == oracle._N_NODES == (100, 200, 400, 800)
-        assert len(d["seconds"]) == 4 and all(t > 0.0 for t in d["seconds"])
+        assert d["n_points"] == oracle._N_NODES[:5] == (100, 140, 200, 280, 400)
+        assert len(d["seconds"]) == 5 and all(t > 0.0 for t in d["seconds"])
         assert d["map_seconds"] > 0.0
         assert d["rejected"] == [] and d["sawtooth"] == 0
-        assert len(ns.x) == oracle._N_NODES[-1]
+        assert len(ns.x) == 400
         assert ns.x[0] == pytest.approx(d["x0"] - oracle._BOX)
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         solve_schrodinger(V)
-        assert [r.name for r in caplog.records] == ["drttp.oracle"] * 4
+        assert [r.name for r in caplog.records] == ["drttp.oracle"] * 5
         messages = [r.getMessage() for r in caplog.records]
-        assert messages[0].startswith("sinc rung 200 against 100: rejected levels [-")
-        assert messages[1].startswith("sinc rung 400 against 200: rejected levels [-")
-        assert messages[2] == "sinc rung 800 against 400: accepted"
-        assert messages[3].startswith("sinc solve: 34 levels kept, ")
+        assert messages[0].startswith("sinc rung 140 against 100: rejected levels [-")
+        assert messages[1].startswith("sinc rung 200 against 140: rejected levels [-")
+        assert messages[2].startswith("sinc rung 280 against 200: rejected levels [-")
+        assert messages[3] == "sinc rung 400 against 280: accepted"
+        assert messages[4].startswith("sinc solve: 34 levels kept, ")
         for key in ("x0", "map_scale", "map_seconds", "n_points", "seconds", "rejected",
                     "sawtooth"):
-            assert f"'{key}': " in messages[3]
+            assert f"'{key}': " in messages[4]
 
     @pytest.mark.parametrize("V", [sech2, dkv(1.561, 32.66, 1.00273)],
                              ids=["sech2", "(1.561, 32.66, 1.00273)"])
@@ -328,14 +347,14 @@ class TestDiagnostics:
         assert ns.node_counts == list(range(24))
 
     def test_silent_by_default(self, caplog):
-        # a solve that stops at 200 nodes and one that climbs to the cap log
+        # a solve that stops at 140 nodes and one that climbs to 400 log
         # nothing unless DEBUG is enabled for drttp.oracle
         solve_schrodinger(dkv(1.0, 6.13, 2.0))
         solve_schrodinger(dkv(0.441, 69.16, 2.0))
         assert not caplog.records
         caplog.set_level(logging.DEBUG, logger="drttp.oracle")
         solve_schrodinger(dkv(1.0, 6.13, 2.0))
-        assert [r.getMessage() for r in caplog.records][0] == "sinc rung 200 against 100: accepted"
+        assert [r.getMessage() for r in caplog.records][0] == "sinc rung 140 against 100: accepted"
 
 
 class TestVerifyMemo:
