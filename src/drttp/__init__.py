@@ -55,9 +55,7 @@ _LAZY = {
     ),
     "oracle": (
         "NumericSpectrum",
-        "compare_spectra",
         "solve_schrodinger",
-        "spectral_symmetric_difference",
     ),
     "susy": (
         "HeunOperator",

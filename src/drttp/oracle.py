@@ -1,8 +1,9 @@
 """Independent numerical Schrodinger eigensolver.
 
-Validates every closed-form spectrum, node count and spectral-surgery
-claim.  The module consumes a potential only as a black-box callable
-x -> V(x); it never touches the closed-form level formulas.
+The module solves; it does not compare.  It consumes a potential only as a
+black-box callable x -> V(x) and never touches the closed-form level
+formulas: ``verify.oracle_point`` is where the closed form meets its
+levels and node counts, and verify's checks decide agreement.
 """
 
 from __future__ import annotations
@@ -266,43 +267,3 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
         diagnostics=diagnostics,
     )
 
-
-@dataclass
-class SpectrumComparison:
-    count_match: bool
-    abs_errors: np.ndarray
-    rel_errors: np.ndarray
-    node_match: bool
-
-
-def compare_spectra(analytic, numeric: NumericSpectrum) -> SpectrumComparison:
-    """Per-level comparison of an analytic level list against the oracle,
-    over the levels both have; the caller applies its tolerance."""
-    analytic = np.asarray(list(analytic), dtype=float)
-    count_match = len(analytic) == len(numeric.eigenvalues)
-    n = min(len(analytic), len(numeric.eigenvalues))
-    abs_err = np.abs(analytic[:n] - numeric.eigenvalues[:n])
-    rel_err = abs_err / np.maximum(np.abs(analytic[:n]), 1e-300)
-    node_match = numeric.node_counts[:n] == list(range(n))
-    return SpectrumComparison(count_match, abs_err, rel_err, node_match)
-
-
-def spectral_symmetric_difference(e1, e2, tol: float) -> tuple[list[float], list[float]]:
-    """Greedy tolerance-window matching; returns the unmatched energies."""
-    a = sorted(float(v) for v in e1)
-    b = sorted(float(v) for v in e2)
-    only_a, only_b = [], []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if abs(a[i] - b[j]) <= tol:
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            only_a.append(a[i])
-            i += 1
-        else:
-            only_b.append(b[j])
-            j += 1
-    only_a.extend(a[i:])
-    only_b.extend(b[j:])
-    return only_a, only_b

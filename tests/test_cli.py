@@ -267,6 +267,14 @@ class TestVerify:
         assert all(c["name"].startswith("constants") for c in doc["checks"])
         assert all("tolerance" in c for c in doc["checks"])
 
+    def test_unknown_group_rejected(self, capsys):
+        # a prefix that matches no group runs nothing, so it cannot pass
+        code, out, err = run(capsys, "verify", "--only", "nosuch")
+        assert (code, out) == (2, "")
+        from drttp import verify
+        assert err == (f"error: no check group starts with 'nosuch'; the groups are "
+                       f"{', '.join(verify.CHECK_GROUPS)}\n")
+
     def test_fault_injection_detected(self, capsys, monkeypatch):
         # a free term of the lambda1 cubic off by 1e-3 of its largest
         # coefficient fails the cubic group

@@ -14,11 +14,7 @@ import drttp
 from drttp import core, oracle, spectral, verify
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError
-from drttp.oracle import (
-    compare_spectra,
-    solve_schrodinger,
-    spectral_symmetric_difference,
-)
+from drttp.oracle import solve_schrodinger
 from drttp.spectral import spectrum
 
 
@@ -113,12 +109,10 @@ def wl5():
 
 
 class TestDkvOracle:
-    def test_level_count_and_values(self, wl5):
-        ri, tp, ns = wl5
-        assert len(ns) == 2
-        sols = spectrum(ri, tp)
-        rep = compare_spectra([s.epsilon for s in sols], ns)
-        assert rep.count_match and rep.node_match and np.max(rep.abs_errors) <= 1e-6
+    def test_level_count_and_values(self):
+        rec = verify.oracle_point(RayIdentifiers(0.0, 5.0), TangentPoly(2.0))
+        assert len(rec.numeric) == 2
+        assert rec.count_ok and rec.node_ok and np.max(rec.abs_errors) <= 1e-6
 
     @pytest.mark.parametrize("lam, mu, zt, levels", [
         # top level at E = -2.8e-4: lost by a +-40 box
@@ -131,11 +125,9 @@ class TestDkvOracle:
         (0.0, 10.3, -0.5, 5),
     ])
     def test_levels_against_closed_form(self, lam, mu, zt, levels):
-        ri, tp = RayIdentifiers(lam, mu), TangentPoly(zt)
-        ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
-        assert ns.node_counts == list(range(levels))
-        rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns)
-        assert rep.count_match and rep.node_match and np.max(rep.rel_errors) <= 1e-6
+        rec = verify.oracle_point(RayIdentifiers(lam, mu), TangentPoly(zt))
+        assert rec.numeric.node_counts == list(range(levels))
+        assert rec.count_ok and rec.node_ok and np.max(rec.rel_errors) <= 1e-6
 
     @pytest.mark.parametrize("pt", [(0.3, 59.7, 2.0), (0.0, 52.0, -1.0), (0.441, 69.16, 2.0)], ids=str)
     def test_deep_wells_to_1e_10(self, pt):
@@ -143,10 +135,8 @@ class TestDkvOracle:
         # resolves them: within 1e-10 relative of the closed form (the 800
         # nodes the doubling ladder climbed to read 2.3e-10, 1.3e-10 and
         # 3.1e-11, their rounding growing with the matrix norm, as n**2)
-        ri, tp = RayIdentifiers(pt[0], pt[1]), TangentPoly(pt[2])
-        ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
-        rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns)
-        assert rep.count_match and rep.node_match and np.max(rep.rel_errors) <= 1e-10
+        rec = verify.oracle_point(RayIdentifiers(pt[0], pt[1]), TangentPoly(pt[2]))
+        assert rec.count_ok and rec.node_ok and np.max(rec.rel_errors) <= 1e-10
 
     @pytest.mark.parametrize("pt, levels", [
         # the product form D1^T G^-1 D1 on x = sinh(s) kept 33 of 34, 38 of
@@ -159,13 +149,13 @@ class TestDkvOracle:
         ((1.561, 32.66, 1.00273), 16),
     ])
     def test_deep_wells_complete(self, pt, levels):
-        ri, tp = RayIdentifiers(pt[0], pt[1]), TangentPoly(pt[2])
-        ns = solve_schrodinger(lambda x: core.potential_eval_x(x, ri, tp))
+        ri = RayIdentifiers(pt[0], pt[1])
+        rec = verify.oracle_point(ri, TangentPoly(pt[2]))
+        ns = rec.numeric
         assert spectral.bound_state_count(ri) == len(ns) == levels
         assert ns.node_counts == list(range(levels))
         assert ns.diagnostics["sawtooth"] == 0
-        rep = compare_spectra([s.epsilon for s in spectrum(ri, tp)], ns)
-        assert rep.count_match and rep.node_match and np.max(rep.rel_errors) <= 1e-6
+        assert rec.count_ok and rec.node_ok and np.max(rec.rel_errors) <= 1e-6
 
     def test_fractional_count(self):
         ri = RayIdentifiers(0.0, 5.2)
@@ -357,18 +347,60 @@ class TestDiagnostics:
         assert [r.getMessage() for r in caplog.records][0] == "sinc rung 140 against 100: accepted"
 
 
+@pytest.fixture
+def fresh_oracle_points():
+    """An empty oracle_point cache before and after the test: the cache is
+    process-wide, so a record built under a patch would reach later tests."""
+    verify.oracle_point.cache_clear()
+    yield
+    verify.oracle_point.cache_clear()
+
+
 class TestVerifyMemo:
-    def test_base_point_solved_once(self, monkeypatch):
-        # wl.oracle-agreement and the susy.spectral-surgery base both solve
-        # (0, 5, 2); the five partners are solved once each
-        verify._oracle_for.cache_clear()
+    def test_base_point_solved_once(self, monkeypatch, fresh_oracle_points):
+        # wl.oracle-agreement and the susy.spectral-surgery base both read
+        # the record of (0, 5, 2); the five partners are solved once each
         solved = []
         solve = oracle.solve_schrodinger
         monkeypatch.setattr(oracle, "solve_schrodinger", lambda V: solved.append(V) or solve(V))
         results = verify.check_wl_point() + verify.check_susy_surgery()
         assert all(r.passed for r in results)
         assert len(solved) == 1 + 5
-        assert verify._oracle_for.cache_info().hits == 1
+        assert verify.oracle_point.cache_info().hits == 1
+
+
+class TestOraclePoint:
+    def test_count_mismatch(self, monkeypatch, fresh_oracle_points):
+        # a closed form one level short: the counts disagree, and the node
+        # counts and errors cover the levels both have
+        ri, tp = RayIdentifiers(0.5, 7.3), TangentPoly(-1.0)
+        monkeypatch.setattr(spectral, "spectrum", lambda ri, tp: spectrum(ri, tp)[:-1])
+        rec = verify.oracle_point(ri, tp)
+        assert len(rec.levels) == len(rec.numeric) - 1 == 2
+        assert not rec.count_ok and rec.node_ok
+        assert len(rec.abs_errors) == len(rec.rel_errors) == len(rec.numeric) - 1
+        assert np.max(rec.rel_errors) <= 1e-6
+
+    def test_node_count_mismatch(self, monkeypatch, fresh_oracle_points):
+        # node counts one too high never stop the ladder, which climbs to
+        # the cap; the counts and levels still agree
+        count = oracle._count_sign_changes
+        monkeypatch.setattr(oracle, "_count_sign_changes", lambda psi: count(psi) + 1)
+        rec = verify.oracle_point(RayIdentifiers(0.0, 5.0), TangentPoly(2.0))
+        assert rec.numeric.diagnostics["n_points"] == oracle._N_NODES
+        assert rec.numeric.node_counts == [1, 2]
+        assert rec.count_ok and not rec.node_ok
+        assert np.max(rec.rel_errors) <= 1e-6
+
+    def test_shared_arrays_read_only(self):
+        # every caller of the cache gets the same record
+        rec = verify.oracle_point(RayIdentifiers(0.0, 5.0), TangentPoly(2.0))
+        assert verify.oracle_point(RayIdentifiers(0.0, 5.0), TangentPoly(2.0)) is rec
+        ns = rec.numeric
+        for arr in (rec.abs_errors, rec.rel_errors, ns.eigenvalues, ns.eigenvectors, ns.x,
+                    ns.convergence):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestSincGridCache:
@@ -398,20 +430,8 @@ class TestSincGridCache:
 
 
 class TestComparisons:
-    def test_identical(self, harmonic_ns):
-        ns = harmonic_ns
-        rep = compare_spectra(list(ns.eigenvalues), ns)
-        assert rep.count_match and rep.node_match
-        assert np.max(rep.abs_errors) == np.max(rep.rel_errors) == 0.0
-
-    def test_count_mismatch(self, harmonic_ns):
-        ns = harmonic_ns
-        rep = compare_spectra(list(ns.eigenvalues[:-1]), ns)
-        assert not rep.count_match and rep.node_match
-        assert len(rep.abs_errors) == len(rep.rel_errors) == len(ns) - 1
-
     def test_symmetric_difference(self):
-        only_a, only_b = spectral_symmetric_difference(
+        only_a, only_b = verify._spectral_symmetric_difference(
             [1.0, 2.0, 3.0], [1.0 + 1e-9, 2.5, 3.0], 1e-6
         )
         assert only_a == [2.0] and only_b == [2.5]

@@ -31,8 +31,7 @@ EXPORTS = {
     "core": ("dkv_map", "dkv_potential_eval", "eta_hat_of_x", "map_x_to_z",
              "potential_eval_x", "potential_eval_z", "schwarzian_eval", "tangent_poly_eval",
              "x_of_z"),
-    "oracle": ("NumericSpectrum", "compare_spectra", "solve_schrodinger",
-               "spectral_symmetric_difference"),
+    "oracle": ("NumericSpectrum", "solve_schrodinger"),
     "susy": ("HeunOperator", "HeunPolynomial", "PartnerSpec", "basic_ff_eval",
              "double_partner_spec", "double_step_ff_eval", "heun_operator",
              "heun_poly_construct", "nodeless_predicate", "outer_root_ztt",
