@@ -151,8 +151,9 @@ def _newton_step(t, xs, alpha, beta):
 def _newton_log(xs, alpha, beta):
     """Solve alpha t + beta log1p(-e**t) = xs for t <= log(1/2), elementwise.
 
-    With a = -z_T / (2 (1 - z_T)) > 0 the left side is (alpha, beta) =
-    (a, -1/2) and the right side (-1/2, a).  f is monotone with one-signed
+    ``alpha`` and ``beta`` are per point: with a = -z_T / (2 (1 - z_T)) > 0
+    a point left of x_of_z(1/2) has (alpha, beta) = (a, -1/2) and one right
+    of it (-1/2, a), so one loop serves both sides.  f is monotone with one-signed
     curvature, so Newton approaches the root monotonically from above and
     needs no bracket; the clamp at log(1/2) keeps an iterate there.  Two
     asymptotes give starts above the root, and the lower one is taken:
@@ -160,19 +161,21 @@ def _newton_log(xs, alpha, beta):
     log1p term alone with alpha t held at its value at _T_MIN.  The second
     bounds the iterations where exp(t) dominates the slope, as when
     z_T -> 0-, since from the tail each step there gains only about one
-    unit of t.  ``xs`` is a 1-d array; only its points not yet converged
-    are iterated.  Returns (t, iterations).
+    unit of t.  ``xs``, ``alpha`` and ``beta`` are 1-d arrays of one
+    length; only the points not yet converged are iterated.  Returns
+    (t, iterations).
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = np.fmin(xs / alpha, np.log(-np.expm1((xs - alpha * _T_MIN) / beta)))
-    t = np.clip(t, _T_MIN, _LOG_HALF)
+    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
+    t = np.minimum(np.maximum(t, _T_MIN), _LOG_HALF)
     if not t.size:
         return t, 0
     todo = np.arange(t.size)
     for it in range(1, _MAX_ITER + 1):
         tt = t[todo]
-        t_new = np.clip(tt - _newton_step(tt, xs[todo], alpha, beta),
-                        _T_MIN, _LOG_HALF)
+        t_new = np.minimum(np.maximum(
+            tt - _newton_step(tt, xs[todo], alpha[todo], beta[todo]), _T_MIN), _LOG_HALF)
         t[todo] = t_new
         todo = todo[np.abs(t_new - tt) > _STEP_TOL * (1.0 - tt)]
         if not todo.size:
@@ -182,20 +185,18 @@ def _newton_log(xs, alpha, beta):
 
 def _map_newton(x, tp: TangentPoly):
     """(z(x), 1 - z(x)) on any branch by Newton in t = log z left of
-    x_of_z(1/2) and t = log(1 - z) right of it."""
+    x_of_z(1/2) and t = log(1 - z) right of it, both sides in one loop."""
     a = -tp.z_T / (2.0 * (1.0 - tp.z_T))
     if a == 0.0:
         raise DomainError(f"z_T = {tp.z_T!r} too close to 0: the log z slope underflows")
     xs_mid = math.log(2.0) / (2.0 * (1.0 - tp.z_T))  # x_of_z(1/2) - X_ORIGIN
     xs = x - X_ORIGIN
     right = xs > xs_mid
-    left = ~right
-    t = np.empty_like(xs)
-    t[left], its_left = _newton_log(xs[left], a, -0.5)
-    t[right], its_right = _newton_log(xs[right], -0.5, a)
+    t, its = _newton_log(np.ravel(xs), np.ravel(np.where(right, -0.5, a)),
+                         np.ravel(np.where(right, a, -0.5)))
     _log.debug("inverse map z_T=%r: %d point(s), %d Newton iterations",
-               tp.z_T, xs.size, max(its_left, its_right))
-    return _pair_from_small(np.exp(t), right)
+               tp.z_T, xs.size, its)
+    return _pair_from_small(np.exp(t).reshape(np.shape(xs)), right)
 
 
 class GaugeRecord:
@@ -203,18 +204,27 @@ class GaugeRecord:
     1 - z(x), the Liouville ``weight`` sqrt((z - z_T)/(2 (1 - z_T))), the
     factor (z')**(-1/2) less its z**(-1/2) (1 - z)**(-1/2), which solution
     prefactors absorb, and the ``halves``, :func:`split_at_half` of the
-    grid.  The arrays are at least 1-d, C-contiguous (the split indexes
-    them flattened in C order, and products of them are multiplied in place
-    through such a view) and read-only, since a memoized record is shared
-    by every later call on its grid and by every thread.
+    grid.  ``weight`` and ``halves`` are computed on their first read, since
+    the potentials read only ``z`` and ``omz``.  The arrays are at least
+    1-d, C-contiguous (the split indexes them flattened in C order, and
+    products of them are multiplied in place through such a view) and
+    read-only, since a memoized record is shared by every later call on its
+    grid and by every thread.
     """
 
     def __init__(self, x, tp: TangentPoly):
         z, omz = _map_zt2_pair(x) if tp.z_T == 2.0 else _map_newton(x, tp)
         self.z = _read_only(np.ascontiguousarray(z))
         self.omz = _read_only(np.ascontiguousarray(omz))
-        self.weight = _read_only(np.sqrt((self.z - tp.z_T) / (2.0 * (1.0 - tp.z_T))))
-        self.halves = tuple(_read_only(h) for h in split_at_half(self.z, self.omz))
+        self._z_T = tp.z_T
+
+    @functools.cached_property
+    def weight(self):
+        return _read_only(np.sqrt((self.z - self._z_T) / (2.0 * (1.0 - self._z_T))))
+
+    @functools.cached_property
+    def halves(self):
+        return tuple(_read_only(h) for h in split_at_half(self.z, self.omz))
 
 
 def split_at_half(z, omz) -> tuple:

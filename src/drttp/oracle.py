@@ -36,7 +36,8 @@ _BOUND_MARGIN = 1e-8
 # as x**2.  A +-500 box shifts the weakly bound top level of (0, 3.04, 2) by
 # 5e-6 relative; tests/test_oracle.py holds these values.  The threshold, x0
 # and L come from one call of V on the _PROBE_NODES points and the four edge
-# points (_map_for); each rung calls V once more and returns vectors.
+# points (_map_for); each rung calls V once more, and every rung but the
+# first, whose eigenvalues only the next rung reads, returns vectors.
 _BOX = 5000.0
 _N_NODES = (100, 140, 200, 280, 400, 560, 800)
 _AGREE_TOL = 1e-6
@@ -76,22 +77,45 @@ def _count_sign_changes(psi: np.ndarray) -> int:
     return int(np.sum(sgn[:-1] * sgn[1:] < 0))
 
 
+@functools.lru_cache(maxsize=1)
+def _probe_points() -> np.ndarray:
+    """The _PROBE_NODES points of x = sinh(s), s uniform, |x| <= _BOX, then
+    the edge points -_BOX, 1 - _BOX, _BOX - 1, _BOX; read-only, since every
+    solve shares them."""
+    s_max = np.arcsinh(_BOX)
+    probe = np.sinh(np.linspace(-s_max, s_max, _PROBE_NODES))
+    points = np.concatenate((probe, [-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX]))
+    points.flags.writeable = False
+    return points
+
+
+def _parabola_curvature(u, v) -> float:
+    """The leading coefficient a of the least-squares parabola
+    a u**2 + b u + c through the points (u, v), in closed form: with d the
+    u less their mean, q = d**2 - d sum(d**3) / sum(d**2) - mean(d**2) is
+    orthogonal to 1 and d over the points, so a = sum(q v) / sum(q**2)."""
+    d = u - u.mean()
+    d2 = d * d
+    q = d2 - d * (d2 @ d) / d2.sum() - d2.mean()
+    return float(q @ (v - v.mean()) / (q @ q))
+
+
 def _map_for(V) -> tuple[float, float, float]:
     """The one evaluation of V before the ladder, on the _PROBE_NODES points
     of x = sinh(s), |x| <= _BOX, and the edge points -_BOX, 1 - _BOX,
-    _BOX - 1, _BOX.  Returns the threshold min(V(-_BOX), V(_BOX)) minus
-    _BOUND_MARGIN and the centre x0 and scale L of the map
-    x = x0 + L sinh(s): x0 is the probe point where V is least, and L the
-    harmonic length a**-1/4 of the parabola a (x - x0)**2 + b (x - x0) + c
-    fitted to V at the 5 probe points around x0, capped at 1 and rounded to
-    a power of 2, so that wells of similar curvature share a kinetic block
-    (L = 1 where a <= 0).  Raises ConvergenceError, naming the edge and the
-    drop, where V still falls outward over the last unit of x."""
-    s_max = np.arcsinh(_BOX)
-    probe = np.sinh(np.linspace(-s_max, s_max, _PROBE_NODES))
-    edges = [-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX]
-    vals = _eval_potential(V, np.concatenate((probe, edges)))
-    v_edge, vals = vals[_PROBE_NODES:], vals[:_PROBE_NODES]
+    _BOX - 1, _BOX, built once (``_probe_points``) and handed to V as a
+    fresh copy, since V may write into its argument.  Returns the threshold
+    min(V(-_BOX), V(_BOX)) minus _BOUND_MARGIN and the centre x0 and scale
+    L of the map x = x0 + L sinh(s): x0 is the probe point where V is
+    least, and L the harmonic length a**-1/4 of the parabola
+    a (x - x0)**2 + b (x - x0) + c fitted to V at the 5 probe points around
+    x0 (``_parabola_curvature``), capped at 1 and rounded to a power of 2,
+    so that wells of similar curvature share a kinetic block (L = 1 where
+    a <= 0).  Raises ConvergenceError, naming the edge and the drop, where
+    V still falls outward over the last unit of x."""
+    points = _probe_points()
+    vals = _eval_potential(V, points.copy())
+    probe, v_edge, vals = points[:_PROBE_NODES], vals[_PROBE_NODES:], vals[:_PROBE_NODES]
     drops = (("left", v_edge[1] - v_edge[0]), ("right", v_edge[2] - v_edge[3]))
     falling = " and ".join(f"by {d:.3g} at the {side} edge" for side, d in drops
                            if d > _FLATNESS_TOL)
@@ -101,7 +125,7 @@ def _map_for(V) -> tuple[float, float, float]:
     i = int(np.argmin(vals))
     x0 = float(probe[i])
     lo = min(max(i - 2, 0), _PROBE_NODES - 5)
-    a = float(np.polyfit(probe[lo:lo + 5] - x0, vals[lo:lo + 5], 2)[0])
+    a = _parabola_curvature(probe[lo:lo + 5] - x0, vals[lo:lo + 5])
     width = min(1.0, a ** -0.25) if a > 0.0 else 1.0
     return threshold, x0, 2.0 ** round(math.log2(width))
 
@@ -136,12 +160,16 @@ def _sinc_grid(n: int, scale: float):
     return offsets, g, ds, kinetic
 
 
-def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float):
+def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float,
+                vectors: bool = True):
     """Sinc collocation on n nodes of s, x = x0 + L sinh(s), g = dx/ds, in
     the Liouville form of -psi'' + V psi = E psi: psi = g^-1/2 w turns it
     into the symmetric (G^-1 (-D2 - 1/2 diag({x, s})) G^-1 + diag(V)) w
     = E w, G = diag(g).  Returns the nodes, the eigenvalues below threshold
-    and the collocation vectors psi(x_j) = w_j / sqrt(g_j ds), unit L2."""
+    and the collocation vectors psi(x_j) = w_j / sqrt(g_j ds), unit L2, or
+    None for them when not ``vectors``.  The eigenvalues are the same bits
+    either way: for a range of values, LAPACK's dsyevr takes them from
+    dstebz with or without vectors."""
     from scipy.linalg import eigh
 
     offsets, g, ds, kinetic = _sinc_grid(n, scale)
@@ -152,8 +180,11 @@ def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float):
     lo = float(vals.min()) - 1.0
     # h is this call's own copy, finite (V is checked by _eval_potential) and
     # in Fortran order, so eigh overwrites it instead of copying it first
-    w, u = eigh(h, subset_by_value=(lo, threshold), driver="evr",
-                overwrite_a=True, check_finite=False)
+    out = eigh(h, eigvals_only=not vectors, subset_by_value=(lo, threshold),
+               driver="evr", overwrite_a=True, check_finite=False)
+    if not vectors:
+        return xs, out, None
+    w, u = out
     return xs, w, u / np.sqrt(g * ds)[:, None]
 
 
@@ -195,11 +226,12 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     at 200 or 280 nodes; deep wells of 26 to 37 levels, such as
     (0.441, 69.16, 2), whose upper levels 200 nodes do not resolve, stop at
     400, the rung that confirms the 280-node levels.  Node counts are the
-    sign changes of the collocation vector.  ``V`` must map an array of x
-    to a finite array of the same shape; an edge where V still falls
-    outward over its last unit of x raises ConvergenceError, which names
-    the edge and the drop.  Each rung and the result are logged at DEBUG
-    under ``drttp.oracle``.
+    sign changes of the collocation vector.  The first rung solves for
+    eigenvalues only, since no later step reads its vectors.  ``V`` must
+    map an array of x to a finite array of the same shape; an edge where V
+    still falls outward over its last unit of x raises ConvergenceError,
+    which names the edge and the drop.  Each rung and the result are logged
+    at DEBUG under ``drttp.oracle``.
 
     ``diagnostics`` holds the map centre ``x0`` and scale ``map_scale``,
     the seconds of the first call of V and the map fit (``map_seconds``),
@@ -228,7 +260,8 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     for n in _N_NODES:
         w_c = w_f
         t0 = time.perf_counter()
-        xs, w_f, vecs = _solve_sinc(V, n, threshold, x0, scale)
+        # only w_c outlives a rung, so the first solves for eigenvalues only
+        xs, w_f, vecs = _solve_sinc(V, n, threshold, x0, scale, vectors=w_c is not None)
         n_points.append(n)
         seconds.append(time.perf_counter() - t0)
         if w_c is None:

@@ -198,6 +198,56 @@ class TestMap:
         assert a * math.log(z[0]) == pytest.approx(0.5 * math.log1p(-z[0]), rel=1e-13)
 
 
+class TestOneNewtonLoop:
+    """Both sides of x_of_z(1/2) share one Newton loop, each point with its
+    own (alpha, beta); every point sees the IEEE operations it saw when each
+    side was a loop of its own, which mapping one side's points as a grid
+    of their own reproduces."""
+
+    @staticmethod
+    def straddling_grid(rng, tp):
+        # points on both sides of x_of_z(1/2), from the tails to next to it,
+        # unsorted, with the midpoint itself
+        mid = core.x_of_z(0.5, 0.5, tp)
+        spread = 10.0 ** rng.uniform(-3.0, 2.5, 300)
+        x = mid + np.where(rng.random(300) < 0.5, -spread, spread)
+        return np.append(x, mid)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_loop_is_the_two_loops_bit_for_bit(self, seed, caplog):
+        rng = np.random.default_rng([38, seed])
+        distance = 10.0 ** rng.uniform(-3.0, math.log10(60.0))
+        tp = TangentPoly(-distance if seed % 2 else 1.0 + distance)
+        x = self.straddling_grid(rng, tp)
+        left = x <= core.x_of_z(0.5, 0.5, tp)
+        assert left.any() and (~left).any()
+        caplog.set_level(logging.DEBUG, logger="drttp.core")
+        z, omz = core._map_newton(x, tp)
+        z_left, omz_left = core._map_newton(x[left], tp)
+        z_right, omz_right = core._map_newton(x[~left], tp)
+        assert np.array_equal(z[left], z_left) and np.array_equal(omz[left], omz_left)
+        assert np.array_equal(z[~left], z_right) and np.array_equal(omz[~left], omz_right)
+        # one DEBUG line per call with one iteration count: the loop over
+        # both sides runs as long as the slower side
+        counts = [[int(n) for n in re.findall(r"(\d+) Newton iterations", r.getMessage())]
+                  for r in caplog.records]
+        assert [len(c) for c in counts] == [1, 1, 1]
+        assert counts[0][0] == max(counts[1][0], counts[2][0])
+
+    @pytest.mark.parametrize("x, shape", [
+        (np.empty(0), (0,)), (np.asarray(0.3), ()), (np.asarray(-5.0), ()),
+        (np.linspace(-3.0, 3.0, 6).reshape(2, 3), (2, 3)), (np.empty((0, 3)), (0, 3)),
+    ], ids=["empty", "0-d left", "0-d right", "2-d", "empty 2-d"])
+    def test_shapes_kept(self, x, shape):
+        tp = TangentPoly(-0.7)
+        z, omz = core._map_newton(x, tp)
+        assert z.shape == omz.shape == shape
+        flat_z, flat_omz = core._map_newton(np.ravel(x), tp)
+        assert np.array_equal(np.ravel(z), flat_z) and np.array_equal(np.ravel(omz), flat_omz)
+        rec = core.GaugeRecord(x, tp)
+        assert rec.z.shape == rec.weight.shape == np.atleast_1d(x).shape
+
+
 class TestMapMemo:
     GRID = np.linspace(-12.0, 12.0, 301)
 
@@ -349,6 +399,40 @@ class TestMapMemo:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert core._memo.cache_info().currsize == core._MEMO_GRIDS
+
+    def test_threads_racing_to_the_lazy_fields(self):
+        # weight and halves are computed on the first read of a record that
+        # every thread shares: whichever thread computes them, all read the
+        # same read-only values
+        tp = TangentPoly(-0.7)
+        ref = core.GaugeRecord(self.GRID, tp)
+        want = [ref.weight.tobytes(), *(h.tobytes() for h in ref.halves)]
+        records = [core.GaugeRecord(self.GRID, tp) for _ in range(200)]
+        errors = []
+
+        def work(k):
+            try:
+                for i, rec in enumerate(records if k % 2 else records[::-1]):
+                    arrays = (rec.weight, *rec.halves)
+                    if [a.tobytes() for a in arrays] != want:
+                        errors.append(f"thread {k}: record {i} differs")
+                    if any(a.flags.writeable for a in arrays):
+                        errors.append(f"thread {k}: record {i} writeable")
+            except Exception as exc:  # report, so the assertion below shows it
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
     def test_one_gauge_record_per_grid(self):
         tp = TangentPoly(-0.7)

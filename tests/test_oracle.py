@@ -1,12 +1,16 @@
 """Numerical eigensolver sanity and convergence checks."""
 
+import importlib.util
 import json
 import logging
+import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -427,6 +431,96 @@ class TestSincGridCache:
         first = oracle._sinc_grid(50, 0.5)
         assert all(a is b for a, b in zip(oracle._sinc_grid(50, 0.5), first))
         assert oracle._sinc_grid(50, 1.0)[3] is not first[3]
+
+
+def crossval_points(seed, count):
+    """(lambda_o, mu_o, z_T) of the first ``count`` crossval draws of the
+    benchmark (perfbench/workloads.py) for ``seed``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return [(p["lambda_o"], p["mu_o"], p["z_T"])
+            for p in (workloads.crossval_params(seed, i) for i in range(count))]
+
+
+def map_for_by_polyfit(V):
+    """_map_for written out with np.polyfit for the parabola's curvature
+    and the probe built here."""
+    s_max = np.arcsinh(oracle._BOX)
+    probe = np.sinh(np.linspace(-s_max, s_max, oracle._PROBE_NODES))
+    edges = [-oracle._BOX, 1.0 - oracle._BOX, oracle._BOX - 1.0, oracle._BOX]
+    vals = np.asarray(V(np.concatenate((probe, edges))), dtype=float)
+    v_edge, vals = vals[oracle._PROBE_NODES:], vals[:oracle._PROBE_NODES]
+    threshold = float(min(v_edge[0], v_edge[3])) - oracle._BOUND_MARGIN
+    i = int(np.argmin(vals))
+    x0 = float(probe[i])
+    lo = min(max(i - 2, 0), oracle._PROBE_NODES - 5)
+    a = float(np.polyfit(probe[lo:lo + 5] - x0, vals[lo:lo + 5], 2)[0])
+    width = min(1.0, a ** -0.25) if a > 0.0 else 1.0
+    return threshold, x0, 2.0 ** round(math.log2(width))
+
+
+class TestMapFit:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_closed_form_curvature_is_the_least_squares_fit(self, seed):
+        # 5 distinct points around 0 on scales from 1e-3 to 10, values a
+        # parabola with 1e-3 noise (odd seeds) or noise alone (even seeds),
+        # against the least-squares parabola solved in 50 digits; np.polyfit
+        # agrees to 1e-12 on the noise alone, and is itself up to 3e-12 off
+        # on the parabolas
+        rng = np.random.default_rng([38, seed])
+        u = np.sort(rng.uniform(-1.0, 1.0, 5)) * 10.0 ** rng.uniform(-3.0, 1.0)
+        v = rng.normal(size=5)
+        if seed % 2:
+            v = rng.normal() * u**2 + rng.normal() * u + rng.normal() + 1e-3 * v
+        with mpmath.workdps(50):
+            A = mpmath.matrix([[mpmath.mpf(x) ** 2, mpmath.mpf(x), 1] for x in u])
+            exact = float(mpmath.lu_solve(A.T * A, A.T * mpmath.matrix(v.tolist()))[0])
+        got = oracle._parabola_curvature(u, v)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+        if not seed % 2:
+            assert got == pytest.approx(np.polyfit(u, v, 2)[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name, points", [
+        ("verify", verify.GRID_POINTS + verify.HIGH_DEGREE_POINTS),
+        ("crossval seed 1", crossval_points(1, 120)),
+        ("crossval seed 2", crossval_points(2, 120)),
+    ])
+    def test_map_is_the_polyfit_map(self, name, points):
+        for pt in points:
+            V = dkv(*pt)
+            assert oracle._map_for(V) == map_for_by_polyfit(V), pt
+
+    def test_probe_private_to_each_solve(self):
+        # the probe points are built once and shared by every solve; V gets
+        # its own copy, so a V that writes into its argument leaves the next
+        # solve unchanged (a read-only probe would make it raise ValueError)
+        def scribbling(x):
+            out = sech2(x)
+            x[...] = 0.0
+            return out
+
+        first, second = solve_schrodinger(scribbling), solve_schrodinger(scribbling)
+        assert len(first) == 2
+        for field in ("eigenvalues", "eigenvectors", "convergence"):
+            assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+        assert first.threshold == second.threshold
+        for key in ("x0", "map_scale", "n_points", "rejected"):
+            assert first.diagnostics[key] == second.diagnostics[key]
+
+
+class TestFirstRung:
+    @pytest.mark.parametrize("V", [sech2, dkv(0.5, 7.3, -1.0), dkv(1.561, 32.66, 1.00273)],
+                             ids=["sech2", "(0.5, 7.3, -1)", "(1.561, 32.66, 1.00273)"])
+    def test_eigenvalues_only_are_the_vector_solve_s(self, V):
+        # LAPACK's dsyevr takes the eigenvalues of a range from dstebz with
+        # or without vectors, so the first rung may skip them
+        threshold, x0, scale = oracle._map_for(V)
+        xs, w, vecs = oracle._solve_sinc(V, 100, threshold, x0, scale)
+        xs_only, w_only, none = oracle._solve_sinc(V, 100, threshold, x0, scale, vectors=False)
+        assert none is None and vecs.shape == (100, len(w)) and len(w) >= 2
+        assert np.array_equal(w_only, w) and np.array_equal(xs_only, xs)
 
 
 class TestComparisons:
