@@ -74,9 +74,9 @@ def unit_interval(z, omz, closed: bool = True) -> tuple[np.ndarray, np.ndarray]:
     z, omz = np.asarray(z, dtype=float), np.asarray(omz, dtype=float)
     for u in (z, omz):
         inside = ((0.0 <= u) if closed else (0.0 < u)) & (u <= 1.0)
-        if not np.all(inside):
+        if not inside.all():
             raise DomainError(f"z and 1 - z must lie in {'[0, 1]' if closed else '(0, 1)'}")
-    if not np.all(np.abs(z + omz - 1.0) <= _PAIR_TOL):
+    if not (np.abs(z + omz - 1.0) <= _PAIR_TOL).all():
         raise DomainError("z and 1 - z must sum to 1")
     return z, omz
 
@@ -123,22 +123,43 @@ def _map_zt2_pair(x):
     right = x > _X_MID_ZT2
     u = np.where(right, e, 2.0 * s) / s**2
     far = x < _X_FAR_ZT2
-    if np.any(far):
+    if far.any():
         u = np.where(far, 2.0 * np.exp(np.minimum(x, _X_FAR_ZT2)), u)
     return _pair_from_small(u, right)
 
 
+_LOG2 = math.log(2.0)
+
+
+def _log_small_zt2(x):
+    """(t, right): the log t of the small coordinate of :func:`_map_zt2_pair`
+    in closed form, with s = 1 + sqrt(1 + e**(-2x)), and the side: log z =
+    log 2 - log s left of x_of_z(1/2) (log 2 + x below _X_FAR_ZT2) and
+    log(1 - z) = -2x - 2 log s right of it.  t is finite wherever x is, also
+    where the coordinate itself underflows to 0."""
+    log_s = np.log(1.0 + np.sqrt(1.0 + np.exp(-2.0 * np.maximum(x, _X_FAR_ZT2))))
+    right = x > _X_MID_ZT2
+    t = np.where(right, -2.0 * x - 2.0 * log_s, _LOG2 - log_s)
+    far = x < _X_FAR_ZT2
+    if far.any():
+        t = np.where(far, _LOG2 + x, t)
+    return t, right
+
+
 # Newton in t = log u for the small coordinate u, so t <= log(1/2); exp(t)
-# is 0 below _T_MIN.
+# is 0 below _T_MIN, where a step lands on the root xs / alpha exactly.
+# Iterates are kept above _T_FLOOR, where alpha t is finite, so that a root
+# beyond the double range ends there, not at a NaN.
 _LOG_HALF = -math.log(2.0)
 _T_MIN = -746.0
+_T_FLOOR = -np.finfo(float).max
 # A step below this many units of eps * (1 - t) is rounding noise: the
 # residual's rounding error divided by its slope is at most about
 # 2 * eps * (1 + |t|), and t itself moves in steps of eps * |t| / 2.
 _STEP_TOL = 4.0 * np.finfo(float).eps
 # Each Newton step from the tail gains about one unit of t while exp(t)
-# dominates the slope, so this covers [_T_MIN, log(1/2)]; reaching it means
-# the iteration failed.
+# dominates the slope, so this covers [_T_MIN, log(1/2)], and below _T_MIN
+# one step is exact; reaching it means the iteration failed.
 _MAX_ITER = 800
 
 
@@ -161,8 +182,10 @@ def _newton_log(xs, alpha, beta):
     log1p term alone with alpha t held at its value at _T_MIN.  The second
     bounds the iterations where exp(t) dominates the slope, as when
     z_T -> 0-, since from the tail each step there gains only about one
-    unit of t.  ``xs``, ``alpha`` and ``beta`` are 1-d arrays of one
-    length; only the points not yet converged are iterated.  Returns
+    unit of t.  The start is at least _T_MIN; an iterate below it, where
+    exp(t) is 0, is the tail root xs / alpha, so t is the log of u also
+    where u underflows.  ``xs``, ``alpha`` and ``beta`` are 1-d arrays of
+    one length; only the points not yet converged are iterated.  Returns
     (t, iterations).
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -172,20 +195,24 @@ def _newton_log(xs, alpha, beta):
     if not t.size:
         return t, 0
     todo = np.arange(t.size)
-    for it in range(1, _MAX_ITER + 1):
-        tt = t[todo]
-        t_new = np.minimum(np.maximum(
-            tt - _newton_step(tt, xs[todo], alpha[todo], beta[todo]), _T_MIN), _LOG_HALF)
-        t[todo] = t_new
-        todo = todo[np.abs(t_new - tt) > _STEP_TOL * (1.0 - tt)]
-        if not todo.size:
-            return t, it
+    # a step toward a root past the double range overflows to -inf, which
+    # the clamp at _T_FLOOR takes back
+    with np.errstate(over="ignore"):
+        for it in range(1, _MAX_ITER + 1):
+            tt = t[todo]
+            t_new = np.minimum(np.maximum(
+                tt - _newton_step(tt, xs[todo], alpha[todo], beta[todo]), _T_FLOOR), _LOG_HALF)
+            t[todo] = t_new
+            todo = todo[np.abs(t_new - tt) > _STEP_TOL * (1.0 - tt)]
+            if not todo.size:
+                return t, it
     raise ConvergenceError(f"inverse map: Newton did not converge in {_MAX_ITER} steps")
 
 
 def _map_newton(x, tp: TangentPoly):
-    """(z(x), 1 - z(x)) on any branch by Newton in t = log z left of
-    x_of_z(1/2) and t = log(1 - z) right of it, both sides in one loop."""
+    """(z(x), 1 - z(x), t) on any branch by Newton in t = log z left of
+    x_of_z(1/2) and t = log(1 - z) right of it, both sides in one loop; t,
+    shaped as x, is the log of the smaller of z and 1 - z."""
     a = -tp.z_T / (2.0 * (1.0 - tp.z_T))
     if a == 0.0:
         raise DomainError(f"z_T = {tp.z_T!r} too close to 0: the log z slope underflows")
@@ -196,31 +223,68 @@ def _map_newton(x, tp: TangentPoly):
                          np.ravel(np.where(right, a, -0.5)))
     _log.debug("inverse map z_T=%r: %d point(s), %d Newton iterations",
                tp.z_T, xs.size, its)
-    return _pair_from_small(np.exp(t).reshape(np.shape(xs)), right)
+    t = t.reshape(np.shape(xs))
+    return (*_pair_from_small(np.exp(t), right), t)
 
 
 class GaugeRecord:
     """The map of one grid x of finite values: ``z`` and ``omz``, z(x) and
-    1 - z(x), the Liouville ``weight`` sqrt((z - z_T)/(2 (1 - z_T))), the
-    factor (z')**(-1/2) less its z**(-1/2) (1 - z)**(-1/2), which solution
-    prefactors absorb, and the ``halves``, :func:`split_at_half` of the
-    grid.  ``weight`` and ``halves`` are computed on their first read, since
-    the potentials read only ``z`` and ``omz``.  The arrays are at least
-    1-d, C-contiguous (the split indexes them flattened in C order, and
-    products of them are multiplied in place through such a view) and
-    read-only, since a memoized record is shared by every later call on its
-    grid and by every thread.
+    1 - z(x); ``log_z`` and ``log_omz``, their logs from the map itself;
+    ``log_weight``, the log of the Liouville weight
+    sqrt((z - z_T)/(2 (1 - z_T))), the factor (z')**(-1/2) less its
+    z**(-1/2) (1 - z)**(-1/2), which solution prefactors absorb; and the
+    ``halves``, :func:`split_at_half` of the grid.  Newton's t, or on the
+    z_T = 2 branch the closed form of :func:`_log_small_zt2`, is the log of
+    the small coordinate u and log1p(-u) that of the other, so both logs
+    are finite where z or 1 - z underflows to 0.  All but ``z`` and ``omz``
+    are computed on their first read, since the potentials read only
+    those; on the z_T = 2 branch the record keeps a copy of x for that.
+    The arrays are at least 1-d, C-contiguous (the split indexes them
+    flattened in C order, and products of them are multiplied in place
+    through such a view) and read-only, since a memoized record is shared
+    by every later call on its grid and by every thread.
     """
 
     def __init__(self, x, tp: TangentPoly):
-        z, omz = _map_zt2_pair(x) if tp.z_T == 2.0 else _map_newton(x, tp)
+        if tp.z_T == 2.0:
+            z, omz = _map_zt2_pair(x)
+            self._x, self._t = x.copy(), None
+        else:
+            z, omz, self._t = _map_newton(x, tp)
         self.z = _read_only(np.ascontiguousarray(z))
         self.omz = _read_only(np.ascontiguousarray(omz))
         self._z_T = tp.z_T
 
     @functools.cached_property
-    def weight(self):
-        return _read_only(np.sqrt((self.z - self._z_T) / (2.0 * (1.0 - self._z_T))))
+    def _logs(self):
+        if self._t is None:
+            t, right = _log_small_zt2(self._x)
+        else:
+            # Newton's small coordinate is at most 1/2: z on the left, 1 - z
+            # on the right, and where they tie both logs are log(1/2)
+            t, right = self._t, self.z > self.omz
+        other = np.log1p(-np.where(right, self.omz, self.z))
+        return tuple(_read_only(np.ascontiguousarray(np.where(right, a, b)))
+                     for a, b in ((other, t), (t, other)))
+
+    @property
+    def log_z(self):
+        return self._logs[0]
+
+    @property
+    def log_omz(self):
+        return self._logs[1]
+
+    @functools.cached_property
+    def log_weight(self):
+        # z - z_T as a sum of terms of one sign: z + |z_T| for z_T < 0 and
+        # -((z_T - 1) + (1 - z)) for z_T > 1
+        zt = self._z_T
+        if zt < 0.0:
+            ratio = (self.z - zt) / (2.0 * (1.0 - zt))
+        else:
+            ratio = (self.omz + (zt - 1.0)) / (2.0 * (zt - 1.0))
+        return _read_only(0.5 * np.log(ratio))
 
     @functools.cached_property
     def halves(self):
@@ -249,10 +313,47 @@ _MEMO_GRIDS = 4
 _MEMO_MAX_POINTS = 65536
 
 
+class _GridKey:
+    """The memo's key for a grid x under a TangentPoly: it hashes the
+    TangentPoly, the shape and the first, middle and last value in C order,
+    and equal keys have equal shapes and equal C-order bytes.  A key the
+    memo stores holds those bytes, so a hit copies the probe's grid once to
+    compare it."""
+
+    __slots__ = ("tp", "x", "data", "_hash")
+
+    def __init__(self, tp: TangentPoly, x: np.ndarray):
+        self.tp, self.x, self.data = tp, x, None
+        flat = x.reshape(-1)
+        n = flat.size
+        self._hash = hash((tp, x.shape, *((flat[0], flat[n // 2], flat[-1]) if n else ())))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return (self.tp == other.tp and self.x.shape == other.x.shape
+                and self.grid_bytes() == other.grid_bytes())
+
+    def grid_bytes(self) -> bytes:
+        return self.x.tobytes() if self.data is None else self.data
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite")
+
+
 @functools.lru_cache(maxsize=_MEMO_GRIDS)
-def _memo(tp: TangentPoly, shape: tuple, data: bytes) -> GaugeRecord:
-    # TangentPoly hashes and compares by z_T: equal instances share records
-    return GaugeRecord(np.frombuffer(data).reshape(shape), tp)
+def _memo(key: _GridKey) -> GaugeRecord:
+    # a miss, so the key is not stored yet: it takes its own copy of the
+    # grid, which the caller may change later.  A hit needs no check, since
+    # its bytes are those of a grid that passed it.  TangentPoly hashes and
+    # compares by z_T: equal instances share records
+    _check_finite(key.x)
+    key.data = key.x.tobytes()
+    key.x = np.frombuffer(key.data).reshape(key.x.shape)
+    return GaugeRecord(key.x, key.tp)
 
 
 def gauge_record(x, tp: TangentPoly) -> GaugeRecord:
@@ -260,15 +361,14 @@ def gauge_record(x, tp: TangentPoly) -> GaugeRecord:
     does not keep gets a record of its own, dropped after use.  DomainError
     unless x is finite."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("x must be finite")
     if not x.ndim or x.size > _MEMO_MAX_POINTS:
+        _check_finite(x)
         return GaugeRecord(x, tp)
     if not _log.isEnabledFor(logging.DEBUG):
-        return _memo(tp, x.shape, x.tobytes())
+        return _memo(_GridKey(tp, x))
     # a hit of another thread between the two reads also logs a reuse
     hits = _memo.cache_info().hits
-    rec = _memo(tp, x.shape, x.tobytes())
+    rec = _memo(_GridKey(tp, x))
     if _memo.cache_info().hits > hits:
         _log.debug("inverse map z_T=%r: %d point(s) reused, 0 Newton iterations",
                    tp.z_T, x.size)

@@ -66,15 +66,15 @@ def _eval_potential(V, xs: np.ndarray) -> np.ndarray:
     vals = np.asarray(V(xs), dtype=float)
     if vals.shape != xs.shape:
         raise DomainError("V must map an array of x to an array of the same shape")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("potential must be finite on the domain")
     return vals
 
 
 def _count_sign_changes(psi: np.ndarray) -> int:
-    mask = np.abs(psi) > 1e-8 * np.max(np.abs(psi))
-    sgn = np.sign(psi[mask])
-    return int(np.sum(sgn[:-1] * sgn[1:] < 0))
+    a = np.abs(psi)
+    sgn = np.sign(psi[a > 1e-8 * a.max()])
+    return int((sgn[:-1] * sgn[1:] < 0).sum())
 
 
 @functools.lru_cache(maxsize=1)
@@ -266,7 +266,8 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
         seconds.append(time.perf_counter() - t0)
         if w_c is None:
             continue
-        conv = np.array([np.min(np.abs(w_c - e), initial=np.inf) for e in w_f])
+        # each level's distance to the nearest level of the rung below
+        conv = np.abs(w_f[:, None] - w_c).min(axis=1, initial=np.inf)
         # resolution only degrades upward: a level above one the rungs
         # disagree on is not trusted even if they happen to agree on it
         keep = np.cumprod(conv <= _AGREE_TOL * np.abs(w_f)).astype(bool)
@@ -280,11 +281,12 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
         if accepted:
             break
     w, conv, vecs = w_f[keep], conv[keep], vecs[:, keep]
-    # sign convention: first significant excursion positive
-    for j in range(vecs.shape[1]):
-        nz = np.nonzero(np.abs(vecs[:, j]) > 1e-6 * np.max(np.abs(vecs[:, j])))[0]
-        if len(nz) and vecs[nz[0], j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    # sign convention: first significant excursion positive (argmax finds
+    # the first True of each column)
+    a = np.abs(vecs)
+    first = (a > 1e-6 * a.max(axis=0)).argmax(axis=0)
+    flip = vecs[first, np.arange(vecs.shape[1])] < 0.0
+    vecs[:, flip] = -vecs[:, flip]
     diagnostics = {"x0": x0, "map_scale": scale, "map_seconds": map_seconds,
                    "n_points": tuple(n_points),
                    "seconds": tuple(seconds), "rejected": rejected,

@@ -24,6 +24,10 @@ from .spectral import Kind
 GRID_POINTS = list(itertools.product((0.0, 0.5, 1.0, 2.0), (3.0, 5.0, 7.3), (2.0, -1.0)))
 # two deep wells: 30 and 26 levels, degrees <= 29
 HIGH_DEGREE_POINTS = [(0.3, 59.7, 2.0), (0.0, 52.0, -1.0)]
+# a weakly bound level: lambda1 = 0.0143 at level 1, whose eigenfunction is
+# still 2.4e-3 of its maximum at x = 404, past x = 354, where 1 - z rounds
+# to 0
+WEAK_POINTS = [(0.0, 3.0427321640114346, 2.0)]
 
 
 @dataclass
@@ -74,7 +78,7 @@ def check_map() -> list[CheckResult]:
     tp2 = TangentPoly(2.0)
     xs = np.linspace(-12.0, 12.0, 301)
     fast = core.map_x_to_z(xs, tp2)
-    gen, _ = core._map_newton(xs, tp2)  # the general-branch solver, bypassing the closed form
+    gen = core._map_newton(xs, tp2)[0]  # the general-branch solver, bypassing the closed form
     out.append(_result("map.fastpath-vs-general", 1e-12,
                        float(np.max(np.abs(fast - gen)))))
     out.append(_result(
@@ -391,7 +395,7 @@ class OraclePoint:
 # the wl, oracle and susy groups all solve (0, 5, 2): the cache holds every
 # point of the oracle group, so each is solved once per battery; callers only
 # read the record
-@functools.lru_cache(maxsize=len(GRID_POINTS) + len(HIGH_DEGREE_POINTS))
+@functools.lru_cache(maxsize=len(GRID_POINTS) + len(HIGH_DEGREE_POINTS) + len(WEAK_POINTS))
 def oracle_point(ri: RayIdentifiers, tp: TangentPoly) -> OraclePoint:
     """The one place where the closed form meets the oracle.  The oracle's
     potential looks ``core.potential_eval_x`` up at each call."""
@@ -428,15 +432,36 @@ def check_wl_point() -> list[CheckResult]:
     return out
 
 
+def _vector_gap(ri: RayIdentifiers, tp: TangentPoly) -> float:
+    """Worst gap between the closed-form eigenfunctions, unit L2 by
+    ``solution_norm_sq`` and signed as the oracle's vector by their
+    overlap, and every kept eigenvector of ``oracle_point(ri, tp)``, on the
+    oracle's nodes, relative to the vector's largest value."""
+    ns = oracle_point(ri, tp).numeric
+    worst = 0.0
+    for v, s in zip(ns.eigenvectors.T, spectral.spectrum(ri, tp)):
+        psi = (wavefunction.solution_eval_x(ns.x, s, ri, tp)
+               / math.sqrt(wavefunction.solution_norm_sq(s, tp)))
+        if psi @ v < 0.0:
+            psi = -psi
+        worst = max(worst, float(np.abs(psi - v).max() / np.abs(v).max()))
+    return worst
+
+
 def check_oracle_grid() -> list[CheckResult]:
     points = GRID_POINTS + HIGH_DEGREE_POINTS
     recs = [oracle_point(RayIdentifiers(lo, mo), TangentPoly(zt)) for lo, mo, zt in points]
     count_bad = sum(not (r.count_ok and r.node_ok) for r in recs)
     worst = max(float(np.max(r.rel_errors, initial=0.0)) for r in recs)
+    vectors = max(_vector_gap(RayIdentifiers(lo, mo), TangentPoly(zt))
+                  for lo, mo, zt in points + WEAK_POINTS)
     return [
         _result("oracle.grid-counts", 0.5, float(count_bad),
                 f"{len(points)} grid points, violation count"),
         _result("oracle.grid-levels", 1e-6, worst, "max relative error"),
+        _result("oracle.eigenvectors", 1e-9, vectors,
+                f"closed-form psi vs oracle vectors, {len(points + WEAK_POINTS)} points, "
+                "every kept level, of the vector's maximum"),
     ]
 
 
@@ -448,7 +473,7 @@ def _log_power_jet(z, omz, z_T: float, exps):
     """(w, D ln w, D**2 ln w) of w = z**e0 (1 - z)**e1 s**eT on the pair
     (z, 1 - z), D = z (1 - z) d/dz, exps = (e0, e1, eT), s = (z - z_T) /
     (2 (1 - z_T)) > 0 the base of the Liouville weight (see
-    core.GaugeRecord.weight).  No term divides by z or 1 - z."""
+    core.GaugeRecord.log_weight).  No term divides by z or 1 - z."""
     e0, e1, eT = exps
     zr = z - z_T
     zo = z * omz

@@ -184,12 +184,15 @@ def aeh_eval(z, omz, sol: AehSolution):
 def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     """x-gauge value (z')**(-1/2) Phi(z(x)), composed analytically.
 
-    The Liouville weight and the solution prefactors are merged so the
-    tails carry no inf*0 indeterminacy:
-    sqrt((z - z_T)/(2(1 - z_T))) z^(l0/2) (1-z)^(l1/2) Pi_m(z),
-    with 1-z carried at its own relative precision.  The weight and the
-    z = 1/2 split of the polynomial factor come from the grid's
-    :class:`~drttp.core.GaugeRecord`, so the levels on one grid share them.
+    The Liouville weight and the solution prefactors are merged into one
+    exponential, so the tails carry no inf*0 indeterminacy and nothing
+    underflows before the product does:
+    exp(log w + l0/2 log z + l1/2 log(1 - z)) Pi_m(z), w =
+    sqrt((z - z_T)/(2(1 - z_T))), with the logs of the grid's
+    :class:`~drttp.core.GaugeRecord`, which come from the map itself and
+    stay finite where z or 1 - z rounds to 0.  The polynomial factor is
+    split at z = 1/2 as the record's ``halves``, so the levels on one grid
+    share the logs and the split.
     """
     scalar = np.ndim(x) == 0
     g = gauge_record(x, tp)
@@ -197,8 +200,10 @@ def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     # derived as aeh_eval derives them: alpha = (lambda0 + 1) - 1 can
     # differ from lambda0 in its last bit
     alpha, beta = _jacobi_parameters(m, sol.mu - m, sol.lambda0 + 1.0)
-    out = g.weight * g.z ** (0.5 * sol.lambda0)
-    out *= g.omz ** (0.5 * sol.lambda1)
+    out = g.log_z * (0.5 * sol.lambda0)
+    out += g.log_omz * (0.5 * sol.lambda1)
+    out += g.log_weight
+    np.exp(out, out=out)
     if m:
         _times_jacobi(out, m, alpha, beta, g.halves)
     return float(out[0]) if scalar else out

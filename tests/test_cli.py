@@ -109,6 +109,21 @@ class TestTabulate:
         header = [r for r in out.split("\n") if not r.startswith("#")][0]
         assert "psi0" in header and "psi1" in header
 
+    def test_psi_past_the_underflow_of_one_minus_z(self, capsys):
+        # 1 - z rounds to 0 past x = 354 on z_T = 2; the weakly bound level
+        # there (lambda1 = 0.0143) falls by a factor 0.65 every 30 units, and
+        # (1 - z)**(lambda1/2) on the rounded pair printed -0 from x = 390
+        code, out, _ = run(capsys, "tabulate", "--lambda-o", "0", "--mu-o",
+                           "3.0427321640114346", "--zt", "2", "--x-min", "300",
+                           "--x-max", "420", "--points", "5", "--psi", "1")
+        assert code == 0
+        rows = [r.split(",") for r in out.split("\n")[4:] if r]
+        assert [r[0] for r in rows] == ["300", "330", "360", "390", "420"]
+        psi = [float(r[2]) for r in rows]
+        assert all(v < 0.0 for v in psi)
+        ratios = [b / a for a, b in zip(psi, psi[1:])]
+        assert max(ratios) - min(ratios) < 1e-9 and 0.6 < ratios[0] < 0.7
+
     @pytest.mark.parametrize("level", ["1", "-1"])
     def test_psi_level_out_of_range(self, capsys, level):
         # (0, 3, 2) has one bound state

@@ -159,6 +159,23 @@ class TestMap:
         assert core.potential_eval_x(-40.0, ri, tp) == pytest.approx(left, rel=1e-15)
         assert math.isfinite(solution_eval_x(-40.0, spectrum(ri, tp)[0], ri, tp))
 
+    def test_logs_past_the_underflow_of_z(self):
+        # below t = -746, exp(t) is 0 and one Newton step lands on the tail
+        # root t = xs / a, the log of a z that rounds to 0: at (-0.05, -40)
+        # z is about 1e-717; at z_T = -1e-300, a = 5e-301 and the root of
+        # x = -1e10 is about -2e310, past the double range, where t stops
+        # at -DBL_MAX instead of turning into NaN (the step's overflow to
+        # -inf warned before)
+        tp = TangentPoly(-0.05)
+        rec = core.GaugeRecord(np.array([-40.0]), tp)
+        a = -tp.z_T / (2.0 * (1.0 - tp.z_T))
+        assert rec.z[0] == 0.0 and rec.log_omz[0] == 0.0
+        assert rec.log_z[0] == pytest.approx((-40.0 - core.X_ORIGIN) / a, rel=1e-15)
+        rec = core.GaugeRecord(np.array([-1e10, -1.0]), TangentPoly(-1e-300))
+        assert rec.z.tolist() == [0.0, 0.0] and rec.omz.tolist() == [1.0, 1.0]
+        assert rec.log_z[0] == -sys.float_info.max
+        assert rec.log_z[1] == pytest.approx((-1.0 - core.X_ORIGIN) / 5e-301, rel=1e-15)
+
     def test_underflowing_slope_raises_domain_error(self):
         # a = -z_T / (2 (1 - z_T)) underflows to 0 at the smallest subnormal
         tp = TangentPoly(-5e-324)
@@ -222,9 +239,9 @@ class TestOneNewtonLoop:
         left = x <= core.x_of_z(0.5, 0.5, tp)
         assert left.any() and (~left).any()
         caplog.set_level(logging.DEBUG, logger="drttp.core")
-        z, omz = core._map_newton(x, tp)
-        z_left, omz_left = core._map_newton(x[left], tp)
-        z_right, omz_right = core._map_newton(x[~left], tp)
+        z, omz, _ = core._map_newton(x, tp)
+        z_left, omz_left, _ = core._map_newton(x[left], tp)
+        z_right, omz_right, _ = core._map_newton(x[~left], tp)
         assert np.array_equal(z[left], z_left) and np.array_equal(omz[left], omz_left)
         assert np.array_equal(z[~left], z_right) and np.array_equal(omz[~left], omz_right)
         # one DEBUG line per call with one iteration count: the loop over
@@ -240,12 +257,13 @@ class TestOneNewtonLoop:
     ], ids=["empty", "0-d left", "0-d right", "2-d", "empty 2-d"])
     def test_shapes_kept(self, x, shape):
         tp = TangentPoly(-0.7)
-        z, omz = core._map_newton(x, tp)
+        z, omz, _ = core._map_newton(x, tp)
         assert z.shape == omz.shape == shape
-        flat_z, flat_omz = core._map_newton(np.ravel(x), tp)
+        flat_z, flat_omz, _ = core._map_newton(np.ravel(x), tp)
         assert np.array_equal(np.ravel(z), flat_z) and np.array_equal(np.ravel(omz), flat_omz)
         rec = core.GaugeRecord(x, tp)
-        assert rec.z.shape == rec.weight.shape == np.atleast_1d(x).shape
+        for a in (rec.z, rec.log_z, rec.log_omz, rec.log_weight):
+            assert a.shape == np.atleast_1d(x).shape
 
 
 class TestMapMemo:
@@ -298,6 +316,76 @@ class TestMapMemo:
         assert core.map_x_to_z(xs.reshape(3, 4), tp).shape == (3, 4)
         assert calls == [12, 12]
         assert self.hits_misses() == (0, 2)
+
+    @pytest.mark.parametrize("zt", [2.0, -0.7])
+    def test_same_samples_other_interior_misses(self, zt):
+        # the key hashes the first, middle and last values only: grids that
+        # share them collide, and the full bytes tell them apart
+        tp = TangentPoly(zt)
+        other = self.GRID.copy()
+        other[[1, 77, 299]] += 0.25
+        key = core._GridKey(tp, self.GRID)
+        assert hash(key) == hash(core._GridKey(tp, other)) and key != core._GridKey(tp, other)
+        first, second = core.gauge_record(self.GRID, tp), core.gauge_record(other, tp)
+        assert first is not second and self.hits_misses() == (0, 2)
+        assert core.gauge_record(other.copy(), tp) is second
+        assert core.gauge_record(self.GRID.copy(), tp) is first
+        for rec, xs in ((first, self.GRID), (second, other)):
+            fresh = core.GaugeRecord(xs, tp)
+            for field in ("z", "omz", "log_z", "log_omz", "log_weight"):
+                assert getattr(rec, field).tobytes() == getattr(fresh, field).tobytes(), field
+
+    def test_stored_grid_is_a_copy(self):
+        # a caller may change its grid after the call: the memo's key keeps
+        # bytes of its own, so the changed grid misses
+        tp = TangentPoly(2.0)
+        xs = self.GRID.copy()
+        rec = core.gauge_record(xs, tp)
+        xs[150] = 0.5
+        assert core.gauge_record(xs, tp) is not rec
+        assert core.gauge_record(self.GRID, tp) is rec
+        assert rec.log_z.tobytes() == core.GaugeRecord(self.GRID, tp).log_z.tobytes()
+        # a record the memo does not keep reads its own copy too
+        big = np.linspace(-5.0, 5.0, core._MEMO_MAX_POINTS + 1)
+        rec = core.gauge_record(big, tp)
+        want = core.GaugeRecord(big, tp).log_omz.tobytes()
+        big[:] = 0.0
+        assert rec.log_omz.tobytes() == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 150, 300])
+    def test_non_finite_grid_raises_cold_and_warm(self, bad, where):
+        # the finiteness check runs on a miss: a hit's bytes are those of a
+        # grid that passed it, and a grid with a non-finite value never hits
+        tp = TangentPoly(-0.7)
+        xs = self.GRID.copy()
+        xs[where] = bad
+        with pytest.raises(DomainError, match="finite"):
+            core.gauge_record(xs, tp)
+        assert core._memo.cache_info().currsize == 0
+        rec = core.gauge_record(self.GRID, tp)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="finite"):
+                core.gauge_record(xs, tp)
+            with pytest.raises(DomainError, match="finite"):
+                core.map_x_to_z_pair(xs, tp)
+        assert core._memo.cache_info().currsize == 1
+        assert core.gauge_record(self.GRID, tp) is rec
+
+    @pytest.mark.parametrize("zt", [2.0, -0.7])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (15, 20), (20, 15)])
+    def test_empty_and_2d_grids(self, zt, shape):
+        tp = TangentPoly(zt)
+        xs = self.GRID[:int(np.prod(shape))].reshape(shape)
+        rec = core.gauge_record(xs, tp)
+        assert core.gauge_record(xs.copy(), tp) is rec and self.hits_misses() == (1, 1)
+        assert rec.z.shape == rec.log_z.shape == rec.log_weight.shape == shape
+        fresh = core.GaugeRecord(xs, tp)
+        for field in ("z", "omz", "log_z", "log_omz", "log_weight"):
+            assert getattr(rec, field).tobytes() == getattr(fresh, field).tobytes(), field
+        if xs.size:
+            # the same bytes in another shape are another grid
+            assert core.gauge_record(xs.reshape(-1), tp) is not rec
 
     def test_equal_tangent_polys_map_a_grid_once(self, monkeypatch):
         calls = self.count_newton(monkeypatch)
@@ -401,19 +489,19 @@ class TestMapMemo:
         assert core._memo.cache_info().currsize == core._MEMO_GRIDS
 
     def test_threads_racing_to_the_lazy_fields(self):
-        # weight and halves are computed on the first read of a record that
-        # every thread shares: whichever thread computes them, all read the
-        # same read-only values
+        # the logs and halves are computed on the first read of a record
+        # that every thread shares: whichever thread computes them, all read
+        # the same read-only values
         tp = TangentPoly(-0.7)
         ref = core.GaugeRecord(self.GRID, tp)
-        want = [ref.weight.tobytes(), *(h.tobytes() for h in ref.halves)]
+        want = [a.tobytes() for a in (ref.log_z, ref.log_omz, ref.log_weight, *ref.halves)]
         records = [core.GaugeRecord(self.GRID, tp) for _ in range(200)]
         errors = []
 
         def work(k):
             try:
                 for i, rec in enumerate(records if k % 2 else records[::-1]):
-                    arrays = (rec.weight, *rec.halves)
+                    arrays = (rec.log_z, rec.log_omz, rec.log_weight, *rec.halves)
                     if [a.tobytes() for a in arrays] != want:
                         errors.append(f"thread {k}: record {i} differs")
                     if any(a.flags.writeable for a in arrays):
@@ -440,7 +528,7 @@ class TestMapMemo:
         rec = core.gauge_record(self.GRID.copy(), tp)
         assert self.hits_misses() == (1, 1)
         assert core.gauge_record(self.GRID, tp) is rec
-        for a in (rec.z, rec.omz, rec.weight, *rec.halves):
+        for a in (rec.z, rec.omz, rec.log_z, rec.log_omz, rec.log_weight, *rec.halves):
             assert not a.flags.writeable
         assert core.map_x_to_z(self.GRID, tp).flags.writeable
 

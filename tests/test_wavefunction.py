@@ -255,13 +255,44 @@ class TestPolyFactor:
 
 
 def _solution_reference(x, sol, tp):
-    """solution_eval_x without the memo and the split: a fresh map, the
-    weight and the polynomial factor over the whole grid, one product."""
+    """solution_eval_x without the memo and the split: a fresh map, one exp
+    of the record's summed logs and the polynomial factor over the whole
+    grid, one product."""
     g = core.GaugeRecord(np.asarray(x, dtype=float), tp)
-    z, omz = g.z, g.omz
-    w = np.sqrt((z - tp.z_T) / (2.0 * (1.0 - tp.z_T)))
-    return (w * z ** (0.5 * sol.lambda0) * omz ** (0.5 * sol.lambda1)
-            * hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz))
+    pref = np.exp(g.log_z * (0.5 * sol.lambda0) + g.log_omz * (0.5 * sol.lambda1)
+                  + g.log_weight)
+    return pref * hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, g.z, g.omz)
+
+
+def _mp_logs(x, z_t):
+    """(log z, log(1 - z)) at x in the working precision of mpmath: in
+    closed form on z_T = 2, else the root t of x(z) = x in the log of the
+    small coordinate, bracketed between the tail asymptote and a point
+    below the root."""
+    x = mpmath.mpf(x)
+    if z_t == 2.0:
+        s = 1 + mpmath.sqrt(1 + mpmath.exp(-2 * x))
+        return mpmath.log(2) - mpmath.log(s), -2 * x - 2 * mpmath.log(s)
+    zt, half = mpmath.mpf(z_t), mpmath.log(mpmath.mpf(0.5))
+    a, xs = -zt / (2 * (1 - zt)), x + mpmath.log(2)
+    right = xs > (a - 0.5) * half
+    alpha, beta = (-0.5, a) if right else (a, -0.5)
+    lo = -2 * (xs + a * mpmath.log(2)) - 1 if right else (xs - mpmath.log(2)) / a - 1
+    t = mpmath.findroot(lambda t: alpha * t + beta * mpmath.log1p(-mpmath.exp(t)) - xs,
+                        (lo, min(xs / alpha, half)), solver="anderson")
+    other = mpmath.log1p(-mpmath.exp(t))
+    return (other, t) if right else (t, other)
+
+
+def _mp_solution(x, sol, z_t):
+    """solution_eval_x at x in the working precision of mpmath, from the
+    solution's double parameters."""
+    log_z, log_omz = _mp_logs(x, z_t)
+    z, zt = mpmath.exp(log_z), mpmath.mpf(z_t)
+    l0, l1 = mpmath.mpf(sol.lambda0), mpmath.mpf(sol.lambda1)
+    poly = mpmath.hyp2f1(-sol.m, mpmath.mpf(sol.mu) - sol.m, l0 + 1, z) if sol.m else 1
+    return mpmath.sqrt((z - zt) / (2 * (1 - zt))) * mpmath.exp(l0 / 2 * log_z
+                                                             + l1 / 2 * log_omz) * poly
 
 
 class TestGaugeRecord:
@@ -308,7 +339,8 @@ class TestGaugeRecord:
         first = solution_eval_x(self.GRID, sols[2], ri, tp)
         want = first.copy()
         rec = core.gauge_record(self.GRID, tp)
-        assert not any(np.shares_memory(first, a) for a in (rec.z, rec.omz, rec.weight))
+        assert not any(np.shares_memory(first, a)
+                       for a in (rec.z, rec.omz, rec.log_z, rec.log_omz, rec.log_weight))
         assert first.flags.writeable
         first[:] = np.nan
         assert solution_eval_x(self.GRID, sols[2], ri, tp).tobytes() == want.tobytes()
@@ -316,8 +348,12 @@ class TestGaugeRecord:
             self.GRID, sols[0], ri, tp)
 
     def test_where_z_or_one_minus_z_is_zero(self):
-        # z = 0 at x = -800 and 1 - z = 0 at x = 800 on z_T = 2: the value is
-        # 0, signed by the polynomial factor at z = 1 (-0.0 on odd levels)
+        # z = 0 at x = -800 and 1 - z = 0 at x = 800 on z_T = 2, but their
+        # logs stay finite: the value is 0 where the product underflows,
+        # signed by the polynomial factor at z = 1 (-0.0 on odd levels), and
+        # the 50-digit value where it does not, at the top level
+        # (lambda0 = 0.73, lambda1 = 0.27), which z**(lambda0/2) and
+        # (1 - z)**(lambda1/2) on the rounded pair made 0
         ri = RayIdentifiers(0.5, 12.0)
         sols = spectrum(ri, TP2)
         xs = np.array([-800.0, 800.0])
@@ -325,6 +361,12 @@ class TestGaugeRecord:
         for s in sols:
             for got in (solution_eval_x(xs, s, ri, TP2),
                         np.array([solution_eval_x(x, s, ri, TP2) for x in xs])):
+                if s is sols[-1]:
+                    with mpmath.workdps(50):
+                        want = [float(_mp_solution(x, s, 2.0)) for x in xs]
+                    assert 0.0 < want[0] and want[1] < 0.0
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+                    continue
                 assert got.tolist() == [0.0, 0.0]
                 assert np.signbit(got).tolist() == [False, s.m % 2 == 1]
 
@@ -357,6 +399,46 @@ class TestGaugeRecord:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(r == [True] * 60 for r in results)
+
+
+class TestAgainstMpmath:
+    """solution_eval_x against 50 digits from the same double parameters,
+    body and tails: over |x| <= 800, where z or 1 - z rounds to 0 on every
+    branch, relative to the level's maximum, and point by point where the
+    rounded pair underflows."""
+
+    XS = np.concatenate([np.sinh(np.linspace(-math.asinh(800.0), math.asinh(800.0), 41)),
+                         np.linspace(-12.0, 12.0, 25)])
+
+    @pytest.mark.parametrize("point, levels", [
+        ((0.3, 59.7, 2.0), (0, 15, 29)),
+        ((0.0, 3.0427321640114346, 2.0), (0, 1)),
+        ((0.0, 52.0, -1.0), (0, 25)),
+        ((1.2, 10.9, 3.5), (0, 4)),
+    ], ids=["deep well", "weakly bound", "z_T < 0", "z_T > 1"])
+    def test_worst_error_of_the_maximum(self, point, levels):
+        ri, tp = RayIdentifiers(point[0], point[1]), TangentPoly(point[2])
+        sols = spectrum(ri, tp)
+        for n in levels:
+            got = solution_eval_x(self.XS, sols[n], ri, tp)
+            with mpmath.workdps(50):
+                want = np.array([float(_mp_solution(x, sols[n], point[2])) for x in self.XS])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+
+    @pytest.mark.parametrize("z_t, xs", [
+        (2.0, np.linspace(300.0, 420.0, 9)),     # 1 - z rounds to 0 from x = 354
+        (-1.0, np.array([-190.0, -250.0, -400.0])),  # z rounds to 0 from x = -186
+    ], ids=["right, z_T = 2", "left, z_T = -1"])
+    def test_past_the_underflow_of_the_pair(self, z_t, xs):
+        # the weakly bound top level: lambda1 = 0.0143 on z_T = 2 and
+        # lambda0 = 0.0143 on z_T = -1; z**(lambda0/2) (1 - z)**(lambda1/2)
+        # on the rounded pair read 0 there, 2.4e-3 of the maximum at x = 404
+        ri, tp = RayIdentifiers(0.0, 3.0427321640114346), TangentPoly(z_t)
+        top = spectrum(ri, tp)[-1]
+        got = solution_eval_x(xs, top, ri, tp)
+        with mpmath.workdps(50):
+            want = [float(_mp_solution(x, top, z_t)) for x in xs]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestEigenfunctions:
