@@ -61,7 +61,6 @@ _LAZY = {
         "HeunOperator",
         "HeunPolynomial",
         "PartnerSpec",
-        "basic_ff_eval",
         "double_partner_spec",
         "double_step_ff_eval",
         "heun_operator",

@@ -113,37 +113,25 @@ _X_MID_ZT2 = -1.5 * math.log(2.0)
 # Below this x the z_T = 2 closed form is z = 2 e**x and 1 - z = 1 to double
 # precision (e**x < 1e-152); above it e**(-2x) cannot overflow.
 _X_FAR_ZT2 = -350.0
+_LOG2 = math.log(2.0)
 
 
 def _map_zt2_pair(x):
-    # z_T = 2 branch in elementary functions, z = 2 / (1 + sqrt(1 + e**(-2x)))
-    # and 1 - z = e**(-2x) / (1 + sqrt(1 + e**(-2x)))**2.
+    """:func:`_map_newton`'s (z, 1 - z, t, right) on the z_T = 2 branch in
+    closed form: with s = 1 + sqrt(1 + e**(-2x)), z = 2 / s, 1 - z =
+    e**(-2x) / s**2, and t = log 2 - log s left of x_of_z(1/2) (log 2 + x
+    below _X_FAR_ZT2) and -2x - 2 log s right of it."""
     e = np.exp(-2.0 * np.maximum(x, _X_FAR_ZT2))
     s = 1.0 + np.sqrt(1.0 + e)
     right = x > _X_MID_ZT2
     u = np.where(right, e, 2.0 * s) / s**2
-    far = x < _X_FAR_ZT2
-    if far.any():
-        u = np.where(far, 2.0 * np.exp(np.minimum(x, _X_FAR_ZT2)), u)
-    return _pair_from_small(u, right)
-
-
-_LOG2 = math.log(2.0)
-
-
-def _log_small_zt2(x):
-    """(t, right): the log t of the small coordinate of :func:`_map_zt2_pair`
-    in closed form, with s = 1 + sqrt(1 + e**(-2x)), and the side: log z =
-    log 2 - log s left of x_of_z(1/2) (log 2 + x below _X_FAR_ZT2) and
-    log(1 - z) = -2x - 2 log s right of it.  t is finite wherever x is, also
-    where the coordinate itself underflows to 0."""
-    log_s = np.log(1.0 + np.sqrt(1.0 + np.exp(-2.0 * np.maximum(x, _X_FAR_ZT2))))
-    right = x > _X_MID_ZT2
+    log_s = np.log(s)
     t = np.where(right, -2.0 * x - 2.0 * log_s, _LOG2 - log_s)
     far = x < _X_FAR_ZT2
     if far.any():
+        u = np.where(far, 2.0 * np.exp(np.minimum(x, _X_FAR_ZT2)), u)
         t = np.where(far, _LOG2 + x, t)
-    return t, right
+    return (*_pair_from_small(u, right), t, right)
 
 
 # Newton in t = log u for the small coordinate u, so t <= log(1/2); exp(t)
@@ -210,9 +198,10 @@ def _newton_log(xs, alpha, beta):
 
 
 def _map_newton(x, tp: TangentPoly):
-    """(z(x), 1 - z(x), t) on any branch by Newton in t = log z left of
-    x_of_z(1/2) and t = log(1 - z) right of it, both sides in one loop; t,
-    shaped as x, is the log of the smaller of z and 1 - z."""
+    """(z(x), 1 - z(x), t, right) on any branch by Newton in t = log z left
+    of x_of_z(1/2) and t = log(1 - z) right of it, both sides in one loop;
+    t, shaped as x, is the log of the smaller of z and 1 - z, and ``right``
+    marks the points right of x_of_z(1/2)."""
     a = -tp.z_T / (2.0 * (1.0 - tp.z_T))
     if a == 0.0:
         raise DomainError(f"z_T = {tp.z_T!r} too close to 0: the log z slope underflows")
@@ -224,7 +213,7 @@ def _map_newton(x, tp: TangentPoly):
     _log.debug("inverse map z_T=%r: %d point(s), %d Newton iterations",
                tp.z_T, xs.size, its)
     t = t.reshape(np.shape(xs))
-    return (*_pair_from_small(np.exp(t), right), t)
+    return (*_pair_from_small(np.exp(t), right), t, right)
 
 
 class GaugeRecord:
@@ -233,12 +222,12 @@ class GaugeRecord:
     ``log_weight``, the log of the Liouville weight
     sqrt((z - z_T)/(2 (1 - z_T))), the factor (z')**(-1/2) less its
     z**(-1/2) (1 - z)**(-1/2), which solution prefactors absorb; and the
-    ``halves``, :func:`split_at_half` of the grid.  Newton's t, or on the
-    z_T = 2 branch the closed form of :func:`_log_small_zt2`, is the log of
-    the small coordinate u and log1p(-u) that of the other, so both logs
-    are finite where z or 1 - z underflows to 0.  All but ``z`` and ``omz``
-    are computed on their first read, since the potentials read only
-    those; on the z_T = 2 branch the record keeps a copy of x for that.
+    ``halves``, :func:`split_at_half` of the grid.  The map's t, Newton's
+    or the z_T = 2 closed form, is the log of the small coordinate u, z or
+    1 - z by the map's own side (at x_of_z(1/2) the closed form's z can
+    round above 1/2), and log1p(-u) that of the other, so both logs are
+    finite where z or 1 - z underflows to 0.  All but ``z`` and ``omz`` are
+    computed on their first read, since the potentials read only those.
     The arrays are at least 1-d, C-contiguous (the split indexes them
     flattened in C order, and products of them are multiplied in place
     through such a view) and read-only, since a memoized record is shared
@@ -246,26 +235,17 @@ class GaugeRecord:
     """
 
     def __init__(self, x, tp: TangentPoly):
-        if tp.z_T == 2.0:
-            z, omz = _map_zt2_pair(x)
-            self._x, self._t = x.copy(), None
-        else:
-            z, omz, self._t = _map_newton(x, tp)
+        z, omz, self._t, self._right = (_map_zt2_pair(x) if tp.z_T == 2.0
+                                        else _map_newton(x, tp))
         self.z = _read_only(np.ascontiguousarray(z))
         self.omz = _read_only(np.ascontiguousarray(omz))
         self._z_T = tp.z_T
 
     @functools.cached_property
     def _logs(self):
-        if self._t is None:
-            t, right = _log_small_zt2(self._x)
-        else:
-            # Newton's small coordinate is at most 1/2: z on the left, 1 - z
-            # on the right, and where they tie both logs are log(1/2)
-            t, right = self._t, self.z > self.omz
-        other = np.log1p(-np.where(right, self.omz, self.z))
-        return tuple(_read_only(np.ascontiguousarray(np.where(right, a, b)))
-                     for a, b in ((other, t), (t, other)))
+        other = np.log1p(-np.where(self._right, self.omz, self.z))
+        return tuple(_read_only(np.ascontiguousarray(np.where(self._right, a, b)))
+                     for a, b in ((other, self._t), (self._t, other)))
 
     @property
     def log_z(self):

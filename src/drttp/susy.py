@@ -37,6 +37,7 @@ from .spectral import (
     wl_gm,
     wl_quadratic_roots,
 )
+from .wavefunction import log_prefactor
 
 # twice the unit roundoff; halvings after which a Heun root count gives up
 _EPS, _MAX_DEPTH = 2.0**-52, 52
@@ -47,24 +48,6 @@ _DEGENERATE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # factorization functions and partner potentials
 # ---------------------------------------------------------------------------
-
-def _log_abs_ff(z, omz, sol: AehSolution):
-    """log |sqrt(z(1-z)) z^(l0/2) (1-z)^(l1/2)|; no power is formed, so
-    neither factor can overflow or underflow on its own."""
-    return 0.5 * ((1.0 + sol.lambda0) * np.log(z) + (1.0 + sol.lambda1) * np.log(omz))
-
-
-def basic_ff_eval(z, omz, sol: AehSolution):
-    """Basic factorization function sqrt(z(1-z)) z^(l0/2) (1-z)^(l1/2) from
-    the pair (z, 1 - z)."""
-    if sol.m != 0:
-        raise DomainError("factorization function must be a basic (m=0) solution")
-    z, omz = unit_interval(z, omz)
-    # 0 and inf only where the value itself is out of double range
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.exp(_log_abs_ff(z, omz, sol))
-    return out if out.ndim else float(out)
-
 
 def outer_root_ztt(t: AehSolution, t_prime: AehSolution) -> float:
     """Outer singular point of the double-step construction.
@@ -85,14 +68,15 @@ def outer_root_ztt(t: AehSolution, t_prime: AehSolution) -> float:
 def double_step_ff_eval(z, omz, t: AehSolution, t_prime: AehSolution, tp: TangentPoly):
     """First-order factorization function of the second Darboux step,
     (mu' - mu) sqrt(z(1-z)) z^(l0'/2) (1-z)^(l1'/2) (z - z_tt') / (z - z_T),
-    from the pair (z, 1 - z), summed in log space and exponentiated once."""
+    from the pair (z, 1 - z), summed in log space and exponentiated once:
+    the powers are the prefactor of ``aeh_eval`` for t'."""
     ztt = outer_root_ztt(t, t_prime)
     z, omz = unit_interval(z, omz)
     dmu = t_prime.mu - t.mu
     sign = np.sign(dmu) * np.sign(z - ztt) * np.sign(z - tp.z_T)
     with np.errstate(divide="ignore", over="ignore"):
         log_abs = (
-            _log_abs_ff(z, omz, t_prime)
+            log_prefactor(z, omz, 0.5 * (t_prime.lambda0 + 1.0), 0.5 * (t_prime.lambda1 + 1.0))
             + math.log(abs(dmu))
             + np.log(np.abs((z - ztt) / (z - tp.z_T)))
         )
@@ -244,24 +228,19 @@ class HeunOperator:
         out = self.alpha * self.beta * z - self.q
         return out if out.ndim else float(out)
 
+    def _terms(self, f, df, d2f, z) -> tuple:
+        """The three terms of the operator action, in the order summed."""
+        return (z * (z - 1.0) * (z - self.p) * d2f, 2.0 * self.b2(z) * df, self.c1(z) * f)
+
     def apply(self, f, df, d2f, z):
         """Operator action given the function and its two derivatives."""
-        z = np.asarray(z, dtype=float)
-        out = (
-            z * (z - 1.0) * (z - self.p) * d2f
-            + 2.0 * self.b2(z) * df
-            + self.c1(z) * f
-        )
+        t0, t1, t2 = self._terms(f, df, d2f, np.asarray(z, dtype=float))
+        out = t0 + t1 + t2
         return out if out.ndim else float(out)
 
     def residual(self, f, df, d2f, z) -> float:
         """Relative annihilation residual at z."""
-        z = float(z)
-        terms = (
-            z * (z - 1.0) * (z - self.p) * d2f,
-            2.0 * self.b2(z) * df,
-            self.c1(z) * f,
-        )
+        terms = self._terms(f, df, d2f, float(z))
         scale = max(max(map(abs, terms)), 1e-30)
         return abs(terms[0] + terms[1] + terms[2]) / scale
 

@@ -118,7 +118,11 @@ def check_schwarzian() -> list[CheckResult]:
     etas = np.linspace(1.0, 9.0, 33)
     parity = float(np.max(np.abs(_schwarzian_eta(etas) - _schwarzian_eta(-etas))))
     out.append(_result("schwarzian.parity", 0.0, parity))
-    vals = abs(_schwarzian_eta(1.0) + 2.0) + abs(_schwarzian_eta(1e8) + 0.5)
+    # the limits at eta^ = 1 and inf, and the library's {z, x}: eta^ = 2/z - 1
+    zs = np.linspace(0.02, 0.98, 49)
+    vals = max(abs(_schwarzian_eta(1.0) + 2.0) + abs(_schwarzian_eta(1e8) + 0.5),
+               float(np.max(np.abs(_schwarzian_eta(2.0 / zs - 1.0)
+                                   - core.schwarzian_eval(zs, 1.0 - zs, TangentPoly(2.0))))))
     out.append(_result("schwarzian.eta-values", 1e-12, vals))
     return out
 
@@ -470,22 +474,22 @@ def check_oracle_grid() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _log_power_jet(z, omz, z_T: float, exps):
-    """(w, D ln w, D**2 ln w) of w = z**e0 (1 - z)**e1 s**eT on the pair
+    """(D ln w, D**2 ln w) of w = z**e0 (1 - z)**e1 s**eT on the pair
     (z, 1 - z), D = z (1 - z) d/dz, exps = (e0, e1, eT), s = (z - z_T) /
     (2 (1 - z_T)) > 0 the base of the Liouville weight (see
     core.GaugeRecord.log_weight).  No term divides by z or 1 - z."""
     e0, e1, eT = exps
     zr = z - z_T
     zo = z * omz
-    w = z**e0 * omz**e1 * (zr / (2.0 * (1.0 - z_T))) ** eT
-    return (w, e0 * omz - e1 * z + eT * zo / zr,
+    return (e0 * omz - e1 * z + eT * zo / zr,
             zo * (eT * ((omz - z) - zo / zr) / zr - e0 - e1))
 
 
-def _power_poly_jet(z, omz, z_T: float, exps, poly):
-    """(f, D f, D**2 f) of f = w Pi, w and D as in :func:`_log_power_jet`,
-    from poly = (Pi, Pi', Pi'') at the points."""
-    w, dlw, d2lw = _log_power_jet(z, omz, z_T, exps)
+def _power_poly_jet(w, z, omz, z_T: float, exps, poly):
+    """(f, D f, D**2 f) of f = w Pi, from the prefactor w of
+    :func:`_log_power_jet` with exponents exps and poly = (Pi, Pi', Pi''),
+    all at the points; D as there."""
+    dlw, d2lw = _log_power_jet(z, omz, z_T, exps)
     zo = z * omz
     P, dP = poly[0], zo * poly[1]
     d2P = (omz - z) * dP + zo * zo * poly[2]
@@ -505,8 +509,10 @@ def _schrodinger_residual(ri: RayIdentifiers, tp: TangentPoly, sols, xs) -> floa
     """Worst max |-psi'' + (V - E) psi| / max |psi| over the levels sols at
     the points xs.  psi'' is exact: the polynomial factor's derivatives come
     from d/dz F(-m, a; c; z) = (-m a / c) F(-m + 1, a + 1; c + 1; z) through
-    the Jacobi recurrence; psi and V are the library's evaluators."""
-    z, omz = core.map_x_to_z_pair(xs, tp)
+    the Jacobi recurrence; psi and V are the library's evaluators, and the
+    prefactor is formed from the grid's logs as ``solution_eval_x`` forms it."""
+    g = core.gauge_record(xs, tp)
+    z, omz = g.z, g.omz
     V = core.potential_eval_x(xs, ri, tp)
     worst = 0.0
     for s in sols:
@@ -516,8 +522,12 @@ def _schrodinger_residual(ri: RayIdentifiers, tp: TangentPoly, sols, xs) -> floa
             poly.append(scale * wavefunction.hypergeom_poly_jacobi(max(m - j, 0), a + j, c + j,
                                                                    z, omz))
             scale *= -(m - j) * (a + j) / (c + j)
+        w = g.log_z * (0.5 * s.lambda0)
+        w += g.log_omz * (0.5 * s.lambda1)
+        w += g.log_weight
+        np.exp(w, out=w)
         exps = (0.5 * s.lambda0, 0.5 * s.lambda1, 0.5)
-        _, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, exps, poly)
+        _, f_D, f_DD = _power_poly_jet(w, z, omz, tp.z_T, exps, poly)
         psi = wavefunction.solution_eval_x(xs, s, ri, tp)
         res = -_x_second(z, omz, tp, f_D, f_DD) + (V - s.epsilon) * psi
         worst = max(worst, float(np.max(np.abs(res)) / np.max(np.abs(psi))))
@@ -675,7 +685,7 @@ def _darboux_gap(spec: susy.PartnerSpec, tp: TangentPoly, xs) -> float:
         exps = (0.5 * (t.lambda0 + tq.lambda0), 0.5 * (t.lambda1 + tq.lambda1), 0.0)
         dlp = -(d0 + d1) * z * omz / (d0 * omz - d1 * z)  # D ln of the linear factor
         d2lp = (omz - z) * dlp - dlp**2
-    _, dlw, d2lw = _log_power_jet(z, omz, tp.z_T, exps)
+    dlw, d2lw = _log_power_jet(z, omz, tp.z_T, exps)
     log_xx = _x_second(z, omz, tp, dlw + dlp, d2lw + d2lp)
     correction = (1.0 - tp.z_T) ** 2 * susy.partner_correction_z(z, omz, spec, tp)
     return float(np.max(np.abs(correction + 2.0 * log_xx)))
@@ -789,8 +799,8 @@ def check_susy_algebra() -> list[CheckResult]:
                 )
                 # Wronskian construction vs the closed first-order form
                 for z0 in (0.25, 0.4, 0.77):
-                    phi_t = susy.basic_ff_eval(z0, 1.0 - z0, t)
-                    phi_q = susy.basic_ff_eval(z0, 1.0 - z0, tq)
+                    phi_t = wavefunction.aeh_eval(z0, 1.0 - z0, t)
+                    phi_q = wavefunction.aeh_eval(z0, 1.0 - z0, tq)
                     dlog = (
                         (tq.lambda0 - t.lambda0) / (2 * z0)
                         - (tq.lambda1 - t.lambda1) / (2 * (1 - z0))
@@ -948,7 +958,8 @@ def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
     # z^e0 (1-z)^e1 P(z) and its two exact derivatives, from the Euler jet
     omz = 1.0 - z
     zo = z * omz
-    f, f_D, f_DD = _power_poly_jet(z, omz, tp.z_T, (e0, e1, 0.0), poly.jet(z, omz))
+    w = math.exp(wavefunction.log_prefactor(z, omz, e0, e1))
+    f, f_D, f_DD = _power_poly_jet(w, z, omz, tp.z_T, (e0, e1, 0.0), poly.jet(z, omz))
     return op.residual(f, f_D / zo, (f_DD - (omz - z) * f_D) / zo**2, z)
 
 

@@ -149,17 +149,19 @@ def factor_roots_in_01(sol: AehSolution) -> int:
     return 2 * ((x + 1) // 2) if minus_signs % 2 == 0 else 2 * (x // 2) + 1
 
 
-def _endpoint_limit(exponent: float) -> float:
-    if exponent > 0.0:
-        return 0.0
-    if exponent == 0.0:
-        return 1.0
-    return math.inf
+def log_prefactor(z, omz, e0: float, e1: float):
+    """log(z**e0 (1 - z)**e1) on a checked pair (z, 1 - z), as e0 log z +
+    e1 log(1 - z), so neither power over- or underflows on its own.  A term
+    of exponent 0 adds 0, so with log 0 = -inf an endpoint gets the log of
+    the limit value: -inf, 0 or inf by the exponent's sign."""
+    with np.errstate(divide="ignore"):
+        return (e0 * np.log(z) if e0 else 0.0) + (e1 * np.log(omz) if e1 else 0.0)
 
 
 def aeh_eval(z, omz, sol: AehSolution):
     """Solution value z^((lambda0+1)/2) (1-z)^((lambda1+1)/2) * Pi_m(z) from
-    the pair (z, 1 - z), Pi_m(z) = F(-m, mu - m; lambda0 + 1; z).
+    the pair (z, 1 - z), Pi_m(z) = F(-m, mu - m; lambda0 + 1; z), its
+    prefactor one exp of :func:`log_prefactor`: 0 or inf only out of range.
 
     Endpoints return the limit value (0, finite, or inf by the exponent
     sign); irregular solutions are finite only on the open interval.  A z
@@ -167,18 +169,10 @@ def aeh_eval(z, omz, sol: AehSolution):
     both lambdas must exceed -1 (``hypergeom_poly_jacobi``).
     """
     z, omz = unit_interval(z, omz)
-    scalar = z.ndim == 0
-    z, omz = np.atleast_1d(z, omz)
-    m, a, c = sol.m, sol.mu - sol.m, sol.lambda0 + 1.0
-    e0, e1 = 0.5 * c, 0.5 * (sol.lambda1 + 1.0)
-    out = np.empty_like(z)
-    interior = (z > 0.0) & (omz > 0.0)
-    zi, omzi = z[interior], omz[interior]
-    out[interior] = zi**e0 * omzi**e1 * _hypergeom_poly(m, a, c, zi, omzi)
-    out[z == 0.0] = _endpoint_limit(e0)
-    lim = _endpoint_limit(e1)
-    out[omz == 0.0] = _hypergeom_poly(m, a, c, np.array(1.0), np.array(0.0)) if lim == 1.0 else lim
-    return float(out[0]) if scalar else out
+    with np.errstate(over="ignore"):
+        out = np.exp(log_prefactor(z, omz, 0.5 * (sol.lambda0 + 1.0), 0.5 * (sol.lambda1 + 1.0)))
+    out = out * _hypergeom_poly(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz)
+    return out if out.ndim else float(out)
 
 
 def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):

@@ -176,6 +176,18 @@ class TestMap:
         assert rec.log_z[0] == -sys.float_info.max
         assert rec.log_z[1] == pytest.approx((-1.0 - core.X_ORIGIN) / 5e-301, rel=1e-15)
 
+    def test_zt2_logs_keep_the_maps_side(self):
+        # at x = x_of_z(1/2) the z_T = 2 closed form takes the left side,
+        # where its z = 2/s can round above 1/2: log z is still its closed
+        # form log 2 - log s, and log(1 - z) is log1p(-z)
+        mid = core.x_of_z(0.5, 0.5, TP2)
+        rec = core.GaugeRecord(np.array([mid, mid + 1e-9]), TP2)
+        s = 1.0 + np.sqrt(1.0 + np.exp(-2.0 * np.array([mid, mid + 1e-9])))
+        assert rec.log_z[0] == math.log(2.0) - np.log(s[0])
+        assert rec.log_omz[0] == np.log1p(-rec.z[0])
+        assert rec.log_omz[1] == -2.0 * (mid + 1e-9) - 2.0 * np.log(s[1])
+        assert rec.log_z[1] == np.log1p(-rec.omz[1])
+
     def test_underflowing_slope_raises_domain_error(self):
         # a = -z_T / (2 (1 - z_T)) underflows to 0 at the smallest subnormal
         tp = TangentPoly(-5e-324)
@@ -239,9 +251,9 @@ class TestOneNewtonLoop:
         left = x <= core.x_of_z(0.5, 0.5, tp)
         assert left.any() and (~left).any()
         caplog.set_level(logging.DEBUG, logger="drttp.core")
-        z, omz, _ = core._map_newton(x, tp)
-        z_left, omz_left, _ = core._map_newton(x[left], tp)
-        z_right, omz_right, _ = core._map_newton(x[~left], tp)
+        z, omz, *_ = core._map_newton(x, tp)
+        z_left, omz_left, *_ = core._map_newton(x[left], tp)
+        z_right, omz_right, *_ = core._map_newton(x[~left], tp)
         assert np.array_equal(z[left], z_left) and np.array_equal(omz[left], omz_left)
         assert np.array_equal(z[~left], z_right) and np.array_equal(omz[~left], omz_right)
         # one DEBUG line per call with one iteration count: the loop over
@@ -257,9 +269,9 @@ class TestOneNewtonLoop:
     ], ids=["empty", "0-d left", "0-d right", "2-d", "empty 2-d"])
     def test_shapes_kept(self, x, shape):
         tp = TangentPoly(-0.7)
-        z, omz, _ = core._map_newton(x, tp)
+        z, omz, *_ = core._map_newton(x, tp)
         assert z.shape == omz.shape == shape
-        flat_z, flat_omz, _ = core._map_newton(np.ravel(x), tp)
+        flat_z, flat_omz, *_ = core._map_newton(np.ravel(x), tp)
         assert np.array_equal(np.ravel(z), flat_z) and np.array_equal(np.ravel(omz), flat_omz)
         rec = core.GaugeRecord(x, tp)
         for a in (rec.z, rec.log_z, rec.log_omz, rec.log_weight):

@@ -32,7 +32,7 @@ EXPORTS = {
              "potential_eval_x", "potential_eval_z", "schwarzian_eval", "tangent_poly_eval",
              "x_of_z"),
     "oracle": ("NumericSpectrum", "solve_schrodinger"),
-    "susy": ("HeunOperator", "HeunPolynomial", "PartnerSpec", "basic_ff_eval",
+    "susy": ("HeunOperator", "HeunPolynomial", "PartnerSpec",
              "double_partner_spec", "double_step_ff_eval", "heun_operator",
              "heun_poly_construct", "nodeless_predicate", "outer_root_ztt",
              "partner_correction_z", "partner_potential_x", "single_partner_spec"),
@@ -253,7 +253,7 @@ def _bad_inputs():
         "dz_dx": functools.partial(core.dz_dx, tp=tp),
         "partner_correction_z": functools.partial(drttp.partner_correction_z,
                                                   spec=spec, tp=tp),
-        "basic_ff_eval": functools.partial(drttp.basic_ff_eval, sol=basics[Kind.C]),
+        "aeh_eval": functools.partial(drttp.aeh_eval, sol=basics[Kind.C]),
         "double_step_ff_eval": functools.partial(drttp.double_step_ff_eval, t=basics[Kind.C],
                                                  t_prime=basics[Kind.A], tp=tp),
         "HeunPolynomial.jet": drttp.HeunPolynomial((1.0, -2.0, 0.5), 2, False).jet,

@@ -138,14 +138,14 @@ class TestAehEval:
         assert aeh_eval(0.0, 1.0, irregular) == math.inf
 
     def test_one_guard_same_bits(self):
-        # the pair is checked once; the interior values are those of the
-        # checked polynomial, bit for bit, and so is the finite limit at
-        # z = 1 of a solution with lambda1 = -1 (degree 0, as the Jacobi
-        # recurrence requires)
+        # the pair is checked once; the interior values are the exp of the
+        # summed logs times the checked polynomial, bit for bit, and so is
+        # the finite limit at z = 1 of a solution with lambda1 = -1 (degree
+        # 0, as the Jacobi recurrence requires)
         sol = spectrum(RayIdentifiers(0.5, 7.3), TP2)[2]
         z, omz = core.map_x_to_z_pair(np.linspace(-20.0, 20.0, 4001), TP2)
         e0, e1 = 0.5 * (sol.lambda0 + 1.0), 0.5 * (sol.lambda1 + 1.0)
-        want = z**e0 * omz**e1 * hypergeom_poly_jacobi(
+        want = np.exp(e0 * np.log(z) + e1 * np.log(omz)) * hypergeom_poly_jacobi(
             sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz)
         assert aeh_eval(z, omz, sol).tobytes() == want.tobytes()
         edge = AehSolution(Kind.A, 0, 1.5, -1.0)
