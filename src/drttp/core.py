@@ -134,8 +134,9 @@ def _map_zt2_pair(x):
     return (*_pair_from_small(u, right), t, right)
 
 
-# Newton in t = log u for the small coordinate u, so t <= log(1/2); exp(t)
-# is 0 below _T_MIN, where a step lands on the root xs / alpha exactly.
+# Newton's iteration, with Halley's steps, in t = log u for the small
+# coordinate u, so t <= log(1/2); exp(t) is 0 below _T_MIN, where a step
+# lands on the root xs / alpha exactly.
 # Iterates are kept above _T_FLOOR, where alpha t is finite, so that a root
 # beyond the double range ends there, not at a NaN.
 _LOG_HALF = -math.log(2.0)
@@ -145,16 +146,30 @@ _T_FLOOR = -np.finfo(float).max
 # residual's rounding error divided by its slope is at most about
 # 2 * eps * (1 + |t|), and t itself moves in steps of eps * |t| / 2.
 _STEP_TOL = 4.0 * np.finfo(float).eps
-# Each Newton step from the tail gains about one unit of t while exp(t)
-# dominates the slope, so this covers [_T_MIN, log(1/2)], and below _T_MIN
-# one step is exact; reaching it means the iteration failed.
+# Each step from the tail gains at least Newton's, about one unit of t while
+# exp(t) dominates the slope (Halley's step, where taken, is longer there), so
+# this covers [_T_MIN, log(1/2)], and below _T_MIN one step is exact;
+# reaching it means the iteration failed.
 _MAX_ITER = 800
 
 
-def _newton_step(t, xs, alpha, beta):
-    """Newton step for f(t) = alpha t + beta log1p(-e**t) - xs."""
+def _halley_step(t, xs, alpha, beta):
+    """The step for f(t) = alpha t + beta log1p(-e**t) - xs: Halley's
+    r / (1 - c) (Gander, Amer. Math. Monthly 92, 131 (1985)), with r = f / f'
+    Newton's step and c = r f'' / (2 f') its third-order correction, where
+    |c| <= 1/2, and Newton's r elsewhere.  c >= 0 exactly where t is at or
+    above the root, and there r falls short of the root (``_newton_log``),
+    so a step of at most 2 r lands no further from the root than t is; below
+    the root, where only the overshoot of such a step puts an iterate, the
+    step is shorter than Newton's, which would land above the root."""
     q = np.exp(t)
-    return (alpha * t + beta * np.log1p(-q) - xs) / (alpha - beta * q / (1.0 - q))
+    p = 1.0 - q
+    d = beta * q / p
+    slope = alpha - d
+    r = (alpha * t + beta * np.log1p(-q) - xs) / slope
+    # -2c, from f'' = -d / p
+    rk = r * d / (p * slope)
+    return np.where(np.abs(rk) <= 1.0, r / (1.0 + 0.5 * rk), r)
 
 
 def _newton_log(xs, alpha, beta):
@@ -162,10 +177,16 @@ def _newton_log(xs, alpha, beta):
 
     ``alpha`` and ``beta`` are per point: with a = -z_T / (2 (1 - z_T)) > 0
     a point left of x_of_z(1/2) has (alpha, beta) = (a, -1/2) and one right
-    of it (-1/2, a), so one loop serves both sides.  f is monotone with one-signed
-    curvature, so Newton approaches the root monotonically from above and
-    needs no bracket; the clamp at log(1/2) keeps an iterate there.  Two
-    asymptotes give starts above the root, and the lower one is taken:
+    of it (-1/2, a), so one loop serves both sides.  f is monotone with
+    one-signed curvature, so a Newton step from above the root falls short
+    of it and one from below lands above it: the iteration needs no
+    bracket, and the clamp at log(1/2) keeps an iterate in range.  Each step
+    is Halley's where its correction to Newton's is small and Newton's
+    elsewhere (``_halley_step``), so that no step from above the root moves
+    an iterate away from it; on the oracle's 4 001-point probe it takes 4
+    steps where Newton's alone took 6 (z_T = -3, -0.5, 1.5, 4), and 7
+    where Newton's took 11 (z_T = 1 + 1e-5).  Two asymptotes give starts
+    above the root, and the lower one is taken:
     the tail t = xs / alpha (the log1p term dropped), and the root of the
     log1p term alone with alpha t held at its value at _T_MIN.  The second
     bounds the iterations where exp(t) dominates the slope, as when
@@ -176,20 +197,21 @@ def _newton_log(xs, alpha, beta):
     one length; only the points not yet converged are iterated.  Returns
     (t, iterations).
     """
+    # a step toward a root past the double range overflows to -inf, which
+    # the clamp at _T_FLOOR takes back; a Halley correction that is not
+    # finite (from such a step, or a denominator of 0 at c = 1) is never
+    # taken, since the step falls back to Newton's there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = np.fmin(xs / alpha, np.log(-np.expm1((xs - alpha * _T_MIN) / beta)))
-    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
-    t = np.minimum(np.maximum(t, _T_MIN), _LOG_HALF)
-    if not t.size:
-        return t, 0
-    todo = np.arange(t.size)
-    # a step toward a root past the double range overflows to -inf, which
-    # the clamp at _T_FLOOR takes back
-    with np.errstate(over="ignore"):
+        # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
+        t = np.minimum(np.maximum(t, _T_MIN), _LOG_HALF)
+        if not t.size:
+            return t, 0
+        todo = np.arange(t.size)
         for it in range(1, _MAX_ITER + 1):
             tt = t[todo]
             t_new = np.minimum(np.maximum(
-                tt - _newton_step(tt, xs[todo], alpha[todo], beta[todo]), _T_FLOOR), _LOG_HALF)
+                tt - _halley_step(tt, xs[todo], alpha[todo], beta[todo]), _T_FLOOR), _LOG_HALF)
             t[todo] = t_new
             todo = todo[np.abs(t_new - tt) > _STEP_TOL * (1.0 - tt)]
             if not todo.size:
@@ -198,10 +220,11 @@ def _newton_log(xs, alpha, beta):
 
 
 def _map_newton(x, tp: TangentPoly):
-    """(z(x), 1 - z(x), t, right) on any branch by Newton in t = log z left
-    of x_of_z(1/2) and t = log(1 - z) right of it, both sides in one loop;
-    t, shaped as x, is the log of the smaller of z and 1 - z, and ``right``
-    marks the points right of x_of_z(1/2)."""
+    """(z(x), 1 - z(x), t, right) on any branch by Newton's iteration with
+    Halley's steps (``_newton_log``) in t = log z left of x_of_z(1/2) and
+    t = log(1 - z) right of it, both sides in one loop; t, shaped as x, is
+    the log of the smaller of z and 1 - z, and ``right`` marks the points
+    right of x_of_z(1/2)."""
     a = -tp.z_T / (2.0 * (1.0 - tp.z_T))
     if a == 0.0:
         raise DomainError(f"z_T = {tp.z_T!r} too close to 0: the log z slope underflows")
@@ -377,9 +400,10 @@ def map_x_to_z(x, tp: TangentPoly):
     """Invert the change of variable: unique z in (0, 1) with x(z) = x, for
     finite x (a float or an array).
 
-    Uses the elementary closed form on the z_T = 2 branch and Newton in
-    t = log z (left of x_of_z(1/2)) or t = log(1 - z) (right) otherwise,
-    converged to rounding, memoized as :func:`map_x_to_z_pair` describes;
+    Uses the elementary closed form on the z_T = 2 branch and otherwise
+    Newton's iteration with Halley's steps in t = log z (left of
+    x_of_z(1/2)) or t = log(1 - z) (right), converged to rounding,
+    memoized as :func:`map_x_to_z_pair` describes;
     the returned array is always fresh.  Where z is near 1, take 1 - z from
     :func:`map_x_to_z_pair`, not by subtraction.
     """

@@ -35,13 +35,20 @@ _BOUND_MARGIN = 1e-8
 # levels, at 560; the 800-node cap is for potentials that never stop, such
 # as x**2.  A +-500 box shifts the weakly bound top level of (0, 3.04, 2) by
 # 5e-6 relative; tests/test_oracle.py holds these values.  The threshold, x0
-# and L come from one call of V on the _PROBE_NODES points and the four edge
-# points (_map_for); each rung calls V once more, and every rung but the
-# first, whose eigenvalues only the next rung reads, returns vectors.
+# and L come from two calls of V (_map_for): one on every _PROBE_STRIDE-th of
+# the _PROBE_NODES points and the four edge points, one on the probe points
+# around that coarse minimum.  Each rung calls V once more and LAPACK's
+# dsyevr once, and every rung but the first, whose eigenvalues only the next
+# rung reads, returns vectors.
 _BOX = 5000.0
 _N_NODES = (100, 140, 200, 280, 400, 560, 800)
 _AGREE_TOL = 1e-6
 _PROBE_NODES = 4001
+# the coarse probe takes every _PROBE_STRIDE-th probe point; the window holds
+# the fine points within a stride of its minimum and, on each side, the two
+# more that the parabola may read
+_PROBE_STRIDE = 10
+_PROBE_WINDOW = _PROBE_STRIDE + 2
 
 _log = logging.getLogger("drttp.oracle")
 
@@ -73,20 +80,22 @@ def _eval_potential(V, xs: np.ndarray) -> np.ndarray:
 
 def _count_sign_changes(psi: np.ndarray) -> int:
     a = np.abs(psi)
-    sgn = np.sign(psi[a > 1e-8 * a.max()])
-    return int((sgn[:-1] * sgn[1:] < 0).sum())
+    neg = psi[a > 1e-8 * a.max()] < 0.0
+    return int(np.count_nonzero(neg[:-1] != neg[1:]))
 
 
 @functools.lru_cache(maxsize=1)
-def _probe_points() -> np.ndarray:
-    """The _PROBE_NODES points of x = sinh(s), s uniform, |x| <= _BOX, then
-    the edge points -_BOX, 1 - _BOX, _BOX - 1, _BOX; read-only, since every
-    solve shares them."""
+def _probe_points() -> tuple[np.ndarray, np.ndarray]:
+    """The _PROBE_NODES points of x = sinh(s), s uniform, |x| <= _BOX, and
+    the coarse probe: every _PROBE_STRIDE-th of them, the first and last
+    included, then the edge points -_BOX, 1 - _BOX, _BOX - 1, _BOX;
+    read-only, since every solve shares them."""
     s_max = np.arcsinh(_BOX)
     probe = np.sinh(np.linspace(-s_max, s_max, _PROBE_NODES))
-    points = np.concatenate((probe, [-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX]))
-    points.flags.writeable = False
-    return points
+    coarse = np.concatenate((probe[::_PROBE_STRIDE], [-_BOX, 1.0 - _BOX, _BOX - 1.0, _BOX]))
+    for points in (probe, coarse):
+        points.flags.writeable = False
+    return probe, coarse
 
 
 def _parabola_curvature(u, v) -> float:
@@ -101,31 +110,40 @@ def _parabola_curvature(u, v) -> float:
 
 
 def _map_for(V) -> tuple[float, float, float]:
-    """The one evaluation of V before the ladder, on the _PROBE_NODES points
-    of x = sinh(s), |x| <= _BOX, and the edge points -_BOX, 1 - _BOX,
-    _BOX - 1, _BOX, built once (``_probe_points``) and handed to V as a
-    fresh copy, since V may write into its argument.  Returns the threshold
+    """The two evaluations of V before the ladder: one on the coarse probe,
+    every _PROBE_STRIDE-th of the _PROBE_NODES points of x = sinh(s),
+    |x| <= _BOX, with the edge points -_BOX, 1 - _BOX, _BOX - 1, _BOX,
+    then one on the fine probe points within _PROBE_WINDOW of the coarse
+    minimum (``_probe_points``), each handed to V as a fresh copy, since V
+    may write into its argument.  Returns the threshold
     min(V(-_BOX), V(_BOX)) minus _BOUND_MARGIN and the centre x0 and scale
-    L of the map x = x0 + L sinh(s): x0 is the probe point where V is
+    L of the map x = x0 + L sinh(s): x0 is the window point where V is
     least, and L the harmonic length a**-1/4 of the parabola
     a (x - x0)**2 + b (x - x0) + c fitted to V at the 5 probe points around
     x0 (``_parabola_curvature``), capped at 1 and rounded to a power of 2,
     so that wells of similar curvature share a kinetic block (L = 1 where
-    a <= 0).  Raises ConvergenceError, naming the edge and the drop, where
-    V still falls outward over the last unit of x."""
-    points = _probe_points()
-    vals = _eval_potential(V, points.copy())
-    probe, v_edge, vals = points[:_PROBE_NODES], vals[_PROBE_NODES:], vals[:_PROBE_NODES]
+    a <= 0).  Where V has one minimum over the probe, the fine minimum
+    lies within a stride of the coarse one, and the window holds it and
+    the two points on either side that the parabola reads, so the result
+    is bit for bit that of one call on every probe point.  Raises
+    ConvergenceError, naming the edge and the drop, where V still falls
+    outward over the last unit of x."""
+    probe, coarse = _probe_points()
+    vals = _eval_potential(V, coarse.copy())
+    v_edge, vals = vals[-4:], vals[:-4]
     drops = (("left", v_edge[1] - v_edge[0]), ("right", v_edge[2] - v_edge[3]))
     falling = " and ".join(f"by {d:.3g} at the {side} edge" for side, d in drops
                            if d > _FLATNESS_TOL)
     if falling:
         raise ConvergenceError(f"potential not confining: V falls outward {falling}")
     threshold = float(min(v_edge[0], v_edge[3])) - _BOUND_MARGIN
+    centre = _PROBE_STRIDE * int(np.argmin(vals))
+    window = probe[max(centre - _PROBE_WINDOW, 0):centre + _PROBE_WINDOW + 1]
+    vals = _eval_potential(V, window.copy())
     i = int(np.argmin(vals))
-    x0 = float(probe[i])
-    lo = min(max(i - 2, 0), _PROBE_NODES - 5)
-    a = _parabola_curvature(probe[lo:lo + 5] - x0, vals[lo:lo + 5])
+    x0 = float(window[i])
+    lo = min(max(i - 2, 0), window.size - 5)
+    a = _parabola_curvature(window[lo:lo + 5] - x0, vals[lo:lo + 5])
     width = min(1.0, a ** -0.25) if a > 0.0 else 1.0
     return threshold, x0, 2.0 ** round(math.log2(width))
 
@@ -160,6 +178,22 @@ def _sinc_grid(n: int, scale: float):
     return offsets, g, ds, kinetic
 
 
+@functools.lru_cache(maxsize=len(_N_NODES))
+def _dsyevr(n: int):
+    """LAPACK's dsyevr for the lower triangle of an n-node rung's matrix,
+    overwriting it, for the eigenvalues in a range (vl, vu], with the
+    workspace sizes queried once: the routine, range and workspace that
+    ``scipy.linalg.eigh(driver="evr", subset_by_value=...)`` calls, without
+    its per-call checks."""
+    # deferred import: keeps scipy.linalg out of the cold start of `import drttp`
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    syevr, syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+    work, iwork, _ = syevr_lwork(n, lower=1)
+    return functools.partial(syevr, range="V", lower=1, overwrite_a=1,
+                             lwork=int(work), liwork=int(iwork))
+
+
 def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float,
                 vectors: bool = True):
     """Sinc collocation on n nodes of s, x = x0 + L sinh(s), g = dx/ds, in
@@ -169,23 +203,22 @@ def _solve_sinc(V, n: int, threshold: float, x0: float, scale: float,
     and the collocation vectors psi(x_j) = w_j / sqrt(g_j ds), unit L2, or
     None for them when not ``vectors``.  The eigenvalues are the same bits
     either way: for a range of values, LAPACK's dsyevr takes them from
-    dstebz with or without vectors."""
-    from scipy.linalg import eigh
-
+    dstebz with or without vectors.  A dsyevr failure raises
+    ConvergenceError, naming the node count."""
     offsets, g, ds, kinetic = _sinc_grid(n, scale)
     xs = x0 + offsets
     vals = _eval_potential(V, xs)
-    h = kinetic.copy(order="F")
-    h[np.diag_indices(n)] += vals
-    lo = float(vals.min()) - 1.0
     # h is this call's own copy, finite (V is checked by _eval_potential) and
-    # in Fortran order, so eigh overwrites it instead of copying it first
-    out = eigh(h, eigvals_only=not vectors, subset_by_value=(lo, threshold),
-               driver="evr", overwrite_a=True, check_finite=False)
+    # in Fortran order, so dsyevr overwrites it instead of copying it first
+    h = kinetic.copy(order="F")
+    h.flat[::n + 1] += vals
+    w, u, m, _, info = _dsyevr(n)(h, compute_v=int(vectors),
+                                  vl=float(vals.min()) - 1.0, vu=threshold)
+    if info:
+        raise ConvergenceError(f"dsyevr failed on the {n}-node rung (info {info})")
     if not vectors:
-        return xs, out, None
-    w, u = out
-    return xs, w, u / np.sqrt(g * ds)[:, None]
+        return xs, w[:m], None
+    return xs, w[:m], u[:, :m] / np.sqrt(g * ds)[:, None]
 
 
 def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum:
@@ -201,11 +234,17 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     form G^-1/2 D1^T G^-1 D1 G^-1/2 of the sinc first derivative D1 has a
     spurious eigenvalue with a sign change at every node, the "ghost"
     levels of mapped grids, Willner, Dulieu & Masnou-Seeuws 2004; this
-    form has none.)  V is called once before the ladder (``_map_for``), on
-    a 4 001-point probe of |x| <= _BOX and the edge points +-_BOX,
-    +-(_BOX - 1), and once per rung.  The map comes from that first call:
-    x0 is where V is least on the probe, and L is the length a**-1/4 of
-    the well's curvature a there, capped at 1 and rounded to a power of 2.
+    form has none.)  V is called twice before the ladder (``_map_for``):
+    on every 10th point of a 4 001-point probe of |x| <= _BOX with the edge
+    points +-_BOX, +-(_BOX - 1), then on the 25 probe points centred on
+    the least of those 10th points (fewer at the probe's ends); and once
+    per rung.  The threshold and the edge check come from the first call,
+    the map from the second: x0 is the window point where V is least,
+    which for a V with one minimum over the probe is where V is least on
+    the whole probe, and L is the length a**-1/4 of the well's curvature a
+    there, capped at 1 and rounded to a power of 2.  Each rung is one call
+    of LAPACK's dsyevr, through a handle with its workspace sizes, kept per
+    node count.
 
     The eigenvalues below the threshold min(V(-_BOX), V(_BOX)) minus a
     small safety margin are solved densely on the node ladder
@@ -230,12 +269,14 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     eigenvalues only, since no later step reads its vectors.  ``V`` must
     map an array of x to a finite array of the same shape; an edge where V
     still falls outward over its last unit of x raises ConvergenceError,
-    which names the edge and the drop.  Each rung and the result are logged
-    at DEBUG under ``drttp.oracle``.
+    which names the edge and the drop, and so does a dsyevr failure,
+    naming the rung.  Each rung and the result are logged at DEBUG under
+    ``drttp.oracle``.
 
     ``diagnostics`` holds the map centre ``x0`` and scale ``map_scale``,
-    the seconds of the first call of V and the map fit (``map_seconds``),
-    the node count and seconds of every solve that ran (``n_points``, for
+    the seconds of the two probe calls of V and the map fit
+    (``map_seconds``), the node count and seconds of every solve that ran
+    (``n_points``, for
     example (100, 140) or (100, 140, 200, 280, 400), and ``seconds``), the
     ``rejected`` eigenvalues and ``sawtooth``, the number of kept
     eigenvectors with more than n/2 sign changes: a spurious grid mode,
@@ -270,7 +311,7 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
         conv = np.abs(w_f[:, None] - w_c).min(axis=1, initial=np.inf)
         # resolution only degrades upward: a level above one the rungs
         # disagree on is not trusted even if they happen to agree on it
-        keep = np.cumprod(conv <= _AGREE_TOL * np.abs(w_f)).astype(bool)
+        keep = np.logical_and.accumulate(conv <= _AGREE_TOL * np.abs(w_f))
         counts = [_count_sign_changes(vecs[:, j]) for j in np.flatnonzero(keep)]
         rejected = w_f[~keep].tolist()
         accepted = not rejected and counts == list(range(len(counts)))
@@ -285,8 +326,7 @@ def solve_schrodinger(V, *, domain=None, h=None, method=None) -> NumericSpectrum
     # the first True of each column)
     a = np.abs(vecs)
     first = (a > 1e-6 * a.max(axis=0)).argmax(axis=0)
-    flip = vecs[first, np.arange(vecs.shape[1])] < 0.0
-    vecs[:, flip] = -vecs[:, flip]
+    vecs *= np.where(vecs[first, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
     diagnostics = {"x0": x0, "map_scale": scale, "map_seconds": map_seconds,
                    "n_points": tuple(n_points),
                    "seconds": tuple(seconds), "rejected": rejected,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from drttp import core, susy, verify
+from drttp import core, oracle, susy, verify
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError
 from drttp.spectral import Kind, basic_solutions, spectrum
@@ -195,6 +195,45 @@ class TestMap:
             core.map_x_to_z_pair(core.X_ORIGIN, tp)
         with pytest.raises(DomainError):
             core.map_x_to_z(np.array([-1.0, core.X_ORIGIN, 1.0]), tp)
+
+    def test_small_coordinate_against_50_digits(self):
+        # z_T log-uniform 1e-6..60 away from 0 and from 1, x on [-800, 800]
+        # and within 300 ulps of x_of_z(1/2): the small coordinate u, z or
+        # 1 - z, within the worst relative error of the Newton-only map on
+        # these draws where u is a normal double, and its log, the map's t,
+        # where u underflows
+        rng = np.random.default_rng([41, 9])
+        worst_u = worst_t = 0.0
+        for k in range(24):
+            zt = 10.0 ** rng.uniform(-6.0, math.log10(60.0))
+            tp = TangentPoly(-zt if k % 2 else 1.0 + zt)
+            mid = core.x_of_z(0.5, 0.5, tp)
+            x = np.concatenate((rng.uniform(-800.0, 800.0, 40),
+                                mid + np.arange(-300, 301, 30) * np.spacing(mid)))
+            z, omz, t, right = core._map_newton(x, tp)
+            with mpmath.workdps(50):
+                a = -mpmath.mpf(tp.z_T) / (2 * (1 - mpmath.mpf(tp.z_T)))
+                for xi, ui, ti, ri in zip(x, np.where(right, omz, z), t, right):
+                    alpha, beta = (-0.5, a) if ri else (a, -0.5)
+                    xs = mpmath.mpf(xi) - mpmath.mpf(core.X_ORIGIN)
+                    root = mpmath.findroot(
+                        lambda s: alpha * s + beta * mpmath.log1p(-mpmath.exp(s)) - xs,
+                        mpmath.mpf(ti))
+                    if ui >= np.finfo(float).tiny:
+                        worst_u = max(worst_u, float(abs(ui / mpmath.exp(root) - 1)))
+                    else:
+                        worst_t = max(worst_t, float(abs(ti / root - 1)))
+        assert worst_u <= 1.29e-13 and worst_t <= 2.59e-16
+
+    @pytest.mark.parametrize("zt", [-3.0, -0.5, 1.5, 4.0])
+    def test_iterations_on_the_oracle_probe(self, caplog, zt):
+        # Halley's steps: the Newton-only map took 6 iterations here
+        s_max = np.arcsinh(oracle._BOX)
+        probe = np.sinh(np.linspace(-s_max, s_max, oracle._PROBE_NODES))
+        caplog.set_level(logging.DEBUG, logger="drttp.core")
+        core._map_newton(probe, TangentPoly(zt))
+        (msg,) = [r.getMessage() for r in caplog.records]
+        assert int(re.search(r"(\d+) Newton iterations", msg).group(1)) <= 4
 
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(core, "_MAX_ITER", 1)

@@ -1,6 +1,8 @@
 """Numerical eigensolver sanity and convergence checks."""
 
+import contextlib
 import importlib.util
+import itertools
 import json
 import logging
 import math
@@ -15,9 +17,9 @@ import numpy as np
 import pytest
 
 import drttp
-from drttp import core, oracle, spectral, verify
+from drttp import core, oracle, spectral, susy, verify
 from drttp.core import RayIdentifiers, TangentPoly
-from drttp.errors import ConvergenceError, DomainError
+from drttp.errors import AvailabilityError, ConvergenceError, DomainError, PairRejectedError
 from drttp.oracle import solve_schrodinger
 from drttp.spectral import spectrum
 
@@ -302,19 +304,25 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("V", [sech2, dkv(1.561, 32.66, 1.00273)],
                              ids=["sech2", "(1.561, 32.66, 1.00273)"])
-    def test_one_call_of_v_before_the_ladder(self, V):
-        # the edge check, the threshold and the map read one call of V on
-        # the probe and the edge points; each rung then calls V once
+    def test_two_calls_of_v_before_the_ladder(self, V):
+        # the edge check and the threshold read one call of V on the coarse
+        # probe and the edge points, the map one more on the fine probe
+        # points around the coarse minimum; each rung then calls V once
         calls = []
         ns = solve_schrodinger(lambda x: calls.append(np.array(x)) or V(x))
         n_points = ns.diagnostics["n_points"]
-        assert len(calls) == len(n_points) + 1
+        assert len(calls) == len(n_points) + 2
         s_max = np.arcsinh(oracle._BOX)
         probe = np.sinh(np.linspace(-s_max, s_max, oracle._PROBE_NODES))
         edges = [-5000.0, -4999.0, 4999.0, 5000.0]
-        assert len(calls[0]) == oracle._PROBE_NODES + 4
-        assert np.all(np.isin(probe, calls[0])) and np.all(np.isin(edges, calls[0]))
-        assert [len(c) for c in calls[1:]] == list(n_points)
+        coarse = probe[::oracle._PROBE_STRIDE]
+        assert coarse[0] == probe[0] and coarse[-1] == probe[-1]
+        assert calls[0].tobytes() == np.concatenate((coarse, edges)).tobytes()
+        centre = oracle._PROBE_STRIDE * int(np.argmin(V(coarse)))
+        window = probe[centre - oracle._PROBE_WINDOW:centre + oracle._PROBE_WINDOW + 1]
+        assert calls[1].tobytes() == window.tobytes()
+        assert ns.diagnostics["x0"] in window
+        assert [len(c) for c in calls[2:]] == list(n_points)
         assert calls[-1].tobytes() == ns.x.tobytes()
 
     def test_sawtooth_counted_and_logged(self, monkeypatch, caplog):
@@ -492,6 +500,27 @@ class TestMapFit:
             V = dkv(*pt)
             assert oracle._map_for(V) == map_for_by_polyfit(V), pt
 
+    def test_partner_maps_are_the_polyfit_map(self):
+        # the single and double partner potentials at the verify points
+        # with basic solutions: a partner well whose window around the
+        # coarse minimum missed a deeper fine minimum would show here
+        solved = 0
+        for lo, mo, zt in verify.GRID_POINTS + verify.HIGH_DEGREE_POINTS:
+            ri, tp = RayIdentifiers(lo, mo), TangentPoly(zt)
+            try:
+                basics = list(spectral.basic_solutions(ri, tp).values())
+            except AvailabilityError:
+                continue
+            specs = [susy.single_partner_spec(b, tp) for b in basics]
+            for a, b in itertools.combinations(basics, 2):
+                with contextlib.suppress(PairRejectedError):
+                    specs.append(susy.double_partner_spec(a, b, tp))
+            for spec in specs:
+                V = susy.partner_potential_x(spec, ri, tp)
+                assert oracle._map_for(V) == map_for_by_polyfit(V), ((lo, mo, zt), spec)
+                solved += 1
+        assert solved == 24 * 5
+
     def test_probe_private_to_each_solve(self):
         # the probe points are built once and shared by every solve; V gets
         # its own copy, so a V that writes into its argument leaves the next
@@ -521,6 +550,17 @@ class TestFirstRung:
         xs_only, w_only, none = oracle._solve_sinc(V, 100, threshold, x0, scale, vectors=False)
         assert none is None and vecs.shape == (100, len(w)) and len(w) >= 2
         assert np.array_equal(w_only, w) and np.array_equal(xs_only, xs)
+
+
+class TestRungFailure:
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        # dsyevr reporting info = 1 raises the typed error, naming the rung;
+        # scipy's LinAlgError, which is no DrttpError, escaped before
+        handle = oracle._dsyevr(100)
+        monkeypatch.setattr(oracle, "_dsyevr",
+                            lambda n: lambda *a, **kw: (*handle(*a, **kw)[:4], 1))
+        with pytest.raises(ConvergenceError, match=r"dsyevr failed on the 100-node rung \(info 1\)"):
+            solve_schrodinger(sech2)
 
 
 class TestComparisons:
