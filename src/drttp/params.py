@@ -63,9 +63,12 @@ class TangentPoly:
                 f"z_T must lie outside [0, 1], got {self.z_T}"
             )
         z_T = float(self.z_T)
+        try:
+            a2 = 1.0 / (1.0 - z_T) ** 2
+        except OverflowError:
+            raise DomainError(f"(1 - z_T)**2 overflows at z_T = {z_T}") from None
         sqrt_c0 = z_T / (z_T - 1.0)
-        self.__dict__.update(z_T=z_T, sqrt_c0=sqrt_c0, c0=sqrt_c0**2,
-                             a2=1.0 / (1.0 - z_T) ** 2)
+        self.__dict__.update(z_T=z_T, sqrt_c0=sqrt_c0, c0=sqrt_c0**2, a2=a2)
 
     @property
     def x_tilde_T(self) -> float:

@@ -37,7 +37,7 @@ from .spectral import (
     wl_gm,
     wl_quadratic_roots,
 )
-from .wavefunction import log_prefactor
+from .wavefunction import powers
 
 # twice the unit roundoff; halvings after which a Heun root count gives up
 _EPS, _MAX_DEPTH = 2.0**-52, 52
@@ -68,19 +68,17 @@ def outer_root_ztt(t: AehSolution, t_prime: AehSolution) -> float:
 def double_step_ff_eval(z, omz, t: AehSolution, t_prime: AehSolution, tp: TangentPoly):
     """First-order factorization function of the second Darboux step,
     (mu' - mu) sqrt(z(1-z)) z^(l0'/2) (1-z)^(l1'/2) (z - z_tt') / (z - z_T),
-    from the pair (z, 1 - z), summed in log space and exponentiated once:
-    the powers are the prefactor of ``aeh_eval`` for t'."""
+    from the pair (z, 1 - z), summed in log space and exponentiated once
+    by ``wavefunction.powers``: the powers are the prefactor of
+    ``aeh_eval`` for t'."""
     ztt = outer_root_ztt(t, t_prime)
     z, omz = unit_interval(z, omz)
     dmu = t_prime.mu - t.mu
     sign = np.sign(dmu) * np.sign(z - ztt) * np.sign(z - tp.z_T)
     with np.errstate(divide="ignore", over="ignore"):
-        log_abs = (
-            log_prefactor(z, omz, 0.5 * (t_prime.lambda0 + 1.0), 0.5 * (t_prime.lambda1 + 1.0))
-            + math.log(abs(dmu))
-            + np.log(np.abs((z - ztt) / (z - tp.z_T)))
-        )
-        out = sign * np.exp(log_abs)
+        out = sign * powers(np.log(z), np.log(omz), 0.5 * (t_prime.lambda0 + 1.0),
+                            0.5 * (t_prime.lambda1 + 1.0),
+                            math.log(abs(dmu)) + np.log(np.abs((z - ztt) / (z - tp.z_T))))
     return out if out.ndim else float(out)
 
 
@@ -365,11 +363,15 @@ def heun_poly_construct(t0: AehSolution, t_prime: AehSolution,
     1)/2 (mu - mu_t0) prod_{k<=m'} (k - mu)/(lambda0 + k) vanishing with a
     factor (to 1e-12 relative) is ``degree_degenerate``, not an error; the
     degree is then the last z**k coefficient, C(n, k) times the k-th
-    forward difference, above 1e-12 of the largest (-1 for y = 0).
+    forward difference, above 1e-12 of the largest (-1 for y = 0).  A seed
+    with lambda0 = -k, 1 <= k <= m', puts a pole in (lambda0 + 1)_s and
+    raises DomainError.
     """
     if t0.m != 0:
         raise DomainError("the factorization function t0 must be basic")
     mp, lam0, lam1, mu = t_prime.m, t_prime.lambda0, t_prime.lambda1, t_prime.mu
+    if -mp <= lam0 <= -1.0 and lam0 == round(lam0):
+        raise DomainError(f"(lambda0' + 1)_s has a pole: m'={mp}, lambda0'={lam0}")
     n = mp + 1
     half = 0.5 * (lam0 + 1.0)
     u = half * (lam1 - t0.lambda1) / n

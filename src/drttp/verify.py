@@ -508,25 +508,23 @@ def _x_second(z, omz, tp: TangentPoly, f_D, f_DD):
 def _schrodinger_residual(ri: RayIdentifiers, tp: TangentPoly, sols, xs) -> float:
     """Worst max |-psi'' + (V - E) psi| / max |psi| over the levels sols at
     the points xs.  psi'' is exact: the polynomial factor's derivatives come
-    from d/dz F(-m, a; c; z) = (-m a / c) F(-m + 1, a + 1; c + 1; z) through
-    the Jacobi recurrence; psi and V are the library's evaluators, and the
-    prefactor is formed from the grid's logs as ``solution_eval_x`` forms it."""
+    from d/dz P_m^(alpha, beta) = (m + alpha + beta + 1)/2 P_(m-1)^(alpha+1, beta+1)
+    (DLMF 18.9.15) through the Jacobi recurrence; psi and V are the
+    library's evaluators, and the prefactor is the one ``solution_eval_x``
+    forms from the grid's logs."""
     g = core.gauge_record(xs, tp)
     z, omz = g.z, g.omz
     V = core.potential_eval_x(xs, ri, tp)
     worst = 0.0
     for s in sols:
-        m, a, c = s.m, s.mu - s.m, s.lambda0 + 1.0
+        m, (alpha, beta) = s.m, wavefunction.jacobi_parameters(s)
         poly, scale = [], 1.0
         for j in range(3):  # scale is 0 from j = m + 1 on
-            poly.append(scale * wavefunction.hypergeom_poly_jacobi(max(m - j, 0), a + j, c + j,
-                                                                   z, omz))
-            scale *= -(m - j) * (a + j) / (c + j)
-        w = g.log_z * (0.5 * s.lambda0)
-        w += g.log_omz * (0.5 * s.lambda1)
-        w += g.log_weight
-        np.exp(w, out=w)
+            poly.append(scale * wavefunction.hypergeom_poly_jacobi(
+                max(m - j, 0), alpha + j, beta + j, z, omz))
+            scale *= -(m - j) * (m + j + alpha + beta + 1.0) / (alpha + j + 1.0)
         exps = (0.5 * s.lambda0, 0.5 * s.lambda1, 0.5)
+        w = wavefunction.powers(g.log_z, g.log_omz, *exps[:2], g.log_weight)
         _, f_D, f_DD = _power_poly_jet(w, z, omz, tp.z_T, exps, poly)
         psi = wavefunction.solution_eval_x(xs, s, ri, tp)
         res = -_x_second(z, omz, tp, f_D, f_DD) + (V - s.epsilon) * psi
@@ -655,7 +653,7 @@ def check_eigenfunctions() -> list[CheckResult]:
         if sol.m == 0:
             continue
         for z in (0.15, 0.3, 0.62, 0.9):
-            a = wavefunction.hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0,
+            a = wavefunction.hypergeom_poly_jacobi(sol.m, *wavefunction.jacobi_parameters(sol),
                                                    z, 1.0 - z)
             b = _hypergeom_flip_eval(z, sol)
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
@@ -958,7 +956,7 @@ def _lambe_ward_residual(op: susy.HeunOperator, poly: susy.HeunPolynomial,
     # z^e0 (1-z)^e1 P(z) and its two exact derivatives, from the Euler jet
     omz = 1.0 - z
     zo = z * omz
-    w = math.exp(wavefunction.log_prefactor(z, omz, e0, e1))
+    w = float(wavefunction.powers(np.log(z), np.log(omz), e0, e1))
     f, f_D, f_DD = _power_poly_jet(w, z, omz, tp.z_T, (e0, e1, 0.0), poly.jet(z, omz))
     return op.residual(f, f_D / zo, (f_DD - (omz - z) * f_D) / zo**2, z)
 

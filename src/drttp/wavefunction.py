@@ -44,13 +44,14 @@ def _beta(a: float, b: float) -> float:
                             + q * math.log1p(-p / s) + tail[0] + tail[1] - tail[2])
 
 
-def hypergeom_poly_jacobi(n: int, a: float, c: float, z, omz):
-    """F(-n, a; c; z) from the pair (z, 1 - z), each at its own relative
-    precision: n!/(c)_n P_n^(alpha, beta)(1 - 2z) with alpha = c - 1
-    and beta = a - n - c, by the Jacobi three-term recurrence (DLMF 18.9.1).
+def hypergeom_poly_jacobi(n: int, alpha: float, beta: float, z, omz):
+    """F(-n, n + alpha + beta + 1; alpha + 1; z) = n!/(alpha + 1)_n
+    P_n^(alpha, beta)(1 - 2z) from the pair (z, 1 - z), each at its own
+    relative precision, by the Jacobi three-term recurrence (DLMF 18.9.1);
+    a solution's polynomial factor with :func:`jacobi_parameters`.
 
-    The recurrence runs on p_k = F(-k, k + alpha + beta + 1; c; z), from
-    p_0 = 1 to p_n = F(-n, a; c; z), in the difference form of scipy's
+    The recurrence runs on p_k = F(-k, k + alpha + beta + 1; alpha + 1; z),
+    from p_0 = 1 to p_n, in the difference form of scipy's
     ``eval_jacobi_l`` written in z (x - 1 = -2z): with d_k = p_k - p_(k-1),
     t = 2k + alpha + beta and D = (k + alpha + 1)(k + alpha + beta + 1),
 
@@ -67,33 +68,31 @@ def hypergeom_poly_jacobi(n: int, a: float, c: float, z, omz):
     meets (alpha = lambda0, beta = lambda1); outside that range the
     recurrence can return NaN, so DomainError is raised instead.
     """
-    out = _hypergeom_poly(n, a, c, *unit_interval(z, omz))
+    z, omz = unit_interval(z, omz)
+    out = np.ones(z.shape)
+    _times_jacobi(out, n, alpha, beta, split_at_half(z, omz))
     return out if out.ndim else float(out)
 
 
-def _hypergeom_poly(n: int, a: float, c: float, z: np.ndarray, omz: np.ndarray) -> np.ndarray:
-    """``hypergeom_poly_jacobi`` on a pair that has passed ``unit_interval``."""
-    alpha, beta = _jacobi_parameters(n, a, c)
-    out = np.ones(z.shape)
-    if n:
-        _times_jacobi(out, n, alpha, beta, split_at_half(z, omz))
-    return out
-
-
-def _jacobi_parameters(n: int, a: float, c: float) -> tuple[float, float]:
-    """(alpha, beta) = (c - 1, a - n - c) of F(-n, a; c; z), checked as
-    ``hypergeom_poly_jacobi`` requires."""
-    alpha = c - 1.0
-    beta = a - n - c
-    if n < 0 or (n > 0 and not (alpha > -1.0 and beta > -1.0)):
-        raise DomainError(f"need n >= 0 and alpha, beta > -1: n={n}, ({alpha}, {beta})")
-    return alpha, beta
+def jacobi_parameters(sol: AehSolution) -> tuple[float, float]:
+    """(alpha, beta) of a solution's polynomial factor F(-m, mu - m;
+    lambda0 + 1; z), formed as c - 1 and a - m - c of F(-m, a; c; z):
+    lambda0 and lambda1 up to rounding ((lambda0 + 1) - 1 can differ from
+    lambda0 in its last bit).  Every evaluator of the factor takes them
+    from here, so all share that rounding."""
+    a, c = sol.mu - sol.m, sol.lambda0 + 1.0
+    return c - 1.0, a - sol.m - c
 
 
 def _times_jacobi(out, n: int, alpha: float, beta: float, halves) -> None:
     """Multiply the C-contiguous array ``out`` in place by the polynomial of
-    ``hypergeom_poly_jacobi`` (n >= 1), run on each of the ``halves`` of
-    :func:`~drttp.core.split_at_half` in its small coordinate."""
+    ``hypergeom_poly_jacobi``, run on each of the ``halves`` of
+    :func:`~drttp.core.split_at_half` in its small coordinate; DomainError
+    for parameters it does not take."""
+    if n < 0 or (n > 0 and not (alpha > -1.0 and beta > -1.0)):
+        raise DomainError(f"need n >= 0 and alpha, beta > -1: n={n}, ({alpha}, {beta})")
+    if not n:
+        return
     left, right, z_left, omz_right = halves
     flat = out.reshape(-1)
     for idx, s, reflected in ((left, z_left, False), (right, omz_right, True)):
@@ -149,19 +148,28 @@ def factor_roots_in_01(sol: AehSolution) -> int:
     return 2 * ((x + 1) // 2) if minus_signs % 2 == 0 else 2 * (x // 2) + 1
 
 
-def log_prefactor(z, omz, e0: float, e1: float):
-    """log(z**e0 (1 - z)**e1) on a checked pair (z, 1 - z), as e0 log z +
-    e1 log(1 - z), so neither power over- or underflows on its own.  A term
-    of exponent 0 adds 0, so with log 0 = -inf an endpoint gets the log of
-    the limit value: -inf, 0 or inf by the exponent's sign."""
-    with np.errstate(divide="ignore"):
-        return (e0 * np.log(z) if e0 else 0.0) + (e1 * np.log(omz) if e1 else 0.0)
+def powers(log_z, log_omz, e0: float, e1: float, extra=None):
+    """z**e0 (1 - z)**e1 exp(extra) from log z and log(1 - z): every
+    solution prefactor is formed here.  The logs are summed, e0 log z +
+    e1 log(1 - z) + extra in that order, and exponentiated once, in place,
+    so neither power over- or underflows on its own: the value is 0 or inf
+    only out of range (NumPy warns of the overflow; a caller that expects
+    it ignores the warning).  A term of exponent 0 is skipped, so with
+    log 0 = -inf an endpoint gets the limit value: 0, 1 or inf by the
+    exponent's sign.  Returns a fresh array, C-contiguous for C-contiguous
+    logs, 0-d for scalar ones."""
+    out = np.asarray(log_z * e0 if e0 else np.zeros(np.shape(log_z)))
+    if e1:
+        out += log_omz * e1
+    if extra is not None:
+        out += extra
+    return np.exp(out, out=out)
 
 
 def aeh_eval(z, omz, sol: AehSolution):
     """Solution value z^((lambda0+1)/2) (1-z)^((lambda1+1)/2) * Pi_m(z) from
     the pair (z, 1 - z), Pi_m(z) = F(-m, mu - m; lambda0 + 1; z), its
-    prefactor one exp of :func:`log_prefactor`: 0 or inf only out of range.
+    prefactor from :func:`powers`: 0 or inf only out of range.
 
     Endpoints return the limit value (0, finite, or inf by the exponent
     sign); irregular solutions are finite only on the open interval.  A z
@@ -169,9 +177,11 @@ def aeh_eval(z, omz, sol: AehSolution):
     both lambdas must exceed -1 (``hypergeom_poly_jacobi``).
     """
     z, omz = unit_interval(z, omz)
-    with np.errstate(over="ignore"):
-        out = np.exp(log_prefactor(z, omz, 0.5 * (sol.lambda0 + 1.0), 0.5 * (sol.lambda1 + 1.0)))
-    out = out * _hypergeom_poly(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.asarray(powers(np.log(z), np.log(omz), 0.5 * (sol.lambda0 + 1.0),
+                                0.5 * (sol.lambda1 + 1.0)), order="C")
+    if sol.m:
+        _times_jacobi(out, sol.m, *jacobi_parameters(sol), split_at_half(z, omz))
     return out if out.ndim else float(out)
 
 
@@ -179,28 +189,19 @@ def solution_eval_x(x, sol: AehSolution, ri: RayIdentifiers, tp: TangentPoly):
     """x-gauge value (z')**(-1/2) Phi(z(x)), composed analytically.
 
     The Liouville weight and the solution prefactors are merged into one
-    exponential, so the tails carry no inf*0 indeterminacy and nothing
-    underflows before the product does:
-    exp(log w + l0/2 log z + l1/2 log(1 - z)) Pi_m(z), w =
+    exponential (:func:`powers`), so the tails carry no inf*0 indeterminacy
+    and nothing underflows before the product does:
+    exp(l0/2 log z + l1/2 log(1 - z) + log w) Pi_m(z), w =
     sqrt((z - z_T)/(2(1 - z_T))), with the logs of the grid's
     :class:`~drttp.core.GaugeRecord`, which come from the map itself and
     stay finite where z or 1 - z rounds to 0.  The polynomial factor is
     split at z = 1/2 as the record's ``halves``, so the levels on one grid
     share the logs and the split.
     """
-    scalar = np.ndim(x) == 0
     g = gauge_record(x, tp)
-    m = sol.m
-    # derived as aeh_eval derives them: alpha = (lambda0 + 1) - 1 can
-    # differ from lambda0 in its last bit
-    alpha, beta = _jacobi_parameters(m, sol.mu - m, sol.lambda0 + 1.0)
-    out = g.log_z * (0.5 * sol.lambda0)
-    out += g.log_omz * (0.5 * sol.lambda1)
-    out += g.log_weight
-    np.exp(out, out=out)
-    if m:
-        _times_jacobi(out, m, alpha, beta, g.halves)
-    return float(out[0]) if scalar else out
+    out = powers(g.log_z, g.log_omz, 0.5 * sol.lambda0, 0.5 * sol.lambda1, g.log_weight)
+    _times_jacobi(out, sol.m, *jacobi_parameters(sol), g.halves)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _level(sols: list[AehSolution], n: int) -> AehSolution:
@@ -231,10 +232,15 @@ def solution_norm_sq(sol: AehSolution, tp: TangentPoly) -> float:
 
     mu = 2m + l0 + l1 + 1; the Beta products are m! Gamma(l0 + 1)**2
     Gamma(m + l1 + 1) / (Gamma(m + l0 + 1) Gamma(mu - m)).  For z_T outside
-    [0, 1] no term cancels.  Raises DomainError if N is not a finite
-    positive float (it underflows when both exponents reach the thousands).
+    [0, 1] no term cancels.  The integral converges only for l0 > 0 and
+    l1 > 0, as for every bound state; DomainError elsewhere, and if N is not
+    a finite positive float (it underflows when both exponents reach the
+    thousands).
     """
     m, l0, l1, zt = sol.m, sol.lambda0, sol.lambda1, tp.z_T
+    if not (l0 > 0.0 and l1 > 0.0):
+        raise DomainError(f"the degree-{m} solution has no finite norm: "
+                          f"lambda0 = {l0:.6g}, lambda1 = {l1:.6g}")
     c = ((m + l0 + 1.0) * (m + l0 + l1 + 1.0)
          * _beta(m + 1.0, l0 + 1.0) * _beta(l0 + 1.0, m + l1 + 1.0))
     out = c * (zt * zt * (2 * m + l1 + 1.0) / l0 + (1.0 - zt) ** 2 * (2 * m + l0 + 1.0) / l1

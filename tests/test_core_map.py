@@ -227,13 +227,13 @@ class TestMap:
 
     @pytest.mark.parametrize("zt", [-3.0, -0.5, 1.5, 4.0])
     def test_iterations_on_the_oracle_probe(self, caplog, zt):
-        # Halley's steps: the Newton-only map took 6 iterations here
+        # six Newton steps from the lower of the two asymptotic starts
         s_max = np.arcsinh(oracle._BOX)
         probe = np.sinh(np.linspace(-s_max, s_max, oracle._PROBE_NODES))
         caplog.set_level(logging.DEBUG, logger="drttp.core")
         core._map_newton(probe, TangentPoly(zt))
         (msg,) = [r.getMessage() for r in caplog.records]
-        assert int(re.search(r"(\d+) Newton iterations", msg).group(1)) <= 4
+        assert int(re.search(r"(\d+) Newton iterations", msg).group(1)) <= 6
 
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(core, "_MAX_ITER", 1)

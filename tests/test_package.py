@@ -258,7 +258,7 @@ def _bad_inputs():
                                                  t_prime=basics[Kind.A], tp=tp),
         "HeunPolynomial.jet": drttp.HeunPolynomial((1.0, -2.0, 0.5), 2, False).jet,
         "hypergeom_poly_jacobi": functools.partial(drttp.wavefunction.hypergeom_poly_jacobi,
-                                                   2, 6.0, 2.0),
+                                                   2, 1.0, 2.0),
     }
     pairs = [(math.nan, math.nan), (math.inf, -math.inf), (-math.inf, math.inf),
              (1.5, -0.5), (0.3, 0.9)]
@@ -274,6 +274,9 @@ def _bad_inputs():
     cases += [(f"{f.__name__}-{v}", functools.partial(f, v, *args))
               for f, args in ((drttp.dkv_potential_eval, (2.5, 1.5)), (drttp.eta_hat_of_x, ()))
               for v in (math.nan, math.inf, -math.inf)]
+    # finite z_T whose (1 - z_T)**2 overflows
+    cases += [(f"TangentPoly-{z_T}", functools.partial(drttp.TangentPoly, z_T))
+              for z_T in (1e155, -1e155)]
     return cases
 
 

@@ -19,7 +19,7 @@ from drttp.errors import (
     GaugeError,
     PairRejectedError,
 )
-from drttp.spectral import AehSolution, Kind, basic_solutions, spectrum
+from drttp.spectral import AehSolution, Kind, basic_solutions, spectrum, wl_solve
 from drttp.wavefunction import aeh_eval
 
 TP2 = TangentPoly(2.0)
@@ -468,6 +468,15 @@ class TestHeun:
         seed = AehSolution(Kind.A, 1, 1.5, t.mu - 4.5)
         poly = susy.heun_poly_construct(t, seed, TP2)
         assert poly.degree_degenerate and poly.degree == 1
+
+    def test_seed_at_a_pochhammer_pole_is_domain_error(self, basics):
+        # b' of wl_solve(12, 20, 2) has lambda0' = -9 exactly, a pole of
+        # (lambda0' + 1)_s for s = 9..12; factor_roots_in_01 rejects it too
+        seed = wl_solve(12, 20.0, TP2)[0]
+        assert seed.lambda0 == -9.0
+        for t0 in basics.values():
+            with pytest.raises(DomainError, match="pole"):
+                susy.heun_poly_construct(t0, seed, TP2)
 
     def test_poly_against_mpmath(self):
         # value, P' and P'' against the same y in 60-digit mpmath, y =

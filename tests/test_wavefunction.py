@@ -14,12 +14,13 @@ from drttp import core, verify, wavefunction
 from drttp.susy import HeunPolynomial
 from drttp.core import RayIdentifiers, TangentPoly
 from drttp.errors import ConvergenceError, DomainError, DrttpError
-from drttp.spectral import AehSolution, Kind, spectrum, wl_solve
+from drttp.spectral import AehSolution, Kind, basic_solutions, spectrum, wl_solve
 from drttp.wavefunction import (
     aeh_eval,
     count_nodes,
     factor_roots_in_01,
     hypergeom_poly_jacobi,
+    jacobi_parameters,
     solution_eval_x,
     solution_norm_sq,
 )
@@ -75,14 +76,15 @@ class TestHypergeom:
         for n, a, c, z in ((3, 4.7, 1.2, 0.4), (7, 7.5, 0.8, 0.63)):
             want = _mp_hypergeom(n, a, c, [z])[0]
             assert verify._hypergeom_poly_eval(n, a, c, z) == pytest.approx(want, rel=1e-12)
-            assert hypergeom_poly_jacobi(n, a, c, z, 1 - z) == pytest.approx(want, rel=1e-12)
+            assert hypergeom_poly_jacobi(n, c - 1.0, a - n - c, z, 1 - z) == pytest.approx(
+                want, rel=1e-12)
         # large exponents (alpha = 1745, beta = 25) near both ends of [0, 1],
         # the recurrence only, relative to the column maximum
         n, a, c = 29, 1800.0, 1746.0
         zs = np.logspace(-12.0, -1.0, 23)
         zs = np.concatenate([zs, 1.0 - zs])
         want = _mp_hypergeom(n, a, c, zs)
-        got = hypergeom_poly_jacobi(n, a, c, zs, 1.0 - zs)
+        got = hypergeom_poly_jacobi(n, c - 1.0, a - n - c, zs, 1.0 - zs)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # general parameters: the power sum only
         for n, a, c, z in ((3, 2.5, 1.2, 0.4), (7, -1.7, 0.8, 0.63)):
@@ -92,7 +94,7 @@ class TestHypergeom:
     def test_jacobi_rejects_parameters_below_minus_one(self):
         # alpha = 12, beta = -24: the recurrence would return NaN here
         with pytest.raises(DomainError):
-            hypergeom_poly_jacobi(12, 1.0, 13.0, 0.5, 0.5)
+            hypergeom_poly_jacobi(12, 12.0, -24.0, 0.5, 0.5)
         assert verify._hypergeom_poly_eval(12, 1.0, 13.0, 0.5) == pytest.approx(
             0.673008509954359, rel=1e-12)
 
@@ -106,9 +108,7 @@ class TestHypergeom:
             if sol.m == 0:
                 continue
             for z in (0.2, 0.3, 0.77):
-                direct = hypergeom_poly_jacobi(
-                    sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, 1 - z
-                )
+                direct = hypergeom_poly_jacobi(sol.m, *jacobi_parameters(sol), z, 1 - z)
                 assert verify._hypergeom_flip_eval(z, sol) == pytest.approx(
                     direct, abs=1e-10 * max(1, abs(direct))
                 )
@@ -146,11 +146,11 @@ class TestAehEval:
         z, omz = core.map_x_to_z_pair(np.linspace(-20.0, 20.0, 4001), TP2)
         e0, e1 = 0.5 * (sol.lambda0 + 1.0), 0.5 * (sol.lambda1 + 1.0)
         want = np.exp(e0 * np.log(z) + e1 * np.log(omz)) * hypergeom_poly_jacobi(
-            sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, z, omz)
+            sol.m, *jacobi_parameters(sol), z, omz)
         assert aeh_eval(z, omz, sol).tobytes() == want.tobytes()
         edge = AehSolution(Kind.A, 0, 1.5, -1.0)
         assert aeh_eval(np.array([0.5, 1.0]), np.array([0.5, 0.0]), edge)[1] == \
-            hypergeom_poly_jacobi(0, edge.mu, 2.5, 1.0, 0.0) == 1.0
+            hypergeom_poly_jacobi(0, *jacobi_parameters(edge), 1.0, 0.0) == 1.0
 
     def test_outside_closed_interval_rejected(self):
         # NaN passed the old guard: [0.3, nan] returned uninitialised memory
@@ -261,7 +261,7 @@ def _solution_reference(x, sol, tp):
     g = core.GaugeRecord(np.asarray(x, dtype=float), tp)
     pref = np.exp(g.log_z * (0.5 * sol.lambda0) + g.log_omz * (0.5 * sol.lambda1)
                   + g.log_weight)
-    return pref * hypergeom_poly_jacobi(sol.m, sol.mu - sol.m, sol.lambda0 + 1.0, g.z, g.omz)
+    return pref * hypergeom_poly_jacobi(sol.m, *jacobi_parameters(sol), g.z, g.omz)
 
 
 def _mp_logs(x, z_t):
@@ -557,6 +557,24 @@ class TestEigenfunctions:
         sol = AehSolution(Kind.C, 0, 2000.0, 2000.0)
         with pytest.raises(DomainError):
             solution_norm_sq(sol, TP2)
+
+    @pytest.mark.parametrize("params, kind", [
+        ((0.5, 7.3, 2.0), Kind.D), ((0.5, 7.3, 2.0), Kind.A), ((1.2, 10.9, 3.5), Kind.D),
+        ((0.0, 5.0, -1.0), Kind.B),
+    ], ids=["d0-0.5-7.3-2", "a0-0.5-7.3-2", "d0-1.2-10.9-3.5", "b0-0-5--1"])
+    def test_norm_of_basic_solution_outside_bound_states_is_domain_error(self, params, kind):
+        # a lambda0 or lambda1 of at most 0: the Beta integrals diverge, where
+        # the closed form read 1 117.9, 6.45e13 and 28 906 and b0 of (0, 5, -1)
+        # (lambda0 = -12) divided by zero
+        tp = TangentPoly(params[2])
+        sol = basic_solutions(RayIdentifiers(*params[:2]), tp)[kind]
+        with pytest.raises(DomainError, match="no finite norm"):
+            solution_norm_sq(sol, tp)
+
+    @pytest.mark.parametrize("lambda0, lambda1", [(0.0, 2.0), (2.0, 0.0)])
+    def test_norm_at_zero_exponent_is_domain_error(self, lambda0, lambda1):
+        with pytest.raises(DomainError, match="no finite norm"):
+            solution_norm_sq(AehSolution(Kind.A, 1, lambda0, lambda1), TP2)
 
     def test_beta_against_mpmath(self):
         # arguments 1..3e4, skewed and balanced, down to where B underflows
